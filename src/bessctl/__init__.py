@@ -55,7 +55,6 @@ from bessctl.optimizer import (
     ProjectionProblem,
     SetpointController,
     project,
-    verify_consistency,
 )
 from bessctl.simctl import (
     EnergyReport,

@@ -7,8 +7,11 @@ the DC-bus voltage follows from the circuit quadratic
 
     vdc^2 + (sum(vc) - E) * vdc + Pdc * Rs = 0
 
-(larger root), and the state of charge integrates the DC current.  Circuit
-parameters are banded by SOC; bands partition [0, 1].
+(larger root), and the state of charge integrates the DC current.  Solved
+for the power instead, the same quadratic gives the DC power at which the
+bus sits at a given voltage in closed form, P = v * (drive - v) / (Rs * 1000)
+with drive = E - sum(vc), which is how the vdc window bounds the power.
+Circuit parameters are banded by SOC; bands partition [0, 1].
 
 Sign convention: positive AC/DC power discharges the battery and lowers both
 the SOC and the DC-bus voltage.  Charging power is negative.
@@ -30,10 +33,6 @@ from bessctl.linefmt import LineFormatError, parse_number, tokenize
 #: Absolute SOC slack for the limit check, covering round-off when a step is
 #: driven exactly to a bound computed by dc_power_bounds.
 SOC_EPS = 1e-12
-
-#: Stop tolerance, in volts, for the bisection that tightens power bounds to
-#: the DC voltage window.
-VDC_BISECT_TOL = 1e-3
 
 
 class SocBandError(ValueError):
@@ -244,30 +243,6 @@ def ttc_step(
     return TtcState(new_vc[0], new_vc[1], new_vc[2], new_soc)
 
 
-def _power_at_vdc(v_target: float, drive: float, rs: float, lo: float, hi: float) -> float:
-    """Bisect for the DC power at which the bus voltage equals v_target.
-
-    The bus voltage is strictly decreasing in power; [lo, hi] must bracket
-    the target.  Returns the bracket end on the feasible (voltage >= target
-    for discharge, <= target for charge) side once it is within
-    VDC_BISECT_TOL volts of the target.
-    """
-    def vdc_at(p_kw: float) -> float:
-        return 0.5 * (drive + math.sqrt(drive * drive - 4.0 * p_kw * 1000.0 * rs))
-
-    for _ in range(200):
-        if abs(vdc_at(lo) - v_target) <= VDC_BISECT_TOL:
-            return lo
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo
-        if vdc_at(mid) >= v_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def dc_power_bounds(
     state: TtcState, params: TtcParams, cfg: BatteryConfig
 ) -> tuple[float, float]:
@@ -277,7 +252,9 @@ def dc_power_bounds(
     discharge side is capped by the maximum power point (E - sum(vc))^2 /
     (4 Rs), by the power that drains the SOC to soc_min in one step, and by
     vdc_min; the charge side symmetrically by soc_max and vdc_max.  A SOC
-    already at a limit degenerates that side to 0.
+    already at a limit degenerates that side to 0.  The vdc terms are the
+    closed-form powers at vdc_min and vdc_max, stepped toward 0 one float
+    at a time until solve_vdc puts them inside the window.
     """
     drive = open_circuit_voltage(state.soc, params) - state.vc_sum
     if drive <= 0:
@@ -294,7 +271,12 @@ def dc_power_bounds(
         if drive <= cfg.vdc_min:
             candidates.append(0.0)
         else:
-            candidates.append(_power_at_vdc(cfg.vdc_min, drive, params.rs, 0.0, p_mpp))
+            # Near drive/2 the closed form can round past the maximum power
+            # point, where solve_vdc would raise.
+            p_vdc = min(p_mpp, cfg.vdc_min * (drive - cfg.vdc_min) / (params.rs * 1000.0))
+            while solve_vdc(p_vdc, state, params) < cfg.vdc_min:
+                p_vdc = math.nextafter(p_vdc, 0.0)
+            candidates.append(p_vdc)
     # Current that lands exactly on soc_min after one step; the matching
     # power follows from vdc = drive - i * rs on the high-voltage root branch.
     i_soc = (state.soc - cfg.soc_min) * cfg.c_max_as / cfg.delta_t
@@ -308,37 +290,12 @@ def dc_power_bounds(
     if drive >= cfg.vdc_max:
         candidates_chg.append(0.0)
     else:
-        lo = -max(p_mpp, 1.0)
-        while 0.5 * (drive + math.sqrt(drive * drive - 4.0 * lo * 1000.0 * params.rs)) < cfg.vdc_max:
-            lo *= 2.0
-            if lo < -1e12:
-                break
-        else:
-            # vdc is increasing toward more negative power: bisect with the
-            # roles of the bracket ends swapped via the mirrored target test.
-            candidates_chg.append(-_power_at_vdc_charge(cfg.vdc_max, drive, params.rs, -lo))
+        p_vdc = cfg.vdc_max * (drive - cfg.vdc_max) / (params.rs * 1000.0)
+        while solve_vdc(p_vdc, state, params) > cfg.vdc_max:
+            p_vdc = math.nextafter(p_vdc, 0.0)
+        candidates_chg.append(p_vdc)
     p_dc_min = min(0.0, max(candidates_chg))
     return p_dc_min, p_dc_max
-
-
-def _power_at_vdc_charge(v_target: float, drive: float, rs: float, hi_mag: float) -> float:
-    """Magnitude of the charging power at which the bus voltage reaches v_target."""
-    def vdc_at(mag: float) -> float:
-        return 0.5 * (drive + math.sqrt(drive * drive + 4.0 * mag * 1000.0 * rs))
-
-    lo = 0.0
-    hi = hi_mag
-    for _ in range(200):
-        if abs(vdc_at(lo) - v_target) <= VDC_BISECT_TOL:
-            return lo
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo
-        if vdc_at(mid) <= v_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 _PARAM_KEYS = ("a", "b", "rs", "r1", "c1", "r2", "c2", "r3", "c3")

@@ -9,8 +9,11 @@ a flat Q ceiling) anchored at one (vDC, vAC) operating pair.
 A feasible region is the intersection of one or two envelopes, scaled by a
 shrink factor when fewer battery strings are in service.  Because the disk
 radii differ between Q >= 0 and Q < 0, the full region is not convex; it is
-represented as the union of two convex cells split at Q = 0, and all
-downstream optimization works per cell.
+the union of two convex cells split at Q = 0.  ``build_region`` normalizes
+each cell once into a shrink-scaled ``Cell`` (a P/Q box, at most one disk
+and the parabola caps), on which all downstream optimization works.
+``FeasibleRegion.contains`` deliberately stays on the unscaled atoms, so it
+remains an independent membership check of what the optimizer returns.
 
 Curves and regions are immutable after construction and therefore safe for
 unrestricted concurrent reads.
@@ -107,21 +110,6 @@ def atom_violation(atom: ConstraintAtom, p: float, q: float) -> float:
         return q - (atom.c0 + atom.c1 * p + atom.c2 * p * p)
     if isinstance(atom, QMax):
         return q - atom.q
-    raise TypeError(f"unknown atom {atom!r}")
-
-
-def scale_atom(atom: ConstraintAtom, s: float) -> ConstraintAtom:
-    """Atom of the region scaled by s: (p, q) feasible iff (p/s, q/s) was."""
-    if isinstance(atom, PMin):
-        return PMin(atom.p * s)
-    if isinstance(atom, PMax):
-        return PMax(atom.p * s)
-    if isinstance(atom, Disk):
-        return Disk(atom.r * s, atom.sector)
-    if isinstance(atom, ParabolaCap):
-        return ParabolaCap(atom.c0 * s, atom.c1, atom.c2 / s)
-    if isinstance(atom, QMax):
-        return QMax(atom.q * s)
     raise TypeError(f"unknown atom {atom!r}")
 
 
@@ -222,24 +210,78 @@ def select_curves(vdc: float, vac: float) -> CurveSelection:
     raise ValueError(f"vac {vac} V matches no selection range")
 
 
+@dataclass(frozen=True, slots=True)
+class Cell:
+    """Convex Q >= 0 or Q <= 0 half of a scaled region, in normal form.
+
+    Feasible points satisfy p_lo <= p <= p_hi, q_lo <= q <= q_hi,
+    p^2 + q^2 <= r^2 when r is set, and q <= c0 + c1*p + c2*p^2 for every
+    (c0, c1, c2) in paras.
+    """
+
+    p_lo: float
+    p_hi: float
+    q_lo: float
+    q_hi: float
+    r: float | None
+    paras: tuple[tuple[float, float, float], ...]
+
+    def violation(self, p: float, q: float) -> float:
+        """Largest signed constraint violation at (p, q) (<= 0 is inside)."""
+        worst = max(self.p_lo - p, p - self.p_hi, self.q_lo - q, q - self.q_hi)
+        if self.r is not None:
+            worst = max(worst, math.hypot(p, q) - self.r)
+        for c0, c1, c2 in self.paras:
+            worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
+        return worst
+
+
+def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) -> Cell:
+    """Normal form of the cell bounded by atoms, scaled by shrink: (p, q) is
+    inside iff (p/shrink, q/shrink) satisfies every atom."""
+    p_lo, p_hi = -math.inf, math.inf
+    q_lo, q_hi = (0.0, math.inf) if upper else (-math.inf, 0.0)
+    r: float | None = None
+    paras: list[tuple[float, float, float]] = []
+    for atom in atoms:
+        if isinstance(atom, PMin):
+            p_lo = max(p_lo, atom.p * shrink)
+        elif isinstance(atom, PMax):
+            p_hi = min(p_hi, atom.p * shrink)
+        elif isinstance(atom, QMax):
+            q_hi = min(q_hi, atom.q * shrink)
+        elif isinstance(atom, Disk):
+            r = atom.r * shrink if r is None else min(r, atom.r * shrink)
+        elif isinstance(atom, ParabolaCap):
+            paras.append((atom.c0 * shrink, atom.c1, atom.c2 / shrink))
+        else:
+            raise TypeError(f"unknown atom {atom!r}")
+    return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras))
+
+
 @dataclass(frozen=True)
 class FeasibleRegion:
     """Intersection of selected envelopes, split at Q = 0 into convex cells.
 
-    Membership of the scaled region at (p, q) equals membership of the
-    unscaled region at (p/shrink, q/shrink).
+    upper_atoms and lower_atoms are the unscaled envelope atoms of each
+    cell; upper_cell and lower_cell are the same cells scaled by shrink, in
+    the normal form the optimizer works on.  Membership of the scaled
+    region at (p, q) equals membership of the unscaled atoms at
+    (p/shrink, q/shrink).
     """
 
-    upper_cell: tuple[ConstraintAtom, ...]
-    lower_cell: tuple[ConstraintAtom, ...]
+    upper_atoms: tuple[ConstraintAtom, ...]
+    lower_atoms: tuple[ConstraintAtom, ...]
     shrink: float
+    upper_cell: Cell
+    lower_cell: Cell
 
     def contains(self, p: float, q: float, tol: float = MEMBERSHIP_TOL) -> bool:
         ps = p / self.shrink
         qs = q / self.shrink
-        if qs >= 0 and all(atom_violation(a, ps, qs) <= tol for a in self.upper_cell):
+        if qs >= 0 and all(atom_violation(a, ps, qs) <= tol for a in self.upper_atoms):
             return True
-        if qs <= 0 and all(atom_violation(a, ps, qs) <= tol for a in self.lower_cell):
+        if qs <= 0 and all(atom_violation(a, ps, qs) <= tol for a in self.lower_atoms):
             return True
         return False
 
@@ -262,7 +304,9 @@ def build_region(curves: Sequence[CapabilityCurve], shrink: float) -> FeasibleRe
         for a in curve.atoms
         if not (isinstance(a, Disk) and a.sector == SECTOR_UPPER)
     )
-    return FeasibleRegion(upper, lower, shrink)
+    return FeasibleRegion(
+        upper, lower, shrink, _scaled_cell(upper, shrink, True), _scaled_cell(lower, shrink, False)
+    )
 
 
 _ATOM_ARITY = {"pmin": 1, "pmax": 1, "qmax": 1, "parabola": 3}

@@ -32,10 +32,12 @@ class GridSample:
     v_mv: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp}")
         if not 45.0 < self.freq < 55.0:
             raise ValueError(f"frequency {self.freq} Hz outside the plausible (45, 55) window")
-        if self.v_mv <= 0:
-            raise ValueError(f"v_mv must be positive, got {self.v_mv}")
+        if not 0 < self.v_mv < math.inf:
+            raise ValueError(f"v_mv must be positive and finite, got {self.v_mv}")
 
 
 @dataclass(frozen=True)

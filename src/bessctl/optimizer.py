@@ -15,11 +15,13 @@ self-consistent pair is found (or the conservative fallback fires).
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
 power interval, one origin-centred disk, up to two concave parabola caps
-and a flat Q ceiling.  The projection is solved exactly by enumerating the
-unconstrained optimum, the stationary point on every boundary curve and all
-pairwise boundary intersections, then keeping the feasible candidate with
-the least objective.  Cubic and quartic intersections go through numpy's
-polynomial roots with a Newton polish.
+and a flat Q ceiling.  ``build_region`` scales and normalizes the cells
+once; a projection only narrows a cell's P interval to the step's battery
+bounds.  The projection is solved exactly by enumerating the unconstrained
+optimum, the stationary point on every boundary curve and all pairwise
+boundary intersections, then keeping the feasible candidate with the least
+objective.  Cubic and quartic intersections go through numpy's polynomial
+roots with a Newton polish.
 
 A controller instance holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
@@ -50,17 +52,10 @@ from bessctl.capability import (
     DC_SELECTION,
     Anchor,
     CapabilityCurve,
-    Disk,
+    Cell,
     FeasibleRegion,
-    PMax,
-    PMin,
-    ParabolaCap,
-    QMax,
-    SECTOR_LOWER,
-    SECTOR_UPPER,
     build_region,
     in_half_open,
-    scale_atom,
 )
 from bessctl.grid import (
     DroopConfig,
@@ -131,61 +126,6 @@ class ControlRecord:
     @property
     def target_feasible(self) -> bool:
         return STATUS_UNCHANGED in self.status
-
-
-class _Cell:
-    """Normalized convex cell: box, at most one disk, parabola caps."""
-
-    __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "r", "paras")
-
-    def __init__(
-        self,
-        p_lo: float,
-        p_hi: float,
-        q_lo: float,
-        q_hi: float,
-        r: float | None,
-        paras: tuple[tuple[float, float, float], ...],
-    ) -> None:
-        self.p_lo = p_lo
-        self.p_hi = p_hi
-        self.q_lo = q_lo
-        self.q_hi = q_hi
-        self.r = r
-        self.paras = paras
-
-    def violation(self, p: float, q: float) -> float:
-        worst = max(self.p_lo - p, p - self.p_hi, self.q_lo - q, q - self.q_hi)
-        if self.r is not None:
-            worst = max(worst, math.hypot(p, q) - self.r)
-        for c0, c1, c2 in self.paras:
-            worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
-        return worst
-
-
-def _build_cell(
-    atoms: Sequence, shrink: float, sign: int, p_bounds: tuple[float, float]
-) -> _Cell:
-    p_lo, p_hi = p_bounds
-    q_lo = 0.0 if sign > 0 else -math.inf
-    q_hi = math.inf if sign > 0 else 0.0
-    r: float | None = None
-    paras: list[tuple[float, float, float]] = []
-    for atom in atoms:
-        scaled = scale_atom(atom, shrink)
-        if isinstance(scaled, PMin):
-            p_lo = max(p_lo, scaled.p)
-        elif isinstance(scaled, PMax):
-            p_hi = min(p_hi, scaled.p)
-        elif isinstance(scaled, QMax):
-            q_hi = min(q_hi, scaled.q)
-        elif isinstance(scaled, Disk):
-            r = scaled.r if r is None else min(r, scaled.r)
-        elif isinstance(scaled, ParabolaCap):
-            paras.append((scaled.c0, scaled.c1, scaled.c2))
-        else:
-            raise TypeError(f"unknown atom {atom!r}")
-    return _Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras))
 
 
 def _quad_roots(a: float, b: float, c: float) -> list[float]:
@@ -282,7 +222,7 @@ def _parabola_stationary(
     return [(p, c0 + c1 * p + c2 * p * p) for p in _poly_real_roots(coeffs)]
 
 
-def _cell_candidates(cell: _Cell, p0: float, q0: float, wp: float, wq: float):
+def _cell_candidates(cell: Cell, p0: float, q0: float, wp: float, wq: float):
     """Superset of points that can be the cell optimum: single-boundary
     stationary points plus all pairwise boundary intersections."""
     cands: list[tuple[float, float]] = []
@@ -333,7 +273,7 @@ def _cell_candidates(cell: _Cell, p0: float, q0: float, wp: float, wq: float):
     return cands
 
 
-def _polish(cell: _Cell, p: float, q: float) -> tuple[float, float]:
+def _polish(cell: Cell, p: float, q: float) -> tuple[float, float]:
     """Clamp float dust off a near-feasible point without leaving the cell."""
     p = min(max(p, cell.p_lo), cell.p_hi)
     q = min(max(q, cell.q_lo), cell.q_hi)
@@ -348,7 +288,7 @@ def _polish(cell: _Cell, p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
-def _q_interval_at(cell: _Cell, p: float) -> tuple[float, float]:
+def _q_interval_at(cell: Cell, p: float) -> tuple[float, float]:
     """Feasible q interval of the cell at fixed p (may be empty: lo > hi)."""
     lo, hi = cell.q_lo, cell.q_hi
     for c0, c1, c2 in cell.paras:
@@ -363,15 +303,19 @@ def _q_interval_at(cell: _Cell, p: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _clip_to_nonempty_p(cell: _Cell, p: float) -> float:
-    """Pull p toward 0 (always inside) until the cell has feasible q there."""
-    lo, hi = _q_interval_at(cell, p)
+def _clip_to_nonempty(interval_at, cell: Cell, inside: float, x: float) -> float:
+    """Pull x toward inside until interval_at(cell, x) is nonempty.
+
+    interval_at is _q_interval_at or _p_interval_at; inside must give a
+    nonempty interval.
+    """
+    lo, hi = interval_at(cell, x)
     if lo <= hi:
-        return p
-    inside, outside = 0.0, p
+        return x
+    outside = x
     for _ in range(80):
         mid = 0.5 * (inside + outside)
-        lo, hi = _q_interval_at(cell, mid)
+        lo, hi = interval_at(cell, mid)
         if lo <= hi:
             inside = mid
         else:
@@ -379,7 +323,7 @@ def _clip_to_nonempty_p(cell: _Cell, p: float) -> float:
     return inside
 
 
-def _p_interval_at(cell: _Cell, q: float) -> tuple[float, float]:
+def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
     """Feasible p interval of the cell at fixed q (may be empty: lo > hi)."""
     lo, hi = cell.p_lo, cell.p_hi
     if cell.r is not None:
@@ -410,24 +354,8 @@ def _p_interval_at(cell: _Cell, q: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _clip_to_nonempty_q(cell: _Cell, q: float) -> float:
-    anchor = min(max(0.0, cell.q_lo), cell.q_hi)
-    lo, hi = _p_interval_at(cell, q)
-    if lo <= hi:
-        return q
-    inside, outside = anchor, q
-    for _ in range(80):
-        mid = 0.5 * (inside + outside)
-        lo, hi = _p_interval_at(cell, mid)
-        if lo <= hi:
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
 def _project_cell(
-    cell: _Cell, p0: float, q0: float, wp: float, wq: float
+    cell: Cell, p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float, float] | None:
     """Exact weighted projection onto one cell; returns (p, q, objective)."""
     if cell.p_lo > cell.p_hi or cell.q_lo > cell.q_hi:
@@ -438,12 +366,13 @@ def _project_cell(
 
     if wq == 0.0:
         # Lexicographic: best p first, then closest feasible q at that p.
-        p = _clip_to_nonempty_p(cell, min(max(p0, cell.p_lo), cell.p_hi))
+        p = _clip_to_nonempty(_q_interval_at, cell, 0.0, min(max(p0, cell.p_lo), cell.p_hi))
         lo, hi = _q_interval_at(cell, p)
         q = min(max(q0, lo), hi)
         return p, q, objective(p, q)
     if wp == 0.0:
-        q = _clip_to_nonempty_q(cell, min(max(q0, cell.q_lo), cell.q_hi))
+        anchor = min(max(0.0, cell.q_lo), cell.q_hi)
+        q = _clip_to_nonempty(_p_interval_at, cell, anchor, min(max(q0, cell.q_lo), cell.q_hi))
         lo, hi = _p_interval_at(cell, q)
         p = min(max(p0, lo), hi)
         return p, q, objective(p, q)
@@ -471,10 +400,16 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     broken toward the upper (Q >= 0) cell for determinism.
     """
     region = problem.region
-    bounds = (problem.p_min, problem.p_max)
     best: tuple[float, float, float] | None = None
-    for atoms, sign in ((region.upper_cell, +1), (region.lower_cell, -1)):
-        cell = _build_cell(atoms, region.shrink, sign, bounds)
+    for cell in (region.upper_cell, region.lower_cell):
+        cell = Cell(
+            max(problem.p_min, cell.p_lo),
+            min(problem.p_max, cell.p_hi),
+            cell.q_lo,
+            cell.q_hi,
+            cell.r,
+            cell.paras,
+        )
         result = _project_cell(
             cell, problem.p_target, problem.q_target, problem.lambda_p, problem.lambda_q
         )
@@ -483,16 +418,6 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     if best is None:
         raise RuntimeError("feasible region unexpectedly empty")
     return best[0], best[1]
-
-
-def verify_consistency(
-    vdc: float,
-    vac: float,
-    assumed_dc_range: tuple[float, float],
-    assumed_ac_range: tuple[float, float],
-) -> bool:
-    """True iff both voltages fall inside their assumed half-open ranges."""
-    return in_half_open(vdc, *assumed_dc_range) and in_half_open(vac, *assumed_ac_range)
 
 
 @dataclass(frozen=True)

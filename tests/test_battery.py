@@ -220,6 +220,17 @@ class TestDcPowerBounds:
         assert solve_vdc(p_max, state, p) >= battery_cfg.vdc_min - 1e-3
         assert solve_vdc(p_min, state, p) <= battery_cfg.vdc_max + 1e-3
 
+    def test_vdc_window_bounds_are_tight(self, bands, battery_cfg):
+        # At SOC 0.5 the vdc window sets both bounds; a relative step of
+        # 1e-9 past either bound must already leave the window.
+        p = band(bands, 0.5)
+        state = TtcState(0.0, 0.0, 0.0, 0.5)
+        p_min, p_max = dc_power_bounds(state, p, battery_cfg)
+        assert solve_vdc(p_max, state, p) >= battery_cfg.vdc_min
+        assert solve_vdc(p_max * (1 + 1e-9), state, p) < battery_cfg.vdc_min
+        assert solve_vdc(p_min, state, p) <= battery_cfg.vdc_max
+        assert solve_vdc(p_min * (1 + 1e-9), state, p) > battery_cfg.vdc_max
+
     def test_bounds_always_solvable(self, bands, battery_cfg):
         rng = np.random.default_rng(5)
         for _ in range(300):

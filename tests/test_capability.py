@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bessctl.linefmt import LineFormatError
 from bessctl.capability import (
+    AC_SELECTION,
+    DC_SELECTION,
+    KNOWN_ANCHORS,
     CapabilityCurve,
     CurveFormatError,
     CurveValidationError,
@@ -21,6 +25,11 @@ from bessctl.capability import (
 )
 
 SHRINK = 7.0 / 9.0
+
+#: Each envelope alone, and every envelope pair the selection tables produce.
+REGION_ANCHORS = [(a,) for a in sorted(KNOWN_ANCHORS)] + [
+    (dc, ac) for _, _, dc in DC_SELECTION for _, _, ac, _ in AC_SELECTION if ac is not None
+]
 
 
 def region_for(curve_map, anchors, shrink=1.0):
@@ -176,6 +185,34 @@ class TestRegion:
         q = math.sqrt(721.0**2 - p * p)
         assert region.contains(p, q)
         assert not region.contains(p, -q)
+
+
+class TestRegionCells:
+    def test_cells_scale_the_atoms(self, curve_map):
+        region = region_for(curve_map, [(600.0, 300.0)], SHRINK)
+        upper, lower = region.upper_cell, region.lower_cell
+        assert (upper.p_lo, upper.p_hi) == (lower.p_lo, lower.p_hi) == (
+            -681.89 * SHRINK,
+            678.71 * SHRINK,
+        )
+        assert (upper.q_lo, upper.q_hi) == (0.0, 657.1 * SHRINK)
+        assert (lower.q_lo, lower.q_hi) == (-math.inf, 0.0)
+        assert (upper.r, lower.r) == (723.03 * SHRINK, 719.19 * SHRINK)
+        assert upper.paras == lower.paras == ((659.67 * SHRINK, -8.29e-18, -2.16e-4 / SHRINK),)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        anchors=st.sampled_from(REGION_ANCHORS),
+        shrink=st.sampled_from([1.0, SHRINK]),
+        p=st.floats(-1000.0, 1000.0),
+        q=st.floats(-1000.0, 1000.0),
+    )
+    def test_cell_violation_agrees_with_contains(self, curve_map, anchors, shrink, p, q):
+        region = region_for(curve_map, anchors, shrink)
+        sides = ((region.upper_cell, q >= 0), (region.lower_cell, q <= 0))
+        violation = min(cell.violation(p, q) for cell, side in sides if side)
+        assume(abs(violation) > 1e-6)
+        assert (violation <= 0) == region.contains(p, q)
 
 
 class TestRegionProperties:

@@ -158,3 +158,18 @@ class TestSampleValidation:
     def test_positive_voltage(self):
         with pytest.raises(ValueError):
             GridSample(0.0, 50.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "timestamp, freq, v_mv",
+        [
+            (math.nan, 50.0, 21.0),
+            (math.inf, 50.0, 21.0),
+            (-math.inf, 50.0, 21.0),
+            (0.0, math.nan, 21.0),
+            (0.0, 50.01, math.nan),
+            (0.0, 50.0, math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, timestamp, freq, v_mv):
+        with pytest.raises(ValueError):
+            GridSample(timestamp, freq, v_mv)

@@ -16,7 +16,6 @@ from bessctl.optimizer import (
     STATUS_UNCHANGED,
     SetpointController,
     project,
-    verify_consistency,
 )
 
 from oracles import direct_feasible
@@ -118,18 +117,6 @@ class TestProject:
     def test_deterministic(self, region_600):
         t = (900.0, -900.0)
         assert project(problem(region_600, t)) == project(problem(region_600, t))
-
-
-class TestVerifyConsistency:
-    def test_closed_right_end(self):
-        assert verify_consistency(600.0, 300.0, (550.0, 600.0), (270.0, 330.0))
-
-    def test_open_left_end(self):
-        assert not verify_consistency(600.0, 300.0, (600.0, 800.0), (270.0, 330.0))
-
-    def test_vac_boundary(self):
-        assert verify_consistency(620.0, 330.0, (600.0, 800.0), (270.0, 330.0))
-        assert not verify_consistency(620.0, 330.1, (600.0, 800.0), (270.0, 330.0))
 
 
 class TestSolveStep:

@@ -55,6 +55,14 @@ class TestGenerateTrace:
         with pytest.raises(TraceError):
             load_trace(path)
 
+    def test_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "timestamp_s,freq_hz,v_mv_kv\n0.0,50.0,21.0\n1.0,50.01,nan\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="v_mv"):
+            load_trace(path)
+
     def test_gen_spec_parsing(self):
         kwargs = parse_gen_spec("gen:sigma_f=0.01,sigma_v=0.05,n=10,seed=3")
         assert kwargs == {"sigma_f": 0.01, "sigma_v": 0.05, "n": 10.0, "seed": 3.0}
