@@ -11,7 +11,9 @@ shrink factor when fewer battery strings are in service.  Because the disk
 radii differ between Q >= 0 and Q < 0, the full region is not convex; it is
 the union of two convex cells split at Q = 0.  ``build_region`` normalizes
 each cell once into a shrink-scaled ``Cell`` (a P/Q box, at most one disk
-and the parabola caps), on which all downstream optimization works.
+and the parabola caps), on which all downstream optimization works.  The
+cell also carries the boundary crossings that do not involve its P lines,
+which are the same for every projection onto it.
 ``FeasibleRegion.contains`` deliberately stays on the unscaled atoms, so it
 remains an independent membership check of what the optimizer returns.
 
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from bessctl.linefmt import LineFormatError, parse_number, tokenize
 
@@ -210,6 +214,62 @@ def select_curves(vdc: float, vac: float) -> CurveSelection:
     raise ValueError(f"vac {vac} V matches no selection range")
 
 
+def quad_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*x^2 + b*x + c, numerically stable, degenerate-safe."""
+    if a == 0.0:
+        if b == 0.0:
+            return []
+        return [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    s = math.sqrt(disc)
+    q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else 0.5 * s
+    roots = [q / a]
+    if q != 0.0:
+        roots.append(c / q)
+    else:
+        roots.append(-roots[0])
+    return roots
+
+
+def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
+    """Real roots of a polynomial given by descending coefficients.
+
+    Roots from the companion matrix are polished with two Newton steps,
+    evaluated by Horner's rule in the same operation order as
+    ``np.polyval``/``np.polyder``.
+    """
+    trimmed = list(coeffs)
+    while trimmed and trimmed[0] == 0.0:
+        trimmed.pop(0)
+    if len(trimmed) <= 1:
+        return []
+    if len(trimmed) == 3:
+        return quad_roots(trimmed[0], trimmed[1], trimmed[2])
+    if len(trimmed) == 2:
+        return [-trimmed[1] / trimmed[0]]
+    degree = len(trimmed) - 1
+    deriv = [c * (degree - i) for i, c in enumerate(trimmed[:-1])]
+    out: list[float] = []
+    for root in np.roots(trimmed):
+        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
+            continue
+        x = float(root.real)
+        for _ in range(2):
+            d = deriv[0]
+            for c in deriv[1:]:
+                d = d * x + c
+            if d == 0.0:
+                break
+            y = trimmed[0]
+            for c in trimmed[1:]:
+                y = y * x + c
+            x -= y / d
+        out.append(x)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class Cell:
     """Convex Q >= 0 or Q <= 0 half of a scaled region, in normal form.
@@ -217,6 +277,14 @@ class Cell:
     Feasible points satisfy p_lo <= p <= p_hi, q_lo <= q <= q_hi,
     p^2 + q^2 <= r^2 when r is set, and q <= c0 + c1*p + c2*p^2 for every
     (c0, c1, c2) in paras.
+
+    corners lists, in a fixed order, the pairwise crossings of the Q lines,
+    the disk and the parabola caps (see ``_cell_corners``); they depend on
+    neither the P box nor the target, so narrowing the P box keeps them.
+    caps_nonneg is True when the P box is finite and every parabola cap is
+    at least _CAP_MARGIN at both of its ends, so that, being concave, it
+    stays >= 0 over the whole box; the optimizer may skip an upper cell
+    only then.
     """
 
     p_lo: float
@@ -225,6 +293,8 @@ class Cell:
     q_hi: float
     r: float | None
     paras: tuple[tuple[float, float, float], ...]
+    corners: tuple[tuple[float, float], ...]
+    caps_nonneg: bool
 
     def violation(self, p: float, q: float) -> float:
         """Largest signed constraint violation at (p, q) (<= 0 is inside)."""
@@ -234,6 +304,46 @@ class Cell:
         for c0, c1, c2 in self.paras:
             worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
         return worst
+
+
+#: Least value, in kvar, a parabola cap must keep at the ends of the P box
+#: for caps_nonneg; far above the rounding of evaluating it in between.
+_CAP_MARGIN = 1e-6
+
+
+def _cell_corners(
+    q_lo: float, q_hi: float, r: float | None, paras: Sequence[tuple[float, float, float]]
+) -> tuple[tuple[float, float], ...]:
+    """Crossings of a cell's finite Q lines with its disk and parabola caps,
+    then of the disk with each cap (a quartic in p), then of pairs of caps."""
+    corners: list[tuple[float, float]] = []
+    for b in (q_lo, q_hi):
+        if not math.isfinite(b):
+            continue
+        if r is not None and r * r >= b * b:
+            s = math.sqrt(r * r - b * b)
+            corners.extend([(s, b), (-s, b)])
+        for c0, c1, c2 in paras:
+            for p in quad_roots(c2, c1, c0 - b):
+                corners.append((p, b))
+    if r is not None:
+        for c0, c1, c2 in paras:
+            coeffs = [
+                c2 * c2,
+                2.0 * c2 * c1,
+                c1 * c1 + 2.0 * c2 * c0 + 1.0,
+                2.0 * c1 * c0,
+                c0 * c0 - r * r,
+            ]
+            for p in poly_real_roots(coeffs):
+                corners.append((p, c0 + c1 * p + c2 * p * p))
+    for i in range(len(paras)):
+        for j in range(i + 1, len(paras)):
+            a0, a1, a2 = paras[i]
+            b0, b1, b2 = paras[j]
+            for p in quad_roots(a2 - b2, a1 - b1, a0 - b0):
+                corners.append((p, a0 + a1 * p + a2 * p * p))
+    return tuple(corners)
 
 
 def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) -> Cell:
@@ -256,7 +366,14 @@ def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) ->
             paras.append((atom.c0 * shrink, atom.c1, atom.c2 / shrink))
         else:
             raise TypeError(f"unknown atom {atom!r}")
-    return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras))
+    box_finite = math.isfinite(p_lo) and math.isfinite(p_hi)
+    caps_nonneg = all(
+        box_finite and c0 + c1 * p + c2 * p * p >= _CAP_MARGIN
+        for c0, c1, c2 in paras
+        for p in (p_lo, p_hi)
+    )
+    corners = _cell_corners(q_lo, q_hi, r, paras)
+    return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,10 @@ class DroopConfig:
     lambda_q: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("droop gains must be positive")
+        if not (0 < self.alpha0 < math.inf and 0 < self.beta0 < math.inf):
+            raise ValueError("droop gains must be positive and finite")
+        if not (math.isfinite(self.lambda_p) and math.isfinite(self.lambda_q)):
+            raise ValueError("weights must be finite")
         if self.lambda_p < 0 or self.lambda_q < 0 or self.lambda_p + self.lambda_q == 0:
             raise ValueError("weights must be nonnegative and not both zero")
 

@@ -20,8 +20,11 @@ once; a projection only narrows a cell's P interval to the step's battery
 bounds.  The projection is solved exactly by enumerating the unconstrained
 optimum, the stationary point on every boundary curve and all pairwise
 boundary intersections, then keeping the feasible candidate with the least
-objective.  Cubic and quartic intersections go through numpy's polynomial
-roots with a Newton polish.
+objective.  The intersections that do not involve the P box, among them
+the disk-parabola quartic, are the cell's corners, found once by
+``build_region``; per call, only the parabola stationary-point cubic goes
+through numpy's polynomial roots, with a scalar Newton polish.  The cell
+across Q = 0 from the target is solved only when it could still win.
 
 A controller instance holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
@@ -33,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from bessctl.battery import (
     BatteryConfig,
@@ -56,6 +57,8 @@ from bessctl.capability import (
     FeasibleRegion,
     build_region,
     in_half_open,
+    poly_real_roots,
+    quad_roots,
 )
 from bessctl.grid import (
     DroopConfig,
@@ -96,6 +99,13 @@ class ProjectionProblem:
     p_max: float
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.p_target)
+            and math.isfinite(self.q_target)
+            and math.isfinite(self.lambda_p)
+            and math.isfinite(self.lambda_q)
+        ):
+            raise ValueError("targets and weights must be finite")
         if self.lambda_p < 0 or self.lambda_q < 0 or self.lambda_p + self.lambda_q == 0:
             raise ValueError("weights must be nonnegative and not both zero")
         if not self.p_min <= 0.0 <= self.p_max:
@@ -126,55 +136,6 @@ class ControlRecord:
     @property
     def target_feasible(self) -> bool:
         return STATUS_UNCHANGED in self.status
-
-
-def _quad_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c, numerically stable, degenerate-safe."""
-    if a == 0.0:
-        if b == 0.0:
-            return []
-        return [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else 0.5 * s
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    else:
-        roots.append(-roots[0])
-    return roots
-
-
-def _poly_real_roots(coeffs: Sequence[float]) -> list[float]:
-    """Real roots of a polynomial given by descending coefficients.
-
-    Roots from the companion matrix are polished with two Newton steps.
-    """
-    trimmed = list(coeffs)
-    while trimmed and trimmed[0] == 0.0:
-        trimmed.pop(0)
-    if len(trimmed) <= 1:
-        return []
-    if len(trimmed) == 3:
-        return _quad_roots(trimmed[0], trimmed[1], trimmed[2])
-    if len(trimmed) == 2:
-        return [-trimmed[1] / trimmed[0]]
-    arr = np.array(trimmed, dtype=float)
-    deriv = np.polyder(arr)
-    out: list[float] = []
-    for root in np.roots(arr):
-        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
-            continue
-        x = float(root.real)
-        for _ in range(2):
-            d = float(np.polyval(deriv, x))
-            if d == 0.0:
-                break
-            x -= float(np.polyval(arr, x)) / d
-        out.append(x)
-    return out
 
 
 def _circle_candidates(
@@ -219,12 +180,13 @@ def _parabola_stationary(
         wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
         wq * c1 * shift - wp * p0,
     ]
-    return [(p, c0 + c1 * p + c2 * p * p) for p in _poly_real_roots(coeffs)]
+    return [(p, c0 + c1 * p + c2 * p * p) for p in poly_real_roots(coeffs)]
 
 
 def _cell_candidates(cell: Cell, p0: float, q0: float, wp: float, wq: float):
     """Superset of points that can be the cell optimum: single-boundary
-    stationary points plus all pairwise boundary intersections."""
+    stationary points plus all pairwise boundary intersections.  Those of
+    the crossings that involve no P line are the cell's stored corners."""
     cands: list[tuple[float, float]] = []
     p_lines = [cell.p_lo, cell.p_hi]
     q_lines = [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
@@ -246,30 +208,7 @@ def _cell_candidates(cell: Cell, p0: float, q0: float, wp: float, wq: float):
             cands.extend([(a, s), (a, -s)])
         for c0, c1, c2 in cell.paras:
             cands.append((a, c0 + c1 * a + c2 * a * a))
-    for b in q_lines:
-        if cell.r is not None and cell.r * cell.r >= b * b:
-            s = math.sqrt(cell.r * cell.r - b * b)
-            cands.extend([(s, b), (-s, b)])
-        for c0, c1, c2 in cell.paras:
-            for p in _quad_roots(c2, c1, c0 - b):
-                cands.append((p, b))
-    if cell.r is not None:
-        for c0, c1, c2 in cell.paras:
-            coeffs = [
-                c2 * c2,
-                2.0 * c2 * c1,
-                c1 * c1 + 2.0 * c2 * c0 + 1.0,
-                2.0 * c1 * c0,
-                c0 * c0 - cell.r * cell.r,
-            ]
-            for p in _poly_real_roots(coeffs):
-                cands.append((p, c0 + c1 * p + c2 * p * p))
-    for i in range(len(cell.paras)):
-        for j in range(i + 1, len(cell.paras)):
-            a0, a1, a2 = cell.paras[i]
-            b0, b1, b2 = cell.paras[j]
-            for p in _quad_roots(a2 - b2, a1 - b1, a0 - b0):
-                cands.append((p, a0 + a1 * p + a2 * p * p))
+    cands.extend(cell.corners)
     return cands
 
 
@@ -346,7 +285,7 @@ def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
             else:
                 hi = min(hi, bound)
             continue
-        roots = _quad_roots(c2, c1, c0 - q)
+        roots = quad_roots(c2, c1, c0 - q)
         if not roots:
             return 1.0, -1.0
         lo = max(lo, min(roots))
@@ -393,28 +332,53 @@ def _project_cell(
     return p, q, objective(p, q)
 
 
+def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
+    """The cell with its P box cut to [p_min, p_max]; the cell itself when
+    both bounds lie strictly outside its box, where max and min would return
+    its own p_lo and p_hi."""
+    if p_min < cell.p_lo and cell.p_hi < p_max:
+        return cell
+    return Cell(
+        max(p_min, cell.p_lo),
+        min(p_max, cell.p_hi),
+        cell.q_lo,
+        cell.q_hi,
+        cell.r,
+        cell.paras,
+        cell.corners,
+        cell.caps_nonneg,
+    )
+
+
 def project(problem: ProjectionProblem) -> tuple[float, float]:
     """Feasible set-point with least weighted distance to the target.
 
-    Both Q-sign cells are solved; the better objective wins, with ties
-    broken toward the upper (Q >= 0) cell for determinism.
+    The better of the two Q-sign cells wins, with ties broken toward the
+    upper (Q >= 0) cell for determinism.  Every point of the cell across
+    Q = 0 from the target costs at least lambda_q * q0^2, so when the
+    target-side cell, solved first, does better than that (by a relative
+    1e-12 that absorbs the rounding of the objective) the other cell is not
+    solved.  The bound needs |q0| beyond _POINT_TOL, where no interior
+    early return can give the other cell a zero objective, and, to skip the
+    upper cell, caps_nonneg, so that _polish keeps its points at q >= 0.
     """
     region = problem.region
-    best: tuple[float, float, float] | None = None
-    for cell in (region.upper_cell, region.lower_cell):
-        cell = Cell(
-            max(problem.p_min, cell.p_lo),
-            min(problem.p_max, cell.p_hi),
-            cell.q_lo,
-            cell.q_hi,
-            cell.r,
-            cell.paras,
-        )
-        result = _project_cell(
-            cell, problem.p_target, problem.q_target, problem.lambda_p, problem.lambda_q
-        )
-        if result is not None and (best is None or result[2] < best[2]):
-            best = result
+    p0, q0 = problem.p_target, problem.q_target
+    wp, wq = problem.lambda_p, problem.lambda_q
+    upper_cell, lower_cell = region.upper_cell, region.lower_cell
+    p_min, p_max = problem.p_min, problem.p_max
+    limit = wq * q0 * q0 * (1.0 - 1e-12) if abs(q0) > _POINT_TOL else 0.0
+    if q0 < 0.0 and limit > 0.0:
+        lower = _project_cell(_narrowed(lower_cell, p_min, p_max), p0, q0, wp, wq)
+        if lower is not None and lower[2] < limit and upper_cell.caps_nonneg:
+            return lower[0], lower[1]
+        upper = _project_cell(_narrowed(upper_cell, p_min, p_max), p0, q0, wp, wq)
+    else:
+        upper = _project_cell(_narrowed(upper_cell, p_min, p_max), p0, q0, wp, wq)
+        if upper is not None and upper[2] < limit:
+            return upper[0], upper[1]
+        lower = _project_cell(_narrowed(lower_cell, p_min, p_max), p0, q0, wp, wq)
+    best = lower if lower is not None and (upper is None or lower[2] < upper[2]) else upper
     if best is None:
         raise RuntimeError("feasible region unexpectedly empty")
     return best[0], best[1]

@@ -1,18 +1,32 @@
-"""Byte-for-byte regression of ``bessctl run`` on the shipped presets.
+"""Byte-for-byte regression of the controller's outputs.
 
 perfbench/golden holds the records.csv and summary.json of each preset at
-its shipped seed.  A change that alters them must regenerate them and say
-why; a refactor must leave them untouched.
+its shipped seed.  tests/data/undervoltage_records.csv holds the records of
+a short low-voltage run, which takes the two-envelope regions and the
+conservative clamp that the nominal-voltage presets never reach.  A change
+that alters them must regenerate them and say why; a refactor must leave
+them untouched.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from bessctl.simctl import builtin_scenario_path, main
+from bessctl.battery import builtin_ttc_params
+from bessctl.capability import builtin_curves, index_curves
+from bessctl.simctl import (
+    builtin_scenario_path,
+    generate_trace,
+    load_run_config,
+    main,
+    run_scenario,
+    write_records,
+)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+UNDERVOLTAGE_GOLDEN = Path(__file__).resolve().parent / "data" / "undervoltage_records.csv"
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
@@ -23,3 +37,21 @@ def test_preset_outputs_match_golden(name, tmp_path):
     assert result.exit_code == 0, result.output
     for fname in ("records.csv", "summary.json"):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+
+
+def write_undervoltage_records(path):
+    """60 steps of scenario4's gains with the MV voltage 12 % low (mean 18.7 kV)."""
+    scenario, cfg = load_run_config(builtin_scenario_path("scenario4"))
+    scenario = dataclasses.replace(scenario, duration_s=60.0, trace=None)
+    trace = generate_trace(0.01782, 0.0672, mu_v=18.7, n=60, seed=101)
+    records, _ = run_scenario(
+        scenario, cfg, index_curves(builtin_curves()), builtin_ttc_params(), trace=trace
+    )
+    write_records(records, path)
+    return records
+
+
+def test_undervoltage_records_match_golden(tmp_path):
+    records = write_undervoltage_records(tmp_path / "records.csv")
+    assert any(r.curve_ac is not None for r in records)
+    assert (tmp_path / "records.csv").read_bytes() == UNDERVOLTAGE_GOLDEN.read_bytes()

@@ -76,6 +76,23 @@ class TestInitialDroops:
             DroopConfig(alpha0=9003.0, beta0=0.0)
 
 
+class TestDroopConfigValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lambda_p", "lambda_q", "alpha0", "beta0"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            cfg(**{field: value})
+
+    def test_nan_weight_from_scenario_file_rejected(self, tmp_path):
+        from bessctl.simctl import builtin_scenario_path, load_run_config
+
+        text = builtin_scenario_path("scenario1").read_text("utf-8")
+        path = tmp_path / "nan.cfg"
+        path.write_text(text.replace("lambda_q 1", "lambda_q nan"), "utf-8")
+        with pytest.raises(ValueError, match="finite"):
+            load_run_config(path)
+
+
 class TestMaxDeviations:
     def test_constant_trace_has_zero_sigma(self):
         samples = [GridSample(float(t), 50.0, 21.0) for t in range(10)]

@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bessctl.optimizer as optimizer
 from bessctl.battery import TtcState, dc_from_ac
-from bessctl.capability import build_region
+from bessctl.capability import (
+    AC_SELECTION,
+    DC_SELECTION,
+    KNOWN_ANCHORS,
+    CapabilityCurve,
+    Disk,
+    ParabolaCap,
+    PMax,
+    PMin,
+    build_region,
+)
 from bessctl.grid import DroopConfig, GridSample
 from bessctl.optimizer import (
     ControllerConfig,
@@ -251,3 +262,233 @@ class TestProjectionProblemValidation:
     def test_weights_not_both_zero(self, region_600):
         with pytest.raises(ValueError):
             ProjectionProblem(0.0, 0.0, 0.0, 0.0, region_600, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "target, weights",
+        [
+            ((math.nan, 0.0), (1.0, 1.0)),
+            ((0.0, math.nan), (1.0, 1.0)),
+            ((math.inf, 0.0), (1.0, 1.0)),
+            ((0.0, -math.inf), (1.0, 1.0)),
+            ((0.0, 0.0), (math.nan, 1.0)),
+            ((0.0, 0.0), (1.0, math.nan)),
+            ((0.0, 0.0), (math.inf, 1.0)),
+            ((0.0, 0.0), (1.0, math.inf)),
+        ],
+    )
+    def test_non_finite_targets_and_weights_rejected(self, region_600, target, weights):
+        with pytest.raises(ValueError, match="finite"):
+            problem(region_600, target, weights, bounds=(-1.0, 1.0))
+
+
+#: Each envelope alone, and every envelope pair the selection tables produce.
+REGION_ANCHORS = [(a,) for a in sorted(KNOWN_ANCHORS)] + [
+    (dc, ac) for _, _, dc in DC_SELECTION for _, _, ac, _ in AC_SELECTION if ac is not None
+]
+
+#: An envelope whose parabola cap drops below Q = 0 inside its P box
+#: (outside about -292 < p < 342 kW), so its upper cell's caps_nonneg is False.
+DIPPING = CapabilityCurve(
+    "dipping",
+    600.0,
+    300.0,
+    (PMin(-600.0), PMax(600.0), Disk(700.0), ParabolaCap(100.0, 0.05, -1e-3)),
+)
+
+
+def numpy_real_roots(coeffs):
+    """Polynomial roots polished with np.polyval/np.polyder, the reference
+    for the scalar Horner polish of capability.poly_real_roots."""
+    trimmed = list(coeffs)
+    while trimmed and trimmed[0] == 0.0:
+        trimmed.pop(0)
+    if len(trimmed) <= 3:
+        return optimizer.poly_real_roots(trimmed)
+    arr = np.array(trimmed, dtype=float)
+    deriv = np.polyder(arr)
+    out = []
+    for root in np.roots(arr):
+        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
+            continue
+        x = float(root.real)
+        for _ in range(2):
+            d = float(np.polyval(deriv, x))
+            if d == 0.0:
+                break
+            x -= float(np.polyval(arr, x)) / d
+        out.append(x)
+    return out
+
+
+def fresh_corners(cell):
+    """The target-independent crossings as the projection once enumerated
+    them on every call: Q lines with the disk and the caps, the disk with
+    each cap, then pairs of caps."""
+    quad = optimizer.quad_roots
+    cands = []
+    for b in [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]:
+        if cell.r is not None and cell.r * cell.r >= b * b:
+            s = math.sqrt(cell.r * cell.r - b * b)
+            cands.extend([(s, b), (-s, b)])
+        for c0, c1, c2 in cell.paras:
+            for p in quad(c2, c1, c0 - b):
+                cands.append((p, b))
+    if cell.r is not None:
+        for c0, c1, c2 in cell.paras:
+            coeffs = [
+                c2 * c2,
+                2.0 * c2 * c1,
+                c1 * c1 + 2.0 * c2 * c0 + 1.0,
+                2.0 * c1 * c0,
+                c0 * c0 - cell.r * cell.r,
+            ]
+            for p in numpy_real_roots(coeffs):
+                cands.append((p, c0 + c1 * p + c2 * p * p))
+    for i in range(len(cell.paras)):
+        for j in range(i + 1, len(cell.paras)):
+            a0, a1, a2 = cell.paras[i]
+            b0, b1, b2 = cell.paras[j]
+            for p in quad(a2 - b2, a1 - b1, a0 - b0):
+                cands.append((p, a0 + a1 * p + a2 * p * p))
+    return tuple(cands)
+
+
+def reference_project(prob):
+    """Both narrowed cells solved; the lower one wins only if strictly better."""
+    best = None
+    for cell in (prob.region.upper_cell, prob.region.lower_cell):
+        result = optimizer._project_cell(
+            optimizer._narrowed(cell, prob.p_min, prob.p_max),
+            prob.p_target,
+            prob.q_target,
+            prob.lambda_p,
+            prob.lambda_q,
+        )
+        if result is not None and (best is None or result[2] < best[2]):
+            best = result
+    return best[0], best[1]
+
+
+weights_st = st.tuples(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1e3)),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1e3)),
+).filter(lambda w: w[0] + w[1] > 0)
+target_st = st.tuples(
+    st.floats(-2000.0, 2000.0),
+    st.one_of(st.floats(-2000.0, 2000.0), st.floats(-1e-9, 1e-9)),
+)
+p_min_st = st.one_of(st.just(0.0), st.just(-1e6), st.floats(-1000.0, 0.0))
+p_max_st = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.0, 1000.0))
+
+
+class TestProjectExactness:
+    """project skips the Q cell that cannot win and reads each cell's
+    corners from the region; neither may change one bit of its result."""
+
+    def test_stored_corners_equal_fresh_enumeration(self, curve_map):
+        for anchors in REGION_ANCHORS:
+            for shrink in (1.0, 7.0 / 9.0, 0.3):
+                region = build_region([curve_map[a] for a in anchors], shrink)
+                for cell in (region.upper_cell, region.lower_cell):
+                    assert cell.corners == fresh_corners(cell), (anchors, shrink)
+
+    def test_shipped_upper_caps_stay_nonnegative(self, curve_map):
+        for anchors in REGION_ANCHORS:
+            if anchors == ((500.0, 270.0),):
+                continue  # no P box of its own: the flag stays off
+            region = build_region([curve_map[a] for a in anchors], 7.0 / 9.0)
+            assert region.upper_cell.caps_nonneg, anchors
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        anchors=st.sampled_from(REGION_ANCHORS + ["dipping"]),
+        shrink=st.floats(1e-3, 1.0),
+        weights=weights_st,
+        target=target_st,
+        p_min=p_min_st,
+        p_max=p_max_st,
+    )
+    def test_equals_both_cell_reference(
+        self, curve_map, anchors, shrink, weights, target, p_min, p_max
+    ):
+        curves = [DIPPING] if anchors == "dipping" else [curve_map[a] for a in anchors]
+        prob = problem(build_region(curves, shrink), target, weights, (p_min, p_max))
+        assert project(prob) == reference_project(prob)
+
+    def test_dipping_cap_keeps_upper_cell_solved(self, monkeypatch):
+        region = build_region([DIPPING], 1.0)
+        assert not region.upper_cell.caps_nonneg
+        solved = []
+        original = optimizer._project_cell
+
+        def counting(cell, *args):
+            solved.append(cell.q_lo)
+            return original(cell, *args)
+
+        monkeypatch.setattr(optimizer, "_project_cell", counting)
+        # The lower cell reaches this target within far less than q0^2.
+        prob = problem(region, (650.0, -300.0))
+        assert project(prob) == reference_project(prob)
+        assert len(solved) == 4
+
+    def test_target_within_point_tol_of_axis_keeps_both_cells(self):
+        # Disks of different radius per Q sign and no P box: the target is
+        # 2e-9 outside the lower disk, and its q0 is within _POINT_TOL of
+        # the upper cell, which returns it unchanged with objective 0.  The
+        # lower cell's tiny objective is below lambda_q * q0^2, so only the
+        # |q0| > _POINT_TOL condition keeps the upper cell solved.
+        curve = CapabilityCurve(
+            "split", 600.0, 300.0, (Disk(700.0, "upperQ"), Disk(650.0, "lowerQ"))
+        )
+        target = (650.0 + 2e-9, -0.9e-9)
+        prob = problem(build_region([curve], 1.0), target, weights=(1e-3, 1e3))
+        assert project(prob) == reference_project(prob) == target
+
+    def test_clipped_step_solves_no_quartic_and_one_cell(
+        self, controller_cfg, curve_map, bands, monkeypatch
+    ):
+        droop = DroopConfig(alpha0=29715.0, beta0=12.57, f_ref=50.0, v_ref=21.192)
+        cfg = ControllerConfig(
+            droop=droop,
+            battery=controller_cfg.battery,
+            transformer=controller_cfg.transformer,
+            shrink=controller_cfg.shrink,
+        )
+        ctl = SetpointController(cfg, curve_map, bands)
+        state = TtcState(0.0, 0.0, 0.0, 0.5)
+        ctl.solve_step(GridSample(0.0, 50.02, 21.15), state)  # builds the regions
+
+        degrees = []
+        roots = np.roots
+
+        def counting_roots(coeffs):
+            degrees.append(len(coeffs) - 1)
+            return roots(coeffs)
+
+        counts = {"project": 0, "cell": 0}
+        original_project, original_cell = optimizer.project, optimizer._project_cell
+
+        def counting_project(prob):
+            counts["project"] += 1
+            return original_project(prob)
+
+        def counting_cell(*args):
+            counts["cell"] += 1
+            return original_cell(*args)
+
+        monkeypatch.setattr(np, "roots", counting_roots)
+        monkeypatch.setattr(optimizer, "project", counting_project)
+        monkeypatch.setattr(optimizer, "_project_cell", counting_cell)
+        # Both gains oversized: the target lies outside every region.
+        record, _ = ctl.solve_step(GridSample(1.0, 49.97, 21.15), state)
+        assert STATUS_CLIPPED in record.status
+        assert degrees and 4 not in degrees
+
+        # A reactive target far beyond the Q ceilings, with P well inside:
+        # the upper cell is within q0^2 of the target, so the lower cell,
+        # which costs at least q0^2, is never solved.
+        counts.update(project=0, cell=0)
+        record, _ = ctl.solve_step(GridSample(2.0, 50.005, 21.125), state)
+        assert STATUS_CLIPPED in record.status
+        assert record.q_target > 500.0
+        assert counts["cell"] == counts["project"] >= 1
