@@ -69,9 +69,12 @@ class TtcParams:
     soc_hi: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("rs", "r1", "r2", "r3", "c1", "c2", "c3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.soc_lo < self.soc_hi <= 1:
             raise ValueError(f"invalid SOC band [{self.soc_lo}, {self.soc_hi})")
 
@@ -115,14 +118,14 @@ class BatteryConfig:
     delta_t: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c_max_ah <= 0:
-            raise ValueError("c_max_ah must be positive")
+        if not 0 < self.c_max_ah < math.inf:
+            raise ValueError("c_max_ah must be positive and finite")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if not 0 <= self.soc_min < self.soc_max <= 1:
             raise ValueError("need 0 <= soc_min < soc_max <= 1")
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
+        if not 0 < self.delta_t < math.inf:
+            raise ValueError("delta_t must be positive and finite")
         if not 0 < self.vdc_min < self.vdc_max:
             raise ValueError("need 0 < vdc_min < vdc_max")
 

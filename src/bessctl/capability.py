@@ -208,9 +208,17 @@ def select_curves(vdc: float, vac: float) -> CurveSelection:
             break
     else:
         raise DcVoltageRangeError(f"vdc {vdc} V outside the (500, 800] selection window")
+    return CurveSelection(dc_anchor, *select_ac(vac))
+
+
+def select_ac(vac: float) -> tuple[Anchor | None, bool]:
+    """AC envelope and clamp flag of the AC_SELECTION range holding vac.
+
+    The ranges cover (0, inf); any other vac raises ValueError.
+    """
     for lo, hi, ac_anchor, clamped in AC_SELECTION:
         if in_half_open(vac, lo, hi):
-            return CurveSelection(dc_anchor, ac_anchor, clamped)
+            return ac_anchor, clamped
     raise ValueError(f"vac {vac} V matches no selection range")
 
 
@@ -385,6 +393,9 @@ class FeasibleRegion:
     the normal form the optimizer works on.  Membership of the scaled
     region at (p, q) equals membership of the unscaled atoms at
     (p/shrink, q/shrink).
+
+    A region always contains the origin (idle is always allowed); it is
+    checked once here, so projections onto the region need not repeat it.
     """
 
     upper_atoms: tuple[ConstraintAtom, ...]
@@ -392,6 +403,10 @@ class FeasibleRegion:
     shrink: float
     upper_cell: Cell
     lower_cell: Cell
+
+    def __post_init__(self) -> None:
+        if not self.contains(0.0, 0.0):
+            raise ValueError("region must contain the origin")
 
     def contains(self, p: float, q: float, tol: float = MEMBERSHIP_TOL) -> bool:
         ps = p / self.shrink

@@ -74,6 +74,9 @@ class TransformerParams:
     u_k: float
 
     def __post_init__(self) -> None:
+        for name in ("n", "s_rated_kva", "u_k", "x_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n <= 0:
             raise ValueError("turns ratio must be positive")
         if self.x_t < 0:
@@ -82,6 +85,9 @@ class TransformerParams:
     @classmethod
     def from_nameplate(cls, n: float, v_lv: float, s_rated_kva: float, u_k: float) -> "TransformerParams":
         """Derive x_t from the short-circuit voltage: u_k * V_lv^2 / S_rated."""
+        for name, value in (("v_lv", v_lv), ("s_rated_kva", s_rated_kva)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         x_t = u_k * v_lv * v_lv / (s_rated_kva * 1000.0)
         return cls(n=n, x_t=x_t, s_rated_kva=s_rated_kva, u_k=u_k)
 

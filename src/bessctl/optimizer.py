@@ -11,7 +11,10 @@ voltages, which in turn depend on the chosen set-point, the solve runs
 inside an assumption loop: assume a DC range and an AC range, select the
 matching curves, project, then verify the resulting DC-bus voltage and
 predicted AC voltage against the assumption, advancing ranges until a
-self-consistent pair is found (or the conservative fallback fires).
+self-consistent pair is found (or the conservative fallback fires).  Each
+assumption is one ``Probe``, solved at most once per step; the fallback
+takes the lowest DC envelope with the AC envelope that the last probe's
+predicted voltage selects.
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
 power interval, one origin-centred disk, up to two concave parabola caps
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from bessctl.battery import (
     BatteryConfig,
@@ -59,6 +62,7 @@ from bessctl.capability import (
     in_half_open,
     poly_real_roots,
     quad_roots,
+    select_ac,
 )
 from bessctl.grid import (
     DroopConfig,
@@ -88,7 +92,12 @@ def _status_switches(k: int) -> str:
 
 @dataclass(frozen=True)
 class ProjectionProblem:
-    """Weighted projection of a droop target onto one feasible region."""
+    """Weighted projection of a droop target onto one feasible region.
+
+    The region contains the origin by construction (``FeasibleRegion``
+    checks it once), so with p_min <= 0 <= p_max the problem is never
+    infeasible.
+    """
 
     p_target: float
     q_target: float
@@ -110,8 +119,20 @@ class ProjectionProblem:
             raise ValueError("weights must be nonnegative and not both zero")
         if not self.p_min <= 0.0 <= self.p_max:
             raise ValueError("AC power bounds must straddle 0 (idle is always allowed)")
-        if not self.region.contains(0.0, 0.0):
-            raise ValueError("region must contain the origin")
+
+
+class Probe(NamedTuple):
+    """One assumption of the loop: the set-point projected onto the region
+    of (dc_anchor, ac_anchor), its DC power, and the DC-bus and AC voltages
+    it predicts."""
+
+    p: float
+    q: float
+    p_dc: float
+    vdc: float
+    vac: float
+    dc_anchor: Anchor
+    ac_anchor: Anchor | None
 
 
 @dataclass(frozen=True)
@@ -427,6 +448,7 @@ class SetpointController:
         """One full control iteration: droop target, assumption loop, state advance."""
         cfg = self.cfg
         eta = cfg.battery.eta
+        wp, wq = cfg.droop.lambda_p, cfg.droop.lambda_q
         p0, q0 = droop_targets(sample, cfg.droop)
         dfreq = cfg.droop.f_ref - sample.freq
         dvac = (cfg.droop.v_ref - sample.v_mv) * 1000.0
@@ -437,47 +459,43 @@ class SetpointController:
 
         # Memoize per-step so the fallback never re-runs a probed projection:
         # at most one solve per distinct (DC anchor, AC anchor) pair.
-        memo: dict[tuple[Anchor, Anchor | None], tuple] = {}
+        memo: dict[tuple[Anchor, Anchor | None], Probe] = {}
 
-        def probe(dc_anchor: Anchor, ac_anchor: Anchor | None) -> tuple:
+        def probe(dc_anchor: Anchor, ac_anchor: Anchor | None) -> Probe:
             key = (dc_anchor, ac_anchor)
-            if key not in memo:
-                memo[key] = self._solve_assumption(
-                    sample, state, params, p0, q0, pac_lo, pac_hi, dc_anchor, ac_anchor
-                )
-            return memo[key]
+            found = memo.get(key)
+            if found is None:
+                region = self._region(dc_anchor, ac_anchor)
+                p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
+                p_dc = dc_from_ac(p, eta)
+                vdc = solve_vdc(p_dc, state, params)
+                vac = predict_vac(sample, p, q, cfg.transformer)
+                found = memo[key] = Probe(p, q, p_dc, vdc, vac, dc_anchor, ac_anchor)
+            return found
 
+        # Accept the first range pair, in table order, whose probe predicts
+        # voltages inside both ranges.  Within a DC range the first AC range
+        # that agrees with its probe settles it; when its DC voltage disagrees,
+        # or no AC range agrees, the next DC range is tried.
         probes = 0
-        accepted = None
-        last_vac = predict_vac(sample, p0, q0, cfg.transformer)
+        fallback = False
         for dc_lo, dc_hi, dc_anchor in DC_SELECTION:
-            vdc_consistent = False
             for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
-                candidate = probe(dc_anchor, ac_anchor)
+                probed = probe(dc_anchor, ac_anchor)
                 probes += 1
-                last_vac = candidate[4]
-                if not in_half_open(candidate[4], ac_lo, ac_hi):
-                    continue
-                if in_half_open(candidate[3], dc_lo, dc_hi):
-                    accepted = candidate + (clamped, False)
-                    vdc_consistent = True
-                break
-            if vdc_consistent:
-                break
-
-        if accepted is None:
-            # No self-consistent range pair: fall back to the most conservative
-            # DC envelope, with the AC envelope chosen by the last prediction.
-            for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
-                if in_half_open(last_vac, ac_lo, ac_hi):
+                if in_half_open(probed.vac, ac_lo, ac_hi):
                     break
             else:
-                ac_anchor, clamped = None, False
-            dc_anchor = DC_SELECTION[0][2]
-            accepted = probe(dc_anchor, ac_anchor) + (clamped, True)
-
-        p_opt, q_opt, pdc_opt, vdc_opt, vac_opt, dc_anchor, ac_anchor = accepted[:7]
-        clamped, fallback = accepted[7], accepted[8]
+                continue
+            if in_half_open(probed.vdc, dc_lo, dc_hi):
+                break
+        else:
+            # No self-consistent range pair: fall back to the most conservative
+            # DC envelope, with the AC envelope chosen by the last prediction.
+            ac_anchor, clamped = select_ac(probed.vac)
+            probed = probe(DC_SELECTION[0][2], ac_anchor)
+            fallback = True
+        p_opt, q_opt = probed.p, probed.q
 
         flags: list[str] = []
         unchanged = abs(p_opt - p0) <= _POINT_TOL and abs(q_opt - q0) <= _POINT_TOL
@@ -500,41 +518,13 @@ class SetpointController:
             q_target=q0,
             p_opt=p_opt,
             q_opt=q_opt,
-            vdc_pred=vdc_opt,
-            vac_pred=vac_opt,
-            curve_dc=dc_anchor,
-            curve_ac=ac_anchor,
+            vdc_pred=probed.vdc,
+            vac_pred=probed.vac,
+            curve_dc=probed.dc_anchor,
+            curve_ac=probed.ac_anchor,
             alpha_star=alpha_star,
             beta_star=beta_star,
             status=tuple(flags),
         )
-        new_state = ttc_step(state, pdc_opt, vdc_opt, params, cfg.battery)
+        new_state = ttc_step(state, probed.p_dc, probed.vdc, params, cfg.battery)
         return record, new_state
-
-    def _solve_assumption(
-        self,
-        sample: GridSample,
-        state: TtcState,
-        params: TtcParams,
-        p0: float,
-        q0: float,
-        pac_lo: float,
-        pac_hi: float,
-        dc_anchor: Anchor,
-        ac_anchor: Anchor | None,
-    ):
-        region = self._region(dc_anchor, ac_anchor)
-        problem = ProjectionProblem(
-            p_target=p0,
-            q_target=q0,
-            lambda_p=self.cfg.droop.lambda_p,
-            lambda_q=self.cfg.droop.lambda_q,
-            region=region,
-            p_min=pac_lo,
-            p_max=pac_hi,
-        )
-        p_opt, q_opt = project(problem)
-        pdc_opt = dc_from_ac(p_opt, self.cfg.battery.eta)
-        vdc_opt = solve_vdc(pdc_opt, state, params)
-        vac_opt = predict_vac(sample, p_opt, q_opt, self.cfg.transformer)
-        return (p_opt, q_opt, pdc_opt, vdc_opt, vac_opt, dc_anchor, ac_anchor)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,8 +60,8 @@ class ScenarioSpec:
     trace: str | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
         if not 0 <= self.soc_init <= 1:
             raise ValueError("soc_init must lie in [0, 1]")
 
@@ -207,26 +209,6 @@ def run_scenario(
     return records, report
 
 
-_RECORD_COLUMNS = [
-    "timestamp_s",
-    "freq_hz",
-    "v_mv_kv",
-    "dfreq_hz",
-    "dvac_v",
-    "p_target_kw",
-    "q_target_kvar",
-    "p_opt_kw",
-    "q_opt_kvar",
-    "vdc_pred_v",
-    "vac_pred_v",
-    "curve_dc",
-    "curve_ac",
-    "alpha_star_kw_per_hz",
-    "beta_star_kvar_per_v",
-    "status",
-]
-
-
 def _anchor_str(anchor: Anchor | None) -> str:
     if anchor is None:
         return ""
@@ -240,69 +222,63 @@ def _anchor_from_str(text: str) -> Anchor | None:
     return (float(vdc), float(vac))
 
 
+def _optional_repr(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def _status_from_str(text: str) -> tuple[str, ...]:
+    return tuple(text.split(";")) if text else ()
+
+
+#: The records.csv format, one row per column in file order: header,
+#: ControlRecord attribute (``sample.<field>`` for the GridSample's fields),
+#: the function that writes its cell and the one that reads it back.
+_RECORD_COLUMNS = (
+    ("timestamp_s", "sample.timestamp", repr, float),
+    ("freq_hz", "sample.freq", repr, float),
+    ("v_mv_kv", "sample.v_mv", repr, float),
+    ("dfreq_hz", "dfreq", repr, float),
+    ("dvac_v", "dvac", repr, float),
+    ("p_target_kw", "p_target", repr, float),
+    ("q_target_kvar", "q_target", repr, float),
+    ("p_opt_kw", "p_opt", repr, float),
+    ("q_opt_kvar", "q_opt", repr, float),
+    ("vdc_pred_v", "vdc_pred", repr, float),
+    ("vac_pred_v", "vac_pred", repr, float),
+    ("curve_dc", "curve_dc", _anchor_str, _anchor_from_str),
+    ("curve_ac", "curve_ac", _anchor_str, _anchor_from_str),
+    ("alpha_star_kw_per_hz", "alpha_star", _optional_repr, _optional_float),
+    ("beta_star_kvar_per_v", "beta_star", _optional_repr, _optional_float),
+    ("status", "status", ";".join, _status_from_str),
+)
+
+
 def write_records(records: Sequence[ControlRecord], path: str | Path) -> None:
     """Write per-step records as CSV; float fields use shortest-roundtrip repr."""
+    cells = operator.attrgetter(*(attr for _, attr, _, _ in _RECORD_COLUMNS))
+    writers = [to_text for _, _, to_text, _ in _RECORD_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    repr(r.sample.timestamp),
-                    repr(r.sample.freq),
-                    repr(r.sample.v_mv),
-                    repr(r.dfreq),
-                    repr(r.dvac),
-                    repr(r.p_target),
-                    repr(r.q_target),
-                    repr(r.p_opt),
-                    repr(r.q_opt),
-                    repr(r.vdc_pred),
-                    repr(r.vac_pred),
-                    _anchor_str(r.curve_dc),
-                    _anchor_str(r.curve_ac),
-                    "" if r.alpha_star is None else repr(r.alpha_star),
-                    "" if r.beta_star is None else repr(r.beta_star),
-                    ";".join(r.status),
-                ]
-            )
+        writer.writerow([header for header, _, _, _ in _RECORD_COLUMNS])
+        writer.writerows([f(v) for f, v in zip(writers, cells(r))] for r in records)
 
 
 def read_records(path: str | Path) -> list[ControlRecord]:
     """Read back a records CSV written by write_records."""
     records: list[ControlRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            curve_dc = _anchor_from_str(row["curve_dc"])
-            if curve_dc is None:
+        for row in csv.DictReader(fh):
+            if not row["curve_dc"]:
                 raise TraceError(f"{path}: record without a DC curve")
-            records.append(
-                ControlRecord(
-                    sample=GridSample(
-                        timestamp=float(row["timestamp_s"]),
-                        freq=float(row["freq_hz"]),
-                        v_mv=float(row["v_mv_kv"]),
-                    ),
-                    dfreq=float(row["dfreq_hz"]),
-                    dvac=float(row["dvac_v"]),
-                    p_target=float(row["p_target_kw"]),
-                    q_target=float(row["q_target_kvar"]),
-                    p_opt=float(row["p_opt_kw"]),
-                    q_opt=float(row["q_opt_kvar"]),
-                    vdc_pred=float(row["vdc_pred_v"]),
-                    vac_pred=float(row["vac_pred_v"]),
-                    curve_dc=curve_dc,
-                    curve_ac=_anchor_from_str(row["curve_ac"]),
-                    alpha_star=float(row["alpha_star_kw_per_hz"])
-                    if row["alpha_star_kw_per_hz"]
-                    else None,
-                    beta_star=float(row["beta_star_kvar_per_v"])
-                    if row["beta_star_kvar_per_v"]
-                    else None,
-                    status=tuple(row["status"].split(";")) if row["status"] else (),
-                )
-            )
+            fields: dict[str, dict] = {"": {}, "sample": {}}
+            for header, attr, _, from_text in _RECORD_COLUMNS:
+                owner, _, name = attr.rpartition(".")
+                fields[owner][name] = from_text(row[header])
+            records.append(ControlRecord(sample=GridSample(**fields["sample"]), **fields[""]))
     return records
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,3 +267,15 @@ class TestValidation:
     def test_config_rejects_bad_soc_window(self):
         with pytest.raises(ValueError):
             BatteryConfig(c_max_ah=580, soc_min=0.9, soc_max=0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["c_max_ah", "delta_t"])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BatteryConfig(**{"c_max_ah": 580.0, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "rs", "r1", "c3"])
+    def test_params_reject_non_finite(self, bands, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            dataclasses.replace(bands[0], **{field: value})

@@ -1,0 +1,50 @@
+"""The benchmark's traced run on a short input, as a Tier-1 guard.
+
+``perfbench/run.py --trace 1`` wraps each layer's public functions with
+``tracer.Tracer`` and reduces the spans with ``workloads.layer_metrics``.
+Each metric needs spans of its layer, so a change that stops calling a
+traced function where the tracer looks for it breaks the benchmark; this
+test fails first.  It only imports from perfbench/ and writes to tmp_path.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    return tracer, workloads
+
+
+def test_traced_undervoltage_run_gives_finite_layer_metrics(bench, tmp_path):
+    tracer_mod, wl = bench
+    setup = wl.load_setup("undervoltage")
+    tracer = tracer_mod.Tracer(tracer_mod.ALL_POINTS)
+    with tracer:
+        trace = wl.make_trace("undervoltage", 101)[:30]
+        records, exc = wl.run_pass(setup, trace)
+        report = wl.simctl.energy_metrics(
+            records, setup.scenario.alpha0, setup.cfg.battery.delta_t
+        )
+        summary = wl.simctl.summarize(setup.scenario, records, report)
+        wl.simctl.write_records(records, tmp_path / "records.csv")
+    assert exc is None and len(records) == 30
+    facts = {
+        "passes": 1,
+        "rows_written": len(records),
+        "status_counts": summary["status_counts"],
+        "steps": summary["steps"],
+        "gap": 0.0,
+    }
+    metrics = wl.layer_metrics(tracer, facts)
+    assert metrics and all(math.isfinite(value) for value, _ in metrics.values()), metrics
+    # Region membership runs only when a region is built: once per region.
+    assert tracer.count("capability.contains") == tracer.count("capability.build_region")

@@ -14,6 +14,7 @@ from bessctl.capability import (
     CurveValidationError,
     DcVoltageRangeError,
     Disk,
+    FeasibleRegion,
     PMax,
     PMin,
     ParabolaCap,
@@ -21,6 +22,7 @@ from bessctl.capability import (
     build_region,
     index_curves,
     parse_curves,
+    select_ac,
     select_curves,
 )
 
@@ -149,11 +151,27 @@ class TestSelectCurves:
         with pytest.raises(ValueError):
             select_curves(600.0, 0.0)
 
+    def test_select_ac_covers_positive_voltages(self):
+        assert select_ac(1e-300) == ((500.0, 270.0), True)
+        assert select_ac(270.0) == ((500.0, 270.0), True)
+        assert select_ac(math.nextafter(270.0, 300.0)) == (None, False)
+        assert select_ac(330.0) == (None, False)
+        assert select_ac(math.inf) == ((500.0, 330.0), False)
+        for vac in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                select_ac(vac)
+
 
 class TestRegion:
     def test_origin_always_member(self, curve_map):
         region = region_for(curve_map, [(600.0, 300.0)])
         assert region.contains(0.0, 0.0)
+
+    def test_region_without_origin_rejected(self, curve_map):
+        region = region_for(curve_map, [(600.0, 300.0)])
+        atoms = (PMin(10.0),)
+        with pytest.raises(ValueError, match="origin"):
+            FeasibleRegion(atoms, atoms, 1.0, region.upper_cell, region.lower_cell)
 
     def test_shrink_scales_membership(self, curve_map):
         region = region_for(curve_map, [(600.0, 300.0)], SHRINK)

@@ -21,6 +21,7 @@ from bessctl.simctl import (
     generate_trace,
     load_run_config,
     main,
+    read_records,
     run_scenario,
     write_records,
 )
@@ -55,3 +56,15 @@ def test_undervoltage_records_match_golden(tmp_path):
     records = write_undervoltage_records(tmp_path / "records.csv")
     assert any(r.curve_ac is not None for r in records)
     assert (tmp_path / "records.csv").read_bytes() == UNDERVOLTAGE_GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [GOLDEN / f"scenario{i}" / "records.csv" for i in range(1, 5)] + [UNDERVOLTAGE_GOLDEN],
+    ids=lambda path: path.parent.name if path.name == "records.csv" else path.stem,
+)
+def test_records_round_trip_byte_for_byte(path, tmp_path):
+    # The undervoltage file adds the AC curve column and the clamp status.
+    records = read_records(path)
+    write_records(records, tmp_path / "records.csv")
+    assert (tmp_path / "records.csv").read_bytes() == path.read_bytes()

@@ -93,6 +93,26 @@ class TestDroopConfigValidation:
             load_run_config(path)
 
 
+class TestTransformerValidation:
+    NAMEPLATE = {"n": 70.0, "v_lv": 300.0, "s_rated_kva": 630.0, "u_k": 0.0628}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["n", "v_lv", "s_rated_kva", "u_k"])
+    def test_non_finite_nameplate_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TransformerParams.from_nameplate(**{**self.NAMEPLATE, field: value})
+
+    @pytest.mark.parametrize("field", ["v_lv", "s_rated_kva"])
+    def test_zero_nameplate_rating_rejected(self, field):
+        # A zero rating used to stop with ZeroDivisionError instead.
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            TransformerParams.from_nameplate(**{**self.NAMEPLATE, field: 0.0})
+
+    def test_non_finite_reactance_rejected(self):
+        with pytest.raises(ValueError, match="x_t"):
+            TransformerParams(n=70.0, x_t=math.nan, s_rated_kva=630.0, u_k=0.0628)
+
+
 class TestMaxDeviations:
     def test_constant_trace_has_zero_sigma(self):
         samples = [GridSample(float(t), 50.0, 21.0) for t in range(10)]

@@ -12,6 +12,7 @@ from bessctl.capability import (
     KNOWN_ANCHORS,
     CapabilityCurve,
     Disk,
+    FeasibleRegion,
     ParabolaCap,
     PMax,
     PMin,
@@ -33,6 +34,10 @@ from oracles import direct_feasible
 
 WIDE = (-1e6, 1e6)
 
+#: The 600/300 envelope alone and with the conservative 500/270 clamp envelope.
+ONE_ENV = ((600.0, 300.0),)
+TWO_ENV = ((600.0, 300.0), (500.0, 270.0))
+
 
 def problem(region, target, weights=(1.0, 1.0), bounds=WIDE):
     return ProjectionProblem(
@@ -44,6 +49,23 @@ def problem(region, target, weights=(1.0, 1.0), bounds=WIDE):
         p_min=bounds[0],
         p_max=bounds[1],
     )
+
+
+def oracle_feasible(anchors, shrink, p, q):
+    """Direct-oracle membership in the intersection of the anchors' envelopes."""
+    return np.logical_and.reduce([direct_feasible(a, p, q, shrink) for a in anchors])
+
+
+def oracle_grid(anchors, shrink=1.0):
+    """Points of a 2.5 kW/kvar grid that the direct oracle finds feasible."""
+    grid = np.arange(-750.0, 750.0 + 1e-9, 2.5)
+    pp, qq = np.meshgrid(grid, grid)
+    mask = oracle_feasible(anchors, shrink, pp, qq)
+    return pp[mask], qq[mask]
+
+
+#: A 0.01 kW/kvar line across every envelope, to scan one slice of a region.
+SLICE = np.linspace(-800.0, 800.0, 160_001)
 
 
 @pytest.fixture()
@@ -91,18 +113,57 @@ class TestProject:
         assert p == pytest.approx(-100.0, abs=1e-9)
         assert q == pytest.approx(300.0, abs=1e-9)
 
-    def test_matches_coarse_grid_oracle(self, region_600):
-        grid = np.arange(-750.0, 750.0 + 1e-9, 2.5)
-        pp, qq = np.meshgrid(grid, grid)
-        mask = direct_feasible((600.0, 300.0), pp, qq)
-        pf, qf = pp[mask], qq[mask]
+    @pytest.mark.parametrize(
+        "weights", [(1.0, 1.0), (1.0, 9.0), (25.0, 1.0)], ids=["equal", "q-heavy", "p-heavy"]
+    )
+    def test_matches_coarse_grid_oracle(self, region_600, weights):
+        # Unequal weights take the weighted-disk bisection.
+        pf, qf = oracle_grid(ONE_ENV)
+        wp, wq = weights
         rng = np.random.default_rng(17)
         for _ in range(25):
             t = (float(rng.uniform(-1500, 1500)), float(rng.uniform(-1500, 1500)))
-            p, q = project(problem(region_600, t))
-            obj = (p - t[0]) ** 2 + (q - t[1]) ** 2
-            grid_min = float(np.min((pf - t[0]) ** 2 + (qf - t[1]) ** 2))
+            p, q = project(problem(region_600, t, weights))
+            obj = wp * (p - t[0]) ** 2 + wq * (q - t[1]) ** 2
+            grid_min = float(np.min(wp * (pf - t[0]) ** 2 + wq * (qf - t[1]) ** 2))
             assert obj <= grid_min + 1e-6
+
+    @pytest.mark.parametrize(
+        "anchors, shrink", [(ONE_ENV, 1.0), (TWO_ENV, 7.0 / 9.0)], ids=["one_env", "two_env"]
+    )
+    @pytest.mark.parametrize("primary", [0, 1], ids=["lambda_q=0", "lambda_p=0"])
+    def test_lexicographic_matches_coarse_grid_oracle(self, curve_map, anchors, shrink, primary):
+        """With one weight zero the weighted (primary) coordinate is as close
+        to its target as on the grid, and the set-point is tight: a 1e-6 step
+        toward the target leaves the region.  When the primary falls short of
+        its target the step moves it and no point of the slice there may be
+        feasible; otherwise the step moves the secondary coordinate.  (A
+        slice at the primary's extreme can be a single point, too thin to
+        judge a step along it.)  On the two-envelope region the lambda_q = 0
+        case bisects the P extent that the 500/270 disk sets inside the P box."""
+        region = build_region([curve_map[a] for a in anchors], shrink)
+        grid = oracle_grid(anchors, shrink)
+        weights = (1.0, 0.0) if primary == 0 else (0.0, 1.0)
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            t = (float(rng.uniform(-1500, 1500)), float(rng.uniform(-1500, 1500)))
+            x = project(problem(region, t, weights))
+            assert region.contains(*x)
+            nearest = float(np.min(np.abs(grid[primary] - t[primary])))
+            assert abs(x[primary] - t[primary]) <= nearest + 1e-9
+            k = primary if x[primary] != t[primary] else 1 - primary
+            if x[k] == t[k]:
+                continue
+            if primary == 0 and k == 1 and x[1] == 0.0 and t[1] < 0.0:
+                # lambda_q = 0 leaves q out of the objective, so the two Q-sign
+                # cells tie and the upper one wins at q = 0, although q nearer
+                # a negative target is feasible in the lower cell.
+                continue
+            step = list(x)
+            step[k] += math.copysign(1e-6, t[k] - x[k])
+            if k == primary:
+                step[1 - primary] = SLICE
+            assert not np.any(oracle_feasible(anchors, shrink, *step)), (t, x)
 
     def test_weighted_projection_tilts_toward_heavy_axis(self, region_600):
         t = (400.0, 700.0)
@@ -209,6 +270,27 @@ class TestSolveStep:
         assert STATUS_FALLBACK in record.status
         assert record.curve_dc == (500.0, 300.0)
         assert record.vdc_pred < 500.0
+
+    def test_warm_step_checks_no_region_membership(
+        self, controller_cfg, curve_map, bands, monkeypatch
+    ):
+        # The origin check runs once per region build, not per projection.
+        calls = []
+        original = FeasibleRegion.contains
+
+        def counting_contains(region, *args, **kwargs):
+            calls.append(args)
+            return original(region, *args, **kwargs)
+
+        monkeypatch.setattr(FeasibleRegion, "contains", counting_contains)
+        ctl = self.make_controller(controller_cfg, curve_map, bands)
+        sample, state = GridSample(0.0, 49.95, 18.5), TtcState(0.0, 0.0, 0.0, 0.5)
+        record, _ = ctl.solve_step(sample, state)
+        assert STATUS_CLAMP in record.status
+        assert calls == [(0.0, 0.0)] * len(ctl._regions)
+        calls.clear()
+        ctl.solve_step(sample, state)
+        assert calls == []
 
     def test_at_most_nine_projection_solves(
         self, controller_cfg, curve_map, bands, monkeypatch

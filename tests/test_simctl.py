@@ -205,6 +205,16 @@ class TestRecordsRoundTrip:
         write_records(records, path)
         assert read_records(path) == records
 
+    def test_undefined_droop_gains_round_trip(self, controller_cfg, curve_map, bands, tmp_path):
+        # At the reference point both realized gains are undefined: empty cells.
+        scenario = ScenarioSpec(alpha0=9003.0, beta0=8.39, duration_s=3.0, c_shrink=7.0 / 9.0)
+        trace = [GridSample(float(t), 50.0, 21.192) for t in range(3)]
+        records, _ = run_scenario(scenario, controller_cfg, curve_map, bands, trace=trace)
+        assert all(r.alpha_star is None and r.beta_star is None for r in records)
+        path = tmp_path / "records.csv"
+        write_records(records, path)
+        assert read_records(path) == records
+
     def test_byte_identical_for_same_seed(self, controller_cfg, curve_map, bands, tmp_path):
         records_a, _ = self.run_small(controller_cfg, curve_map, bands)
         records_b, _ = self.run_small(controller_cfg, curve_map, bands)
@@ -254,6 +264,27 @@ class TestRunConfig:
             encoding="utf-8",
         )
         with pytest.raises(ValueError):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, field",
+        [
+            ("duration_s", "duration_s"),
+            ("c_max_ah", "c_max_ah"),
+            ("delta_t_s", "delta_t"),
+            ("turns_ratio", "n"),
+            ("v_lv_v", "v_lv"),
+            ("s_rated_kva", "s_rated_kva"),
+            ("u_k", "u_k"),
+        ],
+    )
+    def test_non_finite_in_scenario_file_rejected(self, tmp_path, key, field, value):
+        text = builtin_scenario_path("scenario4").read_text("utf-8")
+        lines = [line for line in text.splitlines() if line.split()[:1] != [key]]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines + [f"{key} {value}"]) + "\n", "utf-8")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             load_run_config(path)
 
     def test_missing_required_key_rejected(self, tmp_path):
