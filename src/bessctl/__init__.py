@@ -28,15 +28,12 @@ from bessctl.battery import (
 from bessctl.capability import (
     CapabilityCurve,
     CurveFormatError,
-    CurveSelection,
     CurveValidationError,
-    DcVoltageRangeError,
     FeasibleRegion,
     build_region,
     builtin_curves,
     index_curves,
     load_curves,
-    select_curves,
 )
 from bessctl.grid import (
     DroopConfig,

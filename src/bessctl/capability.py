@@ -57,10 +57,6 @@ class CurveValidationError(ValueError):
     """A parsed curve violates a structural invariant."""
 
 
-class DcVoltageRangeError(ValueError):
-    """DC-bus voltage outside the (500, 800] V selection window."""
-
-
 @dataclass(frozen=True)
 class PMin:
     """Active-power floor: p >= p [kW]."""
@@ -178,37 +174,6 @@ AC_SELECTION: tuple[tuple[float, float, Anchor | None, bool], ...] = (
 def in_half_open(value: float, lo: float, hi: float) -> bool:
     """True iff value lies in the half-open interval (lo, hi]."""
     return lo < value <= hi
-
-
-@dataclass(frozen=True)
-class CurveSelection:
-    """Envelopes chosen for a (vDC, vAC) operating point."""
-
-    dc_anchor: Anchor
-    ac_anchor: Anchor | None
-    clamped: bool
-
-    @property
-    def anchors(self) -> tuple[Anchor, ...]:
-        if self.ac_anchor is None:
-            return (self.dc_anchor,)
-        return (self.dc_anchor, self.ac_anchor)
-
-
-def select_curves(vdc: float, vac: float) -> CurveSelection:
-    """Map a DC-bus voltage and an LV-side AC voltage to the applicable curves.
-
-    vdc must lie in the (500, 800] V window; vac <= 270 V selects the
-    low-voltage envelope as a conservative clamp and flags the selection.
-    """
-    if vac <= 0:
-        raise ValueError(f"vac must be positive, got {vac}")
-    for lo, hi, dc_anchor in DC_SELECTION:
-        if in_half_open(vdc, lo, hi):
-            break
-    else:
-        raise DcVoltageRangeError(f"vdc {vdc} V outside the (500, 800] selection window")
-    return CurveSelection(dc_anchor, *select_ac(vac))
 
 
 def select_ac(vac: float) -> tuple[Anchor | None, bool]:
@@ -445,7 +410,7 @@ _ATOM_ARITY = {"pmin": 1, "pmax": 1, "qmax": 1, "parabola": 3}
 
 
 def parse_curves(lines: Iterable[str], origin: str = "<input>") -> list[CapabilityCurve]:
-    """Parse a curve-definition document (see the repository README for the grammar)."""
+    """Parse a curve-definition document; the grammar is in the header of ``data/curves.txt``."""
     curves: list[CapabilityCurve] = []
     header: tuple[int, str, float, float] | None = None
     atoms: list[ConstraintAtom] = []

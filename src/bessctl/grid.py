@@ -9,10 +9,9 @@ target (inductive behaviour).  All operations here are pure functions.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 #: Deviation thresholds below which the realized droop gains are undefined.
 FREQ_DEADBAND_HZ = 1e-6
@@ -83,8 +82,13 @@ class TransformerParams:
             raise ValueError("reactance must be nonnegative")
 
     @classmethod
-    def from_nameplate(cls, n: float, v_lv: float, s_rated_kva: float, u_k: float) -> "TransformerParams":
-        """Derive x_t from the short-circuit voltage: u_k * V_lv^2 / S_rated."""
+    def from_nameplate(
+        cls, n: float = 70.0, v_lv: float = 300.0, s_rated_kva: float = 630.0, u_k: float = 0.0628
+    ) -> "TransformerParams":
+        """Derive x_t from the short-circuit voltage: u_k * V_lv^2 / S_rated.
+
+        The defaults are the transformer of the shipped scenario presets.
+        """
         for name, value in (("v_lv", v_lv), ("s_rated_kva", s_rated_kva)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -125,11 +129,14 @@ def max_deviations(
     """
     if len(samples) < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {len(samples)}")
-    freq = np.array([s.freq for s in samples])
-    v_mv = np.array([s.v_mv for s in samples])
-    sigma_f = float(np.std(freq, ddof=1))
-    sigma_v = float(np.std(v_mv, ddof=1))
-    return DeviationStats(k_f * sigma_f, k_v * sigma_v, float(freq.mean()), float(v_mv.mean()))
+    freq = [s.freq for s in samples]
+    v_mv = [s.v_mv for s in samples]
+    return DeviationStats(
+        k_f * statistics.stdev(freq),
+        k_v * statistics.stdev(v_mv),
+        statistics.fmean(freq),
+        statistics.fmean(v_mv),
+    )
 
 
 def predict_vac(

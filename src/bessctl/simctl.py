@@ -136,7 +136,11 @@ def write_trace(samples: Sequence[GridSample], path: str | Path) -> None:
 
 
 def parse_gen_spec(spec: str) -> dict[str, float]:
-    """Parse a ``gen:key=value,...`` generator spec into keyword arguments."""
+    """Parse a ``gen:key=value,...`` generator spec into generate_trace arguments.
+
+    ``sigma_f`` and ``sigma_v`` are required; ``n`` and ``seed``, when given,
+    must be finite integers and are returned as ints.
+    """
     if not spec.startswith("gen:"):
         raise TraceError(f"not a generator spec: {spec!r}")
     allowed = {"sigma_f", "sigma_v", "mu_f", "mu_v", "n", "seed"}
@@ -148,16 +152,28 @@ def parse_gen_spec(spec: str) -> dict[str, float]:
             if not sep or key not in allowed:
                 raise TraceError(f"bad generator spec item {item!r}")
             kwargs[key] = float(value)
+    missing = sorted({"sigma_f", "sigma_v"} - set(kwargs))
+    if missing:
+        raise TraceError(f"generator spec {spec!r} is missing required keys {missing}")
+    for key in ("n", "seed"):
+        if key in kwargs:
+            value = kwargs[key]
+            if not value.is_integer():
+                raise TraceError(f"generator spec {key} must be a finite integer, got {value}")
+            kwargs[key] = int(value)
     return kwargs
 
 
 def resolve_trace(spec: str, seed: int | None = None) -> list[GridSample]:
-    """Turn a trace reference (CSV path or ``gen:`` spec) into samples."""
+    """Turn a trace reference (CSV path or ``gen:`` spec) into samples.
+
+    ``seed``, when given, replaces the spec's own seed.
+    """
     if spec.startswith("gen:"):
         kwargs = parse_gen_spec(spec)
-        n = int(kwargs.pop("n", 300))
-        spec_seed = int(kwargs.pop("seed", 0))
-        return generate_trace(n=n, seed=spec_seed if seed is None else seed, **kwargs)
+        if seed is not None:
+            kwargs["seed"] = seed
+        return generate_trace(**kwargs)
     return load_trace(spec)
 
 
@@ -292,13 +308,9 @@ def summarize(
             status_counts[flag] = status_counts.get(flag, 0) + 1
     return {
         "scenario": {
-            "alpha0_kw_per_hz": scenario.alpha0,
-            "beta0_kvar_per_v": scenario.beta0,
-            "duration_s": scenario.duration_s,
-            "lambda_p": scenario.lambda_p,
-            "lambda_q": scenario.lambda_q,
-            "c_shrink": scenario.c_shrink,
-            "soc_init": scenario.soc_init,
+            key: getattr(scenario, field)
+            for key, (owner, field) in _CONFIG_KEYS.items()
+            if owner is ScenarioSpec
         },
         "steps": len(records),
         "energy_kwh": {
@@ -312,24 +324,30 @@ def summarize(
     }
 
 
-# Configuration file keys, with defaults where a plant value is standard.
-_CONFIG_DEFAULTS = {
-    "f_ref_hz": 50.0,
-    "v_ref_kv": 21.192,
-    "lambda_p": 1.0,
-    "lambda_q": 1.0,
-    "c_shrink": 1.0,
-    "soc_init": 0.5,
-    "eta": 0.97,
-    "soc_min": 0.0,
-    "soc_max": 1.0,
-    "vdc_min_v": 500.0,
-    "vdc_max_v": 890.0,
-    "delta_t_s": 1.0,
-    "turns_ratio": 70.0,
-    "v_lv_v": 300.0,
-    "s_rated_kva": 630.0,
-    "u_k": 0.0628,
+#: The numeric scenario file keys, each mapped to the object it configures and
+#: that object's field (the ``from_nameplate`` keyword for the transformer).
+#: A key the file leaves out takes the field's default.
+_CONFIG_KEYS = {
+    "alpha0_kw_per_hz": (ScenarioSpec, "alpha0"),
+    "beta0_kvar_per_v": (ScenarioSpec, "beta0"),
+    "duration_s": (ScenarioSpec, "duration_s"),
+    "lambda_p": (ScenarioSpec, "lambda_p"),
+    "lambda_q": (ScenarioSpec, "lambda_q"),
+    "c_shrink": (ScenarioSpec, "c_shrink"),
+    "soc_init": (ScenarioSpec, "soc_init"),
+    "f_ref_hz": (DroopConfig, "f_ref"),
+    "v_ref_kv": (DroopConfig, "v_ref"),
+    "c_max_ah": (BatteryConfig, "c_max_ah"),
+    "eta": (BatteryConfig, "eta"),
+    "soc_min": (BatteryConfig, "soc_min"),
+    "soc_max": (BatteryConfig, "soc_max"),
+    "vdc_min_v": (BatteryConfig, "vdc_min"),
+    "vdc_max_v": (BatteryConfig, "vdc_max"),
+    "delta_t_s": (BatteryConfig, "delta_t"),
+    "turns_ratio": (TransformerParams, "n"),
+    "v_lv_v": (TransformerParams, "v_lv"),
+    "s_rated_kva": (TransformerParams, "s_rated_kva"),
+    "u_k": (TransformerParams, "u_k"),
 }
 _CONFIG_REQUIRED = ("alpha0_kw_per_hz", "beta0_kvar_per_v", "duration_s", "c_max_ah")
 
@@ -337,54 +355,30 @@ _CONFIG_REQUIRED = ("alpha0_kw_per_hz", "beta0_kvar_per_v", "duration_s", "c_max
 def load_run_config(path: str | Path) -> tuple[ScenarioSpec, ControllerConfig]:
     """Load a scenario file into the scenario spec and controller configuration."""
     raw = read_key_values(path)
-    known = set(_CONFIG_DEFAULTS) | set(_CONFIG_REQUIRED) | {"trace"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS) - {"trace"})
     if unknown:
         raise LineFormatError(str(path), 0, f"unknown keys {unknown}")
     missing = sorted(set(_CONFIG_REQUIRED) - set(raw))
     if missing:
         raise LineFormatError(str(path), 0, f"missing required keys {missing}")
 
-    def num(key: str) -> float:
+    fields: dict[type, dict[str, float]] = {owner: {} for owner, _ in _CONFIG_KEYS.values()}
+    for key, (owner, field) in _CONFIG_KEYS.items():
         if key in raw:
-            return parse_number(raw[key], str(path))
-        return _CONFIG_DEFAULTS[key]
-
-    scenario = ScenarioSpec(
-        alpha0=num("alpha0_kw_per_hz"),
-        beta0=num("beta0_kvar_per_v"),
-        duration_s=num("duration_s"),
-        lambda_p=num("lambda_p"),
-        lambda_q=num("lambda_q"),
-        c_shrink=num("c_shrink"),
-        soc_init=num("soc_init"),
-        trace=raw.get("trace"),
-    )
+            fields[owner][field] = parse_number(raw[key], str(path))
+    scenario = ScenarioSpec(trace=raw.get("trace"), **fields[ScenarioSpec])
     droop = DroopConfig(
         alpha0=scenario.alpha0,
         beta0=scenario.beta0,
-        f_ref=num("f_ref_hz"),
-        v_ref=num("v_ref_kv"),
         lambda_p=scenario.lambda_p,
         lambda_q=scenario.lambda_q,
-    )
-    battery = BatteryConfig(
-        c_max_ah=num("c_max_ah"),
-        eta=num("eta"),
-        soc_min=num("soc_min"),
-        soc_max=num("soc_max"),
-        vdc_min=num("vdc_min_v"),
-        vdc_max=num("vdc_max_v"),
-        delta_t=num("delta_t_s"),
-    )
-    transformer = TransformerParams.from_nameplate(
-        n=num("turns_ratio"),
-        v_lv=num("v_lv_v"),
-        s_rated_kva=num("s_rated_kva"),
-        u_k=num("u_k"),
+        **fields[DroopConfig],
     )
     controller_cfg = ControllerConfig(
-        droop=droop, battery=battery, transformer=transformer, shrink=scenario.c_shrink
+        droop=droop,
+        battery=BatteryConfig(**fields[BatteryConfig]),
+        transformer=TransformerParams.from_nameplate(**fields[TransformerParams]),
+        shrink=scenario.c_shrink,
     )
     return scenario, controller_cfg
 
@@ -392,15 +386,6 @@ def load_run_config(path: str | Path) -> tuple[ScenarioSpec, ControllerConfig]:
 def builtin_scenario_path(name: str) -> Path:
     """Path of a scenario preset shipped with the package (e.g. ``scenario1``)."""
     return Path(str(resources.files(__package__).joinpath(f"data/scenarios/{name}.cfg")))
-
-
-def _load_curve_set(path: str | None) -> dict[Anchor, CapabilityCurve]:
-    curves = builtin_curves() if path is None else load_curves(path)
-    return index_curves(curves)
-
-
-def _load_bands(path: str | None) -> list[TtcParams]:
-    return builtin_ttc_params() if path is None else load_ttc_params(path)
 
 
 @click.group()
@@ -419,8 +404,8 @@ def run_cmd(scenario_path, trace_spec, curves_path, params_path, out_dir, seed) 
     """Run one scenario and write records.csv and summary.json."""
     try:
         scenario, controller_cfg = load_run_config(scenario_path)
-        curves = _load_curve_set(curves_path)
-        bands = _load_bands(params_path)
+        curves = index_curves(builtin_curves() if curves_path is None else load_curves(curves_path))
+        bands = builtin_ttc_params() if params_path is None else load_ttc_params(params_path)
         trace = None
         if trace_spec is not None:
             trace = resolve_trace(trace_spec, seed)

@@ -12,7 +12,6 @@ from bessctl.capability import (
     CapabilityCurve,
     CurveFormatError,
     CurveValidationError,
-    DcVoltageRangeError,
     Disk,
     FeasibleRegion,
     PMax,
@@ -20,10 +19,10 @@ from bessctl.capability import (
     ParabolaCap,
     QMax,
     build_region,
+    in_half_open,
     index_curves,
     parse_curves,
     select_ac,
-    select_curves,
 )
 
 SHRINK = 7.0 / 9.0
@@ -116,40 +115,39 @@ class TestCurveInvariants:
         )
 
 
-class TestSelectCurves:
-    def test_mid_dc_range_no_extra_ac(self):
-        sel = select_curves(575.0, 300.0)
-        assert sel.dc_anchor == (550.0, 300.0)
-        assert sel.ac_anchor is None
-        assert not sel.clamped
+def dc_ranges(vdc):
+    """Anchors of the DC_SELECTION ranges holding vdc, scanned as the assumption loop does."""
+    return [anchor for lo, hi, anchor in DC_SELECTION if in_half_open(vdc, lo, hi)]
 
-    def test_high_dc_and_high_ac(self):
-        sel = select_curves(610.0, 340.0)
-        assert sel.dc_anchor == (600.0, 300.0)
-        assert sel.ac_anchor == (500.0, 330.0)
 
-    def test_boundary_500_is_excluded(self):
-        with pytest.raises(DcVoltageRangeError):
-            select_curves(500.0, 300.0)
+class TestSelectionTables:
+    @pytest.mark.parametrize(
+        "vdc, anchors",
+        [
+            pytest.param(575.0, [(550.0, 300.0)], id="575-mid-range"),
+            pytest.param(610.0, [(600.0, 300.0)], id="610-high-range"),
+            pytest.param(550.0, [(500.0, 300.0)], id="550-closed-top"),
+            pytest.param(550.0001, [(550.0, 300.0)], id="550.0001-open-bottom"),
+            pytest.param(800.0, [(600.0, 300.0)], id="800-window-top"),
+            pytest.param(500.0, [], id="500-below-window"),
+            pytest.param(800.1, [], id="800.1-above-window"),
+        ],
+    )
+    def test_dc_ranges_are_half_open(self, vdc, anchors):
+        assert dc_ranges(vdc) == anchors
 
-    def test_above_800_is_out_of_range(self):
-        with pytest.raises(DcVoltageRangeError):
-            select_curves(800.1, 300.0)
-
-    def test_low_vac_selects_conservative_clamp(self):
-        sel = select_curves(620.0, 265.0)
-        assert sel.ac_anchor == (500.0, 270.0)
-        assert sel.clamped
-
-    def test_range_edges_are_half_open(self):
-        assert select_curves(550.0, 300.0).dc_anchor == (500.0, 300.0)
-        assert select_curves(550.0001, 300.0).dc_anchor == (550.0, 300.0)
-        assert select_curves(600.0, 330.0).ac_anchor is None
-        assert select_curves(600.0, 330.0001).ac_anchor == (500.0, 330.0)
-
-    def test_nonpositive_vac_rejected(self):
-        with pytest.raises(ValueError):
-            select_curves(600.0, 0.0)
+    @pytest.mark.parametrize(
+        "vac, selected",
+        [
+            pytest.param(300.0, (None, False), id="300-nominal"),
+            pytest.param(330.0, (None, False), id="330-closed-top"),
+            pytest.param(330.0001, ((500.0, 330.0), False), id="330.0001-high"),
+            pytest.param(340.0, ((500.0, 330.0), False), id="340-high"),
+            pytest.param(265.0, ((500.0, 270.0), True), id="265-clamp"),
+        ],
+    )
+    def test_select_ac_ranges_are_half_open(self, vac, selected):
+        assert select_ac(vac) == selected
 
     def test_select_ac_covers_positive_voltages(self):
         assert select_ac(1e-300) == ((500.0, 270.0), True)

@@ -147,3 +147,21 @@ def test_bad_scenario_file_fails(tmp_path):
     )
     assert result.exit_code != 0
     assert "missing required keys" in result.output
+
+
+def test_bad_gen_spec_is_a_usage_error_not_a_traceback(tmp_path):
+    result = CliRunner().invoke(
+        main,
+        [
+            "run",
+            "--scenario",
+            str(short_scenario(tmp_path)),
+            "--trace",
+            "gen:sigma_f=0.01,sigma_v=0.01,n=inf",
+            "--out",
+            str(tmp_path / "out"),
+        ],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: generator spec n must be a finite integer, got inf" in result.output

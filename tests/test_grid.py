@@ -76,6 +76,43 @@ class TestInitialDroops:
             DroopConfig(alpha0=9003.0, beta0=0.0)
 
 
+class TestPresetGainSizing:
+    """The shipped presets' gains follow the paper's sizing, capability / (k * sigma)."""
+
+    SIGMA_F_HZ = 0.01782
+    SIGMA_V_V = 67.2
+    SHRINK = 7.0 / 9.0
+
+    def preset_gains(self, name):
+        from bessctl.simctl import builtin_scenario_path, load_run_config
+
+        scenario, _ = load_run_config(builtin_scenario_path(name))
+        return scenario.alpha0, scenario.beta0
+
+    @pytest.mark.parametrize(
+        "name, k_f, k_v",
+        [("scenario1", 3.3, 1.0), ("scenario2", 3.0, 1.0), ("scenario3", 1.5, 1.0)],
+    )
+    def test_header_k_sigma_reproduces_the_gains(self, name, k_f, k_v):
+        from bessctl.simctl import builtin_scenario_path
+
+        header = builtin_scenario_path(name).read_text("utf-8")
+        assert f"({k_f:g} sigma_f on frequency, {k_v:g} sigma_V on voltage)" in header
+        sized = initial_droops(
+            680.6 * self.SHRINK, 724.4 * self.SHRINK, k_f * self.SIGMA_F_HZ, k_v * self.SIGMA_V_V
+        )
+        assert self.preset_gains(name) == pytest.approx(sized, rel=1e-3)
+
+    def test_scenario4_is_one_and_a_half_times_scenario3(self):
+        alpha3, _ = self.preset_gains("scenario3")
+        alpha4, beta4 = self.preset_gains("scenario4")
+        assert alpha4 == 1.5 * alpha3
+        sized3 = initial_droops(
+            680.6 * self.SHRINK, 724.4 * self.SHRINK, 1.5 * self.SIGMA_F_HZ, self.SIGMA_V_V
+        )
+        assert (alpha4, beta4) == pytest.approx((1.5 * sized3[0], 1.5 * sized3[1]), rel=1e-3)
+
+
 class TestDroopConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lambda_p", "lambda_q", "alpha0", "beta0"])

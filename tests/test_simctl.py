@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from bessctl.grid import GridSample
-from bessctl.optimizer import STATUS_CLIPPED, STATUS_UNCHANGED
+from bessctl.battery import BatteryConfig
+from bessctl.grid import DroopConfig, GridSample, TransformerParams
+from bessctl.optimizer import STATUS_CLIPPED, STATUS_UNCHANGED, ControllerConfig
 from bessctl.simctl import (
     EnergyReport,
     ScenarioSpec,
@@ -22,6 +23,9 @@ from bessctl.simctl import (
     write_records,
     write_trace,
 )
+
+#: The two required keys of a ``gen:`` trace spec.
+SIGMAS = "gen:sigma_f=0.01,sigma_v=0.01"
 
 
 class TestGenerateTrace:
@@ -75,6 +79,30 @@ class TestGenerateTrace:
         spec = "gen:sigma_f=0.01,sigma_v=0.01,n=10,seed=3"
         assert resolve_trace(spec, seed=5) == generate_trace(0.01, 0.01, n=10, seed=5)
         assert resolve_trace(spec) == generate_trace(0.01, 0.01, n=10, seed=3)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            pytest.param(f"{SIGMAS},n=inf", "n must be a finite integer", id="n-inf"),
+            pytest.param(f"{SIGMAS},n=nan", "n must be a finite integer", id="n-nan"),
+            pytest.param(f"{SIGMAS},n=2.5", "n must be a finite integer", id="n-2.5"),
+            pytest.param(f"{SIGMAS},seed=inf", "seed must be a finite integer", id="seed-inf"),
+            pytest.param(f"{SIGMAS},seed=1.5", "seed must be a finite integer", id="seed-1.5"),
+            pytest.param("gen:seed=5", r"keys \['sigma_f', 'sigma_v'\]", id="no-sigmas"),
+            pytest.param("gen:sigma_f=0.01,n=10", r"keys \['sigma_v'\]", id="no-sigma_v"),
+            pytest.param("gen:", r"keys \['sigma_f', 'sigma_v'\]", id="empty"),
+        ],
+    )
+    def test_bad_gen_spec_rejected(self, spec, match):
+        with pytest.raises(TraceError, match=match):
+            parse_gen_spec(spec)
+        with pytest.raises(TraceError, match=match):
+            resolve_trace(spec, seed=1)
+
+    def test_integral_gen_spec_floats_become_ints(self):
+        kwargs = parse_gen_spec(f"{SIGMAS},n=1e1,seed=3.0")
+        assert type(kwargs["n"]) is int and type(kwargs["seed"]) is int
+        assert resolve_trace(f"{SIGMAS},n=1e1,seed=3.0") == generate_trace(0.01, 0.01, n=10, seed=3)
 
 
 class TestEnergyMetrics:
@@ -286,6 +314,21 @@ class TestRunConfig:
         path.write_text("\n".join(lines + [f"{key} {value}"]) + "\n", "utf-8")
         with pytest.raises(ValueError, match=f"^{field} must be"):
             load_run_config(path)
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.cfg"
+        path.write_text(
+            "alpha0_kw_per_hz 9003\nbeta0_kvar_per_v 8.39\nduration_s 10\nc_max_ah 580\n",
+            encoding="utf-8",
+        )
+        scenario, cfg = load_run_config(path)
+        assert scenario == ScenarioSpec(alpha0=9003.0, beta0=8.39, duration_s=10.0)
+        assert cfg == ControllerConfig(
+            droop=DroopConfig(alpha0=9003.0, beta0=8.39),
+            battery=BatteryConfig(c_max_ah=580.0),
+            transformer=TransformerParams.from_nameplate(70.0, 300.0, 630.0, 0.0628),
+            shrink=1.0,
+        )
 
     def test_missing_required_key_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
