@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from bessctl.linefmt import LineFormatError, parse_number, tokenize
+from bessctl.linefmt import LineFormatError, parse_number, read_blocks
 
 #: Absolute SOC slack for the limit check, covering round-off when a step is
 #: driven exactly to a bound computed by dc_power_bounds.
@@ -305,48 +305,20 @@ _PARAM_KEYS = ("a", "b", "rs", "r1", "c1", "r2", "c2", "r3", "c3")
 
 
 def parse_ttc_params(lines: Iterable[str], origin: str = "<input>") -> list[TtcParams]:
-    """Parse a battery-parameter document (same line format family as curves)."""
+    """Parse a battery-parameter document; the grammar is in the header of
+    ``data/ttc_params.txt``."""
     bands: list[TtcParams] = []
-    header: tuple[int, str, float, float] | None = None
-    values: dict[str, float] = {}
-    for lineno, tokens in tokenize(lines, origin):
-        keyword = tokens[0]
-        if header is None:
-            if keyword != "params" or len(tokens) != 4:
-                raise LineFormatError(origin, lineno, "expected `params <id> <soc_lo> <soc_hi>`")
-            header = (
-                lineno,
-                tokens[1],
-                parse_number(tokens[2], origin, lineno),
-                parse_number(tokens[3], origin, lineno),
-            )
-            values = {}
-        elif keyword == "end":
-            missing = [k for k in _PARAM_KEYS if k not in values]
-            if missing:
-                raise LineFormatError(origin, lineno, f"missing keys {missing}")
-            bands.append(
-                TtcParams(
-                    a=values["a"],
-                    b=values["b"],
-                    rs=values["rs"],
-                    r1=values["r1"],
-                    r2=values["r2"],
-                    r3=values["r3"],
-                    c1=values["c1"],
-                    c2=values["c2"],
-                    c3=values["c3"],
-                    soc_lo=header[2],
-                    soc_hi=header[3],
-                )
-            )
-            header = None
-        elif keyword in _PARAM_KEYS and len(tokens) == 2:
-            values[keyword] = parse_number(tokens[1], origin, lineno)
-        else:
-            raise LineFormatError(origin, lineno, f"unknown parameter line {keyword!r}")
-    if header is not None:
-        raise LineFormatError(origin, header[0], f"params {header[1]!r} is missing `end`")
+    for lineno, (name, *band), body in read_blocks(lines, origin, "params <id> <soc_lo> <soc_hi>"):
+        soc_lo, soc_hi = (parse_number(t, origin, lineno) for t in band)
+        values: dict[str, float] = {}
+        for n, (key, *args) in body:
+            if key not in _PARAM_KEYS or len(args) != 1:
+                raise LineFormatError(origin, n, f"unknown parameter line {key!r}")
+            values[key] = parse_number(args[0], origin, n)
+        missing = [k for k in _PARAM_KEYS if k not in values]
+        if missing:
+            raise LineFormatError(origin, lineno, f"params {name!r} is missing keys {missing}")
+        bands.append(TtcParams(**values, soc_lo=soc_lo, soc_hi=soc_hi))
     validate_bands(bands)
     return bands
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from bessctl.linefmt import LineFormatError, parse_number, tokenize
+from bessctl.linefmt import LineFormatError, parse_number, read_blocks
 
 Anchor = tuple[float, float]
 
@@ -43,8 +43,9 @@ KNOWN_ANCHORS: frozenset[Anchor] = frozenset(
 SECTOR_ALL = "all"
 SECTOR_UPPER = "upperQ"
 SECTOR_LOWER = "lowerQ"
+_SECTORS = (SECTOR_ALL, SECTOR_UPPER, SECTOR_LOWER)
 
-#: Default slack, in kW/kvar, granted to membership tests so that points
+#: Slack, in kW/kvar, granted to membership tests so that points
 #: constructed on a boundary are not rejected for float round-off.
 MEMBERSHIP_TOL = 1e-9
 
@@ -128,15 +129,13 @@ class CapabilityCurve:
             raise CurveValidationError(
                 f"curve {self.id!r}: anchor {anchor} is not one of the supported pairs"
             )
-        pmins = [a.p for a in self.atoms if isinstance(a, PMin)]
-        pmaxs = [a.p for a in self.atoms if isinstance(a, PMax)]
-        if pmins and pmaxs and max(pmins) >= min(pmaxs):
-            raise CurveValidationError(f"curve {self.id!r}: PMin >= PMax")
         for atom in self.atoms:
+            if not all(math.isfinite(v) for k, v in vars(atom).items() if k != "sector"):
+                raise CurveValidationError(f"curve {self.id!r}: {atom!r} is not finite")
             if isinstance(atom, Disk):
                 if atom.r <= 0:
                     raise CurveValidationError(f"curve {self.id!r}: disk radius must be > 0")
-                if atom.sector not in (SECTOR_ALL, SECTOR_UPPER, SECTOR_LOWER):
+                if atom.sector not in _SECTORS:
                     raise CurveValidationError(
                         f"curve {self.id!r}: unknown disk sector {atom.sector!r}"
                     )
@@ -146,6 +145,10 @@ class CapabilityCurve:
                 raise CurveValidationError(
                     f"curve {self.id!r}: origin violates {atom!r}; idle must be feasible"
                 )
+        pmins = [a.p for a in self.atoms if isinstance(a, PMin)]
+        pmaxs = [a.p for a in self.atoms if isinstance(a, PMax)]
+        if pmins and pmaxs and max(pmins) >= min(pmaxs):
+            raise CurveValidationError(f"curve {self.id!r}: PMin >= PMax")
 
     @property
     def anchor(self) -> Anchor:
@@ -373,12 +376,12 @@ class FeasibleRegion:
         if not self.contains(0.0, 0.0):
             raise ValueError("region must contain the origin")
 
-    def contains(self, p: float, q: float, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, p: float, q: float) -> bool:
         ps = p / self.shrink
         qs = q / self.shrink
-        if qs >= 0 and all(atom_violation(a, ps, qs) <= tol for a in self.upper_atoms):
+        if qs >= 0 and all(atom_violation(a, ps, qs) <= MEMBERSHIP_TOL for a in self.upper_atoms):
             return True
-        if qs <= 0 and all(atom_violation(a, ps, qs) <= tol for a in self.lower_atoms):
+        if qs <= 0 and all(atom_violation(a, ps, qs) <= MEMBERSHIP_TOL for a in self.lower_atoms):
             return True
         return False
 
@@ -406,56 +409,36 @@ def build_region(curves: Sequence[CapabilityCurve], shrink: float) -> FeasibleRe
     )
 
 
-_ATOM_ARITY = {"pmin": 1, "pmax": 1, "qmax": 1, "parabola": 3}
+#: Curve-file atom keyword -> (atom constructor, number of coefficients).
+#: A disk line may name its sector after the radius.
+_ATOM_KINDS = {
+    "pmin": (PMin, 1),
+    "pmax": (PMax, 1),
+    "disk": (Disk, 1),
+    "parabola": (ParabolaCap, 3),
+    "qmax": (QMax, 1),
+}
 
 
 def parse_curves(lines: Iterable[str], origin: str = "<input>") -> list[CapabilityCurve]:
     """Parse a curve-definition document; the grammar is in the header of ``data/curves.txt``."""
     curves: list[CapabilityCurve] = []
-    header: tuple[int, str, float, float] | None = None
-    atoms: list[ConstraintAtom] = []
-    for lineno, tokens in tokenize(lines, origin):
-        keyword = tokens[0]
-        if header is None:
-            if keyword != "curve":
-                raise CurveFormatError(origin, lineno, f"expected `curve`, got {keyword!r}")
-            if len(tokens) != 4:
-                raise CurveFormatError(origin, lineno, "expected `curve <id> <vdc> <vac>`")
-            header = (
-                lineno,
-                tokens[1],
-                parse_number(tokens[2], origin, lineno),
-                parse_number(tokens[3], origin, lineno),
-            )
-            atoms = []
-        elif keyword == "end":
-            curves.append(CapabilityCurve(header[1], header[2], header[3], tuple(atoms)))
-            header = None
-        elif keyword in _ATOM_ARITY:
-            if len(tokens) != 1 + _ATOM_ARITY[keyword]:
-                raise CurveFormatError(
-                    origin, lineno, f"{keyword} takes {_ATOM_ARITY[keyword]} coefficient(s)"
-                )
-            values = [parse_number(t, origin, lineno) for t in tokens[1:]]
-            if keyword == "pmin":
-                atoms.append(PMin(values[0]))
-            elif keyword == "pmax":
-                atoms.append(PMax(values[0]))
-            elif keyword == "qmax":
-                atoms.append(QMax(values[0]))
-            else:
-                atoms.append(ParabolaCap(values[0], values[1], values[2]))
-        elif keyword == "disk":
-            if len(tokens) not in (2, 3):
-                raise CurveFormatError(origin, lineno, "expected `disk <r> [all|upperQ|lowerQ]`")
-            sector = tokens[2] if len(tokens) == 3 else SECTOR_ALL
-            if sector not in (SECTOR_ALL, SECTOR_UPPER, SECTOR_LOWER):
-                raise CurveFormatError(origin, lineno, f"unknown disk sector {sector!r}")
-            atoms.append(Disk(parse_number(tokens[1], origin, lineno), sector))
-        else:
-            raise CurveFormatError(origin, lineno, f"unknown atom kind {keyword!r}")
-    if header is not None:
-        raise CurveFormatError(origin, header[0], f"curve {header[1]!r} is missing `end`")
+    for lineno, (name, *anchor), body in read_blocks(
+        lines, origin, "curve <id> <vdc> <vac>", CurveFormatError
+    ):
+        vdc, vac = (parse_number(t, origin, lineno) for t in anchor)
+        atoms: list[ConstraintAtom] = []
+        for n, (kind, *args) in body:
+            if kind not in _ATOM_KINDS:
+                raise CurveFormatError(origin, n, f"unknown atom kind {kind!r}")
+            make, arity = _ATOM_KINDS[kind]
+            sector = args[arity:] if kind == "disk" else []
+            if len(args) - len(sector) != arity or len(sector) > 1:
+                raise CurveFormatError(origin, n, f"{kind} takes {arity} coefficient(s)")
+            if sector and sector[0] not in _SECTORS:
+                raise CurveFormatError(origin, n, f"unknown disk sector {sector[0]!r}")
+            atoms.append(make(*(parse_number(t, origin, n) for t in args[:arity]), *sector))
+        curves.append(CapabilityCurve(name, vdc, vac, tuple(atoms)))
     return curves
 
 

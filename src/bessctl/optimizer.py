@@ -267,20 +267,22 @@ def _clip_to_nonempty(interval_at, cell: Cell, inside: float, x: float) -> float
     """Pull x toward inside until interval_at(cell, x) is nonempty.
 
     interval_at is _q_interval_at or _p_interval_at; inside must give a
-    nonempty interval.
+    nonempty interval.  Bisects until no float lies strictly between the
+    last nonempty and the last empty point, however wide the first span.
     """
     lo, hi = interval_at(cell, x)
     if lo <= hi:
         return x
     outside = x
-    for _ in range(80):
+    while True:
         mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            return inside
         lo, hi = interval_at(cell, mid)
         if lo <= hi:
             inside = mid
         else:
             outside = mid
-    return inside
 
 
 def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:

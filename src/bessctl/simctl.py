@@ -151,6 +151,8 @@ def parse_gen_spec(spec: str) -> dict[str, float]:
             key, sep, value = item.partition("=")
             if not sep or key not in allowed:
                 raise TraceError(f"bad generator spec item {item!r}")
+            if key in kwargs:
+                raise TraceError(f"generator spec repeats key {key!r}")
             kwargs[key] = float(value)
     missing = sorted({"sigma_f", "sigma_v"} - set(kwargs))
     if missing:
@@ -354,19 +356,19 @@ _CONFIG_REQUIRED = ("alpha0_kw_per_hz", "beta0_kvar_per_v", "duration_s", "c_max
 
 def load_run_config(path: str | Path) -> tuple[ScenarioSpec, ControllerConfig]:
     """Load a scenario file into the scenario spec and controller configuration."""
+    origin = str(path)
     raw = read_key_values(path)
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS) - {"trace"})
-    if unknown:
-        raise LineFormatError(str(path), 0, f"unknown keys {unknown}")
+    _, trace = raw.pop("trace", (0, None))
+    fields: dict[type, dict[str, float]] = {owner: {} for owner, _ in _CONFIG_KEYS.values()}
+    for key, (lineno, text) in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise LineFormatError(origin, lineno, f"unknown key {key!r}")
+        owner, field = _CONFIG_KEYS[key]
+        fields[owner][field] = parse_number(text, origin, lineno)
     missing = sorted(set(_CONFIG_REQUIRED) - set(raw))
     if missing:
-        raise LineFormatError(str(path), 0, f"missing required keys {missing}")
-
-    fields: dict[type, dict[str, float]] = {owner: {} for owner, _ in _CONFIG_KEYS.values()}
-    for key, (owner, field) in _CONFIG_KEYS.items():
-        if key in raw:
-            fields[owner][field] = parse_number(raw[key], str(path))
-    scenario = ScenarioSpec(trace=raw.get("trace"), **fields[ScenarioSpec])
+        raise LineFormatError(origin, 0, f"missing required keys {missing}")
+    scenario = ScenarioSpec(trace=trace, **fields[ScenarioSpec])
     droop = DroopConfig(
         alpha0=scenario.alpha0,
         beta0=scenario.beta0,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,7 +88,27 @@ class TestLoadCurves:
             parse_curves(["curve c 700 300", "  qmax 1", "end"], "doc")
 
 
+FINITE_ATOMS = (
+    PMin(-500.0),
+    PMax(500.0),
+    Disk(600.0),
+    ParabolaCap(300.0, 1e-3, -2e-4),
+    QMax(400.0),
+)
+
+
 class TestCurveInvariants:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "atom, field",
+        [(a, f.name) for a in FINITE_ATOMS for f in dataclasses.fields(a) if f.name != "sector"],
+        ids=lambda x: type(x).__name__ if not isinstance(x, str) else x,
+    )
+    def test_non_finite_atom_value_rejected(self, atom, field, value):
+        bad = dataclasses.replace(atom, **{field: value})
+        with pytest.raises(CurveValidationError, match=rf"^curve 'c': {re.escape(repr(bad))}"):
+            CapabilityCurve("c", 600, 300, (Disk(700.0), bad))
+
     def test_disk_radius_must_be_positive(self):
         with pytest.raises(CurveValidationError):
             CapabilityCurve("c", 600, 300, (Disk(-1.0),))

@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from bessctl.capability import builtin_curve_text
 from bessctl.simctl import builtin_scenario_path, main
 
 
@@ -165,3 +166,31 @@ def test_bad_gen_spec_is_a_usage_error_not_a_traceback(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Error: generator spec n must be a finite integer, got inf" in result.output
+
+
+def test_bad_scenario_value_names_its_line(tmp_path):
+    scenario = short_scenario(tmp_path, duration="ten")
+    result = CliRunner().invoke(
+        main, ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 1
+    assert f"Error: {scenario}:5: not a number: 'ten'\n" in result.output
+
+
+def test_non_finite_curve_coefficient_names_the_curve(tmp_path):
+    curves = tmp_path / "curves.txt"
+    curves.write_text(builtin_curve_text().replace("parabola 382.95", "parabola nan"), "utf-8")
+    result = CliRunner().invoke(
+        main,
+        [
+            "run",
+            "--scenario",
+            str(short_scenario(tmp_path)),
+            "--curves",
+            str(curves),
+            "--out",
+            str(tmp_path / "o"),
+        ],
+    )
+    assert result.exit_code == 1
+    assert "Error: curve 'dc500_ac270': ParabolaCap(c0=nan" in result.output

@@ -186,6 +186,23 @@ class TestProject:
         assert q == 100.0
         assert p == pytest.approx(678.71, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "target, weights",
+        [((1e20, 0.0), (1.0, 0.0)), ((1e30, 0.0), (1.0, 0.0)), ((0.0, 1e30), (0.0, 1.0))],
+        ids=["lambda_q=0-p1e20", "lambda_q=0-p1e30", "lambda_p=0-q1e30"],
+    )
+    def test_lexicographic_exact_on_wide_spans(self, curve_map, target, weights):
+        # The 500/270 envelope has no P box, so with P bounds of +-1e300 the
+        # bisection starts from a span far wider than 2^80 float steps.
+        region = build_region([curve_map[(500.0, 270.0)]], 1.0)
+        p, q = project(problem(region, target, weights, bounds=(-1e300, 1e300)))
+        if weights[1] == 0.0:
+            assert (p, q) == (649.5, 0.0)  # the disk's P extent
+        else:
+            c0, c1, c2 = 382.95, 1.6e-3, -2.21e-4  # the cap's peak
+            assert q == pytest.approx(c0 - c1 * c1 / (4.0 * c2), abs=1e-9)
+            assert p == pytest.approx(-c1 / (2.0 * c2), abs=1e-4)
+
     def test_deterministic(self, region_600):
         t = (900.0, -900.0)
         assert project(problem(region_600, t)) == project(problem(region_600, t))

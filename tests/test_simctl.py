@@ -5,6 +5,7 @@ import pytest
 
 from bessctl.battery import BatteryConfig
 from bessctl.grid import DroopConfig, GridSample, TransformerParams
+from bessctl.linefmt import LineFormatError
 from bessctl.optimizer import STATUS_CLIPPED, STATUS_UNCHANGED, ControllerConfig
 from bessctl.simctl import (
     EnergyReport,
@@ -91,6 +92,7 @@ class TestGenerateTrace:
             pytest.param("gen:seed=5", r"keys \['sigma_f', 'sigma_v'\]", id="no-sigmas"),
             pytest.param("gen:sigma_f=0.01,n=10", r"keys \['sigma_v'\]", id="no-sigma_v"),
             pytest.param("gen:", r"keys \['sigma_f', 'sigma_v'\]", id="empty"),
+            pytest.param(f"{SIGMAS},n=3,n=4", "repeats key 'n'", id="n-twice"),
         ],
     )
     def test_bad_gen_spec_rejected(self, spec, match):
@@ -291,7 +293,16 @@ class TestRunConfig:
             "alpha0_kw_per_hz 9003\nbeta0_kvar_per_v 8.39\nduration_s 10\nc_max_ah 580\nbogus 1\n",
             encoding="utf-8",
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"s\.cfg:5: unknown key 'bogus'"):
+            load_run_config(path)
+
+    def test_bad_number_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            "alpha0_kw_per_hz 9003\nbeta0_kvar_per_v 8.39\nc_max_ah 580\n\nduration_s ten\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LineFormatError, match=r"bad\.cfg:5: not a number: 'ten'$"):
             load_run_config(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
