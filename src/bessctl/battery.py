@@ -196,6 +196,23 @@ def solve_vdc(p_dc_kw: float, state: TtcState, params: TtcParams) -> float:
     return 0.5 * (drive + math.sqrt(disc))
 
 
+def vdc_range(
+    pdc_lo_kw: float, pdc_hi_kw: float, state: TtcState, params: TtcParams
+) -> tuple[float, float]:
+    """Bus voltages (lowest, highest) that solve_vdc gives on [pdc_lo_kw, pdc_hi_kw].
+
+    solve_vdc falls with the power through correctly rounded operations
+    only, so it is monotone in floating point too and the ends of the power
+    interval give the ends of the voltage interval.  A pdc_hi_kw beyond the
+    maximum power point gives the MPP voltage drive/2 instead of raising.
+    """
+    vdc_hi = solve_vdc(pdc_lo_kw, state, params)
+    try:
+        return solve_vdc(pdc_hi_kw, state, params), vdc_hi
+    except InfeasiblePowerError:
+        return 0.5 * (open_circuit_voltage(state.soc, params) - state.vc_sum), vdc_hi
+
+
 def soc_update(
     soc: float, p_dc_kw: float, vdc: float, cfg: BatteryConfig, dt: float | None = None
 ) -> float:
@@ -318,8 +335,14 @@ def parse_ttc_params(lines: Iterable[str], origin: str = "<input>") -> list[TtcP
         missing = [k for k in _PARAM_KEYS if k not in values]
         if missing:
             raise LineFormatError(origin, lineno, f"params {name!r} is missing keys {missing}")
-        bands.append(TtcParams(**values, soc_lo=soc_lo, soc_hi=soc_hi))
-    validate_bands(bands)
+        try:
+            bands.append(TtcParams(**values, soc_lo=soc_lo, soc_hi=soc_hi))
+        except ValueError as exc:
+            raise LineFormatError(origin, lineno, str(exc)) from exc
+    try:
+        validate_bands(bands)
+    except ValueError as exc:
+        raise ValueError(f"{origin}: {exc}") from exc
     return bands
 
 

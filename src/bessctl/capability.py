@@ -409,6 +409,35 @@ def build_region(curves: Sequence[CapabilityCurve], shrink: float) -> FeasibleRe
     )
 
 
+def power_extent(curves: Iterable[CapabilityCurve], shrink: float) -> tuple[float, float, float]:
+    """(P_min, P_max, S_max) bounding every region built from the curves at shrink.
+
+    Each cell of a curve lies inside its P box and, when the cell has a
+    disk, inside that disk, so |p| and |S| of any point of a region are at
+    most the larger of the curve's two cell radii.  The extent is the union
+    over the curves, scaled as ``build_region`` scales the atoms; S_max is
+    inf when a cell of some curve has no disk.
+    """
+    p_min = p_max = s_max = 0.0
+    for curve in curves:
+        p_lo, p_hi = -math.inf, math.inf
+        radii = {SECTOR_UPPER: math.inf, SECTOR_LOWER: math.inf}
+        for atom in curve.atoms:
+            if isinstance(atom, PMin):
+                p_lo = max(p_lo, atom.p)
+            elif isinstance(atom, PMax):
+                p_hi = min(p_hi, atom.p)
+            elif isinstance(atom, Disk):
+                for sector in radii:
+                    if atom.sector in (SECTOR_ALL, sector):
+                        radii[sector] = min(radii[sector], atom.r)
+        r = max(radii.values())
+        p_min = min(p_min, max(p_lo, -r) * shrink)
+        p_max = max(p_max, min(p_hi, r) * shrink)
+        s_max = max(s_max, r * shrink)
+    return p_min, p_max, s_max
+
+
 #: Curve-file atom keyword -> (atom constructor, number of coefficients).
 #: A disk line may name its sector after the radius.
 _ATOM_KINDS = {
@@ -426,7 +455,7 @@ def parse_curves(lines: Iterable[str], origin: str = "<input>") -> list[Capabili
     for lineno, (name, *anchor), body in read_blocks(
         lines, origin, "curve <id> <vdc> <vac>", CurveFormatError
     ):
-        vdc, vac = (parse_number(t, origin, lineno) for t in anchor)
+        vdc, vac = (parse_number(t, origin, lineno, CurveFormatError) for t in anchor)
         atoms: list[ConstraintAtom] = []
         for n, (kind, *args) in body:
             if kind not in _ATOM_KINDS:
@@ -437,8 +466,12 @@ def parse_curves(lines: Iterable[str], origin: str = "<input>") -> list[Capabili
                 raise CurveFormatError(origin, n, f"{kind} takes {arity} coefficient(s)")
             if sector and sector[0] not in _SECTORS:
                 raise CurveFormatError(origin, n, f"unknown disk sector {sector[0]!r}")
-            atoms.append(make(*(parse_number(t, origin, n) for t in args[:arity]), *sector))
-        curves.append(CapabilityCurve(name, vdc, vac, tuple(atoms)))
+            values = (parse_number(t, origin, n, CurveFormatError) for t in args[:arity])
+            atoms.append(make(*values, *sector))
+        try:
+            curves.append(CapabilityCurve(name, vdc, vac, tuple(atoms)))
+        except CurveValidationError as exc:
+            raise CurveFormatError(origin, lineno, str(exc)) from exc
     return curves
 
 

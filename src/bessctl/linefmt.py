@@ -38,11 +38,17 @@ def tokenize(lines: Iterable[str], origin: str = "<input>") -> Iterator[tuple[in
         yield lineno, text.split()
 
 
-def parse_number(token: str, origin: str = "<input>", lineno: int = 0) -> float:
+def parse_number(
+    token: str,
+    origin: str = "<input>",
+    lineno: int = 0,
+    error: type[LineFormatError] = LineFormatError,
+) -> float:
     """Parse a numeric literal, accepting the datasheet shorthand ``m^{e}``.
 
     The shorthand is rebuilt as a decimal string ("8.29^{-18}" -> "8.29e-18")
-    so the result is the correctly rounded double of the printed value.
+    so the result is the correctly rounded double of the printed value.  A
+    token that is no number raises error.
     """
     try:
         return float(token)
@@ -51,7 +57,7 @@ def parse_number(token: str, origin: str = "<input>", lineno: int = 0) -> float:
     match = _POW10.match(token)
     if match is not None:
         return float(f"{match.group(1)}e{match.group(2)}")
-    raise LineFormatError(origin, lineno, f"not a number: {token!r}")
+    raise error(origin, lineno, f"not a number: {token!r}")
 
 
 def read_blocks(

@@ -16,6 +16,22 @@ assumption is one ``Probe``, solved at most once per step; the fallback
 takes the lowest DC envelope with the AC envelope that the last probe's
 predicted voltage selects.
 
+Before it projects anything, a step bounds the voltages any probe can
+predict, and it skips the ranges outside those bounds.  Every probe's p
+lies in the step's battery interval and in the curves' P extent, and its
+|S| is at most the largest disk radius (``capability.power_extent``).  The
+DC-bus voltage falls monotonically with p and the AC voltage rises with
+|S|, through correctly rounded, hence monotone, float operations; so the
+ends of those intervals bound the voltages, and a range that misses them
+can never agree.  Skipping is exact: the records equal those of the loop
+that probes every range, including k in ``converged-after-k-switches(k)``.
+A skipped AC range counts one probe.  A skipped DC range counts the probes
+its inner loop would have made, which are known only when a single AC
+range is reachable (every probe then lands in it); otherwise the DC range
+is probed.  With a single reachable AC range the fallback takes it without
+a last probe.  On the shipped curves one range pair is reachable in nearly
+every step, so a step solves one projection instead of three to nine.
+
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
 power interval, one origin-centred disk, up to two concave parabola caps
 and a flat Q ceiling.  ``build_region`` scales and normalizes the cells
@@ -50,6 +66,7 @@ from bessctl.battery import (
     params_for_soc,
     solve_vdc,
     ttc_step,
+    vdc_range,
 )
 from bessctl.capability import (
     AC_SELECTION,
@@ -61,6 +78,7 @@ from bessctl.capability import (
     build_region,
     in_half_open,
     poly_real_roots,
+    power_extent,
     quad_roots,
     select_ac,
 )
@@ -434,6 +452,7 @@ class SetpointController:
         self.curves = dict(curves)
         self.bands = tuple(bands)
         self._regions: dict[tuple[Anchor, Anchor | None], FeasibleRegion] = {}
+        self._extent = power_extent(self.curves.values(), cfg.shrink)
 
     def _region(self, dc_anchor: Anchor, ac_anchor: Anchor | None) -> FeasibleRegion:
         key = (dc_anchor, ac_anchor)
@@ -445,6 +464,34 @@ class SetpointController:
             region = build_region(selected, self.cfg.shrink)
             self._regions[key] = region
         return region
+
+    def _voltage_bounds(
+        self,
+        sample: GridSample,
+        state: TtcState,
+        params: TtcParams,
+        pac_lo: float,
+        pac_hi: float,
+    ) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Closed (vdc, vac) intervals that hold every probe's predictions.
+
+        A probe's p lies in [pac_lo, pac_hi] and in the curves' P extent, and
+        its |S| is at most S_max; the interior early return of _project_cell
+        may hand back a target up to _POINT_TOL outside either, so both are
+        widened by that plus a relative 1e-12.  vdc falls and vac rises
+        monotonically with these, also in floating point.
+        """
+        p_min, p_max, s_max = self._extent
+        p_lo = max(pac_lo, p_min)
+        p_hi = min(pac_hi, p_max)
+        p_lo -= _POINT_TOL + 1e-12 * abs(p_lo)
+        p_hi += _POINT_TOL + 1e-12 * abs(p_hi)
+        s_hi = s_max + _POINT_TOL + 1e-12 * s_max
+        eta = self.cfg.battery.eta
+        vdc = vdc_range(dc_from_ac(p_lo, eta), dc_from_ac(p_hi, eta), state, params)
+        xf = self.cfg.transformer
+        vac_hi = predict_vac(sample, s_hi, 0.0, xf) if s_hi < math.inf else math.inf
+        return vdc, (predict_vac(sample, 0.0, 0.0, xf), vac_hi)
 
     def solve_step(self, sample: GridSample, state: TtcState) -> tuple[ControlRecord, TtcState]:
         """One full control iteration: droop target, assumption loop, state advance."""
@@ -478,13 +525,28 @@ class SetpointController:
         # Accept the first range pair, in table order, whose probe predicts
         # voltages inside both ranges.  Within a DC range the first AC range
         # that agrees with its probe settles it; when its DC voltage disagrees,
-        # or no AC range agrees, the next DC range is tried.
+        # or no AC range agrees, the next DC range is tried.  A range that
+        # misses the step's voltage bounds cannot agree and is not probed,
+        # but counts toward k as if it had been.
+        (vdc_lo, vdc_hi), (vac_lo, vac_hi) = self._voltage_bounds(
+            sample, state, params, pac_lo, pac_hi
+        )
+        ac_reachable = [lo < vac_hi and vac_lo <= hi for lo, hi, _, _ in AC_SELECTION]
+        # With one reachable AC range, every probe's vac lies in it, so the
+        # inner loop would stop there after only_ac + 1 probes.
+        only_ac = ac_reachable.index(True) if ac_reachable.count(True) == 1 else None
         probes = 0
         fallback = False
         for dc_lo, dc_hi, dc_anchor in DC_SELECTION:
-            for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
-                probed = probe(dc_anchor, ac_anchor)
+            if only_ac is not None and not (dc_lo < vdc_hi and vdc_lo <= dc_hi):
+                probes += only_ac + 1
+                continue
+            for (ac_lo, ac_hi, ac_anchor, clamped), reachable in zip(AC_SELECTION, ac_reachable):
                 probes += 1
+                last = (dc_anchor, ac_anchor)
+                if not reachable:
+                    continue
+                probed = probe(dc_anchor, ac_anchor)
                 if in_half_open(probed.vac, ac_lo, ac_hi):
                     break
             else:
@@ -493,8 +555,12 @@ class SetpointController:
                 break
         else:
             # No self-consistent range pair: fall back to the most conservative
-            # DC envelope, with the AC envelope chosen by the last prediction.
-            ac_anchor, clamped = select_ac(probed.vac)
+            # DC envelope, with the AC envelope chosen by the last prediction,
+            # which the lone reachable AC range holds when there is one.
+            if only_ac is not None:
+                _, _, ac_anchor, clamped = AC_SELECTION[only_ac]
+            else:
+                ac_anchor, clamped = select_ac(probe(*last).vac)
             probed = probe(DC_SELECTION[0][2], ac_anchor)
             fallback = True
         p_opt, q_opt = probed.p, probed.q

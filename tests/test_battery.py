@@ -21,12 +21,22 @@ from bessctl.battery import (
     solve_vdc,
     ttc_step,
     validate_bands,
+    vdc_range,
 )
 from bessctl.linefmt import LineFormatError
 
 
 def band(bands, soc):
     return params_for_soc(soc, bands)
+
+
+#: Valid values of every key of a parameter block.
+VALID_BAND = {"a": "600", **dict.fromkeys(("b", "rs", "r1", "c1", "r2", "c2", "r3", "c3"), "1")}
+
+
+def band_lines(header, **values):
+    """A parameter block with the given header and VALID_BAND overridden by values."""
+    return [header, *(f"  {k} {v}" for k, v in {**VALID_BAND, **values}.items()), "end"]
 
 
 class TestOpenCircuitVoltage:
@@ -69,6 +79,25 @@ class TestBandSelection:
         lines = ["params x 0 1", "  a 600", "end"]
         with pytest.raises(LineFormatError):
             parse_ttc_params(lines, "doc")
+
+    @pytest.mark.parametrize(
+        "header, values, message",
+        [
+            ("params x 0 1", {"a": "nan"}, "a must be finite"),
+            ("params x 0 1", {"rs": "-1"}, "rs must be positive and finite"),
+            ("params x 1 0", {}, "invalid SOC band [1.0, 0.0)"),
+        ],
+        ids=["a-nan", "rs-negative", "band-reversed"],
+    )
+    def test_invalid_band_names_its_header_line(self, header, values, message):
+        with pytest.raises(LineFormatError) as err:
+            parse_ttc_params(["# p", *band_lines(header, **values)], "doc")
+        assert str(err.value) == f"doc:2: {message}"
+        assert type(err.value.__cause__) is ValueError
+
+    def test_band_gap_names_the_document(self):
+        with pytest.raises(ValueError, match=r"^doc: bands must start at 0 and end at 1$"):
+            parse_ttc_params(band_lines("params x 0 0.5"), "doc")
 
 
 class TestTtcStep:
@@ -152,6 +181,25 @@ class TestSolveVdc:
                 assert vdc < prev
             prev = vdc
         del rng
+
+
+class TestVdcRange:
+    def test_ends_are_solve_vdc_at_the_power_ends(self, bands):
+        p = band(bands, 0.5)
+        state = TtcState(10.0, 1.0, 0.1, 0.5)
+        assert vdc_range(-300.0, 400.0, state, p) == (
+            solve_vdc(400.0, state, p),
+            solve_vdc(-300.0, state, p),
+        )
+
+    def test_beyond_maximum_power_gives_the_mpp_voltage(self, bands):
+        p = band(bands, 0.5)
+        state = TtcState(10.0, 0.0, 0.0, 0.5)
+        drive = open_circuit_voltage(0.5, p) - 10.0
+        p_mpp = drive * drive / (4.0 * p.rs) / 1000.0
+        vdc_lo, vdc_hi = vdc_range(0.0, 2.0 * p_mpp, state, p)
+        assert vdc_lo == 0.5 * drive
+        assert vdc_hi == solve_vdc(0.0, state, p)
 
 
 class TestPowerConversion:

@@ -48,3 +48,6 @@ def test_traced_undervoltage_run_gives_finite_layer_metrics(bench, tmp_path):
     assert metrics and all(math.isfinite(value) for value, _ in metrics.values()), metrics
     # Region membership runs only when a region is built: once per region.
     assert tracer.count("capability.contains") == tracer.count("capability.build_region")
+    # The assumption loop skips every range pair that cannot agree: on these
+    # steps only one pair can, so each step solves one projection.
+    assert tracer.count("optimizer.project") == len(records)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bessctl.linefmt import LineFormatError
 from bessctl.capability import (
     AC_SELECTION,
     DC_SELECTION,
@@ -24,6 +23,7 @@ from bessctl.capability import (
     in_half_open,
     index_curves,
     parse_curves,
+    power_extent,
     select_ac,
 )
 
@@ -70,10 +70,10 @@ class TestLoadCurves:
         assert parse_curves(["# only a comment", ""], "empty") == []
 
     def test_parse_error_names_line(self):
-        lines = ["curve c 600 300", "  pmin notanum", "end"]
-        with pytest.raises(LineFormatError) as err:
-            parse_curves(lines, "doc")
-        assert "doc:2" in str(err.value)
+        with pytest.raises(CurveFormatError, match=r"^<input>:2: not a number: 'x'"):
+            parse_curves(["curve c 600 300", "pmin x", "end"])
+        with pytest.raises(CurveFormatError, match=r"^doc:1: not a number: 'y'"):
+            parse_curves(["curve c 600 y", "end"], "doc")
 
     def test_unknown_atom_kind_rejected(self):
         with pytest.raises(CurveFormatError):
@@ -84,8 +84,26 @@ class TestLoadCurves:
             parse_curves(["curve c 600 300", "  qmax 1"], "doc")
 
     def test_unsupported_anchor_rejected(self):
-        with pytest.raises(CurveValidationError):
+        with pytest.raises(CurveFormatError, match=r"^doc:1: curve 'c': anchor") as err:
             parse_curves(["curve c 700 300", "  qmax 1", "end"], "doc")
+        assert isinstance(err.value.__cause__, CurveValidationError)
+
+    @pytest.mark.parametrize(
+        "atom, message",
+        [
+            ("disk inf", "Disk(r=inf"),
+            ("parabola 1 nan -1", "ParabolaCap(c0=1.0, c1=nan"),
+            ("pmin 5", "origin violates"),
+        ],
+        ids=["disk-inf", "parabola-nan", "origin"],
+    )
+    def test_invalid_curve_names_its_header_line(self, atom, message):
+        lines = ["# c", "curve a 600 300", "  qmax 1", "end", ""]
+        lines += ["curve b 500 270", f"  {atom}", "end"]
+        with pytest.raises(CurveFormatError) as err:
+            parse_curves(lines, "doc")
+        assert str(err.value).startswith(f"doc:6: curve 'b': {message}")
+        assert isinstance(err.value.__cause__, CurveValidationError)
 
 
 FINITE_ATOMS = (
@@ -251,6 +269,30 @@ class TestRegionCells:
         violation = min(cell.violation(p, q) for cell, side in sides if side)
         assume(abs(violation) > 1e-6)
         assert (violation <= 0) == region.contains(p, q)
+
+
+class TestPowerExtent:
+    def test_shipped_curves(self, curves):
+        assert power_extent(curves, SHRINK) == (
+            -681.89 * SHRINK,
+            682.45 * SHRINK,
+            794.34 * SHRINK,
+        )
+
+    def test_a_cell_without_disk_leaves_s_unbounded(self):
+        upper_only = CapabilityCurve("u", 600.0, 300.0, (PMax(500.0), Disk(700.0, "upperQ")))
+        assert power_extent([upper_only], 0.5) == (-math.inf, 250.0, math.inf)
+        lower_disk = CapabilityCurve("l", 550.0, 300.0, (Disk(600.0, "lowerQ"), Disk(650.0)))
+        assert power_extent([lower_disk], 1.0) == (-650.0, 650.0, 650.0)
+
+    @pytest.mark.parametrize("shrink", [1.0, SHRINK, 0.3])
+    def test_every_region_cell_lies_inside(self, curves, curve_map, shrink):
+        p_min, p_max, s_max = power_extent(curves, shrink)
+        for anchors in REGION_ANCHORS:
+            region = region_for(curve_map, anchors, shrink)
+            for cell in (region.upper_cell, region.lower_cell):
+                assert p_min <= max(cell.p_lo, -cell.r) and min(cell.p_hi, cell.r) <= p_max
+                assert cell.r <= s_max
 
 
 class TestRegionProperties:

@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from bessctl.battery import builtin_params_text
 from bessctl.capability import builtin_curve_text
 from bessctl.simctl import builtin_scenario_path, main
 
@@ -192,5 +193,27 @@ def test_non_finite_curve_coefficient_names_the_curve(tmp_path):
             str(tmp_path / "o"),
         ],
     )
+    header = builtin_curve_text().splitlines().index("curve dc500_ac270 500 270") + 1
     assert result.exit_code == 1
-    assert "Error: curve 'dc500_ac270': ParabolaCap(c0=nan" in result.output
+    assert f"Error: {curves}:{header}: curve 'dc500_ac270': ParabolaCap(c0=nan" in result.output
+
+
+def test_non_finite_ttc_parameter_names_its_block(tmp_path):
+    params = tmp_path / "params.txt"
+    text = builtin_params_text()
+    params.write_text(text.replace("  a 607.1", "  a nan"), "utf-8")
+    result = CliRunner().invoke(
+        main,
+        [
+            "run",
+            "--scenario",
+            str(short_scenario(tmp_path)),
+            "--params",
+            str(params),
+            "--out",
+            str(tmp_path / "o"),
+        ],
+    )
+    header = text.splitlines().index("params mid 0.3333333333333333 0.6666666666666666") + 1
+    assert result.exit_code == 1
+    assert f"Error: {params}:{header}: a must be finite" in result.output
