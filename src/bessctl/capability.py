@@ -35,9 +35,28 @@ from bessctl.linefmt import LineFormatError, parse_number, read_blocks
 
 Anchor = tuple[float, float]
 
-#: Anchors of the five supported envelopes, (vDC, vAC) in volts.
+#: DC-range selection table: (lo, hi] maps to the envelope at the range's
+#: lower anchor, the conservative choice because the reactive ceiling grows
+#: with vDC.
+DC_SELECTION: tuple[tuple[float, float, Anchor], ...] = (
+    (500.0, 550.0, (500.0, 300.0)),
+    (550.0, 600.0, (550.0, 300.0)),
+    (600.0, 800.0, (600.0, 300.0)),
+)
+
+#: AC-range selection table: (lo, hi], extra envelope intersected with the
+#: DC-selected one, and whether the choice is a conservative low-voltage
+#: clamp outside the nominal selection sets.
+AC_SELECTION: tuple[tuple[float, float, Anchor | None, bool], ...] = (
+    (270.0, 330.0, None, False),
+    (330.0, math.inf, (500.0, 330.0), False),
+    (0.0, 270.0, (500.0, 270.0), True),
+)
+
+#: Anchors of the five supported envelopes, (vDC, vAC) in volts: those the
+#: selection tables name.
 KNOWN_ANCHORS: frozenset[Anchor] = frozenset(
-    {(600.0, 300.0), (550.0, 300.0), (500.0, 300.0), (500.0, 330.0), (500.0, 270.0)}
+    [dc for _, _, dc in DC_SELECTION] + [ac for _, _, ac, _ in AC_SELECTION if ac is not None]
 )
 
 SECTOR_ALL = "all"
@@ -155,25 +174,6 @@ class CapabilityCurve:
         return (float(self.vdc_anchor), float(self.vac_anchor))
 
 
-#: DC-range selection table: (lo, hi] maps to the envelope at the range's
-#: lower anchor, the conservative choice because the reactive ceiling grows
-#: with vDC.
-DC_SELECTION: tuple[tuple[float, float, Anchor], ...] = (
-    (500.0, 550.0, (500.0, 300.0)),
-    (550.0, 600.0, (550.0, 300.0)),
-    (600.0, 800.0, (600.0, 300.0)),
-)
-
-#: AC-range selection table: (lo, hi], extra envelope intersected with the
-#: DC-selected one, and whether the choice is a conservative low-voltage
-#: clamp outside the nominal selection sets.
-AC_SELECTION: tuple[tuple[float, float, Anchor | None, bool], ...] = (
-    (270.0, 330.0, None, False),
-    (330.0, math.inf, (500.0, 330.0), False),
-    (0.0, 270.0, (500.0, 270.0), True),
-)
-
-
 def in_half_open(value: float, lo: float, hi: float) -> bool:
     """True iff value lies in the half-open interval (lo, hi]."""
     return lo < value <= hi
@@ -214,8 +214,10 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
 
     Roots from the companion matrix are polished with two Newton steps,
     evaluated by Horner's rule in the same operation order as
-    ``np.polyval``/``np.polyder``.
+    ``np.polyval``/``np.polyder``; non-finite coefficients raise ValueError.
     """
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
     trimmed = list(coeffs)
     while trimmed and trimmed[0] == 0.0:
         trimmed.pop(0)
@@ -324,7 +326,8 @@ def _cell_corners(
 
 def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) -> Cell:
     """Normal form of the cell bounded by atoms, scaled by shrink: (p, q) is
-    inside iff (p/shrink, q/shrink) satisfies every atom."""
+    inside iff (p/shrink, q/shrink) satisfies every atom.  A shrink so small
+    that a scaled cap or the disk-cap quartic overflows raises ValueError."""
     p_lo, p_hi = -math.inf, math.inf
     q_lo, q_hi = (0.0, math.inf) if upper else (-math.inf, 0.0)
     r: float | None = None
@@ -348,7 +351,12 @@ def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) ->
         for c0, c1, c2 in paras
         for p in (p_lo, p_hi)
     )
-    corners = _cell_corners(q_lo, q_hi, r, paras)
+    if not all(math.isfinite(c2) for _, _, c2 in paras):
+        raise ValueError(f"shrink {shrink} scales the curves out of range: a cap overflows")
+    try:
+        corners = _cell_corners(q_lo, q_hi, r, paras)
+    except ValueError as exc:  # the disk-cap quartic overflowed
+        raise ValueError(f"shrink {shrink} scales the curves out of range: {exc}") from exc
     return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)
 
 
@@ -386,24 +394,21 @@ class FeasibleRegion:
         return False
 
 
+def _cell_atoms(curves: Iterable[CapabilityCurve], upper: bool) -> tuple[ConstraintAtom, ...]:
+    """The curves' atoms that bound their Q >= 0 (upper) or Q <= 0 cell: all
+    but the disks of the other sector."""
+    other = SECTOR_LOWER if upper else SECTOR_UPPER
+    atoms = (a for curve in curves for a in curve.atoms)
+    return tuple(a for a in atoms if not (isinstance(a, Disk) and a.sector == other))
+
+
 def build_region(curves: Sequence[CapabilityCurve], shrink: float) -> FeasibleRegion:
     """Intersect one or two envelopes into a shrink-scaled feasible region."""
     if not 1 <= len(curves) <= 2:
         raise ValueError(f"expected 1 or 2 curves, got {len(curves)}")
     if not 0 < shrink <= 1:
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    upper = tuple(
-        a
-        for curve in curves
-        for a in curve.atoms
-        if not (isinstance(a, Disk) and a.sector == SECTOR_LOWER)
-    )
-    lower = tuple(
-        a
-        for curve in curves
-        for a in curve.atoms
-        if not (isinstance(a, Disk) and a.sector == SECTOR_UPPER)
-    )
+    upper, lower = _cell_atoms(curves, True), _cell_atoms(curves, False)
     return FeasibleRegion(
         upper, lower, shrink, _scaled_cell(upper, shrink, True), _scaled_cell(lower, shrink, False)
     )
@@ -412,29 +417,19 @@ def build_region(curves: Sequence[CapabilityCurve], shrink: float) -> FeasibleRe
 def power_extent(curves: Iterable[CapabilityCurve], shrink: float) -> tuple[float, float, float]:
     """(P_min, P_max, S_max) bounding every region built from the curves at shrink.
 
-    Each cell of a curve lies inside its P box and, when the cell has a
-    disk, inside that disk, so |p| and |S| of any point of a region are at
-    most the larger of the curve's two cell radii.  The extent is the union
-    over the curves, scaled as ``build_region`` scales the atoms; S_max is
-    inf when a cell of some curve has no disk.
+    A region's cell lies inside the same cell of each of its curves, built
+    here as ``build_region`` builds it, so inside that cell's P box and disk.
+    The extent is the union over the curves' cells; S_max is inf when a cell
+    of some curve has no disk.
     """
     p_min = p_max = s_max = 0.0
     for curve in curves:
-        p_lo, p_hi = -math.inf, math.inf
-        radii = {SECTOR_UPPER: math.inf, SECTOR_LOWER: math.inf}
-        for atom in curve.atoms:
-            if isinstance(atom, PMin):
-                p_lo = max(p_lo, atom.p)
-            elif isinstance(atom, PMax):
-                p_hi = min(p_hi, atom.p)
-            elif isinstance(atom, Disk):
-                for sector in radii:
-                    if atom.sector in (SECTOR_ALL, sector):
-                        radii[sector] = min(radii[sector], atom.r)
-        r = max(radii.values())
-        p_min = min(p_min, max(p_lo, -r) * shrink)
-        p_max = max(p_max, min(p_hi, r) * shrink)
-        s_max = max(s_max, r * shrink)
+        for upper in (True, False):
+            cell = _scaled_cell(_cell_atoms([curve], upper), shrink, upper)
+            r = math.inf if cell.r is None else cell.r
+            p_min = min(p_min, max(cell.p_lo, -r))
+            p_max = max(p_max, min(cell.p_hi, r))
+            s_max = max(s_max, r)
     return p_min, p_max, s_max
 
 

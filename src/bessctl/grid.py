@@ -69,11 +69,9 @@ class TransformerParams:
 
     n: float
     x_t: float
-    s_rated_kva: float
-    u_k: float
 
     def __post_init__(self) -> None:
-        for name in ("n", "s_rated_kva", "u_k", "x_t"):
+        for name in ("n", "x_t"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.n <= 0:
@@ -92,8 +90,9 @@ class TransformerParams:
         for name, value in (("v_lv", v_lv), ("s_rated_kva", s_rated_kva)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        x_t = u_k * v_lv * v_lv / (s_rated_kva * 1000.0)
-        return cls(n=n, x_t=x_t, s_rated_kva=s_rated_kva, u_k=u_k)
+        if not math.isfinite(u_k):
+            raise ValueError("u_k must be finite")
+        return cls(n=n, x_t=u_k * v_lv * v_lv / (s_rated_kva * 1000.0))
 
 
 def droop_targets(sample: GridSample, cfg: DroopConfig) -> tuple[float, float]:

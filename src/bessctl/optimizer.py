@@ -19,31 +19,35 @@ predicted voltage selects.
 Before it projects anything, a step bounds the voltages any probe can
 predict, and it skips the ranges outside those bounds.  Every probe's p
 lies in the step's battery interval and in the curves' P extent, and its
-|S| is at most the largest disk radius (``capability.power_extent``).  The
-DC-bus voltage falls monotonically with p and the AC voltage rises with
-|S|, through correctly rounded, hence monotone, float operations; so the
-ends of those intervals bound the voltages, and a range that misses them
-can never agree.  Skipping is exact: the records equal those of the loop
-that probes every range, including k in ``converged-after-k-switches(k)``.
-A skipped AC range counts one probe.  A skipped DC range counts the probes
-its inner loop would have made, which are known only when a single AC
-range is reachable (every probe then lands in it); otherwise the DC range
-is probed.  With a single reachable AC range the fallback takes it without
-a last probe.  On the shipped curves one range pair is reachable in nearly
-every step, so a step solves one projection instead of three to nine.
+|S| is at most the largest disk radius (``capability.power_extent``); a
+projection never leaves its cell, so only a relative 1e-12 slack is added,
+for the ulp by which the polish's disk scaling can overshoot the radius.
+The DC-bus voltage falls monotonically with p and the AC voltage rises
+with |S|, through correctly rounded, hence monotone, float operations; so
+the ends of those intervals bound the voltages, and a range that misses
+them can never agree.  Skipping is exact: the records equal those of the
+loop that probes every range, including k in
+``converged-after-k-switches(k)``.  A skipped AC range counts one probe.
+A skipped DC range counts the probes its inner loop would have made, which
+are known only when a single AC range is reachable (every probe then
+lands in it); otherwise the DC range is probed.  With a single reachable
+AC range the fallback takes it without a last probe.  On the shipped
+curves one range pair is reachable in nearly every step, so a step solves
+one projection instead of three to nine.
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
 power interval, one origin-centred disk, up to two concave parabola caps
 and a flat Q ceiling.  ``build_region`` scales and normalizes the cells
 once; a projection only narrows a cell's P interval to the step's battery
-bounds.  The projection is solved exactly by enumerating the unconstrained
-optimum, the stationary point on every boundary curve and all pairwise
-boundary intersections, then keeping the feasible candidate with the least
-objective.  The intersections that do not involve the P box, among them
-the disk-parabola quartic, are the cell's corners, found once by
-``build_region``; per call, only the parabola stationary-point cubic goes
-through numpy's polynomial roots, with a scalar Newton polish.  The cell
-across Q = 0 from the target is solved only when it could still win.
+bounds.  A target inside the cell is its own projection; otherwise the
+stationary point on every boundary curve and all pairwise boundary
+intersections are ranked by objective (the first enumerated on a tie), and
+the first that passes the feasibility screen, polished into the cell, is
+the exact projection.  The intersections that do not involve the P box,
+among them the disk-parabola quartic, are the cell's corners, found once
+by ``build_region``; per call, only the parabola stationary-point cubic
+goes through numpy's polynomial roots, with a scalar Newton polish.  The
+cell across Q = 0 from the target is solved only when it could still win.
 
 A controller instance holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
@@ -357,20 +361,20 @@ def _project_cell(
         p = min(max(p0, lo), hi)
         return p, q, objective(p, q)
 
-    if cell.violation(p0, q0) <= _POINT_TOL:
+    if cell.violation(p0, q0) <= 0.0:
         return p0, q0, 0.0
 
-    best: tuple[float, float, float] | None = None
-    for p, q in _cell_candidates(cell, p0, q0, wp, wq):
-        if cell.violation(p, q) > _SCREEN_TOL:
-            continue
-        obj = objective(p, q)
-        if best is None or obj < best[2]:
-            best = (p, q, obj)
-    if best is None:
-        return None
-    p, q = _polish(cell, best[0], best[1])
-    return p, q, objective(p, q)
+    # Candidates outside the P box fail the screen; unranked, they cannot overflow.
+    ranked = sorted(
+        (objective(p, q), i, p, q)
+        for i, (p, q) in enumerate(_cell_candidates(cell, p0, q0, wp, wq))
+        if cell.p_lo - p <= _SCREEN_TOL and p - cell.p_hi <= _SCREEN_TOL
+    )
+    for _, _, p, q in ranked:
+        if cell.violation(p, q) <= _SCREEN_TOL:
+            p, q = _polish(cell, p, q)
+            return p, q, objective(p, q)
+    return None
 
 
 def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
@@ -396,29 +400,24 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
 
     The better of the two Q-sign cells wins, with ties broken toward the
     upper (Q >= 0) cell for determinism.  Every point of the cell across
-    Q = 0 from the target costs at least lambda_q * q0^2, so when the
-    target-side cell, solved first, does better than that (by a relative
-    1e-12 that absorbs the rounding of the objective) the other cell is not
-    solved.  The bound needs |q0| beyond _POINT_TOL, where no interior
-    early return can give the other cell a zero objective, and, to skip the
-    upper cell, caps_nonneg, so that _polish keeps its points at q >= 0.
+    Q = 0 from the target costs at least lambda_q * q0^2, because a cell's
+    projection never leaves it, so when the target-side cell, solved first,
+    does better than that (by a relative 1e-12 that absorbs the rounding of
+    the objective) the other cell is not solved.  To skip the upper cell the
+    bound also needs caps_nonneg, so that _polish keeps its points at q >= 0.
     """
     region = problem.region
     p0, q0 = problem.p_target, problem.q_target
     wp, wq = problem.lambda_p, problem.lambda_q
-    upper_cell, lower_cell = region.upper_cell, region.lower_cell
-    p_min, p_max = problem.p_min, problem.p_max
-    limit = wq * q0 * q0 * (1.0 - 1e-12) if abs(q0) > _POINT_TOL else 0.0
-    if q0 < 0.0 and limit > 0.0:
-        lower = _project_cell(_narrowed(lower_cell, p_min, p_max), p0, q0, wp, wq)
-        if lower is not None and lower[2] < limit and upper_cell.caps_nonneg:
-            return lower[0], lower[1]
-        upper = _project_cell(_narrowed(upper_cell, p_min, p_max), p0, q0, wp, wq)
-    else:
-        upper = _project_cell(_narrowed(upper_cell, p_min, p_max), p0, q0, wp, wq)
-        if upper is not None and upper[2] < limit:
-            return upper[0], upper[1]
-        lower = _project_cell(_narrowed(lower_cell, p_min, p_max), p0, q0, wp, wq)
+    near, far = region.upper_cell, region.lower_cell
+    if q0 < 0.0:
+        near, far = far, near
+    first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
+    limit = wq * q0 * q0 * (1.0 - 1e-12)
+    if first is not None and first[2] < limit and (q0 > 0.0 or region.upper_cell.caps_nonneg):
+        return first[0], first[1]
+    second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
+    upper, lower = (second, first) if q0 < 0.0 else (first, second)
     best = lower if lower is not None and (upper is None or lower[2] < upper[2]) else upper
     if best is None:
         raise RuntimeError("feasible region unexpectedly empty")
@@ -475,18 +474,18 @@ class SetpointController:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """Closed (vdc, vac) intervals that hold every probe's predictions.
 
-        A probe's p lies in [pac_lo, pac_hi] and in the curves' P extent, and
-        its |S| is at most S_max; the interior early return of _project_cell
-        may hand back a target up to _POINT_TOL outside either, so both are
-        widened by that plus a relative 1e-12.  vdc falls and vac rises
-        monotonically with these, also in floating point.
+        A probe never leaves its narrowed cell, so its p lies in
+        [pac_lo, pac_hi] and in the curves' P extent, and its |S| is at most
+        S_max.  Both are widened by a relative 1e-12, which absorbs the ulp
+        by which _polish's disk scaling can overshoot the radius.  vdc falls
+        and vac rises monotonically with these, also in floating point.
         """
         p_min, p_max, s_max = self._extent
         p_lo = max(pac_lo, p_min)
         p_hi = min(pac_hi, p_max)
-        p_lo -= _POINT_TOL + 1e-12 * abs(p_lo)
-        p_hi += _POINT_TOL + 1e-12 * abs(p_hi)
-        s_hi = s_max + _POINT_TOL + 1e-12 * s_max
+        p_lo -= 1e-12 * abs(p_lo)
+        p_hi += 1e-12 * abs(p_hi)
+        s_hi = s_max + 1e-12 * s_max
         eta = self.cfg.battery.eta
         vdc = vdc_range(dc_from_ac(p_lo, eta), dc_from_ac(p_hi, eta), state, params)
         xf = self.cfg.transformer

@@ -1,11 +1,16 @@
-"""Independent feasibility oracles for the five converter envelopes.
+"""Independent feasibility oracles for the five converter envelopes, and a
+reference cell selection.
 
 The inequalities are written out literally (vectorized over numpy arrays)
 so tests can cross-check the library's membership and projection code
-against a path that shares nothing with it.
+against a path that shares nothing with it.  ``running_best_cell`` picks
+a cell optimum by a running-best scan of the screened candidates, the
+reference for the projection's ranked selection.
 """
 
 import numpy as np
+
+from bessctl import optimizer
 
 
 def _env_600_300(p, q):
@@ -60,3 +65,28 @@ def direct_feasible(anchor, p, q, shrink=1.0):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return DIRECT_ENVELOPES[anchor](p / shrink, q / shrink)
+
+
+def running_best_cell(cell, p0, q0, wp, wq):
+    """Weighted projection onto a cell with both weights positive: the
+    target itself when it is inside, otherwise the screened candidate of
+    least objective, the first one on a tie, after the polish."""
+    if cell.p_lo > cell.p_hi or cell.q_lo > cell.q_hi:
+        return None
+
+    def objective(p, q):
+        return wp * (p - p0) ** 2 + wq * (q - q0) ** 2
+
+    if cell.violation(p0, q0) <= 0.0:
+        return p0, q0, 0.0
+    best = None
+    for p, q in optimizer._cell_candidates(cell, p0, q0, wp, wq):
+        if cell.violation(p, q) > optimizer._SCREEN_TOL:
+            continue
+        obj = objective(p, q)
+        if best is None or obj < best[2]:
+            best = (p, q, obj)
+    if best is None:
+        return None
+    p, q = optimizer._polish(cell, best[0], best[1])
+    return p, q, objective(p, q)

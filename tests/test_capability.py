@@ -189,6 +189,15 @@ class TestSelectionTables:
     def test_select_ac_ranges_are_half_open(self, vac, selected):
         assert select_ac(vac) == selected
 
+    def test_known_anchors_are_the_anchors_the_tables_name(self):
+        assert KNOWN_ANCHORS == {
+            (600.0, 300.0),
+            (550.0, 300.0),
+            (500.0, 300.0),
+            (500.0, 330.0),
+            (500.0, 270.0),
+        }
+
     def test_select_ac_covers_positive_voltages(self):
         assert select_ac(1e-300) == ((500.0, 270.0), True)
         assert select_ac(270.0) == ((500.0, 270.0), True)
@@ -233,6 +242,18 @@ class TestRegion:
             build_region([curve_map[(600.0, 300.0)]], 0.0)
         with pytest.raises(ValueError):
             build_region([curve_map[(600.0, 300.0)]], 1.5)
+
+    @pytest.mark.parametrize("shrink", [1e-160, 5e-324])
+    def test_tiny_shrink_rejected_naming_it(self, curve_map, shrink):
+        # The scaled cap's curvature overflows the disk-cap quartic.
+        with pytest.raises(ValueError, match=f"^shrink {re.escape(repr(shrink))} "):
+            region_for(curve_map, [(600.0, 300.0)], shrink)
+
+    def test_small_shrink_still_builds(self, curve_map):
+        region = region_for(curve_map, [(600.0, 300.0)], 1e-3)
+        for cell in (region.upper_cell, region.lower_cell):
+            assert cell.corners
+            assert all(math.isfinite(v) for point in cell.corners for v in point)
 
     def test_lower_disk_only_binds_below_axis(self, curve_map):
         region = region_for(curve_map, [(600.0, 300.0)])

@@ -147,7 +147,7 @@ class TestTransformerValidation:
 
     def test_non_finite_reactance_rejected(self):
         with pytest.raises(ValueError, match="x_t"):
-            TransformerParams(n=70.0, x_t=math.nan, s_rated_kva=630.0, u_k=0.0628)
+            TransformerParams(n=70.0, x_t=math.nan)
 
 
 class TestMaxDeviations:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bessctl.capability as capability
 import bessctl.optimizer as optimizer
 from bessctl.battery import (
     BatteryConfig,
@@ -39,7 +40,7 @@ from bessctl.optimizer import (
     project,
 )
 
-from oracles import direct_feasible
+from oracles import direct_feasible, running_best_cell
 from reference_step import reference_solve_step
 
 WIDE = (-1e6, 1e6)
@@ -212,6 +213,13 @@ class TestProject:
             c0, c1, c2 = 382.95, 1.6e-3, -2.21e-4  # the cap's peak
             assert q == pytest.approx(c0 - c1 * c1 / (4.0 * c2), abs=1e-9)
             assert p == pytest.approx(-c1 / (2.0 * c2), abs=1e-4)
+
+    def test_far_off_candidate_is_not_ranked(self):
+        # The nearly flat cap crosses the Q ceiling at p = -2e201, far
+        # outside the P box, where the objective overflows.
+        flat = (PMin(-600.0), PMax(600.0), ParabolaCap(100.0, 1e-200, 0.0), QMax(80.0))
+        region = build_region([CapabilityCurve("flat", 600.0, 300.0, flat)], 1.0)
+        assert project(problem(region, (700.0, 200.0))) == (600.0, 80.0)
 
     def test_deterministic(self, region_600):
         t = (900.0, -900.0)
@@ -496,10 +504,95 @@ target_st = st.tuples(
 p_min_st = st.one_of(st.just(0.0), st.just(-1e6), st.floats(-1000.0, 0.0))
 p_max_st = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.0, 1000.0))
 
+#: Offsets across a boundary, dense within the _POINT_TOL of the status
+#: flags and near its top, where a point is farther outside than a
+#: relative 1e-12 of coordinates up to a few hundred kW.
+BOUNDARY_DELTA = st.one_of(
+    st.floats(-1e-9, 1e-9), st.sampled_from([0.6e-9, 0.9e-9, 0.99e-9, 1e-9, -1e-9])
+)
+
+
+def outcome(f, *args):
+    """f(*args), or the name of the arithmetic error it raised."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def random_atoms(data):
+    """An arbitrary envelope: a P box, a disk and a Q ceiling, each maybe
+    missing, and up to two concave caps, all holding the origin."""
+    atoms = []
+    if data.draw(st.booleans()):
+        atoms.append(PMin(-data.draw(st.floats(1.0, 1000.0))))
+    if data.draw(st.booleans()):
+        atoms.append(PMax(data.draw(st.floats(1.0, 1000.0))))
+    if data.draw(st.booleans()):
+        atoms.append(Disk(data.draw(st.floats(10.0, 1000.0))))
+    if data.draw(st.booleans()):
+        atoms.append(QMax(data.draw(st.floats(0.0, 1000.0))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        atoms.append(
+            ParabolaCap(
+                data.draw(st.floats(0.0, 800.0)),
+                data.draw(st.floats(-1.0, 1.0)),
+                # A curvature whose square is subnormal overflows numpy's
+                # companion matrix for the disk-cap quartic in build_region.
+                -data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-2))),
+            )
+        )
+    return atoms
+
+
+def draw_cell(data, curve_map):
+    """A shrink-scaled cell of a shipped region, of DIPPING or of random
+    atoms, narrowed to random battery bounds as ``project`` narrows it."""
+    source = data.draw(st.sampled_from(REGION_ANCHORS + ["dipping", "random"]))
+    upper = data.draw(st.booleans())
+    shrink = data.draw(st.floats(1e-3, 1.0))
+    if source == "random":
+        cell = capability._scaled_cell(random_atoms(data), shrink, upper)
+    else:
+        curves = [DIPPING] if source == "dipping" else [curve_map[a] for a in source]
+        region = build_region(curves, shrink)
+        cell = region.upper_cell if upper else region.lower_cell
+    return optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
+
+
+def near_boundary(data, cell):
+    """A target within BOUNDARY_DELTA of a P line, a Q line, the disk, a cap
+    or a finite stored corner of the cell, or anywhere."""
+    kinds = ["anywhere", "cap", "corner"]
+    kinds += ["p-line"] * any(map(math.isfinite, (cell.p_lo, cell.p_hi)))
+    kinds += ["q-line"] * any(map(math.isfinite, (cell.q_lo, cell.q_hi)))
+    kinds += ["disk"] * (cell.r is not None)
+    kind = data.draw(st.sampled_from(kinds))
+    delta = data.draw(BOUNDARY_DELTA)
+    along = data.draw(st.floats(-1000.0, 1000.0))
+    if kind == "p-line":
+        edge = data.draw(st.sampled_from([p for p in (cell.p_lo, cell.p_hi) if math.isfinite(p)]))
+        return edge + delta, along
+    if kind == "q-line":
+        edge = data.draw(st.sampled_from([q for q in (cell.q_lo, cell.q_hi) if math.isfinite(q)]))
+        return along, edge + delta
+    if kind == "disk":
+        angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+        return (cell.r + delta) * math.cos(angle), (cell.r + delta) * math.sin(angle)
+    if kind == "cap" and cell.paras:
+        c0, c1, c2 = data.draw(st.sampled_from(cell.paras))
+        return along, c0 + c1 * along + c2 * along * along + delta
+    corners = [c for c in cell.corners if math.isfinite(c[0])]
+    if kind == "corner" and corners:
+        p, q = data.draw(st.sampled_from(corners))
+        return p + delta, q + data.draw(BOUNDARY_DELTA)
+    return along, data.draw(st.floats(-1000.0, 1000.0))
+
 
 class TestProjectExactness:
-    """project skips the Q cell that cannot win and reads each cell's
-    corners from the region; neither may change one bit of its result."""
+    """project skips the Q cell that cannot win, reads each cell's corners
+    from the region and takes a cell's first feasible candidate in objective
+    order; none of these may change one bit of its result."""
 
     def test_stored_corners_equal_fresh_enumeration(self, curve_map):
         for anchors in REGION_ANCHORS:
@@ -531,6 +624,41 @@ class TestProjectExactness:
         prob = problem(build_region(curves, shrink), target, weights, (p_min, p_max))
         assert project(prob) == reference_project(prob)
 
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        data=st.data(),
+        weights=st.tuples(
+            st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+            st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+        ),
+    )
+    def test_ranked_selection_equals_running_best(self, curve_map, data, weights):
+        cell = draw_cell(data, curve_map)
+        p0, q0 = near_boundary(data, cell)
+        # Beyond about 1e154 from the target, objectives overflow in both.
+        assert outcome(optimizer._project_cell, cell, p0, q0, *weights) == outcome(
+            running_best_cell, cell, p0, q0, *weights
+        )
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        data=st.data(),
+        anchors=st.sampled_from(REGION_ANCHORS + ["dipping"]),
+        shrink=st.floats(1e-3, 1.0),
+        weights=weights_st,
+        p_min=p_min_st,
+        p_max=p_max_st,
+    )
+    def test_result_stays_inside_its_narrowed_cell(
+        self, curve_map, data, anchors, shrink, weights, p_min, p_max
+    ):
+        curves = [DIPPING] if anchors == "dipping" else [curve_map[a] for a in anchors]
+        region = build_region(curves, shrink)
+        cells = [optimizer._narrowed(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
+        target = near_boundary(data, data.draw(st.sampled_from(cells)))
+        p, q = project(problem(region, target, weights, (p_min, p_max)))
+        assert min(cell.violation(p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
+
     def test_dipping_cap_keeps_upper_cell_solved(self, monkeypatch):
         region = build_region([DIPPING], 1.0)
         assert not region.upper_cell.caps_nonneg
@@ -549,16 +677,18 @@ class TestProjectExactness:
 
     def test_target_within_point_tol_of_axis_keeps_both_cells(self):
         # Disks of different radius per Q sign and no P box: the target is
-        # 2e-9 outside the lower disk, and its q0 is within _POINT_TOL of
-        # the upper cell, which returns it unchanged with objective 0.  The
-        # lower cell's tiny objective is below lambda_q * q0^2, so only the
-        # |q0| > _POINT_TOL condition keeps the upper cell solved.
+        # 2e-9 outside the lower disk and 0.9e-9 below the upper cell.
+        # Neither cell hands it back: the lower cell's projection, a tiny
+        # step in p, beats the upper cell's, which costs lambda_q * q0^2.
         curve = CapabilityCurve(
             "split", 600.0, 300.0, (Disk(700.0, "upperQ"), Disk(650.0, "lowerQ"))
         )
         target = (650.0 + 2e-9, -0.9e-9)
-        prob = problem(build_region([curve], 1.0), target, weights=(1e-3, 1e3))
-        assert project(prob) == reference_project(prob) == target
+        region = build_region([curve], 1.0)
+        prob = problem(region, target, weights=(1e-3, 1e3))
+        p, q = project(prob)
+        assert (p, q) == reference_project(prob)
+        assert region.lower_cell.violation(p, q) <= 0.0
 
     def test_clipped_step_solves_no_quartic_and_one_cell(
         self, controller_cfg, curve_map, bands, monkeypatch
@@ -629,8 +759,8 @@ STEP_WEIGHTS = st.one_of(
     st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]),
     st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
 )
-#: Offsets past an edge, dense just inside the _POINT_TOL of _project_cell's
-#: interior early return, which hands such a target back unchanged.
+#: Offsets past an edge, dense within 2e-9 and near 1e-9, the set-point
+#: tolerance of the status flags.
 EDGE_DELTA = st.one_of(st.floats(-2e-9, 2e-9), st.sampled_from([0.6e-9, 0.9e-9, 0.99e-9]))
 
 

@@ -1,6 +1,7 @@
-"""Import guards: the per-step modules stay pure-Python scalar code (neither
-imports numpy), and the line grammars stay in linefmt (no other module
-imports a tokenizer)."""
+"""Source guards: the per-step modules stay pure-Python scalar code (neither
+imports numpy), the line grammars stay in linefmt (no other module imports
+a tokenizer), and the optimizer's set-point tolerance only sets the status
+flags."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,26 @@ def test_only_linefmt_imports_tokenize(module):
         name for name in imported_names(PACKAGE / module) if name.split(".")[-1] == "tokenize"
     ]
     assert tokenizers == []
+
+
+def readers_of(path, name):
+    """Qualified names of the functions that read the global ``name``."""
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            readers.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return readers
+
+
+def test_point_tol_only_sets_the_status_flags():
+    # A projection stays inside its cell, so neither the projection nor the
+    # step's voltage bounds may lean on the set-point tolerance.
+    assert readers_of(PACKAGE / "optimizer.py", "_POINT_TOL") == {"SetpointController.solve_step"}
