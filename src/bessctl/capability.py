@@ -209,12 +209,24 @@ def quad_roots(a: float, b: float, c: float) -> list[float]:
     return roots
 
 
+class CompanionOverflowError(ValueError):
+    """A polynomial's leading coefficient is so small beside the others that
+    an entry of its companion matrix overflows."""
+
+
 def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     """Real roots of a polynomial given by descending coefficients.
 
-    Roots from the companion matrix are polished with two Newton steps,
-    evaluated by Horner's rule in the same operation order as
-    ``np.polyval``/``np.polyder``; non-finite coefficients raise ValueError.
+    Degrees 1 and 2 are solved in closed form.  Above that, each trailing
+    zero coefficient is a root at 0, listed last, and the other roots are
+    the eigenvalues of the companion matrix of the remaining coefficients
+    (first row -c/lead, ones on the subdiagonal), from one
+    ``np.linalg.eigvals`` call on the matrix ``np.roots`` would build, so
+    they equal its roots bit for bit.  Real roots are polished with two
+    Newton steps, evaluated by Horner's rule in the same operation order as
+    ``np.polyval``/``np.polyder``.  Non-finite coefficients raise
+    ValueError, and a companion entry that overflows raises
+    CompanionOverflowError, naming the leading coefficient.
     """
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
@@ -228,9 +240,24 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     if len(trimmed) == 2:
         return [-trimmed[1] / trimmed[0]]
     degree = len(trimmed) - 1
+    n = degree
+    while trimmed[n] == 0.0:
+        n -= 1
+    lead = trimmed[0]
+    row = [-c / lead for c in trimmed[1 : n + 1]]
+    if not all(math.isfinite(c) for c in row):
+        raise CompanionOverflowError(
+            f"leading coefficient {lead!r} is too small beside {trimmed[1:]}: "
+            "the companion matrix overflows"
+        )
+    roots = [0.0] * (degree - n)
+    if n:
+        companion = np.eye(n, k=-1)
+        companion[0] = row
+        roots = np.linalg.eigvals(companion).tolist() + roots
     deriv = [c * (degree - i) for i, c in enumerate(trimmed[:-1])]
     out: list[float] = []
-    for root in np.roots(trimmed):
+    for root in roots:
         if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
             continue
         x = float(root.real)
@@ -324,10 +351,13 @@ def _cell_corners(
     return tuple(corners)
 
 
-def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) -> Cell:
+def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) -> Cell:
     """Normal form of the cell bounded by atoms, scaled by shrink: (p, q) is
     inside iff (p/shrink, q/shrink) satisfies every atom.  A shrink so small
-    that a scaled cap or the disk-cap quartic overflows raises ValueError."""
+    that a scaled cap or the disk-cap quartic overflows raises ValueError
+    naming the shrink.  A cap so flat beside the disk that the quartic's
+    companion matrix overflows raises ValueError naming the caps and disks;
+    a smaller shrink only shrinks those companion entries."""
     p_lo, p_hi = -math.inf, math.inf
     q_lo, q_hi = (0.0, math.inf) if upper else (-math.inf, 0.0)
     r: float | None = None
@@ -355,6 +385,9 @@ def _scaled_cell(atoms: Iterable[ConstraintAtom], shrink: float, upper: bool) ->
         raise ValueError(f"shrink {shrink} scales the curves out of range: a cap overflows")
     try:
         corners = _cell_corners(q_lo, q_hi, r, paras)
+    except CompanionOverflowError as exc:
+        curved = [a for a in atoms if isinstance(a, (ParabolaCap, Disk))]
+        raise ValueError(f"the disk-cap quartic of {curved} is out of range: {exc}") from exc
     except ValueError as exc:  # the disk-cap quartic overflowed
         raise ValueError(f"shrink {shrink} scales the curves out of range: {exc}") from exc
     return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)

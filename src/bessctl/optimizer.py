@@ -46,8 +46,9 @@ the first that passes the feasibility screen, polished into the cell, is
 the exact projection.  The intersections that do not involve the P box,
 among them the disk-parabola quartic, are the cell's corners, found once
 by ``build_region``; per call, only the parabola stationary-point cubic
-goes through numpy's polynomial roots, with a scalar Newton polish.  The
-cell across Q = 0 from the target is solved only when it could still win.
+goes through numpy, as one ``eigvals`` call on its companion matrix, with a
+scalar Newton polish.  The cell across Q = 0 from the target is solved only
+when it could still win.
 
 A controller instance holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
@@ -405,6 +406,8 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     does better than that (by a relative 1e-12 that absorbs the rounding of
     the objective) the other cell is not solved.  To skip the upper cell the
     bound also needs caps_nonneg, so that _polish keeps its points at q >= 0.
+    A target so far from the region (about 1e154) that the square of its
+    distance overflows raises ValueError.
     """
     region = problem.region
     p0, q0 = problem.p_target, problem.q_target
@@ -412,11 +415,14 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     near, far = region.upper_cell, region.lower_cell
     if q0 < 0.0:
         near, far = far, near
-    first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
-    limit = wq * q0 * q0 * (1.0 - 1e-12)
-    if first is not None and first[2] < limit and (q0 > 0.0 or region.upper_cell.caps_nonneg):
-        return first[0], first[1]
-    second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
+    try:
+        first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
+        limit = wq * q0 * q0 * (1.0 - 1e-12)
+        if first is not None and first[2] < limit and (q0 > 0.0 or region.upper_cell.caps_nonneg):
+            return first[0], first[1]
+        second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
+    except OverflowError as exc:  # a candidate's (p - p0) ** 2 overflowed
+        raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     upper, lower = (second, first) if q0 < 0.0 else (first, second)
     best = lower if lower is not None and (upper is None or lower[2] < upper[2]) else upper
     if best is None:

@@ -1,16 +1,21 @@
-"""Independent feasibility oracles for the five converter envelopes, and a
-reference cell selection.
+"""Independent feasibility oracles for the five converter envelopes, a
+reference cell selection and a reference polynomial root finder.
 
 The inequalities are written out literally (vectorized over numpy arrays)
 so tests can cross-check the library's membership and projection code
 against a path that shares nothing with it.  ``running_best_cell`` picks
 a cell optimum by a running-best scan of the screened candidates, the
-reference for the projection's ranked selection.
+reference for the projection's ranked selection.  ``np_roots_real_roots``
+finds roots through ``np.roots``, the reference for the companion-matrix
+eigenvalues of ``capability.poly_real_roots``.
 """
+
+import math
 
 import numpy as np
 
 from bessctl import optimizer
+from bessctl.capability import quad_roots
 
 
 def _env_600_300(p, q):
@@ -90,3 +95,41 @@ def running_best_cell(cell, p0, q0, wp, wq):
         return None
     p, q = optimizer._polish(cell, best[0], best[1])
     return p, q, objective(p, q)
+
+
+def np_roots_real_roots(coeffs):
+    """Real roots of a polynomial given by descending coefficients: closed
+    forms up to degree 2, above that ``np.roots`` with two Newton steps of
+    Horner's rule, as ``capability.poly_real_roots`` once solved them."""
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
+    trimmed = list(coeffs)
+    while trimmed and trimmed[0] == 0.0:
+        trimmed.pop(0)
+    if len(trimmed) <= 1:
+        return []
+    if len(trimmed) == 3:
+        return quad_roots(trimmed[0], trimmed[1], trimmed[2])
+    if len(trimmed) == 2:
+        return [-trimmed[1] / trimmed[0]]
+    degree = len(trimmed) - 1
+    deriv = [c * (degree - i) for i, c in enumerate(trimmed[:-1])]
+    out = []
+    with np.errstate(over="ignore"):  # an overflowing companion raises below
+        roots = np.roots(trimmed)
+    for root in roots:
+        if abs(root.imag) > 1e-8 * (1.0 + abs(root.real)):
+            continue
+        x = float(root.real)
+        for _ in range(2):
+            d = deriv[0]
+            for c in deriv[1:]:
+                d = d * x + c
+            if d == 0.0:
+                break
+            y = trimmed[0]
+            for c in trimmed[1:]:
+                y = y * x + c
+            x -= y / d
+        out.append(x)
+    return out

@@ -11,6 +11,7 @@ from bessctl.capability import (
     DC_SELECTION,
     KNOWN_ANCHORS,
     CapabilityCurve,
+    CompanionOverflowError,
     CurveFormatError,
     CurveValidationError,
     Disk,
@@ -23,9 +24,12 @@ from bessctl.capability import (
     in_half_open,
     index_curves,
     parse_curves,
+    poly_real_roots,
     power_extent,
     select_ac,
 )
+
+from oracles import np_roots_real_roots
 
 SHRINK = 7.0 / 9.0
 
@@ -249,6 +253,16 @@ class TestRegion:
         with pytest.raises(ValueError, match=f"^shrink {re.escape(repr(shrink))} "):
             region_for(curve_map, [(600.0, 300.0)], shrink)
 
+    def test_flat_cap_rejected_naming_it_not_the_shrink(self):
+        # c2 * c2 is subnormal: the disk-cap quartic's companion overflows.
+        cap, disk = ParabolaCap(100.0, 0.0, -1e-160), Disk(650.0)
+        curve = CapabilityCurve("flat", 600.0, 300.0, (cap, disk))
+        with pytest.raises(ValueError) as info:
+            build_region([curve], 1.0)
+        message = str(info.value)
+        assert repr(cap) in message and repr(disk) in message
+        assert "shrink" not in message
+
     def test_small_shrink_still_builds(self, curve_map):
         region = region_for(curve_map, [(600.0, 300.0)], 1e-3)
         for cell in (region.upper_cell, region.lower_cell):
@@ -346,3 +360,65 @@ class TestRegionProperties:
     def test_duplicate_anchor_rejected(self, curves):
         with pytest.raises(CurveValidationError):
             index_curves(curves + [curves[0]])
+
+
+def root_outcome(f, coeffs):
+    """The hex of each root f finds, or "ValueError" when it raises one
+    (numpy's LinAlgError is a ValueError)."""
+    try:
+        return [x.hex() for x in f(coeffs)]
+    except ValueError:
+        return "ValueError"
+
+
+#: Coefficients from 1e-12 to 1e8 in magnitude, or zero.
+COEFFICIENT = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 8.0)).map(
+        lambda t: t[0] * 10.0**t[1]
+    ),
+)
+
+
+class TestPolyRealRoots:
+    """poly_real_roots builds np.roots' companion matrix itself; its roots
+    must equal those of the np.roots reference bit for bit."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        lead=st.one_of(COEFFICIENT, st.sampled_from([1e-160, -1e-300, 1e-320, 5e-324])),
+        rest=st.lists(COEFFICIENT, min_size=3, max_size=4),
+    )
+    def test_equals_np_roots(self, lead, rest):
+        coeffs = [lead, *rest]
+        assert root_outcome(poly_real_roots, coeffs) == root_outcome(np_roots_real_roots, coeffs)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        cap=st.tuples(
+            st.floats(0.0, 800.0),
+            st.floats(-1.0, 1.0),
+            st.one_of(st.just(0.0), st.floats(-1e-2, -1e-8), st.just(-1e-160)),
+        ),
+        target=st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
+        weights=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    )
+    def test_stationary_cubic_equals_np_roots(self, cap, target, weights):
+        # The cubic of optimizer._parabola_stationary.
+        (c0, c1, c2), (p0, q0), (wp, wq) = cap, target, weights
+        shift = c0 - q0
+        coeffs = [
+            2.0 * wq * c2 * c2,
+            3.0 * wq * c2 * c1,
+            wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
+            wq * c1 * shift - wp * p0,
+        ]
+        assert root_outcome(poly_real_roots, coeffs) == root_outcome(np_roots_real_roots, coeffs)
+
+    def test_trailing_zeros_are_roots_at_zero(self):
+        assert poly_real_roots([1.0, -3.0, 2.0, 0.0, 0.0]) == [2.0, 1.0, 0.0, 0.0]
+        assert poly_real_roots([2.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
+
+    def test_companion_overflow_names_the_leading_coefficient(self):
+        with pytest.raises(CompanionOverflowError, match="leading coefficient 1e-320 "):
+            poly_real_roots([1e-320, 0.0, 1.0, 0.0, -412500.0])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,13 @@ class TestProjectionProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             problem(region_600, target, weights, bounds=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_target_too_far_to_square_rejected_naming_it(self, region_600, weights):
+        # (p - p0) ** 2 overflows for every point of the region.
+        prob = problem(region_600, (1e160, 1e160), weights)
+        with pytest.raises(ValueError, match=re.escape("target (1e+160, 1e+160)")):
+            project(prob)
+
 
 #: Each envelope alone, and every envelope pair the selection tables produce.
 REGION_ANCHORS = [(a,) for a in sorted(KNOWN_ANCHORS)] + [
@@ -537,8 +545,9 @@ def random_atoms(data):
             ParabolaCap(
                 data.draw(st.floats(0.0, 800.0)),
                 data.draw(st.floats(-1.0, 1.0)),
-                # A curvature whose square is subnormal overflows numpy's
-                # companion matrix for the disk-cap quartic in build_region.
+                # A curvature whose square is subnormal overflows the
+                # companion matrix of the disk-cap quartic, which
+                # build_region rejects.
                 -data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-2))),
             )
         )
@@ -705,11 +714,11 @@ class TestProjectExactness:
         ctl.solve_step(GridSample(0.0, 50.02, 21.15), state)  # builds the regions
 
         degrees = []
-        roots = np.roots
+        eigvals = np.linalg.eigvals
 
-        def counting_roots(coeffs):
-            degrees.append(len(coeffs) - 1)
-            return roots(coeffs)
+        def counting_eigvals(companion):
+            degrees.append(len(companion))
+            return eigvals(companion)
 
         counts = {"project": 0, "cell": 0}
         original_project, original_cell = optimizer.project, optimizer._project_cell
@@ -722,7 +731,7 @@ class TestProjectExactness:
             counts["cell"] += 1
             return original_cell(*args)
 
-        monkeypatch.setattr(np, "roots", counting_roots)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         monkeypatch.setattr(optimizer, "project", counting_project)
         monkeypatch.setattr(optimizer, "_project_cell", counting_cell)
         # Both gains oversized: the target lies outside every region.

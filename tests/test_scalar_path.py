@@ -1,7 +1,7 @@
 """Source guards: the per-step modules stay pure-Python scalar code (neither
-imports numpy), the line grammars stay in linefmt (no other module imports
-a tokenizer), and the optimizer's set-point tolerance only sets the status
-flags."""
+imports numpy), no module finds roots through ``np.roots``, the line
+grammars stay in linefmt (no other module imports a tokenizer), and the
+optimizer's set-point tolerance only sets the status flags."""
 
 import ast
 from pathlib import Path
@@ -30,6 +30,34 @@ def test_per_step_module_does_not_import_numpy(module):
         name for name in imported_names(PACKAGE / module) if name.split(".")[0] == "numpy"
     ]
     assert numpy_imports == []
+
+
+def numpy_reads(path, attr):
+    """``alias.attr`` reads in the module, alias bound by ``import numpy``,
+    plus ``from numpy import attr``."""
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == attr
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            yield f"{node.value.id}.{attr}:{node.lineno}"
+    yield from (name for name in imported_names(path) if name == f"numpy.{attr}")
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_numpy_roots(module):
+    # poly_real_roots builds the companion matrix np.roots would build.
+    assert list(numpy_reads(PACKAGE / module, "roots")) == []
 
 
 @pytest.mark.parametrize(
