@@ -29,7 +29,7 @@ class LineFormatError(ValueError):
         self.lineno = lineno
 
 
-def tokenize(lines: Iterable[str], origin: str = "<input>") -> Iterator[tuple[int, list[str]]]:
+def tokenize(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_number, tokens)`` for every non-empty, non-comment line."""
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -76,7 +76,7 @@ def read_blocks(
     """
     opener, *args = usage.split()
     header: list[str] | None = None
-    for lineno, tokens in tokenize(lines, origin):
+    for lineno, tokens in tokenize(lines):
         if header is None:
             if tokens[0] != opener or len(tokens) != 1 + len(args):
                 raise error(origin, lineno, f"expected `{usage}`")
@@ -95,7 +95,7 @@ def read_key_values(path: str | Path) -> dict[str, tuple[int, str]]:
     a later line with the same key overrides an earlier one."""
     result: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, tokens in tokenize(fh, str(path)):
+        for lineno, tokens in tokenize(fh):
             if len(tokens) < 2:
                 raise LineFormatError(str(path), lineno, "expected `key value`")
             result[tokens[0]] = (lineno, " ".join(tokens[1:]))

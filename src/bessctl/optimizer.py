@@ -17,23 +17,18 @@ takes the lowest DC envelope with the AC envelope that the last probe's
 predicted voltage selects.
 
 Before it projects anything, a step bounds the voltages any probe can
-predict, and it skips the ranges outside those bounds.  Every probe's p
-lies in the step's battery interval and in the curves' P extent, and its
-|S| is at most the largest disk radius (``capability.power_extent``); a
-projection never leaves its cell, so only a relative 1e-12 slack is added,
-for the ulp by which the polish's disk scaling can overshoot the radius.
-The DC-bus voltage falls monotonically with p and the AC voltage rises
-with |S|, through correctly rounded, hence monotone, float operations; so
-the ends of those intervals bound the voltages, and a range that misses
-them can never agree.  Skipping is exact: the records equal those of the
-loop that probes every range, including k in
-``converged-after-k-switches(k)``.  A skipped AC range counts one probe.
-A skipped DC range counts the probes its inner loop would have made, which
-are known only when a single AC range is reachable (every probe then
-lands in it); otherwise the DC range is probed.  With a single reachable
-AC range the fallback takes it without a last probe.  On the shipped
-curves one range pair is reachable in nearly every step, so a step solves
-one projection instead of three to nine.
+predict.  A projection lies in the region with its p in the narrowed P box
+and its |S| within the disk radius, so every probe's p lies in the step's
+battery interval and in the curves' P extent, and its |S| is at most the
+largest disk radius (``capability.power_extent``), up to a relative 1e-12
+for the ulp by which the polish's disk scaling can overshoot it.  The
+DC-bus voltage falls with p and the AC voltage rises with |S| through
+correctly rounded, hence monotone, float operations; so the ends of those
+intervals bound the voltages.  A range test that the bounds decide, the
+range missing or holding them, needs no projection and gives the probe's
+answer; so the records equal those of the loop that probes every range,
+including k in ``converged-after-k-switches(k)``.  On the shipped curves a
+step solves one projection instead of three to nine.
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
 power interval, one origin-centred disk, up to two concave parabola caps
@@ -59,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from bessctl.battery import (
     BatteryConfig,
@@ -400,12 +395,13 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     """Feasible set-point with least weighted distance to the target.
 
     The better of the two Q-sign cells wins, with ties broken toward the
-    upper (Q >= 0) cell for determinism.  Every point of the cell across
-    Q = 0 from the target costs at least lambda_q * q0^2, because a cell's
-    projection never leaves it, so when the target-side cell, solved first,
-    does better than that (by a relative 1e-12 that absorbs the rounding of
-    the objective) the other cell is not solved.  To skip the upper cell the
-    bound also needs caps_nonneg, so that _polish keeps its points at q >= 0.
+    upper (Q >= 0) cell for determinism.  The cell across Q = 0 from the
+    target costs at least lambda_q * q0^2 while its projection keeps the
+    other sign of q, so when the target-side cell, solved first, does better
+    than that (by a relative 1e-12 that absorbs the rounding of the
+    objective) the other cell is not solved.  _polish keeps lower-cell
+    points at q <= 0, but upper-cell ones at q >= 0 only under caps_nonneg:
+    a cap that crosses Q = 0 inside the P box can pull them just below.
     A target so far from the region (about 1e154) that the square of its
     distance overflows raises ValueError.
     """
@@ -428,6 +424,19 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     if best is None:
         raise RuntimeError("feasible region unexpectedly empty")
     return best[0], best[1]
+
+
+def _in_range(
+    lo: float, hi: float, bounds: tuple[float, float], predict: Callable[[], float]
+) -> bool:
+    """in_half_open(predict(), lo, hi), answered without calling predict when
+    bounds, a closed interval holding its value, lies outside or inside."""
+    v_lo, v_hi = bounds
+    if v_hi <= lo or hi < v_lo:
+        return False
+    if lo < v_lo and v_hi <= hi:
+        return True
+    return in_half_open(predict(), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -480,9 +489,9 @@ class SetpointController:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """Closed (vdc, vac) intervals that hold every probe's predictions.
 
-        A probe never leaves its narrowed cell, so its p lies in
-        [pac_lo, pac_hi] and in the curves' P extent, and its |S| is at most
-        S_max.  Both are widened by a relative 1e-12, which absorbs the ulp
+        A probe's point lies in the region with its p in the narrowed P box,
+        so in [pac_lo, pac_hi] and in the curves' P extent, and its |S| is at
+        most S_max.  Both are widened by a relative 1e-12, which absorbs the ulp
         by which _polish's disk scaling can overshoot the radius.  vdc falls
         and vac rises monotonically with these, also in floating point.
         """
@@ -530,42 +539,28 @@ class SetpointController:
         # Accept the first range pair, in table order, whose probe predicts
         # voltages inside both ranges.  Within a DC range the first AC range
         # that agrees with its probe settles it; when its DC voltage disagrees,
-        # or no AC range agrees, the next DC range is tried.  A range that
-        # misses the step's voltage bounds cannot agree and is not probed,
-        # but counts toward k as if it had been.
-        (vdc_lo, vdc_hi), (vac_lo, vac_hi) = self._voltage_bounds(
-            sample, state, params, pac_lo, pac_hi
-        )
-        ac_reachable = [lo < vac_hi and vac_lo <= hi for lo, hi, _, _ in AC_SELECTION]
-        # With one reachable AC range, every probe's vac lies in it, so the
-        # inner loop would stop there after only_ac + 1 probes.
-        only_ac = ac_reachable.index(True) if ac_reachable.count(True) == 1 else None
+        # or no AC range agrees, the next DC range is tried.
+        vdc_bounds, vac_bounds = self._voltage_bounds(sample, state, params, pac_lo, pac_hi)
         probes = 0
         fallback = False
         for dc_lo, dc_hi, dc_anchor in DC_SELECTION:
-            if only_ac is not None and not (dc_lo < vdc_hi and vdc_lo <= dc_hi):
-                probes += only_ac + 1
-                continue
-            for (ac_lo, ac_hi, ac_anchor, clamped), reachable in zip(AC_SELECTION, ac_reachable):
+            for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
                 probes += 1
-                last = (dc_anchor, ac_anchor)
-                if not reachable:
-                    continue
-                probed = probe(dc_anchor, ac_anchor)
-                if in_half_open(probed.vac, ac_lo, ac_hi):
+                if _in_range(ac_lo, ac_hi, vac_bounds, lambda: probe(dc_anchor, ac_anchor).vac):
                     break
             else:
                 continue
-            if in_half_open(probed.vdc, dc_lo, dc_hi):
+            if _in_range(dc_lo, dc_hi, vdc_bounds, lambda: probe(dc_anchor, ac_anchor).vdc):
+                probed = probe(dc_anchor, ac_anchor)
                 break
         else:
             # No self-consistent range pair: fall back to the most conservative
             # DC envelope, with the AC envelope chosen by the last prediction,
-            # which the lone reachable AC range holds when there is one.
-            if only_ac is not None:
-                _, _, ac_anchor, clamped = AC_SELECTION[only_ac]
-            else:
-                ac_anchor, clamped = select_ac(probe(*last).vac)
+            # which the bounds settle when they lie in one AC range.
+            choice = select_ac(vac_bounds[0])
+            if select_ac(vac_bounds[1]) != choice:
+                choice = select_ac(probe(dc_anchor, ac_anchor).vac)
+            ac_anchor, clamped = choice
             probed = probe(DC_SELECTION[0][2], ac_anchor)
             fallback = True
         p_opt, q_opt = probed.p, probed.q

@@ -106,24 +106,26 @@ def generate_trace(
 
 
 def load_trace(path: str | Path) -> list[GridSample]:
-    """Read a trace CSV with header ``timestamp_s,freq_hz,v_mv_kv``."""
+    """Read a trace CSV with header ``timestamp_s,freq_hz,v_mv_kv``; a bad
+    row raises TraceError naming ``path:line``."""
+    columns = ("timestamp_s", "freq_hz", "v_mv_kv")
     samples: list[GridSample] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"timestamp_s", "freq_hz", "v_mv_kv"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise TraceError(f"{path}: expected header with columns {sorted(required)}")
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+            raise TraceError(f"{path}: expected header with columns {sorted(columns)}")
         for row in reader:
-            samples.append(
-                GridSample(
-                    timestamp=float(row["timestamp_s"]),
-                    freq=float(row["freq_hz"]),
-                    v_mv=float(row["v_mv_kv"]),
-                )
-            )
-    for a, b in zip(samples, samples[1:]):
-        if b.timestamp <= a.timestamp:
-            raise TraceError(f"{path}: timestamps must be strictly increasing")
+            where = f"{path}:{reader.line_num}"
+            cells = [row[key] for key in columns]
+            if None in cells:  # DictReader's filler for the cells a short row lacks
+                raise TraceError(f"{where}: expected {len(columns)} cells")
+            try:
+                sample = GridSample(*map(float, cells))
+            except ValueError as exc:  # a cell that is no number, or an invalid sample
+                raise TraceError(f"{where}: {exc}") from None
+            if samples and sample.timestamp <= samples[-1].timestamp:
+                raise TraceError(f"{where}: timestamps must be strictly increasing")
+            samples.append(sample)
     return samples
 
 

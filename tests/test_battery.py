@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bessctl.battery import (
     BatteryConfig,
@@ -145,6 +146,28 @@ class TestTtcStep:
         with pytest.raises(ValueError):
             ttc_step(TtcState(), 0.0, 0.0, band(bands, 0.5), battery_cfg)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        vc=st.tuples(st.floats(-50.0, 260.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        soc=st.floats(0.11, 0.89),
+        p_dc=st.floats(-1000.0, 1000.0),
+        vdc=st.floats(300.0, 900.0),
+        dt=st.floats(1e-3, 2.0),
+    )
+    def test_half_steps_compose_to_the_full_step(self, bands, vc, soc, p_dc, vdc, dt):
+        cfg = BatteryConfig(c_max_ah=580.0, soc_min=0.1, soc_max=0.9)
+        p = band(bands, soc)
+        state = TtcState(*vc, soc)
+        full = ttc_step(state, p_dc, vdc, p, cfg, dt=dt)
+        half = ttc_step(state, p_dc, vdc, p, cfg, dt=0.5 * dt)
+        half2 = ttc_step(half, p_dc, vdc, p, cfg, dt=0.5 * dt)
+        i_dc = p_dc * 1000.0 / vdc
+        for r, before, a, b in zip(
+            (p.r1, p.r2, p.r3), vc, (half2.vc1, half2.vc2, half2.vc3), (full.vc1, full.vc2, full.vc3)
+        ):
+            assert a == pytest.approx(b, rel=0.0, abs=1e-12 * max(1.0, abs(before), abs(r * i_dc)))
+        assert half2.soc == pytest.approx(full.soc, rel=0.0, abs=1e-12)
+
 
 class TestSolveVdc:
     def test_zero_power_equals_open_circuit_voltage(self, bands):
@@ -168,7 +191,6 @@ class TestSolveVdc:
             solve_vdc(e * e / (4.0 * p.rs) / 1000.0 * 1.001, state, p)
 
     def test_residual_and_monotonicity(self, bands):
-        rng = np.random.default_rng(11)
         p = band(bands, 0.5)
         prev = None
         for p_dc in np.linspace(-1500.0, 4000.0, 300):
@@ -180,7 +202,28 @@ class TestSolveVdc:
             if prev is not None:
                 assert vdc < prev
             prev = vdc
-        del rng
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        vc=st.tuples(st.floats(-50.0, 260.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        soc=st.floats(0.0, 1.0),
+    )
+    def test_non_increasing_in_power_up_to_the_maximum_power_point(self, bands, data, vc, soc):
+        # vdc_range and the controller's range tests read solve_vdc's ends as
+        # bounds, which needs monotonicity in floating point, not just in R.
+        p = band(bands, soc)
+        state = TtcState(*vc, soc)
+        drive = open_circuit_voltage(soc, p) - state.vc_sum
+        assume(drive > 0.0)
+        p_mpp = drive * drive / (4.0 * p.rs) / 1000.0
+        while drive * drive - 4.0 * p_mpp * 1000.0 * p.rs < 0:
+            p_mpp = math.nextafter(p_mpp, 0.0)
+        lo = data.draw(st.floats(-2.0 * p_mpp, p_mpp))
+        hi = data.draw(
+            st.one_of(st.just(min(math.nextafter(lo, math.inf), p_mpp)), st.floats(lo, p_mpp))
+        )
+        assert solve_vdc(lo, state, p) >= solve_vdc(hi, state, p)
 
 
 class TestVdcRange:

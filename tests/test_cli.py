@@ -134,6 +134,26 @@ def test_run_duration_longer_than_trace_fails(tmp_path):
     assert "trace has 5 samples" in result.output
 
 
+def test_run_with_short_trace_row_names_its_line(tmp_path):
+    trace_csv = tmp_path / "trace.csv"
+    trace_csv.write_text("timestamp_s,freq_hz,v_mv_kv\n0,50.0,21.192\n1,50.01\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        [
+            "run",
+            "--scenario",
+            str(short_scenario(tmp_path)),
+            "--trace",
+            str(trace_csv),
+            "--out",
+            str(tmp_path / "out"),
+        ],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {trace_csv}:3: expected 3 cells\n" in result.output
+
+
 def test_metrics_on_missing_file_fails():
     runner = CliRunner()
     result = runner.invoke(main, ["metrics", "--records", "/nonexistent.csv"])

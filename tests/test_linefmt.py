@@ -14,7 +14,7 @@ from bessctl.linefmt import (
 
 def test_tokenize_skips_blanks_and_comments():
     lines = ["# header", "", "  a 1  # trailing", "b 2"]
-    out = list(tokenize(lines, "doc"))
+    out = list(tokenize(lines))
     assert out == [(3, ["a", "1"]), (4, ["b", "2"])]
 
 

@@ -428,6 +428,21 @@ DIPPING = CapabilityCurve(
 )
 
 
+#: An envelope whose cap crosses Q = 0 at p = sqrt(1e5) inside its P box.
+CROSSING = CapabilityCurve(
+    "crossing",
+    600.0,
+    300.0,
+    (PMin(-500.0), PMax(500.0), Disk(700.0), ParabolaCap(100.0, 0.0, -1e-3)),
+)
+CROSSING_CORNER = (316.2277660168379, 0.0)
+#: Offsets from CROSSING_CORNER large enough for a polished upper-cell point
+#: to land below Q = 0.
+CROSSING_DELTA = st.builds(
+    math.copysign, st.floats(1e-8, 1e-7), st.sampled_from([-1.0, 1.0])
+)
+
+
 def numpy_real_roots(coeffs):
     """Polynomial roots polished with np.polyval/np.polyder, the reference
     for the scalar Horner polish of capability.poly_real_roots."""
@@ -698,6 +713,41 @@ class TestProjectExactness:
         p, q = project(prob)
         assert (p, q) == reference_project(prob)
         assert region.lower_cell.violation(p, q) <= 0.0
+
+    def test_crossing_cap_pulls_an_upper_cell_point_below_q_zero(self):
+        # The upper cell's result is not in the upper cell: _polish takes the
+        # cap's min after clamping q to 0, and the cap is negative there.
+        region = build_region([CROSSING], 1.0)
+        p0, q0 = 316.22776606933996, 8.098510160219618e-08
+        p, q, _ = optimizer._project_cell(region.upper_cell, p0, q0, 1.0, 1.0)
+        assert q < 0.0
+        assert (p, q) == project(problem(region, (p0, q0)))
+        assert region.lower_cell.violation(p, q) <= 0.0
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        dp=CROSSING_DELTA,
+        dq=CROSSING_DELTA,
+        weights=st.one_of(
+            st.sampled_from([(1.0, 1.0), (1.0, 9.0), (25.0, 1.0), (1.0, 0.0), (0.0, 1.0)]),
+            weights_st,
+        ),
+        p_min=p_min_st,
+        p_max=st.one_of(p_max_st, st.floats(316.0, 316.3)),
+    )
+    def test_result_near_a_crossing_cap_keeps_the_bounds_invariants(
+        self, dp, dq, weights, p_min, p_max
+    ):
+        # What _voltage_bounds relies on: the point is in the region, its p
+        # in the narrowed P box, and its |S| within the disk radius.
+        region = build_region([CROSSING], 1.0)
+        target = (CROSSING_CORNER[0] + dp, CROSSING_CORNER[1] + dq)
+        p, q = project(problem(region, target, weights, (p_min, p_max)))
+        cells = [optimizer._narrowed(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
+        assert region.contains(p, q)
+        assert min(cell.violation(p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
+        assert max(p_min, -500.0) <= p <= min(p_max, 500.0)
+        assert math.hypot(p, q) <= 700.0 * (1.0 + 1e-12)
 
     def test_clipped_step_solves_no_quartic_and_one_cell(
         self, controller_cfg, curve_map, bands, monkeypatch

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestGenerateTrace:
             "timestamp_s,freq_hz,v_mv_kv\n0.0,50.0,21.0\n1.0,50.01,nan\n", encoding="utf-8"
         )
         with pytest.raises(ValueError, match="v_mv"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            pytest.param("1.0,50.01", "expected 3 cells", id="short-row"),
+            pytest.param("1.0,fifty,21.0", "could not convert string to float: 'fifty'", id="not-a-number"),
+            pytest.param("1.0,60.0,21.0", r"frequency 60.0 Hz outside", id="60-hz"),
+            pytest.param("0.0,50.0,21.0", "timestamps must be strictly increasing", id="repeat"),
+        ],
+    )
+    def test_bad_row_names_its_file_and_line(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"timestamp_s,freq_hz,v_mv_kv\n0.0,50.0,21.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=f"^{re.escape(str(path))}:3: {match}"):
             load_trace(path)
 
     def test_gen_spec_parsing(self):
