@@ -196,23 +196,6 @@ def solve_vdc(p_dc_kw: float, state: TtcState, params: TtcParams) -> float:
     return 0.5 * (drive + math.sqrt(disc))
 
 
-def vdc_range(
-    pdc_lo_kw: float, pdc_hi_kw: float, state: TtcState, params: TtcParams
-) -> tuple[float, float]:
-    """Bus voltages (lowest, highest) that solve_vdc gives on [pdc_lo_kw, pdc_hi_kw].
-
-    solve_vdc falls with the power through correctly rounded operations
-    only, so it is monotone in floating point too and the ends of the power
-    interval give the ends of the voltage interval.  A pdc_hi_kw beyond the
-    maximum power point gives the MPP voltage drive/2 instead of raising.
-    """
-    vdc_hi = solve_vdc(pdc_lo_kw, state, params)
-    try:
-        return solve_vdc(pdc_hi_kw, state, params), vdc_hi
-    except InfeasiblePowerError:
-        return 0.5 * (open_circuit_voltage(state.soc, params) - state.vc_sum), vdc_hi
-
-
 def soc_update(
     soc: float, p_dc_kw: float, vdc: float, cfg: BatteryConfig, dt: float | None = None
 ) -> float:
@@ -274,15 +257,23 @@ def dc_power_bounds(
     vdc_min; the charge side symmetrically by soc_max and vdc_max.  A SOC
     already at a limit degenerates that side to 0.  The vdc terms are the
     closed-form powers at vdc_min and vdc_max, stepped toward 0 one float
-    at a time until solve_vdc puts them inside the window.
+    at a time until solve_vdc puts them inside the window.  The maximum
+    power point is stepped likewise until solve_vdc accepts both it and
+    ``dc_from_ac(ac_from_dc(it, eta), eta)``, which rounding can put an ulp
+    above it; so every AC power up to ``ac_from_dc(p_dc_max, eta)`` maps
+    back to a DC power that has a bus voltage.
     """
     drive = open_circuit_voltage(state.soc, params) - state.vc_sum
     if drive <= 0:
         raise InfeasiblePowerError("branch voltages exceed the open-circuit voltage")
 
     p_mpp = drive * drive / (4.0 * params.rs) / 1000.0
-    # Guard the knife edge: make sure the discriminant at the bound is >= 0.
-    while drive * drive - 4.0 * p_mpp * 1000.0 * params.rs < 0:
+    # Guard the knife edge: make sure the discriminant is >= 0 at the bound
+    # and at the DC power of its AC image.
+    while True:
+        p_top = max(p_mpp, dc_from_ac(ac_from_dc(p_mpp, cfg.eta), cfg.eta))
+        if drive * drive - 4.0 * p_top * 1000.0 * params.rs >= 0:
+            break
         p_mpp = math.nextafter(p_mpp, 0.0)
 
     i_mpp = drive / (2.0 * params.rs)

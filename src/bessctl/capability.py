@@ -447,25 +447,6 @@ def build_region(curves: Sequence[CapabilityCurve], shrink: float) -> FeasibleRe
     )
 
 
-def power_extent(curves: Iterable[CapabilityCurve], shrink: float) -> tuple[float, float, float]:
-    """(P_min, P_max, S_max) bounding every region built from the curves at shrink.
-
-    A region's cell lies inside the same cell of each of its curves, built
-    here as ``build_region`` builds it, so inside that cell's P box and disk.
-    The extent is the union over the curves' cells; S_max is inf when a cell
-    of some curve has no disk.
-    """
-    p_min = p_max = s_max = 0.0
-    for curve in curves:
-        for upper in (True, False):
-            cell = _scaled_cell(_cell_atoms([curve], upper), shrink, upper)
-            r = math.inf if cell.r is None else cell.r
-            p_min = min(p_min, max(cell.p_lo, -r))
-            p_max = max(p_max, min(cell.p_hi, r))
-            s_max = max(s_max, r)
-    return p_min, p_max, s_max
-
-
 #: Curve-file atom keyword -> (atom constructor, number of coefficients).
 #: A disk line may name its sector after the radius.
 _ATOM_KINDS = {

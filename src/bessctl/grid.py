@@ -57,6 +57,10 @@ class DroopConfig:
     def __post_init__(self) -> None:
         if not (0 < self.alpha0 < math.inf and 0 < self.beta0 < math.inf):
             raise ValueError("droop gains must be positive and finite")
+        if not math.isfinite(self.f_ref):
+            raise ValueError(f"f_ref must be finite, got {self.f_ref}")
+        if not 0 < self.v_ref < math.inf:
+            raise ValueError(f"v_ref must be positive and finite, got {self.v_ref}")
         if not (math.isfinite(self.lambda_p) and math.isfinite(self.lambda_q)):
             raise ValueError("weights must be finite")
         if self.lambda_p < 0 or self.lambda_q < 0 or self.lambda_p + self.lambda_q == 0:

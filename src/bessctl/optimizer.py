@@ -19,12 +19,12 @@ predicted voltage selects.
 Before it projects anything, a step bounds the voltages any probe can
 predict.  A projection lies in the region with its p in the narrowed P box
 and its |S| within the disk radius, so every probe's p lies in the step's
-battery interval and in the curves' P extent, and its |S| is at most the
-largest disk radius (``capability.power_extent``), up to a relative 1e-12
-for the ulp by which the polish's disk scaling can overshoot it.  The
-DC-bus voltage falls with p and the AC voltage rises with |S| through
-correctly rounded, hence monotone, float operations; so the ends of those
-intervals bound the voltages.  A range test that the bounds decide, the
+battery interval and in the P extent of the controller's regions, and its
+|S| is at most their largest disk radius, up to a relative 1e-12 for the
+ulp by which the polish's disk scaling can overshoot it.  The DC-bus
+voltage falls with p and the AC voltage rises with |S| through correctly
+rounded, hence monotone, float operations; so the ends of those intervals
+bound the voltages.  A range test that the bounds decide, the
 range missing or holding them, needs no projection and gives the probe's
 answer; so the records equal those of the loop that probes every range,
 including k in ``converged-after-k-switches(k)``.  On the shipped curves a
@@ -45,7 +45,8 @@ goes through numpy, as one ``eigvals`` call on its companion matrix, with a
 scalar Newton polish.  The cell across Q = 0 from the target is solved only
 when it could still win.
 
-A controller instance holds immutable configuration only; the evolving
+A controller builds the region of every selection-table pair once, when
+it is constructed, and holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
 scenario sweeps concurrently.
 """
@@ -66,7 +67,6 @@ from bessctl.battery import (
     params_for_soc,
     solve_vdc,
     ttc_step,
-    vdc_range,
 )
 from bessctl.capability import (
     AC_SELECTION,
@@ -78,7 +78,6 @@ from bessctl.capability import (
     build_region,
     in_half_open,
     poly_real_roots,
-    power_extent,
     quad_roots,
     select_ac,
 )
@@ -454,7 +453,14 @@ class ControllerConfig:
 
 
 class SetpointController:
-    """Sequential per-step solver; holds immutable configuration only."""
+    """Sequential per-step solver; holds immutable configuration only.
+
+    The region of every (DC anchor, AC anchor) pair of the selection tables
+    whose curves were supplied is built here, with the regions' power extent
+    (P_min, P_max, S_max): the P range and the largest |S| of their cells'
+    boxes and disks, S_max being inf when a cell has no disk.  A step that
+    probes a pair whose curve is missing raises KeyError.
+    """
 
     def __init__(
         self,
@@ -465,19 +471,20 @@ class SetpointController:
         self.cfg = cfg
         self.curves = dict(curves)
         self.bands = tuple(bands)
-        self._regions: dict[tuple[Anchor, Anchor | None], FeasibleRegion] = {}
-        self._extent = power_extent(self.curves.values(), cfg.shrink)
-
-    def _region(self, dc_anchor: Anchor, ac_anchor: Anchor | None) -> FeasibleRegion:
-        key = (dc_anchor, ac_anchor)
-        region = self._regions.get(key)
-        if region is None:
-            selected = [self.curves[dc_anchor]]
-            if ac_anchor is not None:
-                selected.append(self.curves[ac_anchor])
-            region = build_region(selected, self.cfg.shrink)
-            self._regions[key] = region
-        return region
+        self._regions: dict[tuple[Anchor, Anchor | None], FeasibleRegion] = {
+            (dc, ac): build_region([self.curves[a] for a in (dc, ac) if a is not None], cfg.shrink)
+            for _, _, dc in DC_SELECTION
+            for _, _, ac, _ in AC_SELECTION
+            if dc in self.curves and (ac is None or ac in self.curves)
+        }
+        p_min = p_max = s_max = 0.0
+        for region in self._regions.values():
+            for cell in (region.upper_cell, region.lower_cell):
+                r = math.inf if cell.r is None else cell.r
+                p_min = min(p_min, max(cell.p_lo, -r))
+                p_max = max(p_max, min(cell.p_hi, r))
+                s_max = max(s_max, r)
+        self._extent = (p_min, p_max, s_max)
 
     def _voltage_bounds(
         self,
@@ -489,23 +496,25 @@ class SetpointController:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """Closed (vdc, vac) intervals that hold every probe's predictions.
 
-        A probe's point lies in the region with its p in the narrowed P box,
-        so in [pac_lo, pac_hi] and in the curves' P extent, and its |S| is at
-        most S_max.  Both are widened by a relative 1e-12, which absorbs the ulp
-        by which _polish's disk scaling can overshoot the radius.  vdc falls
-        and vac rises monotonically with these, also in floating point.
+        A probe's point lies in its region with its p in the narrowed P box,
+        so in [pac_lo, pac_hi] and in the regions' P extent, and its |S| is
+        at most S_max.  The extent is widened by a relative 1e-12, which
+        absorbs the ulp by which _polish's disk scaling can overshoot the
+        radius; [pac_lo, pac_hi] is not, as no probe leaves it, and
+        dc_power_bounds makes the DC power of pac_hi one solve_vdc accepts.
+        vdc falls and vac rises monotonically with these, also in floating
+        point.
         """
         p_min, p_max, s_max = self._extent
-        p_lo = max(pac_lo, p_min)
-        p_hi = min(pac_hi, p_max)
-        p_lo -= 1e-12 * abs(p_lo)
-        p_hi += 1e-12 * abs(p_hi)
+        p_lo = max(pac_lo, p_min + 1e-12 * p_min)
+        p_hi = min(pac_hi, p_max + 1e-12 * p_max)
         s_hi = s_max + 1e-12 * s_max
         eta = self.cfg.battery.eta
-        vdc = vdc_range(dc_from_ac(p_lo, eta), dc_from_ac(p_hi, eta), state, params)
+        vdc_lo = solve_vdc(dc_from_ac(p_hi, eta), state, params)
+        vdc_hi = solve_vdc(dc_from_ac(p_lo, eta), state, params)
         xf = self.cfg.transformer
         vac_hi = predict_vac(sample, s_hi, 0.0, xf) if s_hi < math.inf else math.inf
-        return vdc, (predict_vac(sample, 0.0, 0.0, xf), vac_hi)
+        return (vdc_lo, vdc_hi), (predict_vac(sample, 0.0, 0.0, xf), vac_hi)
 
     def solve_step(self, sample: GridSample, state: TtcState) -> tuple[ControlRecord, TtcState]:
         """One full control iteration: droop target, assumption loop, state advance."""
@@ -528,7 +537,7 @@ class SetpointController:
             key = (dc_anchor, ac_anchor)
             found = memo.get(key)
             if found is None:
-                region = self._region(dc_anchor, ac_anchor)
+                region = self._regions[key]
                 p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
                 p_dc = dc_from_ac(p, eta)
                 vdc = solve_vdc(p_dc, state, params)

@@ -141,7 +141,7 @@ def parse_gen_spec(spec: str) -> dict[str, float]:
     """Parse a ``gen:key=value,...`` generator spec into generate_trace arguments.
 
     ``sigma_f`` and ``sigma_v`` are required; ``n`` and ``seed``, when given,
-    must be finite integers and are returned as ints.
+    must be finite integers, ``seed`` nonnegative, and are returned as ints.
     """
     if not spec.startswith("gen:"):
         raise TraceError(f"not a generator spec: {spec!r}")
@@ -155,16 +155,20 @@ def parse_gen_spec(spec: str) -> dict[str, float]:
                 raise TraceError(f"bad generator spec item {item!r}")
             if key in kwargs:
                 raise TraceError(f"generator spec repeats key {key!r}")
-            kwargs[key] = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                raise TraceError(f"generator spec item {item!r} is no number") from None
+            if key in ("n", "seed"):
+                if not number.is_integer():
+                    raise TraceError(f"generator spec {key} must be a finite integer, got {number}")
+                if key == "seed" and number < 0:
+                    raise TraceError(f"generator spec item {item!r}: seed must be nonnegative")
+                number = int(number)
+            kwargs[key] = number
     missing = sorted({"sigma_f", "sigma_v"} - set(kwargs))
     if missing:
         raise TraceError(f"generator spec {spec!r} is missing required keys {missing}")
-    for key in ("n", "seed"):
-        if key in kwargs:
-            value = kwargs[key]
-            if not value.is_integer():
-                raise TraceError(f"generator spec {key} must be a finite integer, got {value}")
-            kwargs[key] = int(value)
     return kwargs
 
 

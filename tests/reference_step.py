@@ -14,7 +14,13 @@ from bessctl.battery import (
     solve_vdc,
     ttc_step,
 )
-from bessctl.capability import AC_SELECTION, DC_SELECTION, in_half_open, select_ac
+from bessctl.capability import (
+    AC_SELECTION,
+    DC_SELECTION,
+    build_region,
+    in_half_open,
+    select_ac,
+)
 from bessctl.grid import droop_targets, optimal_droops, predict_vac
 from bessctl.optimizer import (
     STATUS_CLAMP,
@@ -49,7 +55,8 @@ def reference_solve_step(ctl, sample, state):
     def probe(dc_anchor, ac_anchor):
         key = (dc_anchor, ac_anchor)
         if key not in memo:
-            region = ctl._region(dc_anchor, ac_anchor)
+            anchors = [dc_anchor] + ([ac_anchor] if ac_anchor is not None else [])
+            region = build_region([ctl.curves[a] for a in anchors], cfg.shrink)
             p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
             p_dc = dc_from_ac(p, eta)
             vdc = solve_vdc(p_dc, state, params)

@@ -22,7 +22,6 @@ from bessctl.battery import (
     solve_vdc,
     ttc_step,
     validate_bands,
-    vdc_range,
 )
 from bessctl.linefmt import LineFormatError
 
@@ -210,8 +209,9 @@ class TestSolveVdc:
         soc=st.floats(0.0, 1.0),
     )
     def test_non_increasing_in_power_up_to_the_maximum_power_point(self, bands, data, vc, soc):
-        # vdc_range and the controller's range tests read solve_vdc's ends as
-        # bounds, which needs monotonicity in floating point, not just in R.
+        # The controller's range tests read solve_vdc at the ends of a power
+        # interval as bounds, which needs monotonicity in floating point, not
+        # just in R.
         p = band(bands, soc)
         state = TtcState(*vc, soc)
         drive = open_circuit_voltage(soc, p) - state.vc_sum
@@ -224,25 +224,6 @@ class TestSolveVdc:
             st.one_of(st.just(min(math.nextafter(lo, math.inf), p_mpp)), st.floats(lo, p_mpp))
         )
         assert solve_vdc(lo, state, p) >= solve_vdc(hi, state, p)
-
-
-class TestVdcRange:
-    def test_ends_are_solve_vdc_at_the_power_ends(self, bands):
-        p = band(bands, 0.5)
-        state = TtcState(10.0, 1.0, 0.1, 0.5)
-        assert vdc_range(-300.0, 400.0, state, p) == (
-            solve_vdc(400.0, state, p),
-            solve_vdc(-300.0, state, p),
-        )
-
-    def test_beyond_maximum_power_gives_the_mpp_voltage(self, bands):
-        p = band(bands, 0.5)
-        state = TtcState(10.0, 0.0, 0.0, 0.5)
-        drive = open_circuit_voltage(0.5, p) - 10.0
-        p_mpp = drive * drive / (4.0 * p.rs) / 1000.0
-        vdc_lo, vdc_hi = vdc_range(0.0, 2.0 * p_mpp, state, p)
-        assert vdc_lo == 0.5 * drive
-        assert vdc_hi == solve_vdc(0.0, state, p)
 
 
 class TestPowerConversion:
@@ -340,6 +321,25 @@ class TestDcPowerBounds:
                 solve_vdc(p_min + frac * (p_max - p_min), state, p)
                 new_soc = soc_update(soc, p_max * frac, solve_vdc(p_max * frac, state, p), battery_cfg)
                 assert battery_cfg.soc_min - 1e-9 <= new_soc <= battery_cfg.soc_max + 1e-9
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        vc=st.tuples(st.floats(-50.0, 700.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        soc=st.floats(0.0, 1.0),
+        eta=st.floats(0.5, 1.0),
+        vdc_min=st.floats(1.0, 400.0),
+    )
+    def test_discharge_bound_round_trips_through_ac(self, bands, vc, soc, eta, vdc_min):
+        # With vdc_min below drive/2 the maximum power point caps discharge.
+        # A step clipped there runs the bound's AC image back through
+        # dc_from_ac, which rounding can put an ulp past the bound.
+        p = band(bands, soc)
+        state = TtcState(*vc, soc)
+        assume(vdc_min < 0.5 * (open_circuit_voltage(soc, p) - state.vc_sum))
+        cfg = BatteryConfig(c_max_ah=1e6, eta=eta, vdc_min=vdc_min)
+        _, p_dc_max = dc_power_bounds(state, p, cfg)
+        solve_vdc(p_dc_max, state, p)
+        solve_vdc(dc_from_ac(ac_from_dc(p_dc_max, eta), eta), state, p)
 
 
 class TestValidation:

@@ -25,7 +25,6 @@ from bessctl.capability import (
     index_curves,
     parse_curves,
     poly_real_roots,
-    power_extent,
     select_ac,
 )
 
@@ -304,30 +303,6 @@ class TestRegionCells:
         violation = min(cell.violation(p, q) for cell, side in sides if side)
         assume(abs(violation) > 1e-6)
         assert (violation <= 0) == region.contains(p, q)
-
-
-class TestPowerExtent:
-    def test_shipped_curves(self, curves):
-        assert power_extent(curves, SHRINK) == (
-            -681.89 * SHRINK,
-            682.45 * SHRINK,
-            794.34 * SHRINK,
-        )
-
-    def test_a_cell_without_disk_leaves_s_unbounded(self):
-        upper_only = CapabilityCurve("u", 600.0, 300.0, (PMax(500.0), Disk(700.0, "upperQ")))
-        assert power_extent([upper_only], 0.5) == (-math.inf, 250.0, math.inf)
-        lower_disk = CapabilityCurve("l", 550.0, 300.0, (Disk(600.0, "lowerQ"), Disk(650.0)))
-        assert power_extent([lower_disk], 1.0) == (-650.0, 650.0, 650.0)
-
-    @pytest.mark.parametrize("shrink", [1.0, SHRINK, 0.3])
-    def test_every_region_cell_lies_inside(self, curves, curve_map, shrink):
-        p_min, p_max, s_max = power_extent(curves, shrink)
-        for anchors in REGION_ANCHORS:
-            region = region_for(curve_map, anchors, shrink)
-            for cell in (region.upper_cell, region.lower_cell):
-                assert p_min <= max(cell.p_lo, -cell.r) and min(cell.p_hi, cell.r) <= p_max
-                assert cell.r <= s_max
 
 
 class TestRegionProperties:

@@ -115,10 +115,30 @@ class TestPresetGainSizing:
 
 class TestDroopConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["lambda_p", "lambda_q", "alpha0", "beta0"])
+    @pytest.mark.parametrize("field", ["lambda_p", "lambda_q", "alpha0", "beta0", "f_ref", "v_ref"])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError):
             cfg(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_v_ref_rejected(self, value):
+        with pytest.raises(ValueError, match="^v_ref must be positive and finite"):
+            cfg(v_ref=value)
+
+    @pytest.mark.parametrize(
+        "line, bad, match",
+        [("f_ref_hz 50.0", "f_ref_hz nan", "f_ref"), ("v_ref_kv 21.192", "v_ref_kv -1", "v_ref")],
+        ids=["f_ref-nan", "v_ref-negative"],
+    )
+    def test_bad_reference_from_scenario_file_rejected(self, tmp_path, line, bad, match):
+        from bessctl.simctl import builtin_scenario_path, load_run_config
+
+        text = builtin_scenario_path("scenario1").read_text("utf-8")
+        assert line in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(line, bad), "utf-8")
+        with pytest.raises(ValueError, match=f"^{match} must be"):
+            load_run_config(path)
 
     def test_nan_weight_from_scenario_file_rejected(self, tmp_path):
         from bessctl.simctl import builtin_scenario_path, load_run_config

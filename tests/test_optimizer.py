@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import re
 
@@ -27,7 +29,6 @@ from bessctl.capability import (
     PMin,
     QMax,
     build_region,
-    power_extent,
 )
 from bessctl.grid import DroopConfig, GridSample, TransformerParams
 from bessctl.optimizer import (
@@ -40,6 +41,7 @@ from bessctl.optimizer import (
     SetpointController,
     project,
 )
+from bessctl.simctl import builtin_scenario_path, load_run_config, run_scenario
 
 from oracles import direct_feasible, running_best_cell
 from reference_step import reference_solve_step
@@ -355,6 +357,48 @@ class TestSolveStep:
         record, _ = ctl.solve_step(sample, state)
         assert any(flag.endswith(status) for flag in record.status), record.status
         assert calls["n"] == 1
+
+    def test_step_builds_no_region_and_leaves_the_controller_unchanged(
+        self, controller_cfg, curve_map, bands, monkeypatch
+    ):
+        ctl = self.make_controller(controller_cfg, curve_map, bands)
+        before = {name: copy.copy(value) for name, value in vars(ctl).items()}
+
+        def no_build(*args):
+            raise AssertionError("solve_step built a region")
+
+        monkeypatch.setattr(optimizer, "build_region", no_build)
+        fresh, degraded = TtcState(0.0, 0.0, 0.0, 0.5), TtcState(200.0, 0.0, 0.0, 0.5)
+        for sample, state in [
+            (GridSample(0.0, 50.0, 21.192), fresh),
+            (GridSample(1.0, 49.95, 18.5), fresh),
+            (GridSample(2.0, 50.03, 24.5), fresh),
+            (GridSample(3.0, 50.01, 21.192), degraded),
+        ]:
+            ctl.solve_step(sample, state)
+        assert vars(ctl) == before
+
+    def test_curves_without_500_330_run_scenario1(self, curve_map, bands):
+        scenario, cfg = load_run_config(builtin_scenario_path("scenario1"))
+        curves = {a: c for a, c in curve_map.items() if a != (500.0, 330.0)}
+        records, _ = run_scenario(scenario, cfg, curves, bands)
+        assert len(records) == 300
+        # A step that has to probe a pair whose curve is missing fails.
+        ctl = SetpointController(cfg, curves, bands)
+        with pytest.raises(KeyError):
+            ctl.solve_step(GridSample(0.0, 50.0, 24.5), TtcState(0.0, 0.0, 0.0, 0.5))
+
+    def test_step_clipped_at_the_maximum_power_point_completes(self, curve_map, bands):
+        # vdc_min below drive/2, so the discharge bound is the maximum power
+        # point; its AC image once mapped back to a DC power past it.
+        battery = BatteryConfig(c_max_ah=1e6, eta=0.9, vdc_min=10.0)
+        droop = DroopConfig(30000.0, 8.39)
+        cfg = ControllerConfig(droop, battery, TransformerParams.from_nameplate(), 1.0)
+        ctl = SetpointController(cfg, curve_map, bands)
+        state = TtcState(515.4774991288954, 0.0, 0.0, 0.7425210625086651)
+        record, _ = ctl.solve_step(GridSample(0.0, 49.9, 21.192), state)
+        _, pdc_hi = dc_power_bounds(state, params_for_soc(state.soc, bands), battery)
+        assert record.p_opt == ac_from_dc(pdc_hi, battery.eta) < record.p_target
 
     def test_dc_bounds_respected_through_efficiency(self, controller_cfg, curve_map, bands):
         # Tiny capacity and 1 h steps make the SOC constraint bite hard.
@@ -799,9 +843,10 @@ class TestProjectExactness:
         assert counts["cell"] == counts["project"] >= 1
 
 
-#: The shipped 500/330 envelope without its disk, so that S_max is inf.
-NO_DISK_330 = CapabilityCurve(
-    "no_disk", 500.0, 330.0, (PMin(-679.21), PMax(681.06), QMax(38.47))
+#: The shipped 600/300 envelope without its disks, so that the region of
+#: 600/300 alone has no disk and S_max is inf.
+NO_DISK_600 = CapabilityCurve(
+    "no_disk", 600.0, 300.0, (PMin(-681.89), PMax(678.71), QMax(657.1))
 )
 
 #: The same envelope at every anchor, with a disk that binds, so that a
@@ -826,14 +871,14 @@ EDGE_DELTA = st.one_of(st.floats(-2e-9, 2e-9), st.sampled_from([0.6e-9, 0.9e-9, 
 def draw_step(data, curve_map, bands):
     """A controller, sample and state.  The droop target is random, or just
     past an end of the step's P interval (where a battery bound or the
-    curves' P extent binds), or just outside the disk of ONE_DISK, which
+    regions' P extent binds), or just outside the disk of ONE_DISK, which
     sets S_max."""
     mode = data.draw(st.sampled_from(["random", "p-edge", "s-edge"]))
     if mode == "s-edge":
         curves = ONE_DISK
     else:
         curves = data.draw(
-            st.sampled_from([curve_map, {**curve_map, (500.0, 330.0): NO_DISK_330}, ONE_DISK])
+            st.sampled_from([curve_map, {**curve_map, (600.0, 300.0): NO_DISK_600}, ONE_DISK])
         )
     wp, wq = data.draw(STEP_WEIGHTS)
     shrink = data.draw(st.floats(1e-3, 1.0))
@@ -846,7 +891,7 @@ def draw_step(data, curve_map, bands):
         data.draw(st.floats(-5.0, 5.0)),
         data.draw(st.floats(0.1, 0.9)),
     )
-    p_min, p_max, s_max = power_extent(curves.values(), shrink)
+    p_min, p_max, s_max = ctl._extent
     if mode == "random":
         freq = data.draw(st.floats(49.9, 50.1))
         return ctl, GridSample(0.0, freq, data.draw(st.floats(17.5, 24.5))), state
@@ -892,3 +937,46 @@ class TestPrunedAssumptionLoop:
         for probe in probes:
             assert vdc_lo <= probe.vdc <= vdc_hi, probe
             assert vac_lo <= probe.vac <= vac_hi, probe
+
+
+class TestPowerExtent:
+    """The controller's (P_min, P_max, S_max) over the cells of its regions."""
+
+    @staticmethod
+    def extent(controller_cfg, curves, bands, shrink):
+        cfg = dataclasses.replace(controller_cfg, shrink=shrink)
+        return SetpointController(cfg, curves, bands)._extent
+
+    def test_shipped_curves(self, controller_cfg, curve_map, bands):
+        # The 794.34 disk of 500/330 is always cut by a DC envelope's disk.
+        shrink = 7.0 / 9.0
+        assert self.extent(controller_cfg, curve_map, bands, shrink) == (
+            -681.89 * shrink,
+            682.45 * shrink,
+            723.03 * shrink,
+        )
+
+    def test_a_cell_without_disk_leaves_s_unbounded(self, controller_cfg, bands):
+        upper_only = CapabilityCurve("u", 600.0, 300.0, (PMax(500.0), Disk(700.0, "upperQ")))
+        assert self.extent(controller_cfg, {upper_only.anchor: upper_only}, bands, 0.5) == (
+            -math.inf,
+            250.0,
+            math.inf,
+        )
+        lower_disk = CapabilityCurve("l", 550.0, 300.0, (Disk(600.0, "lowerQ"), Disk(650.0)))
+        assert self.extent(controller_cfg, {lower_disk.anchor: lower_disk}, bands, 1.0) == (
+            -650.0,
+            650.0,
+            650.0,
+        )
+
+    @pytest.mark.parametrize("shrink", [1.0, 7.0 / 9.0, 0.3])
+    def test_every_region_cell_lies_inside(self, controller_cfg, curve_map, bands, shrink):
+        p_min, p_max, s_max = self.extent(controller_cfg, curve_map, bands, shrink)
+        for _, _, dc in DC_SELECTION:
+            for _, _, ac, _ in AC_SELECTION:
+                anchors = [dc] + ([ac] if ac is not None else [])
+                region = build_region([curve_map[a] for a in anchors], shrink)
+                for cell in (region.upper_cell, region.lower_cell):
+                    assert p_min <= max(cell.p_lo, -cell.r) and min(cell.p_hi, cell.r) <= p_max
+                    assert cell.r <= s_max

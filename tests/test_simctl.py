@@ -109,6 +109,10 @@ class TestGenerateTrace:
             pytest.param("gen:sigma_f=0.01,n=10", r"keys \['sigma_v'\]", id="no-sigma_v"),
             pytest.param("gen:", r"keys \['sigma_f', 'sigma_v'\]", id="empty"),
             pytest.param(f"{SIGMAS},n=3,n=4", "repeats key 'n'", id="n-twice"),
+            pytest.param(
+                "gen:sigma_f=abc,sigma_v=1", "item 'sigma_f=abc' is no number", id="sigma_f-abc"
+            ),
+            pytest.param(f"{SIGMAS},seed=-1", "item 'seed=-1': seed must be nonneg", id="seed-neg"),
         ],
     )
     def test_bad_gen_spec_rejected(self, spec, match):
