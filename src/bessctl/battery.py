@@ -8,9 +8,10 @@ the DC-bus voltage follows from the circuit quadratic
     vdc^2 + (sum(vc) - E) * vdc + Pdc * Rs = 0
 
 (larger root), and the state of charge integrates the DC current.  Solved
-for the power instead, the same quadratic gives the DC power at which the
-bus sits at a given voltage in closed form, P = v * (drive - v) / (Rs * 1000)
-with drive = E - sum(vc), which is how the vdc window bounds the power.
+for the power, it puts the bus at voltage v in closed form at
+P = v * (drive - v) / (Rs * 1000) with drive = E - sum(vc).  Each side of
+the power bounds takes its tightest closed-form cap and steps it toward 0
+until it and its AC round trip keep that side's edge of the vdc window.
 Circuit parameters are banded by SOC; bands partition [0, 1].
 
 Sign convention: positive AC/DC power discharges the battery and lowers both
@@ -184,16 +185,22 @@ def ac_from_dc(p_dc_kw: float, eta: float) -> float:
     return eta * p_dc_kw
 
 
+def _bus_voltage(p_dc_kw: float, drive: float, rs: float) -> float:
+    """Larger root of the circuit quadratic; nan beyond the maximum power point."""
+    disc = drive * drive - 4.0 * p_dc_kw * 1000.0 * rs
+    return 0.5 * (drive + math.sqrt(disc)) if disc >= 0 else math.nan
+
+
 def solve_vdc(p_dc_kw: float, state: TtcState, params: TtcParams) -> float:
     """DC-bus voltage sustaining p_dc_kw, the larger root of the circuit quadratic."""
     drive = open_circuit_voltage(state.soc, params) - state.vc_sum
-    disc = drive * drive - 4.0 * p_dc_kw * 1000.0 * params.rs
-    if disc < 0:
+    vdc = _bus_voltage(p_dc_kw, drive, params.rs)
+    if math.isnan(vdc):
         raise InfeasiblePowerError(
             f"p_dc={p_dc_kw} kW beyond the maximum power point "
             f"({drive * drive / (4.0 * params.rs) / 1000.0:.3f} kW)"
         )
-    return 0.5 * (drive + math.sqrt(disc))
+    return vdc
 
 
 def soc_update(
@@ -246,66 +253,52 @@ def ttc_step(
     return TtcState(new_vc[0], new_vc[1], new_vc[2], new_soc)
 
 
+def _into_window(p: float, drive: float, rs: float, eta: float, lo: float, hi: float) -> float:
+    """p stepped toward 0 one float at a time until the bus voltages of p and
+    of ``dc_from_ac(ac_from_dc(p, eta), eta)`` lie in [lo, hi]; a power beyond
+    the maximum power point has none.  The walk stops at 0."""
+    while p != 0.0:
+        round_trip = dc_from_ac(ac_from_dc(p, eta), eta)
+        if lo <= _bus_voltage(p, drive, rs) <= hi and lo <= _bus_voltage(round_trip, drive, rs) <= hi:
+            return p
+        p = math.nextafter(p, 0.0)
+    return p
+
+
 def dc_power_bounds(
     state: TtcState, params: TtcParams, cfg: BatteryConfig
 ) -> tuple[float, float]:
     """DC power interval honouring the circuit, the SOC limits and the vdc window.
 
-    Returns (p_dc_min <= 0, p_dc_max >= 0) in kW for one delta_t step.  The
-    discharge side is capped by the maximum power point (E - sum(vc))^2 /
-    (4 Rs), by the power that drains the SOC to soc_min in one step, and by
-    vdc_min; the charge side symmetrically by soc_max and vdc_max.  A SOC
-    already at a limit degenerates that side to 0.  The vdc terms are the
-    closed-form powers at vdc_min and vdc_max, stepped toward 0 one float
-    at a time until solve_vdc puts them inside the window.  The maximum
-    power point is stepped likewise until solve_vdc accepts both it and
+    Returns (p_dc_min <= 0, p_dc_max >= 0) in kW for one delta_t step.  Each
+    side takes its tightest closed-form cap, clamped at 0: discharge the
+    maximum power point (E - sum(vc))^2 / (4 Rs), the power at vdc_min when
+    vdc_min > drive/2 and the power that drains the SOC to soc_min in one
+    step; charge the power at vdc_max and the one that fills it to soc_max.
+    The cap is stepped toward 0 one float at a time until it and
     ``dc_from_ac(ac_from_dc(it, eta), eta)``, which rounding can put an ulp
-    above it; so every AC power up to ``ac_from_dc(p_dc_max, eta)`` maps
-    back to a DC power that has a bus voltage.
+    beyond it, keep the side's edge of the window: vdc >= vdc_min (none past
+    the maximum power point) when discharging, vdc <= vdc_max when charging.
+    So every AC power between the bounds' AC images maps back to a DC power
+    that solve_vdc accepts and that keeps its side's edge.
     """
     drive = open_circuit_voltage(state.soc, params) - state.vc_sum
     if drive <= 0:
         raise InfeasiblePowerError("branch voltages exceed the open-circuit voltage")
-
-    p_mpp = drive * drive / (4.0 * params.rs) / 1000.0
-    # Guard the knife edge: make sure the discriminant is >= 0 at the bound
-    # and at the DC power of its AC image.
-    while True:
-        p_top = max(p_mpp, dc_from_ac(ac_from_dc(p_mpp, cfg.eta), cfg.eta))
-        if drive * drive - 4.0 * p_top * 1000.0 * params.rs >= 0:
-            break
-        p_mpp = math.nextafter(p_mpp, 0.0)
-
-    i_mpp = drive / (2.0 * params.rs)
-    candidates = [p_mpp]
+    rs = params.rs
+    caps = [drive * drive / (4.0 * rs) / 1000.0]
     if cfg.vdc_min > 0.5 * drive:
-        if drive <= cfg.vdc_min:
-            candidates.append(0.0)
-        else:
-            # Near drive/2 the closed form can round past the maximum power
-            # point, where solve_vdc would raise.
-            p_vdc = min(p_mpp, cfg.vdc_min * (drive - cfg.vdc_min) / (params.rs * 1000.0))
-            while solve_vdc(p_vdc, state, params) < cfg.vdc_min:
-                p_vdc = math.nextafter(p_vdc, 0.0)
-            candidates.append(p_vdc)
+        caps.append(cfg.vdc_min * (drive - cfg.vdc_min) / (rs * 1000.0))
     # Current that lands exactly on soc_min after one step; the matching
     # power follows from vdc = drive - i * rs on the high-voltage root branch.
     i_soc = (state.soc - cfg.soc_min) * cfg.c_max_as / cfg.delta_t
-    if i_soc < i_mpp:
-        candidates.append(i_soc * (drive - i_soc * params.rs) / 1000.0)
-    p_dc_max = max(0.0, min(candidates))
+    if i_soc < drive / (2.0 * rs):
+        caps.append(i_soc * (drive - i_soc * rs) / 1000.0)
+    p_dc_max = _into_window(max(0.0, min(caps)), drive, rs, cfg.eta, cfg.vdc_min, math.inf)
 
-    i_soc_chg = (state.soc - cfg.soc_max) * cfg.c_max_as / cfg.delta_t
-    p_soc_chg = i_soc_chg * (drive - i_soc_chg * params.rs) / 1000.0
-    candidates_chg = [p_soc_chg]
-    if drive >= cfg.vdc_max:
-        candidates_chg.append(0.0)
-    else:
-        p_vdc = cfg.vdc_max * (drive - cfg.vdc_max) / (params.rs * 1000.0)
-        while solve_vdc(p_vdc, state, params) > cfg.vdc_max:
-            p_vdc = math.nextafter(p_vdc, 0.0)
-        candidates_chg.append(p_vdc)
-    p_dc_min = min(0.0, max(candidates_chg))
+    i_soc = (state.soc - cfg.soc_max) * cfg.c_max_as / cfg.delta_t
+    caps = [cfg.vdc_max * (drive - cfg.vdc_max) / (rs * 1000.0), i_soc * (drive - i_soc * rs) / 1000.0]
+    p_dc_min = _into_window(min(0.0, max(caps)), drive, rs, cfg.eta, -math.inf, cfg.vdc_max)
     return p_dc_min, p_dc_max
 
 

@@ -459,7 +459,7 @@ class SetpointController:
     whose curves were supplied is built here, with the regions' power extent
     (P_min, P_max, S_max): the P range and the largest |S| of their cells'
     boxes and disks, S_max being inf when a cell has no disk.  A step that
-    probes a pair whose curve is missing raises KeyError.
+    probes a pair whose curve is missing raises ValueError naming its anchor.
     """
 
     def __init__(
@@ -501,7 +501,7 @@ class SetpointController:
         at most S_max.  The extent is widened by a relative 1e-12, which
         absorbs the ulp by which _polish's disk scaling can overshoot the
         radius; [pac_lo, pac_hi] is not, as no probe leaves it, and
-        dc_power_bounds makes the DC power of pac_hi one solve_vdc accepts.
+        dc_power_bounds maps all of it to DC powers that solve_vdc accepts.
         vdc falls and vac rises monotonically with these, also in floating
         point.
         """
@@ -537,7 +537,10 @@ class SetpointController:
             key = (dc_anchor, ac_anchor)
             found = memo.get(key)
             if found is None:
-                region = self._regions[key]
+                region = self._regions.get(key)
+                if region is None:
+                    v_dc, v_ac = dc_anchor if dc_anchor not in self.curves else ac_anchor
+                    raise ValueError(f"no capability curve anchored at {v_dc:g}/{v_ac:g} V")
                 p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
                 p_dc = dc_from_ac(p, eta)
                 vdc = solve_vdc(p_dc, state, params)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bessctl.battery import (
     BatteryConfig,
@@ -327,19 +327,40 @@ class TestDcPowerBounds:
         vc=st.tuples(st.floats(-50.0, 700.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
         soc=st.floats(0.0, 1.0),
         eta=st.floats(0.5, 1.0),
-        vdc_min=st.floats(1.0, 400.0),
+        vdc_min=st.floats(1.0, 1000.0),
+        width=st.floats(1e-3, 1000.0),
+        c_max_ah=st.sampled_from([580.0, 1e6]),
     )
-    def test_discharge_bound_round_trips_through_ac(self, bands, vc, soc, eta, vdc_min):
-        # With vdc_min below drive/2 the maximum power point caps discharge.
-        # A step clipped there runs the bound's AC image back through
-        # dc_from_ac, which rounding can put an ulp past the bound.
+    # A discharge bound at vdc_min whose image lies below it, and a charge
+    # bound at vdc_max whose image lies above it.
+    @example(
+        (85.02787421488071, -3.48189349410677, -4.822113170582552),
+        0.8728798544455183, 0.7480522461465521, 435.2017367274314, 441.67371586336725, 1e6,
+    )
+    @example(
+        (376.02567895338103, -1.6790225316976723, 1.4170565295202175),
+        0.26365819755294884, 0.5189315927089341, 671.323598516888, 144.7481005881684, 1e6,
+    )
+    def test_bounds_round_trip_through_ac_inside_the_window(
+        self, bands, vc, soc, eta, vdc_min, width, c_max_ah
+    ):
+        # A step clipped at a bound runs the bound's AC image back through
+        # dc_from_ac, which rounding can put an ulp past the bound.  Both
+        # must keep the bound's side of the vdc window; the other side is
+        # not asserted, as the idle bus can already lie beyond it.
         p = band(bands, soc)
         state = TtcState(*vc, soc)
-        assume(vdc_min < 0.5 * (open_circuit_voltage(soc, p) - state.vc_sum))
-        cfg = BatteryConfig(c_max_ah=1e6, eta=eta, vdc_min=vdc_min)
-        _, p_dc_max = dc_power_bounds(state, p, cfg)
-        solve_vdc(p_dc_max, state, p)
-        solve_vdc(dc_from_ac(ac_from_dc(p_dc_max, eta), eta), state, p)
+        assume(open_circuit_voltage(soc, p) > state.vc_sum)
+        cfg = BatteryConfig(
+            c_max_ah, eta, soc_min=0.1, soc_max=0.9, vdc_min=vdc_min, vdc_max=vdc_min + width
+        )
+        p_dc_min, p_dc_max = dc_power_bounds(state, p, cfg)
+        for bound in (p_dc_max, p_dc_min):
+            for p_dc in (bound, dc_from_ac(ac_from_dc(bound, eta), eta)):
+                if bound > 0.0:
+                    assert solve_vdc(p_dc, state, p) >= cfg.vdc_min, (bound, p_dc)
+                elif bound < 0.0:
+                    assert solve_vdc(p_dc, state, p) <= cfg.vdc_max, (bound, p_dc)
 
 
 class TestValidation:

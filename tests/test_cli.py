@@ -237,3 +237,23 @@ def test_non_finite_ttc_parameter_names_its_block(tmp_path):
     header = text.splitlines().index("params mid 0.3333333333333333 0.6666666666666666") + 1
     assert result.exit_code == 1
     assert f"Error: {params}:{header}: a must be finite" in result.output
+
+
+def test_missing_curve_a_step_needs_is_an_error_naming_its_anchor(tmp_path):
+    text = builtin_curve_text()
+    start = text.index("curve dc500_ac330 500 330")
+    curves = tmp_path / "curves.txt"
+    curves.write_text(text[:start] + text[text.index("end\n", start) + 4 :], "utf-8")
+    scenario = short_scenario(tmp_path)
+
+    def run(*trace):
+        args = ["--scenario", str(scenario), "--curves", str(curves), "--out", str(tmp_path / "o")]
+        return CliRunner().invoke(main, ["run", *args, *trace])
+
+    # The scenario's own trace never needs the 500/330 envelope.
+    assert run().exit_code == 0
+    # An MV voltage of 24.5 kV puts the LV side in the 330 V range.
+    result = run("--trace", "gen:sigma_f=0.01,sigma_v=0.01,mu_v=24.5,n=40")
+    assert result.exit_code == 1
+    assert "Error: no capability curve anchored at 500/330 V" in result.output
+    assert "Traceback" not in result.output

@@ -383,9 +383,10 @@ class TestSolveStep:
         curves = {a: c for a, c in curve_map.items() if a != (500.0, 330.0)}
         records, _ = run_scenario(scenario, cfg, curves, bands)
         assert len(records) == 300
-        # A step that has to probe a pair whose curve is missing fails.
+        # A step that has to probe a pair whose curve is missing fails,
+        # naming that curve's anchor.
         ctl = SetpointController(cfg, curves, bands)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="anchored at 500/330 V"):
             ctl.solve_step(GridSample(0.0, 50.0, 24.5), TtcState(0.0, 0.0, 0.0, 0.5))
 
     def test_step_clipped_at_the_maximum_power_point_completes(self, curve_map, bands):

@@ -1,7 +1,8 @@
-"""Source guards: the per-step modules stay pure-Python scalar code (neither
-imports numpy), no module finds roots through ``np.roots``, the line
-grammars stay in linefmt (no other module imports a tokenizer), and the
-optimizer's set-point tolerance only sets the status flags."""
+"""Source guards: the per-step modules stay pure-Python scalar code (none of
+battery, grid and optimizer imports numpy), no module finds roots through
+``np.roots``, the line grammars stay in linefmt (no other module imports a
+tokenizer), and the optimizer's set-point tolerance only sets the status
+flags."""
 
 import ast
 from pathlib import Path
@@ -24,7 +25,7 @@ def imported_names(path):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("module", ["grid.py", "optimizer.py"])
+@pytest.mark.parametrize("module", ["battery.py", "grid.py", "optimizer.py"])
 def test_per_step_module_does_not_import_numpy(module):
     numpy_imports = [
         name for name in imported_names(PACKAGE / module) if name.split(".")[0] == "numpy"
