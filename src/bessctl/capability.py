@@ -11,9 +11,10 @@ shrink factor when fewer battery strings are in service.  Because the disk
 radii differ between Q >= 0 and Q < 0, the full region is not convex; it is
 the union of two convex cells split at Q = 0.  ``build_region`` normalizes
 each cell once into a shrink-scaled ``Cell`` (a P/Q box, at most one disk
-and the parabola caps), on which all downstream optimization works.  The
-cell also carries the boundary crossings that do not involve its P lines,
-which are the same for every projection onto it.
+and the parabola caps that can bind on a finite P box), on which all
+downstream optimization works.  The cell also carries the crossings of
+those boundaries that do not involve its P lines, which are the same for
+every projection onto it.
 ``FeasibleRegion.contains`` deliberately stays on the unscaled atoms, so it
 remains an independent membership check of what the optimizer returns.
 
@@ -281,15 +282,17 @@ class Cell:
 
     Feasible points satisfy p_lo <= p <= p_hi, q_lo <= q <= q_hi,
     p^2 + q^2 <= r^2 when r is set, and q <= c0 + c1*p + c2*p^2 for every
-    (c0, c1, c2) in paras.
+    (c0, c1, c2) in paras.  When the P box is finite, paras holds only the
+    caps that can bind on it (see ``_binding_caps``); the others lie above
+    the Q ceiling or another cap there, and so on any narrower box.
 
     corners lists, in a fixed order, the pairwise crossings of the Q lines,
-    the disk and the parabola caps (see ``_cell_corners``); they depend on
+    the disk and the caps in paras (see ``_cell_corners``); they depend on
     neither the P box nor the target, so narrowing the P box keeps them.
-    caps_nonneg is True when the P box is finite and every parabola cap is
-    at least _CAP_MARGIN at both of its ends, so that, being concave, it
-    stays >= 0 over the whole box; the optimizer may skip an upper cell
-    only then.
+    caps_nonneg is True when the P box is finite and every parabola cap of
+    the atoms, in paras or not, is at least _CAP_MARGIN at both of its
+    ends, so that, being concave, it stays >= 0 over the whole box; the
+    optimizer may skip an upper cell only then.
     """
 
     p_lo: float
@@ -351,6 +354,36 @@ def _cell_corners(
     return tuple(corners)
 
 
+def _binding_caps(
+    paras: list[tuple[float, float, float]], p_lo: float, p_hi: float, q_hi: float
+) -> list[tuple[float, float, float]]:
+    """The caps that can bind on the finite P box [p_lo, p_hi], in order.
+
+    Over the box widened by _CAP_MARGIN on each side, a cap is dropped when
+    it lies at least _CAP_MARGIN above the Q ceiling or above another cap;
+    following such caps down ends at the ceiling or a kept cap, so each
+    dropped cap lies above one of those.  The widening covers the
+    optimizer's screen, which admits candidates up to its smaller tolerance
+    outside the box; so a dropped cap decides no screen, polish or interval
+    there, and narrowing the box keeps it so.
+    """
+    lo, hi = p_lo - _CAP_MARGIN, p_hi + _CAP_MARGIN
+
+    def above(d0: float, d1: float, d2: float) -> bool:
+        # d0 + d1 p + d2 p^2 >= _CAP_MARGIN on [lo, hi]: a concave or linear
+        # difference is least at an end, a convex one possibly at its vertex.
+        points = [lo, hi]
+        if d2 > 0.0 and lo < -d1 / (2.0 * d2) < hi:
+            points.append(-d1 / (2.0 * d2))
+        return all(d0 + d1 * p + d2 * p * p >= _CAP_MARGIN for p in points)
+
+    # The ceiling is a flat cap, and a cap never lies _CAP_MARGIN above itself.
+    levels = [(q_hi, 0.0, 0.0), *paras]
+    return [
+        a for a in paras if not any(above(a[0] - b[0], a[1] - b[1], a[2] - b[2]) for b in levels)
+    ]
+
+
 def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) -> Cell:
     """Normal form of the cell bounded by atoms, scaled by shrink: (p, q) is
     inside iff (p/shrink, q/shrink) satisfies every atom.  A shrink so small
@@ -383,6 +416,8 @@ def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) ->
     )
     if not all(math.isfinite(c2) for _, _, c2 in paras):
         raise ValueError(f"shrink {shrink} scales the curves out of range: a cap overflows")
+    if box_finite:
+        paras = _binding_caps(paras, p_lo, p_hi, q_hi)
     try:
         corners = _cell_corners(q_lo, q_hi, r, paras)
     except CompanionOverflowError as exc:

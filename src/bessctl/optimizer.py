@@ -31,14 +31,15 @@ including k in ``converged-after-k-switches(k)``.  On the shipped curves a
 step solves one projection instead of three to nine.
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
-power interval, one origin-centred disk, up to two concave parabola caps
-and a flat Q ceiling.  ``build_region`` scales and normalizes the cells
-once; a projection only narrows a cell's P interval to the step's battery
-bounds.  A target inside the cell is its own projection; otherwise the
-stationary point on every boundary curve and all pairwise boundary
-intersections are ranked by objective (the first enumerated on a tie), and
-the first that passes the feasibility screen, polished into the cell, is
-the exact projection.  The intersections that do not involve the P box,
+power interval, one origin-centred disk, the concave parabola caps that can
+bind on its P box (one or none on the shipped curves) and a flat Q
+ceiling.  ``build_region`` scales and normalizes the cells once; a
+projection only narrows a cell's P interval to the step's battery bounds.
+A target inside the cell is its own projection; otherwise the stationary
+point on every boundary curve and all pairwise boundary intersections are
+ranked by objective (the first enumerated on a tie), and the first that
+passes the feasibility screen, polished into the cell, is the exact
+projection.  The intersections that do not involve the P box,
 among them the disk-parabola quartic, are the cell's corners, found once
 by ``build_region``; per call, only the parabola stationary-point cubic
 goes through numpy, as one ``eigvals`` call on its companion matrix, with a

@@ -188,9 +188,15 @@ def resolve_trace(spec: str, seed: int | None = None) -> list[GridSample]:
 def energy_metrics(
     records: Sequence[ControlRecord], alpha0: float, delta_t: float
 ) -> EnergyReport:
-    """Discrete regulating-energy sums over a run, in kWh."""
+    """Discrete regulating-energy sums over a run, in kWh.  A delta_t that
+    is not positive and finite, or an alpha0 that is not finite, raises
+    ValueError naming it."""
     if not records:
         raise TraceError("no records to evaluate")
+    if not 0.0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be positive and finite, got {delta_t!r}")
+    if not math.isfinite(alpha0):
+        raise ValueError(f"alpha0 must be finite, got {alpha0!r}")
     scale = delta_t / 3600.0
     e_exp = sum(abs(alpha0 * r.dfreq) for r in records) * scale
     e_star = sum(abs(r.p_opt) for r in records) * scale
@@ -292,17 +298,29 @@ def write_records(records: Sequence[ControlRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[ControlRecord]:
-    """Read back a records CSV written by write_records."""
+    """Read back a records CSV written by write_records; a bad row raises
+    TraceError naming ``path:line``."""
+    columns = [header for header, _, _, _ in _RECORD_COLUMNS]
     records: list[ControlRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+            raise TraceError(f"{path}: expected header with columns {columns}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row.values():  # DictReader's filler for the cells a short row lacks
+                raise TraceError(f"{where}: expected {len(columns)} cells")
             if not row["curve_dc"]:
-                raise TraceError(f"{path}: record without a DC curve")
+                raise TraceError(f"{where}: record without a DC curve")
             fields: dict[str, dict] = {"": {}, "sample": {}}
-            for header, attr, _, from_text in _RECORD_COLUMNS:
-                owner, _, name = attr.rpartition(".")
-                fields[owner][name] = from_text(row[header])
-            records.append(ControlRecord(sample=GridSample(**fields["sample"]), **fields[""]))
+            try:
+                for header, attr, _, from_text in _RECORD_COLUMNS:
+                    owner, _, name = attr.rpartition(".")
+                    fields[owner][name] = from_text(row[header])
+                sample = GridSample(**fields["sample"])
+            except ValueError as exc:  # a cell that is no number, or an invalid sample
+                raise TraceError(f"{where}: {exc}") from None
+            records.append(ControlRecord(sample=sample, **fields[""]))
     return records
 
 

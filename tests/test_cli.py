@@ -1,10 +1,13 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from bessctl.battery import builtin_params_text
 from bessctl.capability import builtin_curve_text
-from bessctl.simctl import builtin_scenario_path, main
+from bessctl.grid import GridSample
+from bessctl.optimizer import STATUS_UNCHANGED, ControlRecord
+from bessctl.simctl import builtin_scenario_path, main, write_records
 
 
 def short_scenario(tmp_path, duration=40, alpha0=9003, beta0=8.39):
@@ -152,6 +155,53 @@ def test_run_with_short_trace_row_names_its_line(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {trace_csv}:3: expected 3 cells\n" in result.output
+
+
+def idle_records_csv(tmp_path, timestamps):
+    """A records CSV of steps at the reference point, one per timestamp."""
+    records = [
+        ControlRecord(
+            sample=GridSample(t, 50.0, 21.192),
+            dfreq=0.0,
+            dvac=0.0,
+            p_target=0.0,
+            q_target=0.0,
+            p_opt=0.0,
+            q_opt=0.0,
+            vdc_pred=660.0,
+            vac_pred=302.0,
+            curve_dc=(600.0, 300.0),
+            curve_ac=None,
+            alpha_star=None,
+            beta_star=None,
+            status=(STATUS_UNCHANGED,),
+        )
+        for t in timestamps
+    ]
+    path = tmp_path / "records.csv"
+    write_records(records, path)
+    return path
+
+
+#: The start of the error for a step length that is not positive and finite.
+BAD_DT = "delta_t must be positive and finite, got "
+
+
+@pytest.mark.parametrize(
+    "timestamps, options, message",
+    [
+        pytest.param((0.0, 1.0), ["--delta-t", "nan"], BAD_DT + "nan", id="nan"),
+        pytest.param((0.0, 1.0), ["--delta-t", "-1"], BAD_DT + "-1.0", id="negative"),
+        pytest.param((0.0, 0.0), [], BAD_DT + "0.0", id="equal-timestamps"),
+        pytest.param((0.0, 1.0), ["--alpha0", "nan"], "alpha0 must be finite, got nan", id="gain"),
+    ],
+)
+def test_metrics_rejects_bad_step_length_and_gain(tmp_path, timestamps, options, message):
+    records_csv = idle_records_csv(tmp_path, timestamps)
+    result = CliRunner().invoke(main, ["metrics", "--records", str(records_csv), *options])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}\n" in result.output
 
 
 def test_metrics_on_missing_file_fails():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bessctl.capability as capability
 import bessctl.optimizer as optimizer
@@ -842,6 +842,146 @@ class TestProjectExactness:
         assert STATUS_CLIPPED in record.status
         assert record.q_target > 500.0
         assert counts["cell"] == counts["project"] >= 1
+
+
+def log_uniform(lo_exp, hi_exp):
+    """Magnitudes spread evenly over the decades 10**lo_exp to 10**hi_exp."""
+    return st.floats(lo_exp, hi_exp).map(lambda x: 10.0**x)
+
+
+def signed(magnitude):
+    return st.builds(math.copysign, magnitude, st.sampled_from([-1.0, 1.0]))
+
+
+#: Slopes, as magnitudes, from flat to steep.
+SLOPE = st.one_of(st.just(0.0), log_uniform(-3.0, 3.0), log_uniform(1.0, 3.0))
+#: Signed gaps of a cap over a level, from far below the cap margin to far
+#: above, and often within a steep cap's fall over the screen's tolerance.
+GAP = signed(st.one_of(log_uniform(-9.0, 3.0), log_uniform(-7.0, -3.0)))
+CURVATURE = st.one_of(st.just(0.0), log_uniform(-8.0, -2.0))
+
+
+def draw_cap(data, box, end, q_hi, caps):
+    """A concave cap (c0, c1, c2) and the p it was placed at, if any: random;
+    GAP above the Q ceiling or an earlier cap at box[end], falling off
+    outward with a steep or gentle slope; or an earlier cap plus a convex
+    bowl whose vertex lies in the box, GAP above or below it there, so that
+    the two caps cross twice or never."""
+    levels = caps + [(q_hi, 0.0, 0.0)] * math.isfinite(q_hi)
+    kind = data.draw(st.sampled_from(["random"] + ["end"] * bool(levels) + ["bowl"] * bool(caps)))
+    if kind == "random":
+        c1 = data.draw(signed(SLOPE))
+        return (data.draw(st.floats(0.0, 800.0)), c1, -data.draw(CURVATURE)), None
+    if kind == "end":
+        e = box[end]
+        b0, b1, b2 = data.draw(st.sampled_from(levels))
+        slope = -math.copysign(data.draw(SLOPE), e)
+        c2 = -data.draw(CURVATURE)
+        c1 = slope - 2.0 * c2 * e
+        return (b0 + b1 * e + b2 * e * e + data.draw(GAP) - c1 * e - c2 * e * e, c1, c2), e
+    b0, b1, b2 = data.draw(st.sampled_from(caps))
+    k = data.draw(st.floats(0.0, 1.0)) * -b2
+    v = data.draw(st.floats(*box))
+    return (b0 + k * v * v + data.draw(GAP), b1 - 2.0 * k * v, b2 + k), v
+
+
+def draw_spot_target(data, cell, spots):
+    """A target anywhere, or 1e-9 to 1 from one of spots (scaled like the
+    cell), more often than not level with the Q ceiling or a cap, give or
+    take GAP."""
+    kind = data.draw(st.sampled_from(["anywhere", "spot", "level", "level"]))
+    if kind == "anywhere":
+        return data.draw(st.floats(-2000.0, 2000.0)), data.draw(st.floats(-2000.0, 2000.0))
+    p0 = data.draw(st.sampled_from(spots)) + data.draw(signed(log_uniform(-9.0, 0.0)))
+    levels = [(cell.q_hi, 0.0, 0.0)] * math.isfinite(cell.q_hi) + list(cell.paras)
+    if kind == "spot" or not levels:
+        return p0, data.draw(st.floats(-2000.0, 2000.0))
+    c0, c1, c2 = data.draw(st.sampled_from(levels))
+    return p0, c0 + c1 * p0 + c2 * p0 * p0 + data.draw(GAP)
+
+
+class TestBindingCaps:
+    """_scaled_cell keeps only the caps that can bind on its finite P box;
+    projecting onto the pruned cell must equal projecting onto the cell
+    with every cap, bit for bit."""
+
+    def test_margin_covers_the_screen(self):
+        # A dropped cap stays clear of every candidate the screen admits.
+        assert optimizer._SCREEN_TOL < capability._CAP_MARGIN
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        data=st.data(),
+        upper=st.booleans(),
+        shrink=st.sampled_from([1.0, 7.0 / 9.0, 0.3]),
+        weights=st.one_of(
+            st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]),
+            st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        ),
+        p_min=p_min_st,
+        p_max=p_max_st,
+    )
+    def test_pruned_cell_projects_as_the_full_cell(
+        self, data, upper, shrink, weights, p_min, p_max
+    ):
+        p_lo, p_hi = -data.draw(st.floats(1.0, 1000.0)), data.draw(st.floats(1.0, 1000.0))
+        atoms = [PMin(p_lo), PMax(p_hi)]
+        if data.draw(st.booleans()):
+            atoms.append(Disk(data.draw(st.floats(10.0, 1500.0))))
+        q_max = data.draw(st.one_of(st.just(math.inf), st.floats(0.0, 1000.0)))
+        if math.isfinite(q_max):
+            atoms.append(QMax(q_max))
+        q_hi = q_max if upper else 0.0
+        # Caps placed at a box end crowd one end, and targets crowd the
+        # places where caps were placed.
+        end = data.draw(st.sampled_from([0, 1]))
+        caps, spots = [], [(p_lo, p_hi)[end]]
+        for _ in range(data.draw(st.integers(1, 3))):
+            cap, spot = draw_cap(data, (p_lo, p_hi), end, q_hi, caps)
+            caps.append(cap)
+            spots += [spot] * (spot is not None)
+        # The origin is feasible in every region.
+        assume(all(c0 >= 0.0 for c0, _, _ in caps))
+        atoms += [ParabolaCap(*c) for c in caps]
+        paras = [(c0 * shrink, c1, c2 / shrink) for c0, c1, c2 in caps]
+        try:
+            pruned = capability._scaled_cell(atoms, shrink, upper)
+            corners = capability._cell_corners(pruned.q_lo, pruned.q_hi, pruned.r, paras)
+        except ValueError:
+            assume(False)  # a cap too flat beside the disk
+        full = dataclasses.replace(pruned, paras=tuple(paras), corners=corners)
+        p0, q0 = draw_spot_target(data, full, [p * shrink for p in spots])
+        cells = [optimizer._narrowed(c, p_min, p_max) for c in (pruned, full)]
+        assert outcome(optimizer._project_cell, cells[0], p0, q0, *weights) == outcome(
+            optimizer._project_cell, cells[1], p0, q0, *weights
+        )
+
+    def test_steep_cap_clearing_the_ceiling_at_a_box_end_is_kept(self):
+        # 1e-5 above Q = 0 at p = -1, the cap falls below it 1e-8 further
+        # out, where the screen still admits candidates: without the cap,
+        # this projection moves.
+        cell = capability._scaled_cell(
+            [PMin(-1.0), PMax(1.0), ParabolaCap(1000.00001, 1000.0, 0.0)], 1.0, False
+        )
+        assert cell.paras == ((1000.00001, 1000.0, 0.0),)
+        without = dataclasses.replace(cell, paras=(), corners=())
+        target = (-1.01, 0.0, 1.0, 1.0)
+        assert optimizer._project_cell(cell, *target) != optimizer._project_cell(without, *target)
+
+    def test_scenario4_controller_solves_six_quartics(self, curve_map, bands, monkeypatch):
+        degrees = []
+        original = capability.poly_real_roots
+
+        def counting(coeffs):
+            degrees.append(len(coeffs) - 1)
+            return original(coeffs)
+
+        monkeypatch.setattr(capability, "poly_real_roots", counting)
+        _, cfg = load_run_config(builtin_scenario_path("scenario4"))
+        ctl = SetpointController(cfg, curve_map, bands)
+        assert degrees.count(4) == 6
+        cells = [c for r in ctl._regions.values() for c in (r.upper_cell, r.lower_cell)]
+        assert all(len(c.paras) <= 1 for c in cells)
 
 
 #: The shipped 600/300 envelope without its disks, so that the region of

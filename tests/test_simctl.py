@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -179,6 +180,22 @@ class TestEnergyMetrics:
         with pytest.raises(TraceError):
             energy_metrics([], 9003.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "alpha0, delta_t, match",
+        [
+            (9003.0, math.nan, "delta_t must be positive and finite, got nan"),
+            (9003.0, math.inf, "delta_t must be positive and finite, got inf"),
+            (9003.0, 0.0, "delta_t must be positive and finite, got 0.0"),
+            (9003.0, -1.0, "delta_t must be positive and finite, got -1.0"),
+            (math.nan, 1.0, "alpha0 must be finite, got nan"),
+            (-math.inf, 1.0, "alpha0 must be finite, got -inf"),
+        ],
+    )
+    def test_bad_step_length_or_gain_rejected_naming_it(self, alpha0, delta_t, match):
+        record = self.make_record(0, 0.02, 180.0, 180.0, True)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            energy_metrics([record], alpha0, delta_t)
+
     def test_report_rejects_star_below_naive(self):
         with pytest.raises(ValueError):
             EnergyReport(1.0, 0.2, 0.5, 0.2, 0.5)
@@ -264,6 +281,41 @@ class TestRecordsRoundTrip:
         path = tmp_path / "records.csv"
         write_records(records, path)
         assert read_records(path) == records
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(lambda cells: ["1.0", "49.9", "21.1"], "expected 16 cells", id="short"),
+            pytest.param(
+                lambda cells: cells[:7] + ["abc"] + cells[8:],
+                "could not convert string to float: 'abc'",
+                id="not-a-number",
+            ),
+            pytest.param(
+                lambda cells: cells[:11] + [""] + cells[12:],
+                "record without a DC curve",
+                id="no-dc-curve",
+            ),
+        ],
+    )
+    def test_bad_row_names_its_file_and_line(
+        self, controller_cfg, curve_map, bands, tmp_path, edit, match
+    ):
+        records, _ = self.run_small(controller_cfg, curve_map, bands)
+        path = tmp_path / "records.csv"
+        write_records(records[:2], path)
+        header, first, second = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(
+            "\n".join([header, first, ",".join(edit(second.split(",")))]) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(TraceError, match=f"^{re.escape(str(path))}:3: {match}$"):
+            read_records(path)
+
+    def test_header_without_a_column_is_named(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("timestamp_s,freq_hz\n0.0,50.0\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=f"^{re.escape(str(path))}: expected header"):
+            read_records(path)
 
     def test_byte_identical_for_same_seed(self, controller_cfg, curve_map, bands, tmp_path):
         records_a, _ = self.run_small(controller_cfg, curve_map, bands)
