@@ -413,7 +413,7 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
         near, far = far, near
     try:
         first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
-        limit = wq * q0 * q0 * (1.0 - 1e-12)
+        limit = wq * q0**2 * (1.0 - 1e-12)
         if first is not None and first[2] < limit and (q0 > 0.0 or region.upper_cell.caps_nonneg):
             return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)

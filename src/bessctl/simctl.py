@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import click
 import numpy as np
@@ -108,25 +108,34 @@ def generate_trace(
 def load_trace(path: str | Path) -> list[GridSample]:
     """Read a trace CSV with header ``timestamp_s,freq_hz,v_mv_kv``; a bad
     row raises TraceError naming ``path:line``."""
-    columns = ("timestamp_s", "freq_hz", "v_mv_kv")
+    columns = ["timestamp_s", "freq_hz", "v_mv_kv"]
     samples: list[GridSample] = []
+    for where, row in _csv_rows(path, columns):
+        try:
+            sample = GridSample(*(float(row[key]) for key in columns))
+        except ValueError as exc:  # a cell that is no number, or an invalid sample
+            raise TraceError(f"{where}: {exc}") from None
+        if samples and sample.timestamp <= samples[-1].timestamp:
+            raise TraceError(f"{where}: timestamps must be strictly increasing")
+        samples.append(sample)
+    return samples
+
+
+def _csv_rows(path: str | Path, columns: list[str]) -> Iterator[tuple[str, dict[str, str]]]:
+    """Each row of the CSV at path with its ``path:line``.  A header that
+    lacks one of columns, or a row whose cell count differs from the
+    header's, raises TraceError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
-            raise TraceError(f"{path}: expected header with columns {sorted(columns)}")
+            raise TraceError(f"{path}: expected header with columns {columns}")
         for row in reader:
             where = f"{path}:{reader.line_num}"
-            cells = [row[key] for key in columns]
-            if None in cells:  # DictReader's filler for the cells a short row lacks
-                raise TraceError(f"{where}: expected {len(columns)} cells")
-            try:
-                sample = GridSample(*map(float, cells))
-            except ValueError as exc:  # a cell that is no number, or an invalid sample
-                raise TraceError(f"{where}: {exc}") from None
-            if samples and sample.timestamp <= samples[-1].timestamp:
-                raise TraceError(f"{where}: timestamps must be strictly increasing")
-            samples.append(sample)
-    return samples
+            # DictReader fills the cells a short row lacks with None and keys
+            # a long row's extra cells by None.
+            if None in row or None in row.values():
+                raise TraceError(f"{where}: expected {len(reader.fieldnames)} cells")
+            yield where, row
 
 
 def write_trace(samples: Sequence[GridSample], path: str | Path) -> None:
@@ -245,11 +254,18 @@ def _anchor_str(anchor: Anchor | None) -> str:
     return f"{anchor[0]:g}/{anchor[1]:g}"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _anchor_from_str(text: str) -> Anchor | None:
     if not text:
         return None
     vdc, vac = text.split("/")
-    return (float(vdc), float(vac))
+    return (_finite(vdc), _finite(vac))
 
 
 def _optional_repr(value: float | None) -> str:
@@ -257,7 +273,7 @@ def _optional_repr(value: float | None) -> str:
 
 
 def _optional_float(text: str) -> float | None:
-    return float(text) if text else None
+    return _finite(text) if text else None
 
 
 def _status_from_str(text: str) -> tuple[str, ...]:
@@ -266,19 +282,20 @@ def _status_from_str(text: str) -> tuple[str, ...]:
 
 #: The records.csv format, one row per column in file order: header,
 #: ControlRecord attribute (``sample.<field>`` for the GridSample's fields),
-#: the function that writes its cell and the one that reads it back.
+#: the function that writes its cell and the one that reads it back.  Every
+#: float read back must be finite; GridSample checks its own fields.
 _RECORD_COLUMNS = (
     ("timestamp_s", "sample.timestamp", repr, float),
     ("freq_hz", "sample.freq", repr, float),
     ("v_mv_kv", "sample.v_mv", repr, float),
-    ("dfreq_hz", "dfreq", repr, float),
-    ("dvac_v", "dvac", repr, float),
-    ("p_target_kw", "p_target", repr, float),
-    ("q_target_kvar", "q_target", repr, float),
-    ("p_opt_kw", "p_opt", repr, float),
-    ("q_opt_kvar", "q_opt", repr, float),
-    ("vdc_pred_v", "vdc_pred", repr, float),
-    ("vac_pred_v", "vac_pred", repr, float),
+    ("dfreq_hz", "dfreq", repr, _finite),
+    ("dvac_v", "dvac", repr, _finite),
+    ("p_target_kw", "p_target", repr, _finite),
+    ("q_target_kvar", "q_target", repr, _finite),
+    ("p_opt_kw", "p_opt", repr, _finite),
+    ("q_opt_kvar", "q_opt", repr, _finite),
+    ("vdc_pred_v", "vdc_pred", repr, _finite),
+    ("vac_pred_v", "vac_pred", repr, _finite),
     ("curve_dc", "curve_dc", _anchor_str, _anchor_from_str),
     ("curve_ac", "curve_ac", _anchor_str, _anchor_from_str),
     ("alpha_star_kw_per_hz", "alpha_star", _optional_repr, _optional_float),
@@ -300,27 +317,19 @@ def write_records(records: Sequence[ControlRecord], path: str | Path) -> None:
 def read_records(path: str | Path) -> list[ControlRecord]:
     """Read back a records CSV written by write_records; a bad row raises
     TraceError naming ``path:line``."""
-    columns = [header for header, _, _, _ in _RECORD_COLUMNS]
     records: list[ControlRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
-            raise TraceError(f"{path}: expected header with columns {columns}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row.values():  # DictReader's filler for the cells a short row lacks
-                raise TraceError(f"{where}: expected {len(columns)} cells")
-            if not row["curve_dc"]:
-                raise TraceError(f"{where}: record without a DC curve")
-            fields: dict[str, dict] = {"": {}, "sample": {}}
-            try:
-                for header, attr, _, from_text in _RECORD_COLUMNS:
-                    owner, _, name = attr.rpartition(".")
-                    fields[owner][name] = from_text(row[header])
-                sample = GridSample(**fields["sample"])
-            except ValueError as exc:  # a cell that is no number, or an invalid sample
-                raise TraceError(f"{where}: {exc}") from None
-            records.append(ControlRecord(sample=sample, **fields[""]))
+    for where, row in _csv_rows(path, [header for header, _, _, _ in _RECORD_COLUMNS]):
+        if not row["curve_dc"]:
+            raise TraceError(f"{where}: record without a DC curve")
+        fields: dict[str, dict] = {"": {}, "sample": {}}
+        try:
+            for header, attr, _, from_text in _RECORD_COLUMNS:
+                owner, _, name = attr.rpartition(".")
+                fields[owner][name] = from_text(row[header])
+            sample = GridSample(**fields["sample"])
+        except ValueError as exc:  # a cell that is no finite number, or an invalid sample
+            raise TraceError(f"{where}: {exc}") from None
+        records.append(ControlRecord(sample=sample, **fields[""]))
     return records
 
 
@@ -506,21 +515,3 @@ def metrics_cmd(records_path, alpha0, delta_t) -> None:
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
 
-
-__all__ = [
-    "ScenarioSpec",
-    "EnergyReport",
-    "generate_trace",
-    "load_trace",
-    "write_trace",
-    "resolve_trace",
-    "energy_metrics",
-    "run_scenario",
-    "write_records",
-    "read_records",
-    "summarize",
-    "load_run_config",
-    "builtin_scenario_path",
-    "TraceError",
-    "main",
-]

@@ -204,6 +204,15 @@ def test_metrics_rejects_bad_step_length_and_gain(tmp_path, timestamps, options,
     assert f"Error: {message}\n" in result.output
 
 
+def test_metrics_rejects_a_row_with_an_extra_cell(tmp_path):
+    records_csv = idle_records_csv(tmp_path, (0.0, 1.0))
+    header, first, second = records_csv.read_text(encoding="utf-8").splitlines()
+    records_csv.write_text(f"{header}\n{first}\n{second},x\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["metrics", "--records", str(records_csv)])
+    assert result.exit_code == 1
+    assert f"Error: {records_csv}:3: expected 16 cells\n" in result.output
+
+
 def test_metrics_on_missing_file_fails():
     runner = CliRunner()
     result = runner.invoke(main, ["metrics", "--records", "/nonexistent.csv"])

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bessctl.capability as capability
 import bessctl.optimizer as optimizer
@@ -685,6 +685,16 @@ class TestProjectExactness:
         target=target_st,
         p_min=p_min_st,
         p_max=p_max_st,
+    )
+    # q0 ** 2 underflows to 0, but wq * q0 * q0 rounded up to the least
+    # subnormal: the skip bound must not exceed the far cell's objective.
+    @example(
+        anchors=((500.0, 300.0),),
+        shrink=1.0,
+        weights=(0.0, 26.0),
+        target=(0.0, -3.140249944266625e-163),
+        p_min=0.0,
+        p_max=0.0,
     )
     def test_equals_both_cell_reference(
         self, curve_map, anchors, shrink, weights, target, p_min, p_max

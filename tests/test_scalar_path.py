@@ -1,10 +1,13 @@
 """Source guards: the per-step modules stay pure-Python scalar code (none of
-battery, grid and optimizer imports numpy), no module finds roots through
-``np.roots``, the line grammars stay in linefmt (no other module imports a
-tokenizer), and the optimizer's set-point tolerance only sets the status
-flags."""
+battery, grid and optimizer imports numpy), the control-loop modules import
+without the CLI, no module finds roots through ``np.roots``, the line
+grammars stay in linefmt (no other module imports a tokenizer), and the
+optimizer's set-point tolerance only sets the status flags."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,24 @@ def test_per_step_module_does_not_import_numpy(module):
         name for name in imported_names(PACKAGE / module) if name.split(".")[0] == "numpy"
     ]
     assert numpy_imports == []
+
+
+def test_control_loop_imports_without_the_cli():
+    # The package __init__ re-exports nothing, so these load neither click
+    # nor simctl.
+    script = (
+        "import sys\n"
+        "import bessctl.optimizer, bessctl.capability, bessctl.battery, bessctl.grid\n"
+        "print(sorted({'click', 'bessctl.simctl'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stdout == "[]\n"
 
 
 def numpy_reads(path, attr):

@@ -74,6 +74,7 @@ class TestGenerateTrace:
         "row, match",
         [
             pytest.param("1.0,50.01", "expected 3 cells", id="short-row"),
+            pytest.param("1.0,50.01,21.0,x", "expected 3 cells", id="long-row"),
             pytest.param("1.0,fifty,21.0", "could not convert string to float: 'fifty'", id="not-a-number"),
             pytest.param("1.0,60.0,21.0", r"frequency 60.0 Hz outside", id="60-hz"),
             pytest.param("0.0,50.0,21.0", "timestamps must be strictly increasing", id="repeat"),
@@ -286,6 +287,12 @@ class TestRecordsRoundTrip:
         "edit, match",
         [
             pytest.param(lambda cells: ["1.0", "49.9", "21.1"], "expected 16 cells", id="short"),
+            pytest.param(lambda cells: cells + ["x"], "expected 16 cells", id="long-row"),
+            pytest.param(
+                lambda cells: cells[:7] + ["nan"] + cells[8:],
+                "expected a finite number, got 'nan'",
+                id="nan",
+            ),
             pytest.param(
                 lambda cells: cells[:7] + ["abc"] + cells[8:],
                 "could not convert string to float: 'abc'",
