@@ -191,55 +191,32 @@ def _bus_voltage(p_dc_kw: float, drive: float, rs: float) -> float:
     return 0.5 * (drive + math.sqrt(disc)) if disc >= 0 else math.nan
 
 
-def solve_vdc(p_dc_kw: float, state: TtcState, params: TtcParams) -> float:
-    """DC-bus voltage sustaining p_dc_kw, the larger root of the circuit quadratic."""
-    drive = open_circuit_voltage(state.soc, params) - state.vc_sum
-    vdc = _bus_voltage(p_dc_kw, drive, params.rs)
+def solve_vdc(p_dc_kw: float, drive: float, rs: float) -> float:
+    """DC-bus voltage sustaining p_dc_kw at circuit drive E - sum(vc) and series rs."""
+    vdc = _bus_voltage(p_dc_kw, drive, rs)
     if math.isnan(vdc):
         raise InfeasiblePowerError(
             f"p_dc={p_dc_kw} kW beyond the maximum power point "
-            f"({drive * drive / (4.0 * params.rs) / 1000.0:.3f} kW)"
+            f"({drive * drive / (4.0 * rs) / 1000.0:.3f} kW)"
         )
     return vdc
 
 
-def soc_update(
-    soc: float, p_dc_kw: float, vdc: float, cfg: BatteryConfig, dt: float | None = None
-) -> float:
-    """SOC after one step at p_dc_kw and bus voltage vdc.
-
-    Violations of [soc_min, soc_max] raise; the result is never clamped.
-    """
-    if vdc <= 0:
-        raise ValueError(f"vdc must be positive, got {vdc}")
-    if dt is None:
-        dt = cfg.delta_t
-    new_soc = soc - (p_dc_kw * 1000.0 / (vdc * cfg.c_max_as)) * dt
-    if new_soc < cfg.soc_min - SOC_EPS or new_soc > cfg.soc_max + SOC_EPS:
-        raise SocLimitError(
-            f"soc {new_soc:.6f} outside [{cfg.soc_min}, {cfg.soc_max}]"
-        )
-    return new_soc
-
-
 def ttc_step(
-    state: TtcState,
-    p_dc_kw: float,
-    vdc: float,
-    params: TtcParams,
-    cfg: BatteryConfig,
-    dt: float | None = None,
+    state: TtcState, p_dc_kw: float, vdc: float, params: TtcParams, cfg: BatteryConfig
 ) -> TtcState:
-    """Advance branch voltages and SOC one step under constant p_dc_kw.
+    """Advance branch voltages and SOC one delta_t step under constant p_dc_kw.
 
     Branches use the exact zero-order-hold solution for the DC current
-    i = p_dc * 1000 / vdc held over the step, so halving dt and stepping
-    twice reproduces the full step exactly.
+    i = p_dc * 1000 / vdc held over the step, so halving delta_t and stepping
+    twice reproduces the full step exactly; the SOC integrates the same
+    current.  A new SOC beyond [soc_min, soc_max] by more than SOC_EPS raises
+    SocLimitError; one within the slack, the round-off of a step driven to a
+    dc_power_bounds bound, lands on the limit it was driven to.
     """
     if vdc <= 0:
         raise ValueError(f"vdc must be positive, got {vdc}")
-    if dt is None:
-        dt = cfg.delta_t
+    dt = cfg.delta_t
     i_dc = p_dc_kw * 1000.0 / vdc
     new_vc = []
     for vc, r, c in (
@@ -249,7 +226,12 @@ def ttc_step(
     ):
         decay = math.exp(-dt / (r * c))
         new_vc.append(vc * decay + r * i_dc * (1.0 - decay))
-    new_soc = soc_update(state.soc, p_dc_kw, vdc, cfg, dt)
+    new_soc = state.soc - (p_dc_kw * 1000.0 / (vdc * cfg.c_max_as)) * dt
+    if new_soc < cfg.soc_min - SOC_EPS or new_soc > cfg.soc_max + SOC_EPS:
+        raise SocLimitError(
+            f"soc {new_soc:.6f} outside [{cfg.soc_min}, {cfg.soc_max}]"
+        )
+    new_soc = min(max(new_soc, cfg.soc_min), cfg.soc_max)
     return TtcState(new_vc[0], new_vc[1], new_vc[2], new_soc)
 
 

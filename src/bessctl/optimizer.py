@@ -65,6 +65,7 @@ from bessctl.battery import (
     ac_from_dc,
     dc_from_ac,
     dc_power_bounds,
+    open_circuit_voltage,
     params_for_soc,
     solve_vdc,
     ttc_step,
@@ -281,24 +282,26 @@ def _q_interval_at(cell: Cell, p: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _clip_to_nonempty(interval_at, cell: Cell, inside: float, x: float) -> float:
-    """Pull x toward inside until interval_at(cell, x) is nonempty.
+def _clip_to_nonempty(interval_at, cell: Cell, x: float) -> tuple[float, float, float]:
+    """(x, lo, hi), x pulled toward 0 until interval_at(cell, x) = (lo, hi) is nonempty.
 
-    interval_at is _q_interval_at or _p_interval_at; inside must give a
-    nonempty interval.  Bisects until no float lies strictly between the
-    last nonempty and the last empty point, however wide the first span.
+    interval_at is _q_interval_at or _p_interval_at; the cell holds the
+    origin, so its interval at 0 is nonempty.  Bisects until no float lies
+    strictly between the last nonempty and the last empty point, however
+    wide the first span.
     """
     lo, hi = interval_at(cell, x)
     if lo <= hi:
-        return x
-    outside = x
+        return x, lo, hi
+    inside, outside = 0.0, x
+    found = interval_at(cell, inside)
     while True:
         mid = 0.5 * (inside + outside)
         if mid == inside or mid == outside:
-            return inside
+            return (inside, *found)
         lo, hi = interval_at(cell, mid)
         if lo <= hi:
-            inside = mid
+            inside, found = mid, (lo, hi)
         else:
             outside = mid
 
@@ -346,14 +349,11 @@ def _project_cell(
 
     if wq == 0.0:
         # Lexicographic: best p first, then closest feasible q at that p.
-        p = _clip_to_nonempty(_q_interval_at, cell, 0.0, min(max(p0, cell.p_lo), cell.p_hi))
-        lo, hi = _q_interval_at(cell, p)
+        p, lo, hi = _clip_to_nonempty(_q_interval_at, cell, min(max(p0, cell.p_lo), cell.p_hi))
         q = min(max(q0, lo), hi)
         return p, q, objective(p, q)
     if wp == 0.0:
-        anchor = min(max(0.0, cell.q_lo), cell.q_hi)
-        q = _clip_to_nonempty(_p_interval_at, cell, anchor, min(max(q0, cell.q_lo), cell.q_hi))
-        lo, hi = _p_interval_at(cell, q)
+        q, lo, hi = _clip_to_nonempty(_p_interval_at, cell, min(max(q0, cell.q_lo), cell.q_hi))
         p = min(max(p0, lo), hi)
         return p, q, objective(p, q)
 
@@ -490,8 +490,8 @@ class SetpointController:
     def _voltage_bounds(
         self,
         sample: GridSample,
-        state: TtcState,
-        params: TtcParams,
+        drive: float,
+        rs: float,
         pac_lo: float,
         pac_hi: float,
     ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -511,8 +511,8 @@ class SetpointController:
         p_hi = min(pac_hi, p_max + 1e-12 * p_max)
         s_hi = s_max + 1e-12 * s_max
         eta = self.cfg.battery.eta
-        vdc_lo = solve_vdc(dc_from_ac(p_hi, eta), state, params)
-        vdc_hi = solve_vdc(dc_from_ac(p_lo, eta), state, params)
+        vdc_lo = solve_vdc(dc_from_ac(p_hi, eta), drive, rs)
+        vdc_hi = solve_vdc(dc_from_ac(p_lo, eta), drive, rs)
         xf = self.cfg.transformer
         vac_hi = predict_vac(sample, s_hi, 0.0, xf) if s_hi < math.inf else math.inf
         return (vdc_lo, vdc_hi), (predict_vac(sample, 0.0, 0.0, xf), vac_hi)
@@ -527,6 +527,7 @@ class SetpointController:
         dvac = (cfg.droop.v_ref - sample.v_mv) * 1000.0
         params = params_for_soc(state.soc, self.bands)
         pdc_lo, pdc_hi = dc_power_bounds(state, params, cfg.battery)
+        drive = open_circuit_voltage(state.soc, params) - state.vc_sum
         pac_lo = ac_from_dc(pdc_lo, eta)
         pac_hi = ac_from_dc(pdc_hi, eta)
 
@@ -544,7 +545,7 @@ class SetpointController:
                     raise ValueError(f"no capability curve anchored at {v_dc:g}/{v_ac:g} V")
                 p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
                 p_dc = dc_from_ac(p, eta)
-                vdc = solve_vdc(p_dc, state, params)
+                vdc = solve_vdc(p_dc, drive, params.rs)
                 vac = predict_vac(sample, p, q, cfg.transformer)
                 found = memo[key] = Probe(p, q, p_dc, vdc, vac, dc_anchor, ac_anchor)
             return found
@@ -553,7 +554,7 @@ class SetpointController:
         # voltages inside both ranges.  Within a DC range the first AC range
         # that agrees with its probe settles it; when its DC voltage disagrees,
         # or no AC range agrees, the next DC range is tried.
-        vdc_bounds, vac_bounds = self._voltage_bounds(sample, state, params, pac_lo, pac_hi)
+        vdc_bounds, vac_bounds = self._voltage_bounds(sample, drive, params.rs, pac_lo, pac_hi)
         probes = 0
         fallback = False
         for dc_lo, dc_hi, dc_anchor in DC_SELECTION:

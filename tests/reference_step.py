@@ -10,6 +10,7 @@ from bessctl.battery import (
     ac_from_dc,
     dc_from_ac,
     dc_power_bounds,
+    open_circuit_voltage,
     params_for_soc,
     solve_vdc,
     ttc_step,
@@ -48,6 +49,7 @@ def reference_solve_step(ctl, sample, state):
     dvac = (cfg.droop.v_ref - sample.v_mv) * 1000.0
     params = params_for_soc(state.soc, ctl.bands)
     pdc_lo, pdc_hi = dc_power_bounds(state, params, cfg.battery)
+    drive = open_circuit_voltage(state.soc, params) - state.vc_sum
     pac_lo = ac_from_dc(pdc_lo, eta)
     pac_hi = ac_from_dc(pdc_hi, eta)
     memo = {}
@@ -59,7 +61,7 @@ def reference_solve_step(ctl, sample, state):
             region = build_region([ctl.curves[a] for a in anchors], cfg.shrink)
             p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
             p_dc = dc_from_ac(p, eta)
-            vdc = solve_vdc(p_dc, state, params)
+            vdc = solve_vdc(p_dc, drive, params.rs)
             vac = predict_vac(sample, p, q, cfg.transformer)
             memo[key] = Probe(p, q, p_dc, vdc, vac, dc_anchor, ac_anchor)
         return memo[key]

@@ -18,7 +18,6 @@ from bessctl.battery import (
     open_circuit_voltage,
     params_for_soc,
     parse_ttc_params,
-    soc_update,
     solve_vdc,
     ttc_step,
     validate_bands,
@@ -28,6 +27,15 @@ from bessctl.linefmt import LineFormatError
 
 def band(bands, soc):
     return params_for_soc(soc, bands)
+
+
+def vdc_at(p_dc, state, params):
+    """solve_vdc on the circuit of state under params."""
+    return solve_vdc(p_dc, open_circuit_voltage(state.soc, params) - state.vc_sum, params.rs)
+
+
+def with_dt(cfg, dt):
+    return dataclasses.replace(cfg, delta_t=dt)
 
 
 #: Valid values of every key of a parameter block.
@@ -104,17 +112,11 @@ class TestTtcStep:
     def test_zero_power_decays_branches(self, bands, battery_cfg):
         p = band(bands, 0.5)
         state = TtcState(5.0, 2.0, 1.0, 0.5)
-        out = ttc_step(state, 0.0, 664.0, p, battery_cfg, dt=1.0)
+        out = ttc_step(state, 0.0, 664.0, p, with_dt(battery_cfg, 1.0))
         assert out.vc1 == pytest.approx(5.0 * math.exp(-1.0 / (p.r1 * p.c1)), rel=1e-14)
         assert out.vc2 == pytest.approx(2.0 * math.exp(-1.0 / (p.r2 * p.c2)), rel=1e-14)
         assert out.vc3 == pytest.approx(1.0 * math.exp(-1.0 / (p.r3 * p.c3)), rel=1e-14)
         assert out.soc == 0.5
-
-    def test_zero_dt_is_identity(self, bands, battery_cfg):
-        p = band(bands, 0.5)
-        state = TtcState(5.0, 2.0, 1.0, 0.5)
-        out = ttc_step(state, 100.0, 664.0, p, battery_cfg, dt=0.0)
-        assert (out.vc1, out.vc2, out.vc3, out.soc) == (5.0, 2.0, 1.0, 0.5)
 
     def test_steady_state_reaches_branch_drop(self, bands):
         p = band(bands, 0.5)
@@ -125,7 +127,7 @@ class TestTtcStep:
         state = TtcState(0.0, 0.0, 0.0, 0.5)
         tau_max = max(p.r1 * p.c1, p.r2 * p.c2, p.r3 * p.c3)
         for _ in range(int(10 * tau_max) + 1):
-            state = ttc_step(state, p_dc, vdc, p, cfg, dt=1.0)
+            state = ttc_step(state, p_dc, vdc, p, cfg)
         assert state.vc1 == pytest.approx(p.r1 * i_dc, rel=1e-3)
         assert state.vc2 == pytest.approx(p.r2 * i_dc, rel=1e-3)
         assert state.vc3 == pytest.approx(p.r3 * i_dc, rel=1e-3)
@@ -133,9 +135,9 @@ class TestTtcStep:
     def test_two_half_steps_match_one_full_step(self, bands, battery_cfg):
         p = band(bands, 0.5)
         state = TtcState(3.0, -1.0, 0.5, 0.5)
-        full = ttc_step(state, 250.0, 650.0, p, battery_cfg, dt=1.0)
-        half = ttc_step(state, 250.0, 650.0, p, battery_cfg, dt=0.5)
-        half2 = ttc_step(half, 250.0, 650.0, p, battery_cfg, dt=0.5)
+        full = ttc_step(state, 250.0, 650.0, p, with_dt(battery_cfg, 1.0))
+        half = ttc_step(state, 250.0, 650.0, p, with_dt(battery_cfg, 0.5))
+        half2 = ttc_step(half, 250.0, 650.0, p, with_dt(battery_cfg, 0.5))
         assert half2.vc1 == pytest.approx(full.vc1, abs=1e-12)
         assert half2.vc2 == pytest.approx(full.vc2, abs=1e-12)
         assert half2.vc3 == pytest.approx(full.vc3, abs=1e-12)
@@ -157,9 +159,9 @@ class TestTtcStep:
         cfg = BatteryConfig(c_max_ah=580.0, soc_min=0.1, soc_max=0.9)
         p = band(bands, soc)
         state = TtcState(*vc, soc)
-        full = ttc_step(state, p_dc, vdc, p, cfg, dt=dt)
-        half = ttc_step(state, p_dc, vdc, p, cfg, dt=0.5 * dt)
-        half2 = ttc_step(half, p_dc, vdc, p, cfg, dt=0.5 * dt)
+        full = ttc_step(state, p_dc, vdc, p, with_dt(cfg, dt))
+        half = ttc_step(state, p_dc, vdc, p, with_dt(cfg, 0.5 * dt))
+        half2 = ttc_step(half, p_dc, vdc, p, with_dt(cfg, 0.5 * dt))
         i_dc = p_dc * 1000.0 / vdc
         for r, before, a, b in zip(
             (p.r1, p.r2, p.r3), vc, (half2.vc1, half2.vc2, half2.vc3), (full.vc1, full.vc2, full.vc3)
@@ -172,14 +174,14 @@ class TestSolveVdc:
     def test_zero_power_equals_open_circuit_voltage(self, bands):
         p = band(bands, 0.5)
         state = TtcState(0.0, 0.0, 0.0, 0.5)
-        assert solve_vdc(0.0, state, p) == open_circuit_voltage(0.5, p)
+        assert vdc_at(0.0, state, p) == open_circuit_voltage(0.5, p)
 
     def test_double_root_at_maximum_power_point(self, bands):
         p = band(bands, 0.5)
         state = TtcState(0.0, 0.0, 0.0, 0.5)
         e = open_circuit_voltage(0.5, p)
         p_mpp = e * e / (4.0 * p.rs) / 1000.0
-        vdc = solve_vdc(p_mpp, state, p)
+        vdc = vdc_at(p_mpp, state, p)
         assert vdc == pytest.approx(e / 2.0, rel=1e-9)
 
     def test_beyond_maximum_power_errors(self, bands):
@@ -187,14 +189,14 @@ class TestSolveVdc:
         state = TtcState(0.0, 0.0, 0.0, 0.5)
         e = open_circuit_voltage(0.5, p)
         with pytest.raises(InfeasiblePowerError):
-            solve_vdc(e * e / (4.0 * p.rs) / 1000.0 * 1.001, state, p)
+            vdc_at(e * e / (4.0 * p.rs) / 1000.0 * 1.001, state, p)
 
     def test_residual_and_monotonicity(self, bands):
         p = band(bands, 0.5)
         prev = None
         for p_dc in np.linspace(-1500.0, 4000.0, 300):
             state = TtcState(1.0, 0.5, 0.1, 0.5)
-            vdc = solve_vdc(float(p_dc), state, p)
+            vdc = vdc_at(float(p_dc), state, p)
             e = open_circuit_voltage(0.5, p)
             residual = vdc * vdc + (state.vc_sum - e) * vdc + p_dc * 1000.0 * p.rs
             assert abs(residual) / max(1.0, vdc * vdc) <= 1e-9
@@ -223,7 +225,7 @@ class TestSolveVdc:
         hi = data.draw(
             st.one_of(st.just(min(math.nextafter(lo, math.inf), p_mpp)), st.floats(lo, p_mpp))
         )
-        assert solve_vdc(lo, state, p) >= solve_vdc(hi, state, p)
+        assert solve_vdc(lo, drive, p.rs) >= solve_vdc(hi, drive, p.rs)
 
 
 class TestPowerConversion:
@@ -243,24 +245,27 @@ class TestPowerConversion:
 
 
 class TestSocUpdate:
-    def test_zero_power_keeps_soc(self, battery_cfg):
-        assert soc_update(0.5, 0.0, 664.0, battery_cfg) == 0.5
+    def soc_after(self, bands, soc, p_dc, vdc, cfg):
+        return ttc_step(TtcState(0.0, 0.0, 0.0, soc), p_dc, vdc, band(bands, soc), cfg).soc
 
-    def test_discharge_decreases_soc(self, battery_cfg):
-        assert soc_update(0.5, 100.0, 664.0, battery_cfg) < 0.5
+    def test_zero_power_keeps_soc(self, bands, battery_cfg):
+        assert self.soc_after(bands, 0.5, 0.0, 664.0, battery_cfg) == 0.5
 
-    def test_charge_then_discharge_round_trip(self, battery_cfg):
+    def test_discharge_decreases_soc(self, bands, battery_cfg):
+        assert self.soc_after(bands, 0.5, 100.0, 664.0, battery_cfg) < 0.5
+
+    def test_charge_then_discharge_round_trip(self, bands, battery_cfg):
         vdc = 660.0
         soc = 0.5
         for _ in range(30):
-            soc = soc_update(soc, -200.0, vdc, battery_cfg)
+            soc = self.soc_after(bands, soc, -200.0, vdc, battery_cfg)
         for _ in range(30):
-            soc = soc_update(soc, 200.0, vdc, battery_cfg)
+            soc = self.soc_after(bands, soc, 200.0, vdc, battery_cfg)
         assert soc == pytest.approx(0.5, abs=1e-12)
 
-    def test_limit_violation_is_reported_not_clamped(self, battery_cfg):
+    def test_limit_violation_is_reported_not_clamped(self, bands, battery_cfg):
         with pytest.raises(SocLimitError):
-            soc_update(0.9, -10000.0, 660.0, battery_cfg, dt=3600.0)
+            self.soc_after(bands, 0.9, -10000.0, 660.0, with_dt(battery_cfg, 3600.0))
 
 
 class TestDcPowerBounds:
@@ -290,8 +295,8 @@ class TestDcPowerBounds:
         p = band(bands, 0.5)
         state = TtcState(0.0, 0.0, 0.0, 0.5)
         p_min, p_max = dc_power_bounds(state, p, battery_cfg)
-        assert solve_vdc(p_max, state, p) >= battery_cfg.vdc_min - 1e-3
-        assert solve_vdc(p_min, state, p) <= battery_cfg.vdc_max + 1e-3
+        assert vdc_at(p_max, state, p) >= battery_cfg.vdc_min - 1e-3
+        assert vdc_at(p_min, state, p) <= battery_cfg.vdc_max + 1e-3
 
     def test_vdc_window_bounds_are_tight(self, bands, battery_cfg):
         # At SOC 0.5 the vdc window sets both bounds; a relative step of
@@ -299,10 +304,10 @@ class TestDcPowerBounds:
         p = band(bands, 0.5)
         state = TtcState(0.0, 0.0, 0.0, 0.5)
         p_min, p_max = dc_power_bounds(state, p, battery_cfg)
-        assert solve_vdc(p_max, state, p) >= battery_cfg.vdc_min
-        assert solve_vdc(p_max * (1 + 1e-9), state, p) < battery_cfg.vdc_min
-        assert solve_vdc(p_min, state, p) <= battery_cfg.vdc_max
-        assert solve_vdc(p_min * (1 + 1e-9), state, p) > battery_cfg.vdc_max
+        assert vdc_at(p_max, state, p) >= battery_cfg.vdc_min
+        assert vdc_at(p_max * (1 + 1e-9), state, p) < battery_cfg.vdc_min
+        assert vdc_at(p_min, state, p) <= battery_cfg.vdc_max
+        assert vdc_at(p_min * (1 + 1e-9), state, p) > battery_cfg.vdc_max
 
     def test_bounds_always_solvable(self, bands, battery_cfg):
         rng = np.random.default_rng(5)
@@ -318,8 +323,8 @@ class TestDcPowerBounds:
             p_min, p_max = dc_power_bounds(state, p, battery_cfg)
             assert p_min <= 0.0 <= p_max
             for frac in (0.0, 0.25, 0.9, 1.0):
-                solve_vdc(p_min + frac * (p_max - p_min), state, p)
-                new_soc = soc_update(soc, p_max * frac, solve_vdc(p_max * frac, state, p), battery_cfg)
+                vdc_at(p_min + frac * (p_max - p_min), state, p)
+                new_soc = ttc_step(state, p_max * frac, vdc_at(p_max * frac, state, p), p, battery_cfg).soc
                 assert battery_cfg.soc_min - 1e-9 <= new_soc <= battery_cfg.soc_max + 1e-9
 
     @settings(max_examples=1000, deadline=None)
@@ -358,9 +363,36 @@ class TestDcPowerBounds:
         for bound in (p_dc_max, p_dc_min):
             for p_dc in (bound, dc_from_ac(ac_from_dc(bound, eta), eta)):
                 if bound > 0.0:
-                    assert solve_vdc(p_dc, state, p) >= cfg.vdc_min, (bound, p_dc)
+                    assert vdc_at(p_dc, state, p) >= cfg.vdc_min, (bound, p_dc)
                 elif bound < 0.0:
-                    assert solve_vdc(p_dc, state, p) <= cfg.vdc_max, (bound, p_dc)
+                    assert vdc_at(p_dc, state, p) <= cfg.vdc_max, (bound, p_dc)
+
+
+class TestSocLanding:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        vc=st.tuples(st.floats(-50.0, 260.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        limits=st.sampled_from([(0.0, 1.0), (0.1, 0.9)]),
+        near_max=st.booleans(),
+        offset=st.floats(0.0, 6e-4),
+    )
+    # Driven to the discharge bound, this state's SOC rounds to just below 0.
+    @example(
+        (21.17755969587742, -3.227887410614173, 0.8446087077844133),
+        (0.0, 1.0), False, 0.0004782585375812977,
+    )
+    def test_a_step_to_a_bound_lands_inside_the_soc_limits(
+        self, bands, vc, limits, near_max, offset
+    ):
+        soc_min, soc_max = limits
+        soc = soc_max - offset if near_max else soc_min + offset
+        cfg = BatteryConfig(c_max_ah=580.0, soc_min=soc_min, soc_max=soc_max)
+        p = band(bands, soc)
+        state = TtcState(*vc, soc)
+        assume(open_circuit_voltage(soc, p) > state.vc_sum)
+        for bound in dc_power_bounds(state, p, cfg):
+            new_state = ttc_step(state, bound, vdc_at(bound, state, p), p, cfg)
+            assert soc_min <= new_state.soc <= soc_max, (bound, new_state.soc)
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import bessctl.battery as battery
 import bessctl.capability as capability
 import bessctl.optimizer as optimizer
 from bessctl.battery import (
@@ -15,6 +16,7 @@ from bessctl.battery import (
     ac_from_dc,
     dc_from_ac,
     dc_power_bounds,
+    open_circuit_voltage,
     params_for_soc,
 )
 from bessctl.capability import (
@@ -217,6 +219,32 @@ class TestProject:
             assert q == pytest.approx(c0 - c1 * c1 / (4.0 * c2), abs=1e-9)
             assert p == pytest.approx(-c1 / (2.0 * c2), abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "anchors, p0, bisects",
+        [(ONE_ENV, 100.0, False), (TWO_ENV, 678.71, True)],
+        ids=["inside", "past-the-disk"],
+    )
+    def test_lexicographic_cell_solve_takes_the_q_interval_it_found(
+        self, curve_map, monkeypatch, anchors, p0, bisects
+    ):
+        # A target whose q interval is nonempty evaluates it once; one past
+        # the disk bisects, and its q comes from the interval at the p found.
+        calls = []
+        original = optimizer._q_interval_at
+
+        def counting(cell, p):
+            calls.append(p)
+            return original(cell, p)
+
+        monkeypatch.setattr(optimizer, "_q_interval_at", counting)
+        cell = build_region([curve_map[a] for a in anchors], 1.0).upper_cell
+        p, q, _ = optimizer._project_cell(cell, p0, 700.0, 1.0, 0.0)
+        assert (len(calls) > 1) is bisects
+        assert calls[0] == p0
+        assert q == original(cell, p)[1]
+        if not bisects:
+            assert p == p0
+
     def test_far_off_candidate_is_not_ranked(self):
         # The nearly flat cap crosses the Q ceiling at p = -2e201, far
         # outside the P box, where the objective overflows.
@@ -357,6 +385,47 @@ class TestSolveStep:
         record, _ = ctl.solve_step(sample, state)
         assert any(flag.endswith(status) for flag in record.status), record.status
         assert calls["n"] == 1
+
+    def test_step_driven_to_soc_min_zero_lands_on_it(self, bands, curve_map):
+        # Drained to the discharge bound, the SOC rounds to -8.1e-20, inside
+        # the limit check's slack; the step lands it on the limit.
+        _, cfg = load_run_config(builtin_scenario_path("scenario4"))
+        cfg = dataclasses.replace(cfg, battery=dataclasses.replace(cfg.battery, soc_min=0.0))
+        ctl = SetpointController(cfg, curve_map, bands)
+        record, new_state = ctl.solve_step(
+            GridSample(0.0, 49.95, 21.192), TtcState(0.0, 0.0, 0.0, 0.00020017)
+        )
+        assert new_state.soc == 0.0
+        assert record.p_opt < record.p_target
+
+    @pytest.mark.parametrize(
+        "lambda_q, sample, state",
+        [
+            (0.0, GridSample(0.0, 49.95, 21.3), TtcState(0.0, 0.0, 0.0, 0.1002)),
+            (1.0, GridSample(0.0, 49.95, 18.5), TtcState(0.0, 0.0, 0.0, 0.5)),
+        ],
+        ids=["soc-edge", "undervoltage"],
+    )
+    def test_a_step_evaluates_the_circuit_twice(
+        self, bands, curve_map, monkeypatch, lambda_q, sample, state
+    ):
+        # Once in dc_power_bounds and once for the drive that the voltage
+        # bounds and every probe share.
+        calls = []
+        original = battery.open_circuit_voltage
+
+        def counting(soc, params):
+            calls.append(soc)
+            return original(soc, params)
+
+        monkeypatch.setattr(battery, "open_circuit_voltage", counting)
+        monkeypatch.setattr(optimizer, "open_circuit_voltage", counting)
+        _, cfg = load_run_config(builtin_scenario_path("scenario4"))
+        cfg = dataclasses.replace(cfg, droop=dataclasses.replace(cfg.droop, lambda_q=lambda_q))
+        ctl = SetpointController(cfg, curve_map, bands)
+        record, _ = ctl.solve_step(sample, state)
+        assert record.p_opt < record.p_target
+        assert calls == [state.soc] * 2
 
     def test_step_builds_no_region_and_leaves_the_controller_unchanged(
         self, controller_cfg, curve_map, bands, monkeypatch
@@ -1082,8 +1151,9 @@ class TestPrunedAssumptionLoop:
         params = params_for_soc(state.soc, bands)
         pdc_lo, pdc_hi = dc_power_bounds(state, params, STEP_BATTERY)
         eta = STEP_BATTERY.eta
+        drive = open_circuit_voltage(state.soc, params) - state.vc_sum
         (vdc_lo, vdc_hi), (vac_lo, vac_hi) = ctl._voltage_bounds(
-            sample, state, params, ac_from_dc(pdc_lo, eta), ac_from_dc(pdc_hi, eta)
+            sample, drive, params.rs, ac_from_dc(pdc_lo, eta), ac_from_dc(pdc_hi, eta)
         )
         for probe in probes:
             assert vdc_lo <= probe.vdc <= vdc_hi, probe
