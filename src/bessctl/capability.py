@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from bessctl.linefmt import LineFormatError, parse_number, read_blocks
 
@@ -215,19 +216,42 @@ class CompanionOverflowError(ValueError):
     an entry of its companion matrix overflows."""
 
 
+def _raise_nonconvergence(err: str, flag: int) -> None:
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigvals(companion: np.ndarray) -> np.ndarray:
+    """Complex eigenvalues of a finite, square float64 matrix.
+
+    The LAPACK ``dgeev`` gufunc behind ``np.linalg.eigvals``, called under
+    the same error state, so non-convergence raises the same LinAlgError;
+    the caller makes the wrapper's input checks.
+    """
+    with np.errstate(
+        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _umath_linalg.eigvals(companion, signature="d->D")
+
+
 def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     """Real roots of a polynomial given by descending coefficients.
 
     Degrees 1 and 2 are solved in closed form.  Above that, each trailing
     zero coefficient is a root at 0, listed last, and the other roots are
     the eigenvalues of the companion matrix of the remaining coefficients
-    (first row -c/lead, ones on the subdiagonal), from one
-    ``np.linalg.eigvals`` call on the matrix ``np.roots`` would build, so
-    they equal its roots bit for bit.  Real roots are polished with two
-    Newton steps, evaluated by Horner's rule in the same operation order as
-    ``np.polyval``/``np.polyder``.  Non-finite coefficients raise
-    ValueError, and a companion entry that overflows raises
-    CompanionOverflowError, naming the leading coefficient.
+    (first row -c/lead, ones on the subdiagonal), the matrix ``np.roots``
+    would build.  They come from ``_eigvals``, the LAPACK gufunc that
+    ``np.linalg.eigvals`` calls, without that wrapper's checks: this
+    function has already made the matrix 2-D, square, float64 and finite,
+    and keeps complex roots as ``.imag``.  A wrapper call took about four
+    times as long as the gufunc alone.
+    ``tests/test_capability.py::TestPolyRealRoots`` keeps the roots
+    bit-equal to the public ``np.roots`` path on the numpy installed.  Real
+    roots are polished with two Newton steps, evaluated by
+    Horner's rule in the same operation order as ``np.polyval``/
+    ``np.polyder``.  Non-finite coefficients raise ValueError, a companion
+    entry that overflows raises CompanionOverflowError, naming the leading
+    coefficient, and LAPACK non-convergence raises LinAlgError.
     """
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
@@ -255,7 +279,7 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     if n:
         companion = np.eye(n, k=-1)
         companion[0] = row
-        roots = np.linalg.eigvals(companion).tolist() + roots
+        roots = _eigvals(companion).tolist() + roots
     deriv = [c * (degree - i) for i, c in enumerate(trimmed[:-1])]
     out: list[float] = []
     for root in roots:
@@ -312,6 +336,21 @@ class Cell:
         for c0, c1, c2 in self.paras:
             worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
         return worst
+
+    def within(self, p: float, q: float, tol: float) -> bool:
+        """violation(p, q) <= tol for finite p, False at the first term above tol.
+
+        The terms are those of violation, evaluated the same way; a NaN
+        term, which max skips after the P terms, fails no test here either.
+        """
+        if self.p_lo - p > tol or p - self.p_hi > tol or self.q_lo - q > tol or q - self.q_hi > tol:
+            return False
+        if self.r is not None and math.hypot(p, q) - self.r > tol:
+            return False
+        for c0, c1, c2 in self.paras:
+            if q - (c0 + c1 * p + c2 * p * p) > tol:
+                return False
+        return True
 
 
 #: Least value, in kvar, a parabola cap must keep at the ends of the P box

@@ -42,9 +42,14 @@ passes the feasibility screen, polished into the cell, is the exact
 projection.  The intersections that do not involve the P box,
 among them the disk-parabola quartic, are the cell's corners, found once
 by ``build_region``; per call, only the parabola stationary-point cubic
-goes through numpy, as one ``eigvals`` call on its companion matrix, with a
-scalar Newton polish.  The cell across Q = 0 from the target is solved only
-when it could still win.
+goes through numpy, as one call of the LAPACK eigenvalue gufunc on its
+companion matrix, with a scalar Newton polish.  ``poly_real_roots`` calls
+the gufunc directly, because the ``np.linalg.eigvals`` wrapper repeats
+checks it has already made and cost more than the solve;
+``tests/test_capability.py::TestPolyRealRoots`` keeps its roots bit-equal
+to the public ``np.roots`` path.  The screen and the interior test use
+``Cell.within``, which stops at the first violated constraint.  The cell
+across Q = 0 from the target is solved only when it could still win.
 
 A controller builds the region of every selection-table pair once, when
 it is constructed, and holds immutable configuration only; the evolving
@@ -357,17 +362,18 @@ def _project_cell(
         p = min(max(p0, lo), hi)
         return p, q, objective(p, q)
 
-    if cell.violation(p0, q0) <= 0.0:
+    if cell.within(p0, q0, 0.0):
         return p0, q0, 0.0
 
-    # Candidates outside the P box fail the screen; unranked, they cannot overflow.
+    # Candidates outside the P box fail the screen; unranked, they cannot
+    # overflow.  The objective is inlined, as it is evaluated per candidate.
     ranked = sorted(
-        (objective(p, q), i, p, q)
+        (wp * (p - p0) ** 2 + wq * (q - q0) ** 2, i, p, q)
         for i, (p, q) in enumerate(_cell_candidates(cell, p0, q0, wp, wq))
         if cell.p_lo - p <= _SCREEN_TOL and p - cell.p_hi <= _SCREEN_TOL
     )
     for _, _, p, q in ranked:
-        if cell.violation(p, q) <= _SCREEN_TOL:
+        if cell.within(p, q, _SCREEN_TOL):
             p, q = _polish(cell, p, q)
             return p, q, objective(p, q)
     return None

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.linalg import LinAlgError
 
+import bessctl.capability as capability
 from bessctl.capability import (
     AC_SELECTION,
     DC_SELECTION,
@@ -395,6 +397,21 @@ class TestPolyRealRoots:
     def test_trailing_zeros_are_roots_at_zero(self):
         assert poly_real_roots([1.0, -3.0, 2.0, 0.0, 0.0]) == [2.0, 1.0, 0.0, 0.0]
         assert poly_real_roots([2.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
+
+    def test_lapack_nonconvergence_raises_linalgerror(self, monkeypatch):
+        # dgeev's gufunc reports non-convergence by raising the invalid flag
+        # and returning NaNs; the error state that np.linalg.eigvals set
+        # around it turned the flag into this error, and _eigvals must too.
+        class NonConverging:
+            @staticmethod
+            def eigvals(companion, signature):
+                assert signature == "d->D"
+                np.sqrt(np.full(1, -1.0))
+                return np.full(len(companion), complex(math.nan, math.nan))
+
+        monkeypatch.setattr(capability, "_umath_linalg", NonConverging)
+        with pytest.raises(LinAlgError, match="^Eigenvalues did not converge$"):
+            poly_real_roots([1.0, -6.0, 11.0, -6.0])
 
     def test_companion_overflow_names_the_leading_coefficient(self):
         with pytest.raises(CompanionOverflowError, match="leading coefficient 1e-320 "):

@@ -698,15 +698,15 @@ def draw_cell(data, curve_map):
     return optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
 
 
-def near_boundary(data, cell):
-    """A target within BOUNDARY_DELTA of a P line, a Q line, the disk, a cap
-    or a finite stored corner of the cell, or anywhere."""
+def near_boundary(data, cell, deltas=BOUNDARY_DELTA):
+    """A target within an offset drawn from deltas of a P line, a Q line,
+    the disk, a cap or a finite stored corner of the cell, or anywhere."""
     kinds = ["anywhere", "cap", "corner"]
     kinds += ["p-line"] * any(map(math.isfinite, (cell.p_lo, cell.p_hi)))
     kinds += ["q-line"] * any(map(math.isfinite, (cell.q_lo, cell.q_hi)))
     kinds += ["disk"] * (cell.r is not None)
     kind = data.draw(st.sampled_from(kinds))
-    delta = data.draw(BOUNDARY_DELTA)
+    delta = data.draw(deltas)
     along = data.draw(st.floats(-1000.0, 1000.0))
     if kind == "p-line":
         edge = data.draw(st.sampled_from([p for p in (cell.p_lo, cell.p_hi) if math.isfinite(p)]))
@@ -723,14 +723,32 @@ def near_boundary(data, cell):
     corners = [c for c in cell.corners if math.isfinite(c[0])]
     if kind == "corner" and corners:
         p, q = data.draw(st.sampled_from(corners))
-        return p + delta, q + data.draw(BOUNDARY_DELTA)
+        return p + delta, q + data.draw(deltas)
     return along, data.draw(st.floats(-1000.0, 1000.0))
+
+
+def tol_deltas(tol):
+    """Offsets across a boundary that straddle tol and -tol: each of them,
+    the floats next to them, or anything within 2 tol + 1e-9."""
+    edges = [s * math.nextafter(tol, d) for s in (-1.0, 1.0) for d in (-math.inf, 0.0, math.inf)]
+    return st.one_of(st.sampled_from(edges + [0.0]), st.floats(-2 * tol - 1e-9, 2 * tol + 1e-9))
 
 
 class TestProjectExactness:
     """project skips the Q cell that cannot win, reads each cell's corners
-    from the region and takes a cell's first feasible candidate in objective
-    order; none of these may change one bit of its result."""
+    from the region, takes a cell's first feasible candidate in objective
+    order and screens it with Cell.within; none of these may change one bit
+    of its result."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([0.0, optimizer._SCREEN_TOL]))
+    def test_within_equals_violation_at_most_tol(self, curve_map, data, tol):
+        # _project_cell only screens points inside the P box widened by tol,
+        # so p is finite; q may be anything.
+        cell = draw_cell(data, curve_map)
+        p, q = near_boundary(data, cell, tol_deltas(tol))
+        q = data.draw(st.sampled_from([q, q, q, math.inf, -math.inf, math.nan]))
+        assert cell.within(p, q, tol) == (cell.violation(p, q) <= tol)
 
     def test_stored_corners_equal_fresh_enumeration(self, curve_map):
         for anchors in REGION_ANCHORS:
@@ -888,7 +906,7 @@ class TestProjectExactness:
         ctl.solve_step(GridSample(0.0, 50.02, 21.15), state)  # builds the regions
 
         degrees = []
-        eigvals = np.linalg.eigvals
+        eigvals = capability._eigvals
 
         def counting_eigvals(companion):
             degrees.append(len(companion))
@@ -905,7 +923,7 @@ class TestProjectExactness:
             counts["cell"] += 1
             return original_cell(*args)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(capability, "_eigvals", counting_eigvals)
         monkeypatch.setattr(optimizer, "project", counting_project)
         monkeypatch.setattr(optimizer, "_project_cell", counting_cell)
         # Both gains oversized: the target lies outside every region.

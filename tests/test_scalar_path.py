@@ -1,8 +1,10 @@
 """Source guards: the per-step modules stay pure-Python scalar code (none of
 battery, grid and optimizer imports numpy), the control-loop modules import
-without the CLI, no module finds roots through ``np.roots``, the line
-grammars stay in linefmt (no other module imports a tokenizer), and the
-optimizer's set-point tolerance only sets the status flags."""
+without the CLI, no module finds roots through ``np.roots`` or eigenvalues
+through ``np.linalg.eigvals`` (capability alone calls the LAPACK gufunc
+behind it), the line grammars stay in linefmt (no other module imports a
+tokenizer), and the optimizer's set-point tolerance only sets the status
+flags."""
 
 import ast
 import os
@@ -54,32 +56,58 @@ def test_control_loop_imports_without_the_cli():
     assert result.stdout == "[]\n"
 
 
-def numpy_reads(path, attr):
-    """``alias.attr`` reads in the module, alias bound by ``import numpy``,
-    plus ``from numpy import attr``."""
+def numpy_names(path):
+    """``name:line`` for every numpy name the module imports or reads, the
+    name resolved through its import: under ``import numpy as np``,
+    ``np.linalg.eigvals`` reads ``numpy.linalg.eigvals`` (and
+    ``numpy.linalg``)."""
     tree = ast.parse(path.read_text("utf-8"), str(path))
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-        if alias.name == "numpy"
-    }
+    bound = {}
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == attr
-            and isinstance(node.value, ast.Name)
-            and node.value.id in aliases
-        ):
-            yield f"{node.value.id}.{attr}:{node.lineno}"
-    yield from (name for name in imported_names(path) if name == f"numpy.{attr}")
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.split(".")[0] == "numpy":
+                    bound[alias.asname] = alias.name
+                elif alias.name.split(".")[0] == "numpy":  # import numpy.linalg binds numpy
+                    bound["numpy"] = "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                yield f"{node.module}.{alias.name}:{node.lineno}"
+    for node in ast.walk(tree):
+        attrs = []
+        value = node
+        while isinstance(value, ast.Attribute):
+            attrs.append(value.attr)
+            value = value.value
+        if attrs and isinstance(value, ast.Name) and value.id in bound:
+            yield ".".join([bound[value.id], *reversed(attrs)]) + f":{node.lineno}"
+
+
+def numpy_reads(path, name):
+    return [read for read in numpy_names(path) if read.rsplit(":", 1)[0] == name]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_reads_numpy_roots(module):
     # poly_real_roots builds the companion matrix np.roots would build.
-    assert list(numpy_reads(PACKAGE / module, "roots")) == []
+    assert numpy_reads(PACKAGE / module, "numpy.roots") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_numpy_eigvals(module):
+    # poly_real_roots calls the gufunc behind np.linalg.eigvals directly.
+    assert numpy_reads(PACKAGE / module, "numpy.linalg.eigvals") == []
+
+
+def test_only_capability_imports_the_eigenvalue_gufunc():
+    gufunc = "numpy.linalg._umath_linalg"
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(read.rsplit(":", 1)[0].startswith(gufunc) for read in numpy_names(path))
+    }
+    assert importers == {"capability.py"}
 
 
 @pytest.mark.parametrize(
