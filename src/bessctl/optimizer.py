@@ -35,8 +35,9 @@ power interval, one origin-centred disk, the concave parabola caps that can
 bind on its P box (one or none on the shipped curves) and a flat Q
 ceiling.  ``build_region`` scales and normalizes the cells once; a
 projection only narrows a cell's P interval to the step's battery bounds.
-A target inside the cell is its own projection; otherwise the stationary
-point on every boundary curve and all pairwise boundary intersections are
+A target inside the cell is its own projection.  Otherwise, unless the
+single-constraint exit below applies, the stationary point on every
+boundary curve and all pairwise boundary intersections are
 ranked by objective (the first enumerated on a tie), and the first that
 passes the feasibility screen, polished into the cell, is the exact
 projection.  The intersections that do not involve the P box,
@@ -50,6 +51,40 @@ checks it has already made and cost more than the solve;
 to the public ``np.roots`` path.  The screen and the interior test use
 ``Cell.within``, which stops at the first violated constraint.  The cell
 across Q = 0 from the target is solved only when it could still win.
+
+With both weights positive, a cell solve first tries a single-constraint
+exit.  For each constraint k the target violates, it projects the target
+onto k alone: a clamp onto a P or Q line, the circle point for the disk,
+and last, after the cubic, the least-objective stationary point of a cap.
+That point x* is returned, polished, when it passes the screen and is
+isolated: every other constraint g_j satisfies
+g_j(x*) + L_j rho + _SCREEN_TOL < 0.  Here
+rho = 2 sqrt(mu _SCREEN_TOL / min(wp, wq)) + _RHO_FLOOR, and
+mu = |grad f(x*)| / |grad g_k(x*)| is k's KKT multiplier.  L_j bounds
+|grad g_j| over the ball of radius rho around x*: 1 for the lines and the
+disk, and 1 + |c1 + 2 c2 p| + 2 |c2| rho for a cap.  The exit returns what
+the ranked screen would, bit for bit:
+
+- g_k is convex and the objective f is strongly convex with modulus
+  min(wp, wq).  So a point y with g_k(y) <= _SCREEN_TOL, as every screened
+  candidate has, satisfies f(y) >= f(x*) - mu _SCREEN_TOL +
+  min(wp, wq) |y - x*|^2.  A candidate can rank at or before x* only
+  within rho / 2 of it.
+- Every candidate except k's own stationary points lies on another
+  constraint's boundary.  The margin keeps each such boundary more than rho
+  away from x*, and its _SCREEN_TOL term covers candidates that rounding
+  puts just off their boundary.
+- The other stationary points of a cap lie on the cap, where f exceeds
+  f(x*).  (They lie above the target: a target above a cap can have three.)
+  x* is the first of least objective among them, so it ranks first.
+- The bound above holds for the exact x*.  The factor 2 in rho and the
+  float floor _RHO_FLOOR absorb the rounding of the computed x* (the
+  disk's bisection, the cubic's Newton polish), which matters when mu is
+  tiny.
+
+On a miss, the circle point and the cap roots already solved go to the
+enumeration, so nothing is solved twice.  The cubic of a cap the target
+does not violate is solved only when the enumeration runs.
 
 A controller builds the region of every selection-table pair once, when
 it is constructed, and holds immutable configuration only; the evolving
@@ -99,6 +134,10 @@ from bessctl.grid import (
 
 #: Feasibility slack used when screening projection candidates [kW/kvar].
 _SCREEN_TOL = 1e-7
+
+#: Least radius of the ball a single-constraint projection keeps clear of the
+#: cell's other boundaries [kW/kvar]; far above the rounding of the point.
+_RHO_FLOOR = 1e-9
 
 #: Two set-points closer than this per coordinate count as identical [kW/kvar].
 _POINT_TOL = 1e-9
@@ -228,10 +267,20 @@ def _parabola_stationary(
     return [(p, c0 + c1 * p + c2 * p * p) for p in poly_real_roots(coeffs)]
 
 
-def _cell_candidates(cell: Cell, p0: float, q0: float, wp: float, wq: float):
+def _cell_candidates(
+    cell: Cell,
+    p0: float,
+    q0: float,
+    wp: float,
+    wq: float,
+    solved: dict[object, list[tuple[float, float]]] | None = None,
+):
     """Superset of points that can be the cell optimum: single-boundary
     stationary points plus all pairwise boundary intersections.  Those of
-    the crossings that involve no P line are the cell's stored corners."""
+    the crossings that involve no P line are the cell's stored corners.
+    solved maps "disk" and cap indices to the stationary points already
+    found for this target, which are taken instead of being solved again."""
+    solved = solved or {}
     cands: list[tuple[float, float]] = []
     p_lines = [cell.p_lo, cell.p_hi]
     q_lines = [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
@@ -241,9 +290,11 @@ def _cell_candidates(cell: Cell, p0: float, q0: float, wp: float, wq: float):
     for b in q_lines:
         cands.append((p0, b))
     if cell.r is not None:
-        cands.extend(_circle_candidates(p0, q0, cell.r, wp, wq))
-    for para in cell.paras:
-        cands.extend(_parabola_stationary(p0, q0, para, wp, wq))
+        circle = solved.get("disk")
+        cands.extend(_circle_candidates(p0, q0, cell.r, wp, wq) if circle is None else circle)
+    for i, para in enumerate(cell.paras):
+        points = solved.get(i)
+        cands.extend(_parabola_stationary(p0, q0, para, wp, wq) if points is None else points)
 
     for a in p_lines:
         for b in q_lines:
@@ -342,10 +393,66 @@ def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _isolated(
+    cell: Cell,
+    k: object,
+    p: float,
+    q: float,
+    grad: float,
+    p0: float,
+    q0: float,
+    wp: float,
+    wq: float,
+) -> bool:
+    """True when every constraint of the cell but k holds at (p, q), the
+    projection of the target onto k alone, with the margin that makes it
+    the ranked screen's winner (see _project_cell).
+
+    k is "p_lo", "p_hi", "q_lo", "q_hi", "disk" or a cap's index in paras,
+    and grad is |grad g_k| at (p, q).  Each other g_j must satisfy
+    g_j + L_j rho + _SCREEN_TOL < 0, with L_j a bound on |grad g_j| over
+    the ball of radius rho around (p, q).
+    """
+    mu = 2.0 * math.hypot(wp * (p - p0), wq * (q - q0)) / grad
+    rho = 2.0 * math.sqrt(mu * _SCREEN_TOL / min(wp, wq)) + _RHO_FLOOR
+    gap = rho + _SCREEN_TOL  # L_j = 1 for the lines and the disk
+    if (
+        (k != "p_lo" and cell.p_lo - p + gap >= 0.0)
+        or (k != "p_hi" and p - cell.p_hi + gap >= 0.0)
+        or (k != "q_lo" and cell.q_lo - q + gap >= 0.0)
+        or (k != "q_hi" and q - cell.q_hi + gap >= 0.0)
+        or (k != "disk" and cell.r is not None and math.hypot(p, q) - cell.r + gap >= 0.0)
+    ):
+        return False
+    for i, (c0, c1, c2) in enumerate(cell.paras):
+        if i == k:
+            continue
+        slope = 1.0 + abs(c1 + 2.0 * c2 * p) + 2.0 * abs(c2) * rho
+        if q - (c0 + c1 * p + c2 * p * p) + slope * rho + _SCREEN_TOL >= 0.0:
+            return False
+    return True
+
+
 def _project_cell(
     cell: Cell, p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float, float] | None:
-    """Exact weighted projection onto one cell; returns (p, q, objective)."""
+    """Exact weighted projection onto one cell; returns (p, q, objective).
+
+    A single weight takes the lexicographic branch.  With both weights
+    positive, a target inside the cell is returned as it is.  Otherwise the
+    target is projected onto each constraint k it violates, alone: the P and
+    Q lines, then the disk, then each violated cap, whose cubic is solved
+    last.  The first such point x* that passes the screen and is isolated
+    is returned, polished.  Isolated means that each other constraint g_j
+    satisfies g_j(x*) + L_j rho + _SCREEN_TOL < 0, with
+    rho = 2 sqrt(mu _SCREEN_TOL / min(wp, wq)) + _RHO_FLOOR and mu the KKT
+    multiplier of k (see _isolated).  The module docstring shows why x* is
+    then what the ranked screen returns, bit for bit: no screened candidate
+    ranks before it.  On a miss, the candidates are ranked by objective,
+    the first enumerated on a tie, and the first that passes the screen,
+    polished, is returned.  The circle point and the cap roots solved for
+    the exit are reused there.
+    """
     if cell.p_lo > cell.p_hi or cell.q_lo > cell.q_hi:
         return None
 
@@ -365,11 +472,44 @@ def _project_cell(
     if cell.within(p0, q0, 0.0):
         return p0, q0, 0.0
 
+    # The projection onto each violated constraint alone, lines first and
+    # cap cubics last; the first that is in the cell and isolated wins.
+    shots: list[tuple[object, float, float]] = []
+    if p0 < cell.p_lo:
+        shots.append(("p_lo", cell.p_lo, q0))
+    elif p0 > cell.p_hi:
+        shots.append(("p_hi", cell.p_hi, q0))
+    if q0 < cell.q_lo:
+        shots.append(("q_lo", p0, cell.q_lo))
+    elif q0 > cell.q_hi:
+        shots.append(("q_hi", p0, cell.q_hi))
+    solved: dict[object, list[tuple[float, float]]] = {}
+    if cell.r is not None:
+        circle = solved["disk"] = _circle_candidates(p0, q0, cell.r, wp, wq)
+        shots += [("disk", p, q) for p, q in circle]
+    # The lines and the disk have |grad g_k| = 1.
+    for k, p, q in shots:
+        if cell.within(p, q, _SCREEN_TOL) and _isolated(cell, k, p, q, 1.0, p0, q0, wp, wq):
+            p, q = _polish(cell, p, q)
+            return p, q, objective(p, q)
+    for i, para in enumerate(cell.paras):
+        c0, c1, c2 = para
+        if q0 - (c0 + c1 * p0 + c2 * p0 * p0) <= 0.0:
+            continue
+        points = solved[i] = _parabola_stationary(p0, q0, para, wp, wq)
+        if not points:
+            continue
+        p, q = min(points, key=lambda x: objective(*x))
+        grad = math.hypot(1.0, c1 + 2.0 * c2 * p)
+        if cell.within(p, q, _SCREEN_TOL) and _isolated(cell, i, p, q, grad, p0, q0, wp, wq):
+            p, q = _polish(cell, p, q)
+            return p, q, objective(p, q)
+
     # Candidates outside the P box fail the screen; unranked, they cannot
     # overflow.  The objective is inlined, as it is evaluated per candidate.
     ranked = sorted(
         (wp * (p - p0) ** 2 + wq * (q - q0) ** 2, i, p, q)
-        for i, (p, q) in enumerate(_cell_candidates(cell, p0, q0, wp, wq))
+        for i, (p, q) in enumerate(_cell_candidates(cell, p0, q0, wp, wq, solved))
         if cell.p_lo - p <= _SCREEN_TOL and p - cell.p_hi <= _SCREEN_TOL
     )
     for _, _, p, q in ranked:
@@ -402,14 +542,19 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
 
     The better of the two Q-sign cells wins, with ties broken toward the
     upper (Q >= 0) cell for determinism.  The cell across Q = 0 from the
-    target costs at least lambda_q * q0^2 while its projection keeps the
-    other sign of q, so when the target-side cell, solved first, does better
-    than that (by a relative 1e-12 that absorbs the rounding of the
-    objective) the other cell is not solved.  _polish keeps lower-cell
-    points at q <= 0, but upper-cell ones at q >= 0 only under caps_nonneg:
-    a cap that crosses Q = 0 inside the P box can pull them just below.
-    A target so far from the region (about 1e154) that the square of its
-    distance overflows raises ValueError.
+    target costs at least lambda_p * d^2 + lambda_q * q0^2, d the distance
+    from p0 to its narrowed P box, while its projection keeps p in that box
+    and the other sign of q.  The float objective is monotone in |p - p0|
+    and |q - q0|, so the bound holds after rounding too; when the
+    target-side cell, solved first, does better than it (by a relative
+    1e-12) the other cell is not solved.  The P-box term is added only when
+    lambda_q * q0^2 alone does not settle it.  With lambda_q = 0 the bound
+    is not computed: the first cell, whose P box is the other's, cannot
+    beat it.
+    _polish keeps lower-cell points at q <= 0, but upper-cell ones at
+    q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
+    can pull them just below.  A target so far from the region (about
+    1e154) that the square of its distance overflows raises ValueError.
     """
     region = problem.region
     p0, q0 = problem.p_target, problem.q_target
@@ -419,9 +564,13 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
         near, far = far, near
     try:
         first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
-        limit = wq * q0**2 * (1.0 - 1e-12)
-        if first is not None and first[2] < limit and (q0 > 0.0 or region.upper_cell.caps_nonneg):
-            return first[0], first[1]
+        if first is not None and wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
+            limit = wq * q0**2
+            if first[2] >= limit * (1.0 - 1e-12):  # the P box may still lift the bound
+                edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
+                limit += wp * (edge - p0) ** 2
+            if first[2] < limit * (1.0 - 1e-12):
+                return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
     except OverflowError as exc:  # a candidate's (p - p0) ** 2 overflowed
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc

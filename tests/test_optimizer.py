@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -841,6 +842,17 @@ class TestProjectExactness:
         assert project(prob) == reference_project(prob)
         assert len(solved) == 4
 
+    def test_target_beyond_the_p_box_solves_one_cell(self, curve_map, monkeypatch):
+        # The upper cell's corner on P_max and the disk costs less than
+        # lambda_p times the squared distance to P_max plus lambda_q * q0^2,
+        # which the lower cell's projection costs at least.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        prob = problem(region, (1729.475, 207.775))
+        expected = reference_project(prob)
+        counts = count_calls(monkeypatch, (optimizer, "_project_cell"))
+        assert project(prob) == expected
+        assert counts == {"_project_cell": 1}
+
     def test_target_within_point_tol_of_axis_keeps_both_cells(self):
         # Disks of different radius per Q sign and no P box: the target is
         # 2e-9 outside the lower disk and 0.9e-9 below the upper cell.
@@ -926,10 +938,12 @@ class TestProjectExactness:
         monkeypatch.setattr(capability, "_eigvals", counting_eigvals)
         monkeypatch.setattr(optimizer, "project", counting_project)
         monkeypatch.setattr(optimizer, "_project_cell", counting_cell)
-        # Both gains oversized: the target lies outside every region.
+        # Both gains oversized: the target lies outside every region, and
+        # its projection onto the disk alone is the answer, so no cubic.
         record, _ = ctl.solve_step(GridSample(1.0, 49.97, 21.15), state)
         assert STATUS_CLIPPED in record.status
-        assert degrees and 4 not in degrees
+        assert degrees.count(3) == 0
+        assert 4 not in degrees
 
         # A reactive target far beyond the Q ceilings, with P well inside:
         # the upper cell is within q0^2 of the target, so the lower cell,
@@ -939,6 +953,16 @@ class TestProjectExactness:
         assert STATUS_CLIPPED in record.status
         assert record.q_target > 500.0
         assert counts["cell"] == counts["project"] >= 1
+
+        # Undervoltage: the conservative clamp's cap binds, and the step
+        # solves that cap's cubic once, in one cell.
+        degrees.clear()
+        counts.update(project=0, cell=0)
+        record, _ = ctl.solve_step(GridSample(3.0, 50.0, 18.7), state)
+        assert STATUS_CLIPPED in record.status and STATUS_CLAMP in record.status
+        assert degrees.count(3) == 1
+        assert 4 not in degrees
+        assert counts["cell"] == counts["project"] == 1
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -1079,6 +1103,170 @@ class TestBindingCaps:
         assert degrees.count(4) == 6
         cells = [c for r in ctl._regions.values() for c in (r.upper_cell, r.lower_cell)]
         assert all(len(c.paras) <= 1 for c in cells)
+
+
+#: Offsets from a corner, a crossing or a boundary, 1e-8 to 1e-1 either way:
+#: within the screen's tolerance of it and far beyond.
+MARGIN_DELTA = signed(log_uniform(-8.0, -1.0))
+#: Positive weights up to six decades apart, which stretch the ball that the
+#: single-constraint exit keeps clear of the other boundaries.
+UNEQUAL_WEIGHTS = st.tuples(log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0))
+#: Target coordinates up to 1e6 away from the origin.
+FAR = signed(log_uniform(0.0, 6.0))
+
+
+def p_crossings(cell):
+    """The crossings of the cell's finite P lines with its finite Q lines,
+    its disk and its caps, as the projection enumerates them."""
+    out = []
+    for a in (cell.p_lo, cell.p_hi):
+        if not math.isfinite(a):
+            continue
+        out += [(a, b) for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
+        if cell.r is not None and cell.r * cell.r >= a * a:
+            s = math.sqrt(cell.r * cell.r - a * a)
+            out += [(a, s), (a, -s)]
+        out += [(a, c0 + c1 * a + c2 * a * a) for c0, c1, c2 in cell.paras]
+    return out
+
+
+def violated(cell, p, q):
+    """How many of the cell's constraints (p, q) violates."""
+    terms = [cell.p_lo - p, p - cell.p_hi, cell.q_lo - q, q - cell.q_hi]
+    if cell.r is not None:
+        terms.append(math.hypot(p, q) - cell.r)
+    terms += [q - (c0 + c1 * p + c2 * p * p) for c0, c1, c2 in cell.paras]
+    return sum(t > 0.0 for t in terms)
+
+
+def margin_target(data, cell):
+    """A target up to 1e6 away, or one MARGIN_DELTA from a P-line crossing,
+    a stored corner or a boundary that violates exactly one constraint."""
+    kind = data.draw(st.sampled_from(["far", "p-crossing", "near"]))
+    if kind == "far":
+        return data.draw(FAR), data.draw(FAR)
+    crossings = p_crossings(cell)
+    if kind == "p-crossing" and crossings:
+        p, q = data.draw(st.sampled_from(crossings))
+        target = p + data.draw(MARGIN_DELTA), q + data.draw(MARGIN_DELTA)
+    else:
+        target = near_boundary(data, cell, MARGIN_DELTA)
+    assume(violated(cell, *target) == 1)
+    return target
+
+
+def count_calls(monkeypatch, *functions):
+    """Count the calls of each (module, name) in functions, by name."""
+    counts = dict.fromkeys((name for _, name in functions), 0)
+    for module, name in functions:
+
+        def counting(*args, name=name, original=getattr(module, name)):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestSingleConstraintExit:
+    """_project_cell returns the projection onto one constraint the target
+    violates when it passes the screen and the ball of radius rho around it
+    is clear of every other boundary.  The exit must equal the ranked
+    screen bit for bit, and a cell solve must solve no root twice."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
+    def test_exit_equals_running_best(self, curve_map, data, weights):
+        cell = draw_cell(data, curve_map)
+        p0, q0 = margin_target(data, cell)
+        assert outcome(optimizer._project_cell, cell, p0, q0, *weights) == outcome(
+            running_best_cell, cell, p0, q0, *weights
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
+    def test_a_cell_solve_solves_each_root_once(self, curve_map, data, weights):
+        cell = draw_cell(data, curve_map)
+        if data.draw(st.booleans()):
+            p0, q0 = data.draw(FAR), data.draw(FAR)
+        else:  # outside any number of constraints
+            p0, q0 = near_boundary(data, cell, MARGIN_DELTA)
+        cubics, circles = [], []
+        stationary, circle = optimizer._parabola_stationary, optimizer._circle_candidates
+
+        def count_cubic(p0, q0, para, wp, wq):
+            cubics.append(para)
+            return stationary(p0, q0, para, wp, wq)
+
+        def count_circle(*args):
+            circles.append(args)
+            return circle(*args)
+
+        with mock.patch.object(optimizer, "_parabola_stationary", count_cubic):
+            with mock.patch.object(optimizer, "_circle_candidates", count_circle):
+                outcome(optimizer._project_cell, cell, p0, q0, *weights)
+        assert len(circles) <= 1
+        assert all(cubics.count(para) <= cell.paras.count(para) for para in cubics)
+
+    def test_margin_holds_when_the_multiplier_underflows(self, curve_map):
+        # The target is 5e-324 below Q = 0, so mu * _SCREEN_TOL underflows
+        # to 0.  The P line at 0 lies 1.2e-258 from the projection onto
+        # Q = 0, and the P-line candidate, enumerated first, ties with it at
+        # objective 0; the margin must keep the exit from taking it.
+        region = build_region([curve_map[(500.0, 270.0)]], 1.0)
+        cell = optimizer._narrowed(region.upper_cell, 0.0, 1e6)
+        target = (1.196823814419301e-258, -5e-324, 1.0, 1.0)
+        assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
+        assert optimizer._project_cell(cell, *target) == (0.0, 0.0, 0.0)
+
+    def test_cap_exit_takes_the_least_objective_stationary_point(self):
+        # The target lies above DIPPING's cap, which has three stationary
+        # points for it.  Only the one below the target is its projection
+        # onto the cap, and it lies beyond the P box, so the exit misses.
+        cell = optimizer._narrowed(build_region([DIPPING], 0.5).upper_cell, -1e6, 0.0)
+        target = (172.0, 0.0, 1.0, 20.0)
+        points = optimizer._parabola_stationary(172.0, 0.0, cell.paras[0], 1.0, 20.0)
+        assert len(points) == 3
+        assert [p for p, q in points if q < 0.0] == [points[0][0]]
+        assert points[0][0] > cell.p_hi
+        assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
+
+    def test_cap_bound_cell_solve_enumerates_nothing(self, curve_map, monkeypatch):
+        # The target of the clipped step at (2.0, 50.005, 21.125) in
+        # TestProjectExactness: far above the Q ceiling, P well inside.
+        cell = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0).upper_cell
+        target = (-148.6, 842.2, 1.0, 1.0)
+        expected = running_best_cell(cell, *target)
+        counts = count_calls(monkeypatch, (optimizer, "_cell_candidates"), (capability, "_eigvals"))
+        p, q, objective = optimizer._project_cell(cell, *target)
+        assert (p, q, objective) == expected
+        assert counts == {"_cell_candidates": 0, "_eigvals": 1}
+        (c0, c1, c2), = cell.paras
+        assert q == c0 + c1 * p + c2 * p * p < cell.q_hi
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            # Outside the disk alone, 1e-3 above Q = 0, which lies within
+            # rho: the enumeration solves the cap's cubic.
+            (505.1666666666667 + 0.5, 0.001, 20.0, 1.0),
+            # Beyond the P box, the disk and the cap, by where the cap meets
+            # Q = 0: the cubic solved for the exit goes to the enumeration.
+            (1026.6554378595035 + 0.001, 0.001, 1.0, 20.0),
+        ],
+    )
+    def test_near_corner_miss_solves_each_root_once(self, curve_map, monkeypatch, target):
+        curves = [curve_map[(600.0, 300.0)], curve_map[(500.0, 270.0)]]
+        cell = build_region(curves, 7.0 / 9.0).upper_cell
+        expected = running_best_cell(cell, *target)
+        counts = count_calls(
+            monkeypatch,
+            (optimizer, "_cell_candidates"),
+            (optimizer, "_circle_candidates"),
+            (capability, "_eigvals"),
+        )
+        assert optimizer._project_cell(cell, *target) == expected
+        assert counts == {"_cell_candidates": 1, "_circle_candidates": 1, "_eigvals": 1}
 
 
 #: The shipped 600/300 envelope without its disks, so that the region of
