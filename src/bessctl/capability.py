@@ -393,6 +393,15 @@ def _cell_corners(
     return tuple(corners)
 
 
+def _clears(d0: float, d1: float, d2: float, lo: float, hi: float) -> bool:
+    """d0 + d1 p + d2 p^2 >= _CAP_MARGIN on [lo, hi]: a concave or linear
+    difference is least at an end, a convex one possibly at its vertex."""
+    points = [lo, hi]
+    if d2 > 0.0 and lo < -d1 / (2.0 * d2) < hi:
+        points.append(-d1 / (2.0 * d2))
+    return all(d0 + d1 * p + d2 * p * p >= _CAP_MARGIN for p in points)
+
+
 def _binding_caps(
     paras: list[tuple[float, float, float]], p_lo: float, p_hi: float, q_hi: float
 ) -> list[tuple[float, float, float]]:
@@ -407,19 +416,12 @@ def _binding_caps(
     there, and narrowing the box keeps it so.
     """
     lo, hi = p_lo - _CAP_MARGIN, p_hi + _CAP_MARGIN
-
-    def above(d0: float, d1: float, d2: float) -> bool:
-        # d0 + d1 p + d2 p^2 >= _CAP_MARGIN on [lo, hi]: a concave or linear
-        # difference is least at an end, a convex one possibly at its vertex.
-        points = [lo, hi]
-        if d2 > 0.0 and lo < -d1 / (2.0 * d2) < hi:
-            points.append(-d1 / (2.0 * d2))
-        return all(d0 + d1 * p + d2 * p * p >= _CAP_MARGIN for p in points)
-
     # The ceiling is a flat cap, and a cap never lies _CAP_MARGIN above itself.
     levels = [(q_hi, 0.0, 0.0), *paras]
     return [
-        a for a in paras if not any(above(a[0] - b[0], a[1] - b[1], a[2] - b[2]) for b in levels)
+        a
+        for a in paras
+        if not any(_clears(a[0] - b[0], a[1] - b[1], a[2] - b[2], lo, hi) for b in levels)
     ]
 
 
@@ -448,11 +450,7 @@ def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) ->
         else:
             raise TypeError(f"unknown atom {atom!r}")
     box_finite = math.isfinite(p_lo) and math.isfinite(p_hi)
-    caps_nonneg = all(
-        box_finite and c0 + c1 * p + c2 * p * p >= _CAP_MARGIN
-        for c0, c1, c2 in paras
-        for p in (p_lo, p_hi)
-    )
+    caps_nonneg = all(box_finite and _clears(*para, p_lo, p_hi) for para in paras)
     if not all(math.isfinite(c2) for _, _, c2 in paras):
         raise ValueError(f"shrink {shrink} scales the curves out of range: a cap overflows")
     if box_finite:

@@ -222,6 +222,23 @@ class ControlRecord:
         return STATUS_UNCHANGED in self.status
 
 
+def _bisect(holds: Callable[[float], bool], inside: float, outside: float) -> tuple[float, float]:
+    """(inside, outside), halved at their midpoint until no float lies
+    strictly between them, however wide the first span.
+
+    holds(inside) must be True and holds(outside) False; each midpoint
+    replaces the end whose holds value it shares.
+    """
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            return inside, outside
+        if holds(mid):
+            inside = mid
+        else:
+            outside = mid
+
+
 def _circle_candidates(
     p0: float, q0: float, r: float, wp: float, wq: float
 ) -> list[tuple[float, float]]:
@@ -233,21 +250,13 @@ def _circle_candidates(
         s = r / norm
         return [(p0 * s, q0 * s)]
 
-    def radius_gap(mu: float) -> float:
-        return math.hypot(wp * p0 / (wp + mu), wq * q0 / (wq + mu)) - r
+    def inside(mu: float) -> bool:
+        return math.hypot(wp * p0 / (wp + mu), wq * q0 / (wq + mu)) <= r
 
     hi = max(wp, wq)
-    for _ in range(200):
-        if radius_gap(hi) <= 0.0:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if radius_gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while not inside(hi):
+        hi = math.ldexp(hi, 1)  # raises OverflowError where inside(inf) fails
+    hi, lo = _bisect(inside, hi, 0.0)
     mu = 0.5 * (lo + hi)
     return [(wp * p0 / (wp + mu), wq * q0 / (wq + mu))]
 
@@ -342,24 +351,20 @@ def _clip_to_nonempty(interval_at, cell: Cell, x: float) -> tuple[float, float, 
     """(x, lo, hi), x pulled toward 0 until interval_at(cell, x) = (lo, hi) is nonempty.
 
     interval_at is _q_interval_at or _p_interval_at; the cell holds the
-    origin, so its interval at 0 is nonempty.  Bisects until no float lies
-    strictly between the last nonempty and the last empty point, however
-    wide the first span.
+    origin, so its interval at 0 is nonempty.  An empty interval at x is
+    bisected (see _bisect) between 0 and x: the x returned has a nonempty
+    interval and the next float away from 0 an empty one.
     """
     lo, hi = interval_at(cell, x)
     if lo <= hi:
         return x, lo, hi
-    inside, outside = 0.0, x
-    found = interval_at(cell, inside)
-    while True:
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            return (inside, *found)
-        lo, hi = interval_at(cell, mid)
-        if lo <= hi:
-            inside, found = mid, (lo, hi)
-        else:
-            outside = mid
+
+    def nonempty(y: float) -> bool:
+        lo, hi = interval_at(cell, y)
+        return lo <= hi
+
+    x = _bisect(nonempty, 0.0, x)[0]
+    return (x, *interval_at(cell, x))
 
 
 def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
@@ -406,7 +411,7 @@ def _isolated(
 ) -> bool:
     """True when every constraint of the cell but k holds at (p, q), the
     projection of the target onto k alone, with the margin that makes it
-    the ranked screen's winner (see _project_cell).
+    the ranked screen's winner (see the module docstring).
 
     k is "p_lo", "p_hi", "q_lo", "q_hi", "disk" or a cap's index in paras,
     and grad is |grad g_k| at (p, q).  Each other g_j must satisfy
@@ -442,16 +447,12 @@ def _project_cell(
     positive, a target inside the cell is returned as it is.  Otherwise the
     target is projected onto each constraint k it violates, alone: the P and
     Q lines, then the disk, then each violated cap, whose cubic is solved
-    last.  The first such point x* that passes the screen and is isolated
-    is returned, polished.  Isolated means that each other constraint g_j
-    satisfies g_j(x*) + L_j rho + _SCREEN_TOL < 0, with
-    rho = 2 sqrt(mu _SCREEN_TOL / min(wp, wq)) + _RHO_FLOOR and mu the KKT
-    multiplier of k (see _isolated).  The module docstring shows why x* is
-    then what the ranked screen returns, bit for bit: no screened candidate
-    ranks before it.  On a miss, the candidates are ranked by objective,
-    the first enumerated on a tie, and the first that passes the screen,
-    polished, is returned.  The circle point and the cap roots solved for
-    the exit are reused there.
+    last.  The first such point that passes the screen and is isolated
+    (see _isolated) is returned, polished; the module docstring shows that
+    it is what the ranked screen returns, bit for bit.  On a miss, the
+    candidates are ranked by objective, the first enumerated on a tie, and
+    the first that passes the screen, polished, is returned.  The circle
+    point and the cap roots solved for the exit are reused there.
     """
     if cell.p_lo > cell.p_hi or cell.q_lo > cell.q_hi:
         return None
@@ -547,10 +548,8 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     and the other sign of q.  The float objective is monotone in |p - p0|
     and |q - q0|, so the bound holds after rounding too; when the
     target-side cell, solved first, does better than it (by a relative
-    1e-12) the other cell is not solved.  The P-box term is added only when
-    lambda_q * q0^2 alone does not settle it.  With lambda_q = 0 the bound
-    is not computed: the first cell, whose P box is the other's, cannot
-    beat it.
+    1e-12) the other cell is not solved.  With lambda_q = 0 the bound is not
+    computed: the first cell, whose P box is the other's, cannot beat it.
     _polish keeps lower-cell points at q <= 0, but upper-cell ones at
     q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
     can pull them just below.  A target so far from the region (about
@@ -565,11 +564,8 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     try:
         first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
         if first is not None and wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
-            limit = wq * q0**2
-            if first[2] >= limit * (1.0 - 1e-12):  # the P box may still lift the bound
-                edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
-                limit += wp * (edge - p0) ** 2
-            if first[2] < limit * (1.0 - 1e-12):
+            edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
+            if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
                 return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
     except OverflowError as exc:  # a candidate's (p - p0) ** 2 overflowed

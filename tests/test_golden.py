@@ -6,9 +6,14 @@ a short low-voltage run, which takes the two-envelope regions and the
 conservative clamp that the nominal-voltage presets never reach.
 tests/data/soc_edge_records.csv holds a run with lambda_q = 0 that starts
 near soc_min, so it takes the lexicographic projection and, once the SOC
-reaches its floor, the battery's SOC bound.  A change
-that alters them must regenerate them and say why; a refactor must leave
-them untouched.
+reaches its floor, the battery's SOC bound.  Three short runs cover the
+projection's bisections: unequal_weights_records.csv (lambda_q = 4 at
+18.7 kV) bisects the disk multiplier and exits at a cap on every step,
+p_lex_records.csv (lambda_p = 0) bisects the feasible p slice, and
+q_lex_undervoltage_records.csv (lambda_q = 0 at 18.7 kV) bisects the
+q slice of two-envelope cells.  All five data files come from
+write_golden_records.  A change that alters them must regenerate them and
+say why; a refactor must leave them untouched.
 """
 
 import dataclasses
@@ -30,8 +35,15 @@ from bessctl.simctl import (
 )
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-UNDERVOLTAGE_GOLDEN = Path(__file__).resolve().parent / "data" / "undervoltage_records.csv"
-SOC_EDGE_GOLDEN = Path(__file__).resolve().parent / "data" / "soc_edge_records.csv"
+DATA = Path(__file__).resolve().parent / "data"
+UNDERVOLTAGE_GOLDEN = DATA / "undervoltage_records.csv"
+SOC_EDGE_GOLDEN = DATA / "soc_edge_records.csv"
+UNEQUAL_WEIGHTS_GOLDEN = DATA / "unequal_weights_records.csv"
+P_LEX_GOLDEN = DATA / "p_lex_records.csv"
+Q_LEX_UNDERVOLTAGE_GOLDEN = DATA / "q_lex_undervoltage_records.csv"
+
+#: The MV reference voltage of the shipped scenarios [kV].
+NOMINAL_KV = 21.192
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
@@ -44,11 +56,21 @@ def test_preset_outputs_match_golden(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
 
 
-def write_undervoltage_records(path):
-    """60 steps of scenario4's gains with the MV voltage 12 % low (mean 18.7 kV)."""
+def write_golden_records(path, steps, mu_v, lambda_p, lambda_q, soc_init):
+    """steps steps of scenario4's gains at seed 101 with the given MV mean
+    [kV], weights and initial SOC, written to path."""
     scenario, cfg = load_run_config(builtin_scenario_path("scenario4"))
-    scenario = dataclasses.replace(scenario, duration_s=60.0, trace=None)
-    trace = generate_trace(0.01782, 0.0672, mu_v=18.7, n=60, seed=101)
+    scenario = dataclasses.replace(
+        scenario,
+        duration_s=float(steps),
+        lambda_p=lambda_p,
+        lambda_q=lambda_q,
+        soc_init=soc_init,
+        trace=None,
+    )
+    droop = dataclasses.replace(cfg.droop, lambda_p=lambda_p, lambda_q=lambda_q)
+    cfg = dataclasses.replace(cfg, droop=droop)
+    trace = generate_trace(0.01782, 0.0672, mu_v=mu_v, n=steps, seed=101)
     records, _ = run_scenario(
         scenario, cfg, index_curves(builtin_curves()), builtin_ttc_params(), trace=trace
     )
@@ -57,37 +79,44 @@ def write_undervoltage_records(path):
 
 
 def test_undervoltage_records_match_golden(tmp_path):
-    records = write_undervoltage_records(tmp_path / "records.csv")
+    # The MV voltage 12 % low (mean 18.7 kV).
+    records = write_golden_records(tmp_path / "records.csv", 60, 18.7, 1.0, 1.0, 0.5)
     assert any(r.curve_ac is not None for r in records)
     assert (tmp_path / "records.csv").read_bytes() == UNDERVOLTAGE_GOLDEN.read_bytes()
 
 
-def write_soc_edge_records(path):
-    """300 steps of scenario4's gains with lambda_q = 0 from soc 0.11."""
-    scenario, cfg = load_run_config(builtin_scenario_path("scenario4"))
-    scenario = dataclasses.replace(
-        scenario, duration_s=300.0, lambda_q=0.0, soc_init=0.11, trace=None
-    )
-    cfg = dataclasses.replace(cfg, droop=dataclasses.replace(cfg.droop, lambda_q=0.0))
-    trace = generate_trace(0.01782, 0.0672, n=300, seed=101)
-    records, _ = run_scenario(
-        scenario, cfg, index_curves(builtin_curves()), builtin_ttc_params(), trace=trace
-    )
-    write_records(records, path)
-    return records
-
-
 def test_soc_edge_records_match_golden(tmp_path):
-    records = write_soc_edge_records(tmp_path / "records.csv")
+    records = write_golden_records(tmp_path / "records.csv", 300, NOMINAL_KV, 1.0, 0.0, 0.11)
     # The SOC at its floor closes the discharge side: a P target > 0 gets 0.
     assert any(r.p_target > 0.0 and r.p_opt == 0.0 for r in records)
     assert (tmp_path / "records.csv").read_bytes() == SOC_EDGE_GOLDEN.read_bytes()
 
 
+def test_unequal_weights_records_match_golden(tmp_path):
+    write_golden_records(tmp_path / "records.csv", 60, 18.7, 1.0, 4.0, 0.5)
+    assert (tmp_path / "records.csv").read_bytes() == UNEQUAL_WEIGHTS_GOLDEN.read_bytes()
+
+
+def test_p_lexicographic_records_match_golden(tmp_path):
+    write_golden_records(tmp_path / "records.csv", 60, NOMINAL_KV, 0.0, 1.0, 0.5)
+    assert (tmp_path / "records.csv").read_bytes() == P_LEX_GOLDEN.read_bytes()
+
+
+def test_q_lexicographic_undervoltage_records_match_golden(tmp_path):
+    write_golden_records(tmp_path / "records.csv", 60, 18.7, 1.0, 0.0, 0.5)
+    assert (tmp_path / "records.csv").read_bytes() == Q_LEX_UNDERVOLTAGE_GOLDEN.read_bytes()
+
+
 @pytest.mark.parametrize(
     "path",
     [GOLDEN / f"scenario{i}" / "records.csv" for i in range(1, 5)]
-    + [UNDERVOLTAGE_GOLDEN, SOC_EDGE_GOLDEN],
+    + [
+        UNDERVOLTAGE_GOLDEN,
+        SOC_EDGE_GOLDEN,
+        UNEQUAL_WEIGHTS_GOLDEN,
+        P_LEX_GOLDEN,
+        Q_LEX_UNDERVOLTAGE_GOLDEN,
+    ],
     ids=lambda path: path.parent.name if path.name == "records.csv" else path.stem,
 )
 def test_records_round_trip_byte_for_byte(path, tmp_path):

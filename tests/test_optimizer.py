@@ -1269,6 +1269,61 @@ class TestSingleConstraintExit:
         assert counts == {"_cell_candidates": 1, "_circle_candidates": 1, "_eigvals": 1}
 
 
+@st.composite
+def exterior_targets(draw):
+    """(r, p0, q0): a radius and a target outside its circle, from just
+    past it to 1e150 r away."""
+    r = draw(st.floats(1e-2, 1e3))
+    dist = draw(st.one_of(log_uniform(-15.0, 0.0).map(lambda e: 1.0 + e), log_uniform(0.0, 150.0)))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    p0, q0 = r * dist * math.cos(angle), r * dist * math.sin(angle)
+    assume(math.hypot(p0, q0) > r)
+    return r, p0, q0
+
+
+class TestBisection:
+    """_bisect ends at adjacent floats: the disk multiplier puts the circle
+    point on the circle however far the target, and a lexicographic solve
+    stops at the last float whose slice is nonempty."""
+
+    @settings(max_examples=2000, deadline=None)
+    @example(circle=(700.0, 1e70, 1e70), wp=1.0, wq=2.0)
+    @given(circle=exterior_targets(), wp=st.floats(1e-3, 1e3), wq=st.floats(1e-3, 1e3))
+    def test_circle_point_lies_on_the_circle(self, circle, wp, wq):
+        r, p0, q0 = circle
+        [(p, q)] = optimizer._circle_candidates(p0, q0, r, wp, wq)
+        assert abs(math.hypot(p, q) / r - 1.0) <= 1e-15
+
+    def test_multiplier_overflow_raises_instead_of_looping(self, region_600):
+        # wp * p0 overflows, so no finite multiplier brings the point inside.
+        with pytest.raises(OverflowError):
+            optimizer._circle_candidates(1e308, 0.0, 700.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="too far from the region"):
+            project(problem(region_600, (1e308, 0.0), (2.0, 1.0)))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        data=st.data(),
+        axis=st.sampled_from(["p", "q"]),
+        x=st.one_of(st.floats(-2000.0, 2000.0), signed(log_uniform(2.0, 6.0))),
+    )
+    def test_lexicographic_clip_stops_at_the_float_edge(self, curve_map, data, axis, x):
+        cell = draw_cell(data, curve_map)
+        if axis == "p":  # lambda_q = 0: p is fixed first, q is sought at it
+            interval_at, x = optimizer._q_interval_at, min(max(x, cell.p_lo), cell.p_hi)
+        else:
+            interval_at, x = optimizer._p_interval_at, min(max(x, cell.q_lo), cell.q_hi)
+        lo, hi = interval_at(cell, x)
+        found, f_lo, f_hi = optimizer._clip_to_nonempty(interval_at, cell, x)
+        assert (f_lo, f_hi) == interval_at(cell, found) and f_lo <= f_hi
+        if lo <= hi:
+            assert found == x
+        else:
+            assert abs(found) < abs(x) and found * x >= 0.0
+            past_lo, past_hi = interval_at(cell, math.nextafter(found, x))
+            assert past_lo > past_hi
+
+
 #: The shipped 600/300 envelope without its disks, so that the region of
 #: 600/300 alone has no disk and S_max is inf.
 NO_DISK_600 = CapabilityCurve(
