@@ -305,10 +305,12 @@ class Cell:
     """Convex Q >= 0 or Q <= 0 half of a scaled region, in normal form.
 
     Feasible points satisfy p_lo <= p <= p_hi, q_lo <= q <= q_hi,
-    p^2 + q^2 <= r^2 when r is set, and q <= c0 + c1*p + c2*p^2 for every
-    (c0, c1, c2) in paras.  When the P box is finite, paras holds only the
-    caps that can bind on it (see ``_binding_caps``); the others lie above
-    the Q ceiling or another cap there, and so on any narrower box.
+    p^2 + q^2 <= r^2 and q <= c0 + c1*p + c2*p^2 for every (c0, c1, c2) in
+    paras.  A missing bound is infinite: r is inf when no disk bounds the
+    cell, as a missing P line or Q ceiling is -inf or inf.  When the P box
+    is finite, paras holds only the caps that can bind on it (see
+    ``_binding_caps``); the others lie above the Q ceiling or another cap
+    there, and so on any narrower box.
 
     corners lists, in a fixed order, the pairwise crossings of the Q lines,
     the disk and the caps in paras (see ``_cell_corners``); they depend on
@@ -323,16 +325,16 @@ class Cell:
     p_hi: float
     q_lo: float
     q_hi: float
-    r: float | None
+    r: float
     paras: tuple[tuple[float, float, float], ...]
     corners: tuple[tuple[float, float], ...]
     caps_nonneg: bool
 
     def violation(self, p: float, q: float) -> float:
         """Largest signed constraint violation at (p, q) (<= 0 is inside)."""
-        worst = max(self.p_lo - p, p - self.p_hi, self.q_lo - q, q - self.q_hi)
-        if self.r is not None:
-            worst = max(worst, math.hypot(p, q) - self.r)
+        worst = max(
+            self.p_lo - p, p - self.p_hi, self.q_lo - q, q - self.q_hi, math.hypot(p, q) - self.r
+        )
         for c0, c1, c2 in self.paras:
             worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
         return worst
@@ -345,7 +347,7 @@ class Cell:
         """
         if self.p_lo - p > tol or p - self.p_hi > tol or self.q_lo - q > tol or q - self.q_hi > tol:
             return False
-        if self.r is not None and math.hypot(p, q) - self.r > tol:
+        if math.hypot(p, q) - self.r > tol:
             return False
         for c0, c1, c2 in self.paras:
             if q - (c0 + c1 * p + c2 * p * p) > tol:
@@ -359,7 +361,7 @@ _CAP_MARGIN = 1e-6
 
 
 def _cell_corners(
-    q_lo: float, q_hi: float, r: float | None, paras: Sequence[tuple[float, float, float]]
+    q_lo: float, q_hi: float, r: float, paras: Sequence[tuple[float, float, float]]
 ) -> tuple[tuple[float, float], ...]:
     """Crossings of a cell's finite Q lines with its disk and parabola caps,
     then of the disk with each cap (a quartic in p), then of pairs of caps."""
@@ -367,13 +369,13 @@ def _cell_corners(
     for b in (q_lo, q_hi):
         if not math.isfinite(b):
             continue
-        if r is not None and r * r >= b * b:
+        if math.isfinite(r) and r * r >= b * b:
             s = math.sqrt(r * r - b * b)
             corners.extend([(s, b), (-s, b)])
         for c0, c1, c2 in paras:
             for p in quad_roots(c2, c1, c0 - b):
                 corners.append((p, b))
-    if r is not None:
+    if math.isfinite(r):
         for c0, c1, c2 in paras:
             coeffs = [
                 c2 * c2,
@@ -434,7 +436,7 @@ def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) ->
     a smaller shrink only shrinks those companion entries."""
     p_lo, p_hi = -math.inf, math.inf
     q_lo, q_hi = (0.0, math.inf) if upper else (-math.inf, 0.0)
-    r: float | None = None
+    r = math.inf
     paras: list[tuple[float, float, float]] = []
     for atom in atoms:
         if isinstance(atom, PMin):
@@ -444,7 +446,7 @@ def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) ->
         elif isinstance(atom, QMax):
             q_hi = min(q_hi, atom.q * shrink)
         elif isinstance(atom, Disk):
-            r = atom.r * shrink if r is None else min(r, atom.r * shrink)
+            r = min(r, atom.r * shrink)
         elif isinstance(atom, ParabolaCap):
             paras.append((atom.c0 * shrink, atom.c1, atom.c2 / shrink))
         else:

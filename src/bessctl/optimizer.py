@@ -43,14 +43,10 @@ passes the feasibility screen, polished into the cell, is the exact
 projection.  The intersections that do not involve the P box,
 among them the disk-parabola quartic, are the cell's corners, found once
 by ``build_region``; per call, only the parabola stationary-point cubic
-goes through numpy, as one call of the LAPACK eigenvalue gufunc on its
-companion matrix, with a scalar Newton polish.  ``poly_real_roots`` calls
-the gufunc directly, because the ``np.linalg.eigvals`` wrapper repeats
-checks it has already made and cost more than the solve;
-``tests/test_capability.py::TestPolyRealRoots`` keeps its roots bit-equal
-to the public ``np.roots`` path.  The screen and the interior test use
-``Cell.within``, which stops at the first violated constraint.  The cell
-across Q = 0 from the target is solved only when it could still win.
+goes through numpy, in ``poly_real_roots``.  The screen and the interior
+test use ``Cell.within``, which stops at the first violated constraint.
+The cell across Q = 0 from the target is solved only when it could still
+win.
 
 With both weights positive, a cell solve first tries a single-constraint
 exit.  For each constraint k the target violates, it projects the target
@@ -282,14 +278,13 @@ def _cell_candidates(
     q0: float,
     wp: float,
     wq: float,
-    solved: dict[object, list[tuple[float, float]]] | None = None,
+    solved: dict[object, list[tuple[float, float]]],
 ):
     """Superset of points that can be the cell optimum: single-boundary
     stationary points plus all pairwise boundary intersections.  Those of
     the crossings that involve no P line are the cell's stored corners.
     solved maps "disk" and cap indices to the stationary points already
     found for this target, which are taken instead of being solved again."""
-    solved = solved or {}
     cands: list[tuple[float, float]] = []
     p_lines = [cell.p_lo, cell.p_hi]
     q_lines = [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
@@ -298,9 +293,8 @@ def _cell_candidates(
         cands.append((a, q0))
     for b in q_lines:
         cands.append((p0, b))
-    if cell.r is not None:
-        circle = solved.get("disk")
-        cands.extend(_circle_candidates(p0, q0, cell.r, wp, wq) if circle is None else circle)
+    circle = solved.get("disk")
+    cands.extend(_circle_candidates(p0, q0, cell.r, wp, wq) if circle is None else circle)
     for i, para in enumerate(cell.paras):
         points = solved.get(i)
         cands.extend(_parabola_stationary(p0, q0, para, wp, wq) if points is None else points)
@@ -308,7 +302,7 @@ def _cell_candidates(
     for a in p_lines:
         for b in q_lines:
             cands.append((a, b))
-        if cell.r is not None and cell.r * cell.r >= a * a:
+        if math.isfinite(cell.r) and cell.r * cell.r >= a * a:
             s = math.sqrt(cell.r * cell.r - a * a)
             cands.extend([(a, s), (a, -s)])
         for c0, c1, c2 in cell.paras:
@@ -323,12 +317,11 @@ def _polish(cell: Cell, p: float, q: float) -> tuple[float, float]:
     q = min(max(q, cell.q_lo), cell.q_hi)
     for c0, c1, c2 in cell.paras:
         q = min(q, c0 + c1 * p + c2 * p * p)
-    if cell.r is not None:
-        norm = math.hypot(p, q)
-        if norm > cell.r:
-            s = cell.r / norm
-            p *= s
-            q *= s
+    norm = math.hypot(p, q)
+    if norm > cell.r:
+        s = cell.r / norm
+        p *= s
+        q *= s
     return p, q
 
 
@@ -337,14 +330,11 @@ def _q_interval_at(cell: Cell, p: float) -> tuple[float, float]:
     lo, hi = cell.q_lo, cell.q_hi
     for c0, c1, c2 in cell.paras:
         hi = min(hi, c0 + c1 * p + c2 * p * p)
-    if cell.r is not None:
-        span = cell.r * cell.r - p * p
-        if span < 0.0:
-            return 1.0, -1.0
-        s = math.sqrt(span)
-        lo = max(lo, -s)
-        hi = min(hi, s)
-    return lo, hi
+    span = cell.r * cell.r - p * p
+    if span < 0.0:
+        return 1.0, -1.0
+    s = math.sqrt(span)
+    return max(lo, -s), min(hi, s)
 
 
 def _clip_to_nonempty(interval_at, cell: Cell, x: float) -> tuple[float, float, float]:
@@ -369,14 +359,11 @@ def _clip_to_nonempty(interval_at, cell: Cell, x: float) -> tuple[float, float, 
 
 def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
     """Feasible p interval of the cell at fixed q (may be empty: lo > hi)."""
-    lo, hi = cell.p_lo, cell.p_hi
-    if cell.r is not None:
-        span = cell.r * cell.r - q * q
-        if span < 0.0:
-            return 1.0, -1.0
-        s = math.sqrt(span)
-        lo = max(lo, -s)
-        hi = min(hi, s)
+    span = cell.r * cell.r - q * q
+    if span < 0.0:
+        return 1.0, -1.0
+    s = math.sqrt(span)
+    lo, hi = max(cell.p_lo, -s), min(cell.p_hi, s)
     for c0, c1, c2 in cell.paras:
         # q <= c0 + c1 p + c2 p^2 with c2 <= 0: feasible p is between the roots.
         if c2 == 0.0:
@@ -426,7 +413,7 @@ def _isolated(
         or (k != "p_hi" and p - cell.p_hi + gap >= 0.0)
         or (k != "q_lo" and cell.q_lo - q + gap >= 0.0)
         or (k != "q_hi" and q - cell.q_hi + gap >= 0.0)
-        or (k != "disk" and cell.r is not None and math.hypot(p, q) - cell.r + gap >= 0.0)
+        or (k != "disk" and math.hypot(p, q) - cell.r + gap >= 0.0)
     ):
         return False
     for i, (c0, c1, c2) in enumerate(cell.paras):
@@ -440,7 +427,7 @@ def _isolated(
 
 def _project_cell(
     cell: Cell, p0: float, q0: float, wp: float, wq: float
-) -> tuple[float, float, float] | None:
+) -> tuple[float, float, float]:
     """Exact weighted projection onto one cell; returns (p, q, objective).
 
     A single weight takes the lexicographic branch.  With both weights
@@ -452,10 +439,10 @@ def _project_cell(
     it is what the ranked screen returns, bit for bit.  On a miss, the
     candidates are ranked by objective, the first enumerated on a tie, and
     the first that passes the screen, polished, is returned.  The circle
-    point and the cap roots solved for the exit are reused there.
+    point and the cap roots solved for the exit are reused there.  The cell
+    holds the origin, so some candidate passes; if none does, RuntimeError
+    names the target.
     """
-    if cell.p_lo > cell.p_hi or cell.q_lo > cell.q_hi:
-        return None
 
     def objective(p: float, q: float) -> float:
         return wp * (p - p0) ** 2 + wq * (q - q0) ** 2
@@ -484,10 +471,9 @@ def _project_cell(
         shots.append(("q_lo", p0, cell.q_lo))
     elif q0 > cell.q_hi:
         shots.append(("q_hi", p0, cell.q_hi))
-    solved: dict[object, list[tuple[float, float]]] = {}
-    if cell.r is not None:
-        circle = solved["disk"] = _circle_candidates(p0, q0, cell.r, wp, wq)
-        shots += [("disk", p, q) for p, q in circle]
+    circle = _circle_candidates(p0, q0, cell.r, wp, wq)
+    solved: dict[object, list[tuple[float, float]]] = {"disk": circle}
+    shots += [("disk", p, q) for p, q in circle]
     # The lines and the disk have |grad g_k| = 1.
     for k, p, q in shots:
         if cell.within(p, q, _SCREEN_TOL) and _isolated(cell, k, p, q, 1.0, p0, q0, wp, wq):
@@ -517,7 +503,7 @@ def _project_cell(
         if cell.within(p, q, _SCREEN_TOL):
             p, q = _polish(cell, p, q)
             return p, q, objective(p, q)
-    return None
+    raise RuntimeError(f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})")
 
 
 def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
@@ -552,8 +538,9 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     computed: the first cell, whose P box is the other's, cannot beat it.
     _polish keeps lower-cell points at q <= 0, but upper-cell ones at
     q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
-    can pull them just below.  A target so far from the region (about
-    1e154) that the square of its distance overflows raises ValueError.
+    can pull them just below.  A target whose p0^2 + q0^2 overflows (about
+    1.3e154 from the origin) is too far to project: it raises ValueError
+    before any cell is solved, as does a solve that overflows.
     """
     region = problem.region
     p0, q0 = problem.p_target, problem.q_target
@@ -562,18 +549,18 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     if q0 < 0.0:
         near, far = far, near
     try:
+        if math.isinf(p0 * p0 + q0 * q0):
+            raise OverflowError("the squared target norm overflows")
         first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
-        if first is not None and wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
+        if wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
                 return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
-    except OverflowError as exc:  # a candidate's (p - p0) ** 2 overflowed
+    except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     upper, lower = (second, first) if q0 < 0.0 else (first, second)
-    best = lower if lower is not None and (upper is None or lower[2] < upper[2]) else upper
-    if best is None:
-        raise RuntimeError("feasible region unexpectedly empty")
+    best = lower if lower[2] < upper[2] else upper
     return best[0], best[1]
 
 
@@ -632,10 +619,9 @@ class SetpointController:
         p_min = p_max = s_max = 0.0
         for region in self._regions.values():
             for cell in (region.upper_cell, region.lower_cell):
-                r = math.inf if cell.r is None else cell.r
-                p_min = min(p_min, max(cell.p_lo, -r))
-                p_max = max(p_max, min(cell.p_hi, r))
-                s_max = max(s_max, r)
+                p_min = min(p_min, max(cell.p_lo, -cell.r))
+                p_max = max(p_max, min(cell.p_hi, cell.r))
+                s_max = max(s_max, cell.r)
         self._extent = (p_min, p_max, s_max)
 
     def _voltage_bounds(

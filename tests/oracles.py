@@ -85,7 +85,7 @@ def running_best_cell(cell, p0, q0, wp, wq):
     if cell.violation(p0, q0) <= 0.0:
         return p0, q0, 0.0
     best = None
-    for p, q in optimizer._cell_candidates(cell, p0, q0, wp, wq):
+    for p, q in optimizer._cell_candidates(cell, p0, q0, wp, wq, {}):
         if cell.violation(p, q) > optimizer._SCREEN_TOL:
             continue
         obj = objective(p, q)

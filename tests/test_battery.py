@@ -423,3 +423,22 @@ class TestValidation:
     def test_params_reject_non_finite(self, bands, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             dataclasses.replace(bands[0], **{field: value})
+
+    def test_config_rejects_zero_efficiency(self):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            BatteryConfig(c_max_ah=580.0, eta=0.0)
+
+    @pytest.mark.parametrize("convert", [dc_from_ac, ac_from_dc])
+    def test_power_conversion_rejects_zero_efficiency(self, convert):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            convert(100.0, 0.0)
+
+    def test_soc_without_a_band_rejected(self, bands):
+        with pytest.raises(SocBandError, match="no parameter band covers soc=0.5"):
+            params_for_soc(0.5, [b for b in bands if not b.covers(0.5)])
+
+    def test_power_bounds_reject_branches_above_the_open_circuit_voltage(self, bands):
+        # 1000 V across the branches exceeds E(0.5), about 664 V: drive <= 0.
+        state = TtcState(1000.0, 0.0, 0.0, 0.5)
+        with pytest.raises(InfeasiblePowerError, match="exceed the open-circuit voltage"):
+            dc_power_bounds(state, band(bands, 0.5), BatteryConfig(c_max_ah=580.0))

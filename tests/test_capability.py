@@ -22,6 +22,7 @@ from bessctl.capability import (
     PMin,
     ParabolaCap,
     QMax,
+    atom_violation,
     build_region,
     in_half_open,
     index_curves,
@@ -88,6 +89,10 @@ class TestLoadCurves:
         with pytest.raises(CurveFormatError):
             parse_curves(["curve c 600 300", "  qmax 1"], "doc")
 
+    def test_unknown_disk_sector_rejected(self):
+        with pytest.raises(CurveFormatError, match=r"^doc:2: unknown disk sector 'leftQ'"):
+            parse_curves(["curve c 600 300", "  disk 700 leftQ", "end"], "doc")
+
     def test_unsupported_anchor_rejected(self):
         with pytest.raises(CurveFormatError, match=r"^doc:1: curve 'c': anchor") as err:
             parse_curves(["curve c 700 300", "  qmax 1", "end"], "doc")
@@ -147,6 +152,23 @@ class TestCurveInvariants:
     def test_origin_must_be_feasible(self):
         with pytest.raises(CurveValidationError):
             CapabilityCurve("c", 600, 300, (QMax(-1.0),))
+
+    def test_pmin_equal_to_pmax_rejected(self):
+        # Both hold the origin, so only the ordering check can reject them.
+        with pytest.raises(CurveValidationError, match="PMin >= PMax"):
+            CapabilityCurve("c", 600, 300, (PMin(0.0), PMax(0.0)))
+
+    def test_unknown_disk_sector_rejected(self):
+        with pytest.raises(CurveValidationError, match="unknown disk sector 'leftQ'"):
+            CapabilityCurve("c", 600, 300, (Disk(700.0, "leftQ"),))
+
+    def test_unknown_atom_has_no_violation(self):
+        with pytest.raises(TypeError, match="unknown atom"):
+            atom_violation(object(), 0.0, 0.0)
+
+    def test_unknown_atom_has_no_cell(self):
+        with pytest.raises(TypeError, match="unknown atom"):
+            capability._scaled_cell([QMax(1.0), object()], 1.0, True)
 
     def test_qmax_nesting_along_dc_anchors(self, curve_map):
         def qmax_of(anchor):
@@ -293,6 +315,12 @@ class TestRegionCells:
         assert upper.paras == ((659.67 * SHRINK, -8.29e-18, -2.16e-4 / SHRINK),)
         # The cap stays far above Q = 0 across the P box, so it never binds below.
         assert lower.paras == ()
+
+    def test_cells_without_a_disk_have_infinite_radius(self):
+        curve = CapabilityCurve("c", 600, 300, (PMin(-500.0), PMax(500.0), QMax(400.0)))
+        region = build_region([curve], SHRINK)
+        assert region.upper_cell.r == region.lower_cell.r == math.inf
+        assert region.upper_cell.corners == region.lower_cell.corners == ()
 
     @settings(max_examples=400, deadline=None)
     @given(

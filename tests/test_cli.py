@@ -316,3 +316,19 @@ def test_missing_curve_a_step_needs_is_an_error_naming_its_anchor(tmp_path):
     assert result.exit_code == 1
     assert "Error: no capability curve anchored at 500/330 V" in result.output
     assert "Traceback" not in result.output
+
+
+def test_gen_trace_rejects_a_negative_sigma(tmp_path):
+    out = tmp_path / "trace.csv"
+    result = CliRunner().invoke(main, ["gen-trace", "--sigma-f", "-1", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "Error: sigmas must be nonnegative\n" in result.output
+    assert not out.exists()
+
+
+def test_metrics_on_a_header_only_records_file_fails(tmp_path):
+    records_csv = idle_records_csv(tmp_path, ())
+    assert len(records_csv.read_text(encoding="utf-8").splitlines()) == 1
+    result = CliRunner().invoke(main, ["metrics", "--records", str(records_csv)])
+    assert result.exit_code == 1
+    assert f"Error: {records_csv}: no records\n" in result.output

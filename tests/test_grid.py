@@ -169,6 +169,15 @@ class TestTransformerValidation:
         with pytest.raises(ValueError, match="x_t"):
             TransformerParams(n=70.0, x_t=math.nan)
 
+    @pytest.mark.parametrize("n", [0.0, -70.0])
+    def test_nonpositive_turns_ratio_rejected(self, n):
+        with pytest.raises(ValueError, match="turns ratio must be positive"):
+            TransformerParams(n=n, x_t=0.009)
+
+    def test_negative_reactance_rejected(self):
+        with pytest.raises(ValueError, match="reactance must be nonnegative"):
+            TransformerParams(n=70.0, x_t=-0.009)
+
 
 class TestMaxDeviations:
     def test_constant_trace_has_zero_sigma(self):

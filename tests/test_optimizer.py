@@ -503,6 +503,10 @@ class TestProjectionProblemValidation:
         with pytest.raises(ValueError):
             ProjectionProblem(0.0, 0.0, 0.0, 0.0, region_600, -1.0, 1.0)
 
+    def test_controller_rejects_zero_shrink(self, controller_cfg):
+        with pytest.raises(ValueError, match=re.escape("shrink must lie in (0, 1]")):
+            dataclasses.replace(controller_cfg, shrink=0.0)
+
     @pytest.mark.parametrize(
         "target, weights",
         [
@@ -526,6 +530,22 @@ class TestProjectionProblemValidation:
         prob = problem(region_600, (1e160, 1e160), weights)
         with pytest.raises(ValueError, match=re.escape("target (1e+160, 1e+160)")):
             project(prob)
+
+    @pytest.mark.parametrize(
+        "target, weights",
+        [
+            # The violated cap's cubic has a companion matrix that overflows.
+            ((1e308, 0.0), (1.0, 1000.0)),
+            ((0.0, 1e308), (1.0, 1.0)),
+            # p0^2 and q0^2 are finite, their sum is not.
+            ((1e154, 1e154), (1.0, 1.0)),
+        ],
+    )
+    def test_target_whose_square_overflows_is_too_far(self, curve_map, target, weights):
+        region = build_region([curve_map[(500.0, 270.0)]], 1.0)
+        with pytest.raises(ValueError, match="too far from the region to project") as info:
+            project(problem(region, target, weights))
+        assert type(info.value) is ValueError
 
 
 #: Each envelope alone, and every envelope pair the selection tables produce.
@@ -589,13 +609,13 @@ def fresh_corners(cell):
     quad = optimizer.quad_roots
     cands = []
     for b in [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]:
-        if cell.r is not None and cell.r * cell.r >= b * b:
+        if math.isfinite(cell.r) and cell.r * cell.r >= b * b:
             s = math.sqrt(cell.r * cell.r - b * b)
             cands.extend([(s, b), (-s, b)])
         for c0, c1, c2 in cell.paras:
             for p in quad(c2, c1, c0 - b):
                 cands.append((p, b))
-    if cell.r is not None:
+    if math.isfinite(cell.r):
         for c0, c1, c2 in cell.paras:
             coeffs = [
                 c2 * c2,
@@ -705,7 +725,7 @@ def near_boundary(data, cell, deltas=BOUNDARY_DELTA):
     kinds = ["anywhere", "cap", "corner"]
     kinds += ["p-line"] * any(map(math.isfinite, (cell.p_lo, cell.p_hi)))
     kinds += ["q-line"] * any(map(math.isfinite, (cell.q_lo, cell.q_hi)))
-    kinds += ["disk"] * (cell.r is not None)
+    kinds += ["disk"] * math.isfinite(cell.r)
     kind = data.draw(st.sampled_from(kinds))
     delta = data.draw(deltas)
     along = data.draw(st.floats(-1000.0, 1000.0))
@@ -1123,7 +1143,7 @@ def p_crossings(cell):
         if not math.isfinite(a):
             continue
         out += [(a, b) for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
-        if cell.r is not None and cell.r * cell.r >= a * a:
+        if math.isfinite(cell.r) and cell.r * cell.r >= a * a:
             s = math.sqrt(cell.r * cell.r - a * a)
             out += [(a, s), (a, -s)]
         out += [(a, c0 + c1 * a + c2 * a * a) for c0, c1, c2 in cell.paras]
@@ -1267,6 +1287,15 @@ class TestSingleConstraintExit:
         )
         assert optimizer._project_cell(cell, *target) == expected
         assert counts == {"_cell_candidates": 1, "_circle_candidates": 1, "_eigvals": 1}
+
+    def test_cell_solve_without_a_screened_candidate_raises(self, curve_map, monkeypatch):
+        # A cell holds the origin, so some candidate always passes the
+        # screen; with the exit and the enumeration emptied, none does.
+        cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
+        monkeypatch.setattr(optimizer, "_isolated", lambda *args: False)
+        monkeypatch.setattr(optimizer, "_cell_candidates", lambda *args: [])
+        with pytest.raises(RuntimeError, match=re.escape("target (900.0, 0.0)")):
+            optimizer._project_cell(cell, 900.0, 0.0, 1.0, 1.0)
 
 
 @st.composite

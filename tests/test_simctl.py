@@ -54,6 +54,15 @@ class TestGenerateTrace:
         write_trace(trace, path)
         assert load_trace(path) == trace
 
+    @pytest.mark.parametrize("sigma_f, sigma_v", [(-0.01, 0.05), (0.01, -0.05)])
+    def test_negative_sigma_rejected(self, sigma_f, sigma_v):
+        with pytest.raises(ValueError, match="sigmas must be nonnegative"):
+            generate_trace(sigma_f, sigma_v, 50.0, 21.192, 10, seed=1)
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            generate_trace(0.01, 0.05, 50.0, 21.192, 0, seed=1)
+
     def test_nonmonotone_trace_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -201,8 +210,21 @@ class TestEnergyMetrics:
         with pytest.raises(ValueError):
             EnergyReport(1.0, 0.2, 0.5, 0.2, 0.5)
 
+    def test_report_rejects_negative_energy(self):
+        with pytest.raises(ValueError, match="energies must be nonnegative"):
+            EnergyReport(1.0, 0.5, -0.1, 0.5, None)
+
 
 class TestRunScenario:
+    def test_scenario_rejects_soc_above_one(self):
+        with pytest.raises(ValueError, match=r"soc_init must lie in \[0, 1\]"):
+            ScenarioSpec(alpha0=9003.0, beta0=8.39, duration_s=10.0, soc_init=2.0)
+
+    def test_scenario_without_a_trace_rejected(self, controller_cfg, curve_map, bands):
+        scenario = ScenarioSpec(alpha0=9003.0, beta0=8.39, duration_s=10.0)
+        with pytest.raises(TraceError, match="scenario has no trace and none was supplied"):
+            run_scenario(scenario, controller_cfg, curve_map, bands)
+
     def test_reference_trace_gives_zero_energy(self, controller_cfg, curve_map, bands):
         scenario = ScenarioSpec(
             alpha0=9003.0, beta0=8.39, duration_s=10.0, c_shrink=7.0 / 9.0
