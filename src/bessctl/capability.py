@@ -330,21 +330,12 @@ class Cell:
     corners: tuple[tuple[float, float], ...]
     caps_nonneg: bool
 
-    def violation(self, p: float, q: float) -> float:
-        """Largest signed constraint violation at (p, q) (<= 0 is inside)."""
-        worst = max(
-            self.p_lo - p, p - self.p_hi, self.q_lo - q, q - self.q_hi, math.hypot(p, q) - self.r
-        )
-        for c0, c1, c2 in self.paras:
-            worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
-        return worst
-
     def within(self, p: float, q: float, tol: float) -> bool:
-        """violation(p, q) <= tol for finite p, False at the first term above tol.
-
-        The terms are those of violation, evaluated the same way; a NaN
-        term, which max skips after the P terms, fails no test here either.
-        """
+        """Every constraint term at (p, q) is at most tol, for finite p; False
+        at the first term above tol.  The terms are p_lo - p, p - p_hi,
+        q_lo - q, q - q_hi, hypot(p, q) - r and q - (c0 + c1*p + c2*p^2) per
+        cap in paras; their max is the cell's signed violation (<= 0 is
+        inside).  A NaN term fails no test."""
         if self.p_lo - p > tol or p - self.p_hi > tol or self.q_lo - q > tol or q - self.q_hi > tol:
             return False
         if math.hypot(p, q) - self.r > tol:

@@ -14,10 +14,17 @@ a set-point outside its envelope.
 
 Scenario runs are independent of each other and deterministic for a fixed
 seed, so batches can execute concurrently with one writer per run.
+
+``bessctl`` has three commands: ``run`` writes one scenario's records.csv
+and summary.json, ``gen-trace`` writes a synthetic trace CSV and
+``metrics`` recomputes the energies from a records CSV.  Each exits with 0
+on success, with 1 after ``Error: <message>`` on stderr, and with 2 on a
+usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -27,7 +34,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, Sequence
 
-import click
 import numpy as np
 
 from bessctl.battery import BatteryConfig, TtcParams, TtcState, builtin_ttc_params, load_ttc_params
@@ -423,95 +429,106 @@ def builtin_scenario_path(name: str) -> Path:
     return Path(str(resources.files(__package__).joinpath(f"data/scenarios/{name}.cfg")))
 
 
-@click.group()
-def main() -> None:
-    """Closed-loop converter set-point control simulation tools."""
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take nonnegative ints only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
-@main.command("run")
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--trace", "trace_spec", default=None, help="Trace CSV path or gen:k=v,...; replaces the scenario's trace key, the horizon stays its duration_s.")
-@click.option("--curves", "curves_path", default=None, type=click.Path(exists=True), help="Curve file (default: built-in).")
-@click.option("--params", "params_path", default=None, type=click.Path(exists=True), help="Battery parameter file (default: built-in).")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", default=None, type=int, help="Seed override for generated traces.")
-def run_cmd(scenario_path, trace_spec, curves_path, params_path, out_dir, seed) -> None:
+def _run(args: argparse.Namespace) -> None:
     """Run one scenario and write records.csv and summary.json."""
-    try:
-        scenario, controller_cfg = load_run_config(scenario_path)
-        curves = index_curves(builtin_curves() if curves_path is None else load_curves(curves_path))
-        bands = builtin_ttc_params() if params_path is None else load_ttc_params(params_path)
-        trace = None
-        if trace_spec is not None:
-            trace = resolve_trace(trace_spec, seed)
-        records, report = run_scenario(
-            scenario, controller_cfg, curves, bands, trace=trace, seed=seed
-        )
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records(records, out / "records.csv")
-        summary = summarize(scenario, records, report)
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"wrote {out / 'records.csv'} and {out / 'summary.json'}")
+    scenario, cfg = load_run_config(args.scenario)
+    curves = index_curves(builtin_curves() if args.curves is None else load_curves(args.curves))
+    bands = builtin_ttc_params() if args.params is None else load_ttc_params(args.params)
+    trace = None if args.trace is None else resolve_trace(args.trace, args.seed)
+    records, report = run_scenario(scenario, cfg, curves, bands, trace=trace, seed=args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_records(records, out / "records.csv")
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(summarize(scenario, records, report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {out / 'records.csv'} and {out / 'summary.json'}")
 
 
-@main.command("gen-trace")
-@click.option("--sigma-f", default=0.01782, show_default=True, help="Frequency sigma [Hz].")
-@click.option("--sigma-v", default=0.0672, show_default=True, help="Voltage sigma [kV].")
-@click.option("--mu-f", default=50.0, show_default=True, help="Frequency mean [Hz].")
-@click.option("--mu-v", default=21.192, show_default=True, help="Voltage mean [kV].")
-@click.option("--n", default=300, show_default=True, help="Number of 1 s samples.")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def gen_trace_cmd(sigma_f, sigma_v, mu_f, mu_v, n, seed, out_path) -> None:
+def _gen_trace(args: argparse.Namespace) -> None:
     """Generate a synthetic measurement trace CSV."""
-    try:
-        samples = generate_trace(sigma_f, sigma_v, mu_f, mu_v, n, seed)
-        write_trace(samples, out_path)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"wrote {out_path}")
+    samples = generate_trace(args.sigma_f, args.sigma_v, args.mu_f, args.mu_v, args.n, args.seed)
+    write_trace(samples, args.out)
+    print(f"wrote {args.out}")
 
 
-@main.command("metrics")
-@click.option("--records", "records_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha0", default=None, type=float, help="Droop gain [kW/Hz]; recovered from the records when omitted.")
-@click.option("--delta-t", default=None, type=float, help="Step length [s]; inferred from timestamps when omitted.")
-def metrics_cmd(records_path, alpha0, delta_t) -> None:
+def _metrics(args: argparse.Namespace) -> None:
     """Recompute the energy metrics from a records CSV."""
-    try:
-        records = read_records(records_path)
-        if not records:
-            raise TraceError(f"{records_path}: no records")
-        if delta_t is None:
-            delta_t = (
-                records[1].sample.timestamp - records[0].sample.timestamp
-                if len(records) > 1
-                else 1.0
-            )
-        if alpha0 is None:
-            alpha0 = next(
-                (abs(r.p_target / r.dfreq) for r in records if abs(r.dfreq) > 1e-9),
-                0.0,
-            )
-        report = energy_metrics(records, alpha0, delta_t)
-        click.echo(
-            json.dumps(
-                {
-                    "e_exp_kwh": report.e_exp,
-                    "e_star_kwh": report.e_star,
-                    "e_0_kwh": report.e_0,
-                    "ratio_optimal": report.ratio_star,
-                    "ratio_naive": report.ratio_0,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    records = read_records(args.records)
+    if not records:
+        raise TraceError(f"{args.records}: no records")
+    delta_t, alpha0 = args.delta_t, args.alpha0
+    if delta_t is None:
+        delta_t = records[1].sample.timestamp - records[0].sample.timestamp if records[1:] else 1.0
+    if alpha0 is None:
+        alpha0 = next((abs(r.p_target / r.dfreq) for r in records if abs(r.dfreq) > 1e-9), 0.0)
+    report = energy_metrics(records, alpha0, delta_t)
+    payload = {"e_exp_kwh": report.e_exp, "e_star_kwh": report.e_star, "e_0_kwh": report.e_0}
+    payload.update(ratio_optimal=report.ratio_star, ratio_naive=report.ratio_0)
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
+
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog_name, description="Closed-loop converter set-point control simulation tools."
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, func, **kwargs):
+        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__, **kwargs)
+        sub.set_defaults(command=func)
+        return sub
+
+    run = command("run", _run)
+    run.add_argument("--scenario", required=True)
+    run.add_argument(
+        "--trace",
+        help="Trace CSV path or gen:k=v,...; replaces the scenario's trace key, "
+        "the horizon stays its duration_s.",
+    )
+    run.add_argument("--curves", help="Curve file (default: built-in).")
+    run.add_argument("--params", help="Battery parameter file (default: built-in).")
+    run.add_argument("--out", required=True)
+    run.add_argument("--seed", type=_seed, help="Seed override for generated traces.")
+
+    gen = command("gen-trace", _gen_trace, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    gen.add_argument("--sigma-f", type=float, default=0.01782, help="Frequency sigma [Hz].")
+    gen.add_argument("--sigma-v", type=float, default=0.0672, help="Voltage sigma [kV].")
+    gen.add_argument("--mu-f", type=float, default=50.0, help="Frequency mean [Hz].")
+    gen.add_argument("--mu-v", type=float, default=21.192, help="Voltage mean [kV].")
+    gen.add_argument("--n", type=int, default=300, help="Number of 1 s samples.")
+    gen.add_argument("--seed", type=_seed, default=0, help="Generator seed.")
+    gen.add_argument("--out", required=True)
+
+    metrics = command("metrics", _metrics)
+    metrics.add_argument("--records", required=True)
+    metrics.add_argument(
+        "--alpha0", type=float, help="Droop gain [kW/Hz]; recovered from the records when omitted."
+    )
+    metrics.add_argument(
+        "--delta-t", type=float, help="Step length [s]; inferred from timestamps when omitted."
+    )
+    return parser
+
+
+def main(
+    args: Sequence[str] | None = None, prog_name: str = "bessctl", standalone_mode: bool = True
+) -> None:
+    """Run the command that args (default: sys.argv[1:]) name.  With
+    standalone_mode False, a ValueError or OSError propagates instead of
+    exiting with 1."""
+    parser = _parser(prog_name)
+    namespace = parser.parse_args(args)
+    try:
+        namespace.command(namespace)
+    except (ValueError, OSError) as exc:
+        if not standalone_mode:
+            raise
+        parser.exit(1, f"Error: {exc}\n")

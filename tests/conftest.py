@@ -1,5 +1,8 @@
+from dataclasses import dataclass
+
 import pytest
 
+from bessctl import simctl
 from bessctl.battery import BatteryConfig, builtin_ttc_params
 from bessctl.capability import builtin_curves, index_curves
 from bessctl.grid import DroopConfig, TransformerParams
@@ -45,3 +48,36 @@ def controller_cfg(battery_cfg, transformer):
     return ControllerConfig(
         droop=droop, battery=battery_cfg, transformer=transformer, shrink=7.0 / 9.0
     )
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """What one in-process ``bessctl`` call left: its exit code, its stdout
+    and stderr, and the SystemExit it raised (None when it returned)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+@pytest.fixture()
+def bessctl(capsys):
+    """Run ``simctl.main`` on a list of arguments as the console script
+    would, catching its SystemExit; any other exception propagates."""
+
+    def invoke(args):
+        capsys.readouterr()
+        try:
+            simctl.main(args)
+            code, exception = 0, None
+        except SystemExit as exc:
+            code, exception = exc.code, exc
+        out, err = capsys.readouterr()
+        return CliResult(code, out, err, exception)
+
+    return invoke

@@ -3,9 +3,10 @@ reference cell selection and a reference polynomial root finder.
 
 The inequalities are written out literally (vectorized over numpy arrays)
 so tests can cross-check the library's membership and projection code
-against a path that shares nothing with it.  ``running_best_cell`` picks
-a cell optimum by a running-best scan of the screened candidates, the
-reference for the projection's ranked selection.  ``np_roots_real_roots``
+against a path that shares nothing with it.  ``violation`` measures how
+far a point lies outside a cell.  ``running_best_cell`` picks a cell
+optimum by a running-best scan of the screened candidates, the reference
+for the projection's ranked selection.  ``np_roots_real_roots``
 finds roots through ``np.roots``, the reference for the companion-matrix
 eigenvalues of ``capability.poly_real_roots``.
 """
@@ -72,6 +73,18 @@ def direct_feasible(anchor, p, q, shrink=1.0):
     return DIRECT_ENVELOPES[anchor](p / shrink, q / shrink)
 
 
+def violation(cell, p, q):
+    """Largest signed constraint violation of cell at (p, q) (<= 0 is
+    inside): the terms of ``Cell.within``, evaluated the same way, under
+    one max, which skips a NaN term after the P terms."""
+    worst = max(
+        cell.p_lo - p, p - cell.p_hi, cell.q_lo - q, q - cell.q_hi, math.hypot(p, q) - cell.r
+    )
+    for c0, c1, c2 in cell.paras:
+        worst = max(worst, q - (c0 + c1 * p + c2 * p * p))
+    return worst
+
+
 def running_best_cell(cell, p0, q0, wp, wq):
     """Weighted projection onto a cell with both weights positive: the
     target itself when it is inside, otherwise the screened candidate of
@@ -82,11 +95,11 @@ def running_best_cell(cell, p0, q0, wp, wq):
     def objective(p, q):
         return wp * (p - p0) ** 2 + wq * (q - q0) ** 2
 
-    if cell.violation(p0, q0) <= 0.0:
+    if violation(cell, p0, q0) <= 0.0:
         return p0, q0, 0.0
     best = None
     for p, q in optimizer._cell_candidates(cell, p0, q0, wp, wq, {}):
-        if cell.violation(p, q) > optimizer._SCREEN_TOL:
+        if violation(cell, p, q) > optimizer._SCREEN_TOL:
             continue
         obj = objective(p, q)
         if best is None or obj < best[2]:

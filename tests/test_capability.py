@@ -31,7 +31,7 @@ from bessctl.capability import (
     select_ac,
 )
 
-from oracles import np_roots_real_roots
+from oracles import np_roots_real_roots, violation
 
 SHRINK = 7.0 / 9.0
 
@@ -332,9 +332,9 @@ class TestRegionCells:
     def test_cell_violation_agrees_with_contains(self, curve_map, anchors, shrink, p, q):
         region = region_for(curve_map, anchors, shrink)
         sides = ((region.upper_cell, q >= 0), (region.lower_cell, q <= 0))
-        violation = min(cell.violation(p, q) for cell, side in sides if side)
-        assume(abs(violation) > 1e-6)
-        assert (violation <= 0) == region.contains(p, q)
+        worst = min(violation(cell, p, q) for cell, side in sides if side)
+        assume(abs(worst) > 1e-6)
+        assert (worst <= 0) == region.contains(p, q)
 
 
 class TestRegionProperties:

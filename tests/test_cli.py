@@ -1,13 +1,12 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from bessctl.battery import builtin_params_text
 from bessctl.capability import builtin_curve_text
 from bessctl.grid import GridSample
 from bessctl.optimizer import STATUS_UNCHANGED, ControlRecord
-from bessctl.simctl import builtin_scenario_path, main, write_records
+from bessctl.simctl import TraceError, builtin_scenario_path, main, write_records
 
 
 def short_scenario(tmp_path, duration=40, alpha0=9003, beta0=8.39):
@@ -26,25 +25,19 @@ def short_scenario(tmp_path, duration=40, alpha0=9003, beta0=8.39):
     return path
 
 
-def test_gen_trace_writes_deterministic_csv(tmp_path):
-    runner = CliRunner()
+def test_gen_trace_writes_deterministic_csv(tmp_path, bessctl):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
-        result = runner.invoke(
-            main,
-            ["gen-trace", "--n", "25", "--seed", "6", "--out", str(out)],
-        )
+        result = bessctl(["gen-trace", "--n", "25", "--seed", "6", "--out", str(out)])
         assert result.exit_code == 0, result.output
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_text().startswith("timestamp_s,freq_hz,v_mv_kv")
 
 
-def test_run_and_metrics_round_trip(tmp_path):
-    runner = CliRunner()
+def test_run_and_metrics_round_trip(tmp_path, bessctl):
     out_dir = tmp_path / "run1"
-    result = runner.invoke(
-        main,
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -64,26 +57,22 @@ def test_run_and_metrics_round_trip(tmp_path):
     assert summary["steps"] == 40
     assert summary["energy_kwh"]["expected"] >= summary["energy_kwh"]["delivered_optimal"] >= 0
 
-    metrics = runner.invoke(main, ["metrics", "--records", str(records_csv)])
+    metrics = bessctl(["metrics", "--records", str(records_csv)])
     assert metrics.exit_code == 0, metrics.output
     payload = json.loads(metrics.output)
     assert payload["e_exp_kwh"] > 0
     assert payload["e_star_kwh"] >= payload["e_0_kwh"]
 
 
-def test_run_with_trace_file_and_seeded_rerun_identical(tmp_path):
-    runner = CliRunner()
+def test_run_with_trace_file_and_seeded_rerun_identical(tmp_path, bessctl):
     trace_csv = tmp_path / "trace.csv"
-    result = runner.invoke(
-        main, ["gen-trace", "--n", "40", "--seed", "3", "--out", str(trace_csv)]
-    )
+    result = bessctl(["gen-trace", "--n", "40", "--seed", "3", "--out", str(trace_csv)])
     assert result.exit_code == 0, result.output
     scenario = short_scenario(tmp_path, alpha0=19810)
     outputs = []
     for name in ("r1", "r2"):
         out_dir = tmp_path / name
-        result = runner.invoke(
-            main,
+        result = bessctl(
             [
                 "run",
                 "--scenario",
@@ -99,11 +88,9 @@ def test_run_with_trace_file_and_seeded_rerun_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_run_trace_longer_than_duration_is_cut_to_horizon(tmp_path):
-    runner = CliRunner()
+def test_run_trace_longer_than_duration_is_cut_to_horizon(tmp_path, bessctl):
     out_dir = tmp_path / "out"
-    result = runner.invoke(
-        main,
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -119,10 +106,8 @@ def test_run_trace_longer_than_duration_is_cut_to_horizon(tmp_path):
     assert summary["steps"] == 40
 
 
-def test_run_duration_longer_than_trace_fails(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
+def test_run_duration_longer_than_trace_fails(tmp_path, bessctl):
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -137,11 +122,27 @@ def test_run_duration_longer_than_trace_fails(tmp_path):
     assert "trace has 5 samples" in result.output
 
 
-def test_run_with_short_trace_row_names_its_line(tmp_path):
+def test_short_trace_raises_outside_standalone_mode_and_exits_1_inside(tmp_path, bessctl):
+    args = [
+        "run",
+        "--scenario",
+        str(builtin_scenario_path("scenario1")),
+        "--trace",
+        "gen:sigma_f=0.01,sigma_v=0.01,n=5",
+        "--out",
+        str(tmp_path / "out"),
+    ]
+    with pytest.raises(TraceError, match="trace has 5 samples"):
+        main(args, prog_name="bessctl", standalone_mode=False)
+    result = bessctl(args)
+    assert result.exit_code == 1
+    assert result.stderr == "Error: trace has 5 samples, horizon needs 300\n"
+
+
+def test_run_with_short_trace_row_names_its_line(tmp_path, bessctl):
     trace_csv = tmp_path / "trace.csv"
     trace_csv.write_text("timestamp_s,freq_hz,v_mv_kv\n0,50.0,21.192\n1,50.01\n", encoding="utf-8")
-    result = CliRunner().invoke(
-        main,
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -196,43 +197,38 @@ BAD_DT = "delta_t must be positive and finite, got "
         pytest.param((0.0, 1.0), ["--alpha0", "nan"], "alpha0 must be finite, got nan", id="gain"),
     ],
 )
-def test_metrics_rejects_bad_step_length_and_gain(tmp_path, timestamps, options, message):
+def test_metrics_rejects_bad_step_length_and_gain(tmp_path, timestamps, options, message, bessctl):
     records_csv = idle_records_csv(tmp_path, timestamps)
-    result = CliRunner().invoke(main, ["metrics", "--records", str(records_csv), *options])
+    result = bessctl(["metrics", "--records", str(records_csv), *options])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {message}\n" in result.output
 
 
-def test_metrics_rejects_a_row_with_an_extra_cell(tmp_path):
+def test_metrics_rejects_a_row_with_an_extra_cell(tmp_path, bessctl):
     records_csv = idle_records_csv(tmp_path, (0.0, 1.0))
     header, first, second = records_csv.read_text(encoding="utf-8").splitlines()
     records_csv.write_text(f"{header}\n{first}\n{second},x\n", encoding="utf-8")
-    result = CliRunner().invoke(main, ["metrics", "--records", str(records_csv)])
+    result = bessctl(["metrics", "--records", str(records_csv)])
     assert result.exit_code == 1
     assert f"Error: {records_csv}:3: expected 16 cells\n" in result.output
 
 
-def test_metrics_on_missing_file_fails():
-    runner = CliRunner()
-    result = runner.invoke(main, ["metrics", "--records", "/nonexistent.csv"])
+def test_metrics_on_missing_file_fails(bessctl):
+    result = bessctl(["metrics", "--records", "/nonexistent.csv"])
     assert result.exit_code != 0
 
 
-def test_bad_scenario_file_fails(tmp_path):
+def test_bad_scenario_file_fails(tmp_path, bessctl):
     bad = tmp_path / "bad.cfg"
     bad.write_text("alpha0_kw_per_hz 9003\n", encoding="utf-8")
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]
-    )
+    result = bessctl(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert result.exit_code != 0
     assert "missing required keys" in result.output
 
 
-def test_bad_gen_spec_is_a_usage_error_not_a_traceback(tmp_path):
-    result = CliRunner().invoke(
-        main,
+def test_bad_gen_spec_is_a_usage_error_not_a_traceback(tmp_path, bessctl):
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -248,20 +244,17 @@ def test_bad_gen_spec_is_a_usage_error_not_a_traceback(tmp_path):
     assert "Error: generator spec n must be a finite integer, got inf" in result.output
 
 
-def test_bad_scenario_value_names_its_line(tmp_path):
+def test_bad_scenario_value_names_its_line(tmp_path, bessctl):
     scenario = short_scenario(tmp_path, duration="ten")
-    result = CliRunner().invoke(
-        main, ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
-    )
+    result = bessctl(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     assert result.exit_code == 1
     assert f"Error: {scenario}:5: not a number: 'ten'\n" in result.output
 
 
-def test_non_finite_curve_coefficient_names_the_curve(tmp_path):
+def test_non_finite_curve_coefficient_names_the_curve(tmp_path, bessctl):
     curves = tmp_path / "curves.txt"
     curves.write_text(builtin_curve_text().replace("parabola 382.95", "parabola nan"), "utf-8")
-    result = CliRunner().invoke(
-        main,
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -277,12 +270,11 @@ def test_non_finite_curve_coefficient_names_the_curve(tmp_path):
     assert f"Error: {curves}:{header}: curve 'dc500_ac270': ParabolaCap(c0=nan" in result.output
 
 
-def test_non_finite_ttc_parameter_names_its_block(tmp_path):
+def test_non_finite_ttc_parameter_names_its_block(tmp_path, bessctl):
     params = tmp_path / "params.txt"
     text = builtin_params_text()
     params.write_text(text.replace("  a 607.1", "  a nan"), "utf-8")
-    result = CliRunner().invoke(
-        main,
+    result = bessctl(
         [
             "run",
             "--scenario",
@@ -298,7 +290,7 @@ def test_non_finite_ttc_parameter_names_its_block(tmp_path):
     assert f"Error: {params}:{header}: a must be finite" in result.output
 
 
-def test_missing_curve_a_step_needs_is_an_error_naming_its_anchor(tmp_path):
+def test_missing_curve_a_step_needs_is_an_error_naming_its_anchor(tmp_path, bessctl):
     text = builtin_curve_text()
     start = text.index("curve dc500_ac330 500 330")
     curves = tmp_path / "curves.txt"
@@ -307,7 +299,7 @@ def test_missing_curve_a_step_needs_is_an_error_naming_its_anchor(tmp_path):
 
     def run(*trace):
         args = ["--scenario", str(scenario), "--curves", str(curves), "--out", str(tmp_path / "o")]
-        return CliRunner().invoke(main, ["run", *args, *trace])
+        return bessctl(["run", *args, *trace])
 
     # The scenario's own trace never needs the 500/330 envelope.
     assert run().exit_code == 0
@@ -318,17 +310,103 @@ def test_missing_curve_a_step_needs_is_an_error_naming_its_anchor(tmp_path):
     assert "Traceback" not in result.output
 
 
-def test_gen_trace_rejects_a_negative_sigma(tmp_path):
+def test_gen_trace_rejects_a_negative_sigma(tmp_path, bessctl):
     out = tmp_path / "trace.csv"
-    result = CliRunner().invoke(main, ["gen-trace", "--sigma-f", "-1", "--out", str(out)])
+    result = bessctl(["gen-trace", "--sigma-f", "-1", "--out", str(out)])
     assert result.exit_code == 1
     assert "Error: sigmas must be nonnegative\n" in result.output
     assert not out.exists()
 
 
-def test_metrics_on_a_header_only_records_file_fails(tmp_path):
+def test_metrics_on_a_header_only_records_file_fails(tmp_path, bessctl):
     records_csv = idle_records_csv(tmp_path, ())
     assert len(records_csv.read_text(encoding="utf-8").splitlines()) == 1
-    result = CliRunner().invoke(main, ["metrics", "--records", str(records_csv)])
+    result = bessctl(["metrics", "--records", str(records_csv)])
     assert result.exit_code == 1
     assert f"Error: {records_csv}: no records\n" in result.output
+
+
+@pytest.mark.parametrize("option", ["--scenario", "--curves", "--params"])
+def test_run_with_a_missing_input_path_exits_1_naming_it(tmp_path, bessctl, option):
+    missing = str(tmp_path / "missing.txt")
+    out = tmp_path / "out"
+    # A repeated --scenario takes its last value.
+    args = ["--scenario", str(short_scenario(tmp_path)), option, missing, "--out", str(out)]
+    result = bessctl(["run", *args])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not out.exists()
+
+
+def test_metrics_with_a_missing_records_path_exits_1_naming_it(tmp_path, bessctl):
+    missing = str(tmp_path / "missing.csv")
+    result = bessctl(["metrics", "--records", missing])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_run_out_naming_a_file_exits_1(tmp_path, bessctl):
+    out = tmp_path / "out"
+    out.write_text("", encoding="utf-8")
+    result = bessctl(["run", "--scenario", str(short_scenario(tmp_path)), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: [Errno 17] File exists: '{out}'\n"
+
+
+def test_gen_trace_out_naming_a_directory_exits_1(tmp_path, bessctl):
+    result = bessctl(["gen-trace", "--n", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("Error: [Errno 21] Is a directory: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["gen-trace", "--seed", "-1"], id="gen-trace"),
+        pytest.param(["run", "--trace", "gen:sigma_f=0.01,sigma_v=0.01", "--seed", "-3"], id="run"),
+    ],
+)
+def test_a_negative_seed_is_a_usage_error_naming_the_option(tmp_path, bessctl, command):
+    scenario = ["--scenario", str(short_scenario(tmp_path))] if command[0] == "run" else []
+    out = tmp_path / "out"
+    result = bessctl([*command, *scenario, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "error: argument --seed: expected a nonnegative integer, got '-" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["simulate"], id="unknown-command"),
+        pytest.param(["run", "--scenario", "scenario.cfg"], id="run-without-out"),
+        pytest.param(["gen-trace"], id="gen-trace-without-out"),
+        pytest.param(["gen-trace", "--n", "2.5", "--out", "trace.csv"], id="fractional-n"),
+    ],
+)
+def test_usage_errors_exit_2_with_usage_on_stderr_and_write_nothing(
+    tmp_path, monkeypatch, bessctl, args
+):
+    monkeypatch.chdir(tmp_path)
+    result = bessctl(args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage: bessctl")
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("run", ["--scenario", "--trace", "--curves", "--params", "--out", "--seed"]),
+        ("gen-trace", ["--sigma-f", "--sigma-v", "--mu-f", "--mu-v", "--n", "--seed", "--out"]),
+        ("metrics", ["--records", "--alpha0", "--delta-t"]),
+    ],
+)
+def test_help_lists_each_option_of_its_command(bessctl, command, options):
+    result = bessctl([command, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(f"usage: bessctl {command}")
+    assert all(option in result.stdout for option in options)

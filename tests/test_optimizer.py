@@ -46,7 +46,7 @@ from bessctl.optimizer import (
 )
 from bessctl.simctl import builtin_scenario_path, load_run_config, run_scenario
 
-from oracles import direct_feasible, running_best_cell
+from oracles import direct_feasible, running_best_cell, violation
 from reference_step import reference_solve_step
 
 WIDE = (-1e6, 1e6)
@@ -769,7 +769,7 @@ class TestProjectExactness:
         cell = draw_cell(data, curve_map)
         p, q = near_boundary(data, cell, tol_deltas(tol))
         q = data.draw(st.sampled_from([q, q, q, math.inf, -math.inf, math.nan]))
-        assert cell.within(p, q, tol) == (cell.violation(p, q) <= tol)
+        assert cell.within(p, q, tol) == (violation(cell, p, q) <= tol)
 
     def test_stored_corners_equal_fresh_enumeration(self, curve_map):
         for anchors in REGION_ANCHORS:
@@ -844,7 +844,7 @@ class TestProjectExactness:
         cells = [optimizer._narrowed(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
         target = near_boundary(data, data.draw(st.sampled_from(cells)))
         p, q = project(problem(region, target, weights, (p_min, p_max)))
-        assert min(cell.violation(p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
+        assert min(violation(cell, p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
 
     def test_dipping_cap_keeps_upper_cell_solved(self, monkeypatch):
         region = build_region([DIPPING], 1.0)
@@ -886,7 +886,7 @@ class TestProjectExactness:
         prob = problem(region, target, weights=(1e-3, 1e3))
         p, q = project(prob)
         assert (p, q) == reference_project(prob)
-        assert region.lower_cell.violation(p, q) <= 0.0
+        assert violation(region.lower_cell, p, q) <= 0.0
 
     def test_crossing_cap_pulls_an_upper_cell_point_below_q_zero(self):
         # The upper cell's result is not in the upper cell: _polish takes the
@@ -896,7 +896,7 @@ class TestProjectExactness:
         p, q, _ = optimizer._project_cell(region.upper_cell, p0, q0, 1.0, 1.0)
         assert q < 0.0
         assert (p, q) == project(problem(region, (p0, q0)))
-        assert region.lower_cell.violation(p, q) <= 0.0
+        assert violation(region.lower_cell, p, q) <= 0.0
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -919,7 +919,7 @@ class TestProjectExactness:
         p, q = project(problem(region, target, weights, (p_min, p_max)))
         cells = [optimizer._narrowed(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
         assert region.contains(p, q)
-        assert min(cell.violation(p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
+        assert min(violation(cell, p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
         assert max(p_min, -500.0) <= p <= min(p_max, 500.0)
         assert math.hypot(p, q) <= 700.0 * (1.0 + 1e-12)
 

@@ -39,12 +39,12 @@ def test_per_step_module_does_not_import_numpy(module):
 
 
 def test_control_loop_imports_without_the_cli():
-    # The package __init__ re-exports nothing, so these load neither click
-    # nor simctl.
+    # The package __init__ re-exports nothing, so these load neither the
+    # CLI's argparse nor simctl.
     script = (
         "import sys\n"
         "import bessctl.optimizer, bessctl.capability, bessctl.battery, bessctl.grid\n"
-        "print(sorted({'click', 'bessctl.simctl'} & set(sys.modules)))\n"
+        "print(sorted({'argparse', 'bessctl.simctl'} & set(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -54,6 +54,18 @@ def test_control_loop_imports_without_the_cli():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert result.stdout == "[]\n"
+
+
+def test_cli_imports_without_click():
+    script = "import sys\nimport bessctl.simctl\nprint('click' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stdout == "False\n"
 
 
 def numpy_names(path):
