@@ -18,7 +18,10 @@ Sign convention: positive AC/DC power discharges the battery and lowers both
 the SOC and the DC-bus voltage.  Charging power is negative.
 
 Parameter sets are immutable and states are values passed and returned, so
-independent battery instances can be stepped concurrently.
+independent battery instances can be stepped concurrently.  ``TtcState``,
+the value each step returns, is a validated NamedTuple: its ``__new__``
+makes the checks and stores the fields in one tuple, where a frozen
+dataclass would set each through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from bessctl.linefmt import LineFormatError, parse_number, read_blocks
 
@@ -85,21 +88,35 @@ class TtcParams:
         return self.soc_lo <= soc < self.soc_hi
 
 
-@dataclass(frozen=True)
-class TtcState:
-    """RC branch voltages [V] and state of charge (fraction)."""
+class _TtcFields(NamedTuple):
+    vc1: float
+    vc2: float
+    vc3: float
+    soc: float
 
-    vc1: float = 0.0
-    vc2: float = 0.0
-    vc3: float = 0.0
-    soc: float = 0.5
 
-    def __post_init__(self) -> None:
-        for v in (self.vc1, self.vc2, self.vc3):
-            if not math.isfinite(v):
-                raise ValueError("branch voltages must be finite")
-        if not 0 <= self.soc <= 1:
-            raise ValueError(f"soc must lie in [0, 1], got {self.soc}")
+class TtcState(_TtcFields):
+    """RC branch voltages [V] and state of charge (fraction).
+
+    An immutable value that ttc_step takes and returns.  It is a validated
+    NamedTuple: construction, ``_replace`` and unpickling all reject
+    non-finite branch voltages and an SOC outside [0, 1].
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, vc1: float = 0.0, vc2: float = 0.0, vc3: float = 0.0, soc: float = 0.5
+    ) -> "TtcState":
+        if not (math.isfinite(vc1) and math.isfinite(vc2) and math.isfinite(vc3)):
+            raise ValueError("branch voltages must be finite")
+        if not 0 <= soc <= 1:
+            raise ValueError(f"soc must lie in [0, 1], got {soc}")
+        return tuple.__new__(cls, (vc1, vc2, vc3, soc))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "TtcState":
+        return cls(*iterable)
 
     @property
     def vc_sum(self) -> float:
@@ -218,21 +235,19 @@ def ttc_step(
         raise ValueError(f"vdc must be positive, got {vdc}")
     dt = cfg.delta_t
     i_dc = p_dc_kw * 1000.0 / vdc
-    new_vc = []
-    for vc, r, c in (
-        (state.vc1, params.r1, params.c1),
-        (state.vc2, params.r2, params.c2),
-        (state.vc3, params.r3, params.c3),
-    ):
-        decay = math.exp(-dt / (r * c))
-        new_vc.append(vc * decay + r * i_dc * (1.0 - decay))
+    decay = math.exp(-dt / (params.r1 * params.c1))
+    vc1 = state.vc1 * decay + params.r1 * i_dc * (1.0 - decay)
+    decay = math.exp(-dt / (params.r2 * params.c2))
+    vc2 = state.vc2 * decay + params.r2 * i_dc * (1.0 - decay)
+    decay = math.exp(-dt / (params.r3 * params.c3))
+    vc3 = state.vc3 * decay + params.r3 * i_dc * (1.0 - decay)
     new_soc = state.soc - (p_dc_kw * 1000.0 / (vdc * cfg.c_max_as)) * dt
     if new_soc < cfg.soc_min - SOC_EPS or new_soc > cfg.soc_max + SOC_EPS:
         raise SocLimitError(
             f"soc {new_soc:.6f} outside [{cfg.soc_min}, {cfg.soc_max}]"
         )
     new_soc = min(max(new_soc, cfg.soc_min), cfg.soc_max)
-    return TtcState(new_vc[0], new_vc[1], new_vc[2], new_soc)
+    return TtcState(vc1, vc2, vc3, new_soc)
 
 
 def _into_window(p: float, drive: float, rs: float, eta: float, lo: float, hi: float) -> float:

@@ -277,8 +277,9 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
         )
     roots = [0.0] * (degree - n)
     if n:
-        companion = np.eye(n, k=-1)
+        companion = np.zeros((n, n))
         companion[0] = row
+        companion.flat[n :: n + 1] = 1.0  # the subdiagonal
         roots = _eigvals(companion).tolist() + roots
     deriv = [c * (degree - i) for i, c in enumerate(trimmed[:-1])]
     out: list[float] = []

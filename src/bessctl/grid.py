@@ -9,17 +9,11 @@ target (inductive behaviour).  All operations here are pure functions.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 #: Deviation thresholds below which the realized droop gains are undefined.
 FREQ_DEADBAND_HZ = 1e-6
 VOLT_DEADBAND_V = 1e-3
-
-
-class InsufficientDataError(ValueError):
-    """Not enough samples to estimate deviation statistics."""
 
 
 @dataclass(frozen=True)
@@ -113,33 +107,6 @@ def initial_droops(
     if min(p_max_kw, q_max_kvar, dmax_f_hz, dmax_v_v) <= 0:
         raise ValueError("all inputs must be positive")
     return p_max_kw / dmax_f_hz, q_max_kvar / dmax_v_v
-
-
-class DeviationStats(NamedTuple):
-    dmax_f: float
-    dmax_v: float
-    mu_f: float
-    mu_v: float
-
-
-def max_deviations(
-    samples: Sequence[GridSample], k_f: float, k_v: float
-) -> DeviationStats:
-    """Maximum deviations k*sigma from historical samples, plus the means.
-
-    dmax_f is in Hz, dmax_v in kV (both nonnegative); sigma is the sample
-    standard deviation.
-    """
-    if len(samples) < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {len(samples)}")
-    freq = [s.freq for s in samples]
-    v_mv = [s.v_mv for s in samples]
-    return DeviationStats(
-        k_f * statistics.stdev(freq),
-        k_v * statistics.stdev(v_mv),
-        statistics.fmean(freq),
-        statistics.fmean(v_mv),
-    )
 
 
 def predict_vac(

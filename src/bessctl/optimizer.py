@@ -85,14 +85,19 @@ does not violate is solved only when the enumeration runs.
 A controller builds the region of every selection-table pair once, when
 it is constructed, and holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
-scenario sweeps concurrently.
+scenario sweeps concurrently.  The values a step builds, the battery state
+it returns, its ``ProjectionProblem`` and its ``ControlRecord``, are
+immutable NamedTuples; the state and the problem validate their fields in
+``__new__``.  A step still calls ``project``, ``dc_power_bounds``,
+``solve_vdc``, ``predict_vac``, ``ttc_step`` and the other layer functions
+through this module's globals, where a tracer can wrap them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from bessctl.battery import (
     BatteryConfig,
@@ -149,15 +154,7 @@ def _status_switches(k: int) -> str:
     return f"converged-after-k-switches({k})"
 
 
-@dataclass(frozen=True)
-class ProjectionProblem:
-    """Weighted projection of a droop target onto one feasible region.
-
-    The region contains the origin by construction (``FeasibleRegion``
-    checks it once), so with p_min <= 0 <= p_max the problem is never
-    infeasible.
-    """
-
+class _ProblemFields(NamedTuple):
     p_target: float
     q_target: float
     lambda_p: float
@@ -166,18 +163,45 @@ class ProjectionProblem:
     p_min: float
     p_max: float
 
-    def __post_init__(self) -> None:
+
+class ProjectionProblem(_ProblemFields):
+    """Weighted projection of a droop target onto one feasible region.
+
+    The region contains the origin by construction (``FeasibleRegion``
+    checks it once), so with p_min <= 0 <= p_max the problem is never
+    infeasible.  It is a validated NamedTuple: construction, ``_replace``
+    and unpickling all check finite targets and weights, weights
+    nonnegative and not both zero, and bounds that straddle 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        p_target: float,
+        q_target: float,
+        lambda_p: float,
+        lambda_q: float,
+        region: FeasibleRegion,
+        p_min: float,
+        p_max: float,
+    ) -> "ProjectionProblem":
         if not (
-            math.isfinite(self.p_target)
-            and math.isfinite(self.q_target)
-            and math.isfinite(self.lambda_p)
-            and math.isfinite(self.lambda_q)
+            math.isfinite(p_target)
+            and math.isfinite(q_target)
+            and math.isfinite(lambda_p)
+            and math.isfinite(lambda_q)
         ):
             raise ValueError("targets and weights must be finite")
-        if self.lambda_p < 0 or self.lambda_q < 0 or self.lambda_p + self.lambda_q == 0:
+        if lambda_p < 0 or lambda_q < 0 or lambda_p + lambda_q == 0:
             raise ValueError("weights must be nonnegative and not both zero")
-        if not self.p_min <= 0.0 <= self.p_max:
+        if not p_min <= 0.0 <= p_max:
             raise ValueError("AC power bounds must straddle 0 (idle is always allowed)")
+        return tuple.__new__(cls, (p_target, q_target, lambda_p, lambda_q, region, p_min, p_max))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "ProjectionProblem":
+        return cls(*iterable)
 
 
 class Probe(NamedTuple):
@@ -194,9 +218,12 @@ class Probe(NamedTuple):
     ac_anchor: Anchor | None
 
 
-@dataclass(frozen=True)
-class ControlRecord:
-    """Per-step audit trail of the controller."""
+class ControlRecord(NamedTuple):
+    """Per-step audit trail of the controller.
+
+    An immutable NamedTuple, which solve_step builds positionally; unlike
+    the state and the problem, it makes no checks of its own.
+    """
 
     sample: GridSample
     dfreq: float
@@ -623,6 +650,8 @@ class SetpointController:
                 p_max = max(p_max, min(cell.p_hi, cell.r))
                 s_max = max(s_max, cell.r)
         self._extent = (p_min, p_max, s_max)
+        # Widened by a relative 1e-12; see _voltage_bounds.
+        self._widened = (p_min + 1e-12 * p_min, p_max + 1e-12 * p_max, s_max + 1e-12 * s_max)
 
     def _voltage_bounds(
         self,
@@ -636,17 +665,16 @@ class SetpointController:
 
         A probe's point lies in its region with its p in the narrowed P box,
         so in [pac_lo, pac_hi] and in the regions' P extent, and its |S| is
-        at most S_max.  The extent is widened by a relative 1e-12, which
+        at most S_max.  __init__ widens the extent by a relative 1e-12, which
         absorbs the ulp by which _polish's disk scaling can overshoot the
-        radius; [pac_lo, pac_hi] is not, as no probe leaves it, and
+        radius; [pac_lo, pac_hi] is not widened, as no probe leaves it, and
         dc_power_bounds maps all of it to DC powers that solve_vdc accepts.
         vdc falls and vac rises monotonically with these, also in floating
         point.
         """
-        p_min, p_max, s_max = self._extent
-        p_lo = max(pac_lo, p_min + 1e-12 * p_min)
-        p_hi = min(pac_hi, p_max + 1e-12 * p_max)
-        s_hi = s_max + 1e-12 * s_max
+        p_min, p_max, s_hi = self._widened
+        p_lo = max(pac_lo, p_min)
+        p_hi = min(pac_hi, p_max)
         eta = self.cfg.battery.eta
         vdc_lo = solve_vdc(dc_from_ac(p_hi, eta), drive, rs)
         vdc_hi = solve_vdc(dc_from_ac(p_lo, eta), drive, rs)
@@ -730,20 +758,20 @@ class SetpointController:
 
         alpha_star, beta_star = optimal_droops(p_opt, q_opt, dfreq, dvac)
         record = ControlRecord(
-            sample=sample,
-            dfreq=dfreq,
-            dvac=dvac,
-            p_target=p0,
-            q_target=q0,
-            p_opt=p_opt,
-            q_opt=q_opt,
-            vdc_pred=probed.vdc,
-            vac_pred=probed.vac,
-            curve_dc=probed.dc_anchor,
-            curve_ac=probed.ac_anchor,
-            alpha_star=alpha_star,
-            beta_star=beta_star,
-            status=tuple(flags),
+            sample,
+            dfreq,
+            dvac,
+            p0,
+            q0,
+            p_opt,
+            q_opt,
+            probed.vdc,
+            probed.vac,
+            probed.dc_anchor,
+            probed.ac_anchor,
+            alpha_star,
+            beta_star,
+            tuple(flags),
         )
         new_state = ttc_step(state, probed.p_dc, probed.vdc, params, cfg.battery)
         return record, new_state

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -442,3 +443,37 @@ class TestValidation:
         state = TtcState(1000.0, 0.0, 0.0, 0.5)
         with pytest.raises(InfeasiblePowerError, match="exceed the open-circuit voltage"):
             dc_power_bounds(state, band(bands, 0.5), BatteryConfig(c_max_ah=580.0))
+
+
+class TestStateValue:
+    """TtcState is an immutable, validated NamedTuple."""
+
+    def test_defaults(self):
+        assert TtcState() == TtcState(0.0, 0.0, 0.0, 0.5)
+        assert TtcState(soc=0.3) == TtcState(0.0, 0.0, 0.0, 0.3)
+
+    @pytest.mark.parametrize("field", ["vc1", "vc2", "vc3", "soc"])
+    def test_fields_cannot_be_assigned(self, field):
+        state = TtcState(1.0, 2.0, 3.0, 0.4)
+        with pytest.raises(AttributeError):
+            setattr(state, field, 0.1)
+
+    def test_pickle_round_trips(self):
+        state = TtcState(1.5, -2.25, 3.125, 0.4)
+        restored = pickle.loads(pickle.dumps(state))
+        assert restored == state
+        assert type(restored) is TtcState
+
+    def test_replace_validates(self):
+        state = TtcState(1.0, 2.0, 3.0, 0.4)
+        assert state._replace(soc=0.2) == TtcState(1.0, 2.0, 3.0, 0.2)
+        with pytest.raises(ValueError, match=r"soc must lie in \[0, 1\], got 1.5"):
+            state._replace(soc=1.5)
+        with pytest.raises(ValueError, match="branch voltages must be finite"):
+            state._replace(vc2=math.inf)
+
+    def test_unpickling_validates(self):
+        # A state built past __new__ cannot come back through pickle.
+        bad = tuple.__new__(TtcState, (0.0, 0.0, 0.0, 1.5))
+        with pytest.raises(ValueError, match="soc must lie in"):
+            pickle.loads(pickle.dumps(bad))

@@ -6,11 +6,9 @@ import pytest
 from bessctl.grid import (
     DroopConfig,
     GridSample,
-    InsufficientDataError,
     TransformerParams,
     droop_targets,
     initial_droops,
-    max_deviations,
     optimal_droops,
     predict_vac,
 )
@@ -177,32 +175,6 @@ class TestTransformerValidation:
     def test_negative_reactance_rejected(self):
         with pytest.raises(ValueError, match="reactance must be nonnegative"):
             TransformerParams(n=70.0, x_t=-0.009)
-
-
-class TestMaxDeviations:
-    def test_constant_trace_has_zero_sigma(self):
-        samples = [GridSample(float(t), 50.0, 21.0) for t in range(10)]
-        stats = max_deviations(samples, 3.3, 1.0)
-        assert stats.dmax_f == 0.0
-        assert stats.dmax_v == 0.0
-        assert stats.mu_f == 50.0
-        assert stats.mu_v == 21.0
-
-    def test_gaussian_sigma_recovery(self):
-        rng = np.random.default_rng(123)
-        sigma_f = 0.0588 / 3.3
-        samples = [
-            GridSample(float(t), 50.0 + sigma_f * float(z), 21.192 + 0.0672 * float(w))
-            for t, (z, w) in enumerate(zip(rng.standard_normal(10000), rng.standard_normal(10000)))
-        ]
-        stats = max_deviations(samples, 3.3, 1.0)
-        assert stats.dmax_f == pytest.approx(0.0588, rel=0.05)
-        assert stats.dmax_v == pytest.approx(0.0672, rel=0.05)
-        assert stats.mu_v == pytest.approx(21.192, abs=0.01)
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            max_deviations([GridSample(0.0, 50.0, 21.0)], 3.3, 1.0)
 
 
 class TestPredictVac:

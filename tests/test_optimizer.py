@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import re
 from unittest import mock
 
@@ -35,6 +36,7 @@ from bessctl.capability import (
 )
 from bessctl.grid import DroopConfig, GridSample, TransformerParams
 from bessctl.optimizer import (
+    ControlRecord,
     ControllerConfig,
     ProjectionProblem,
     STATUS_CLAMP,
@@ -546,6 +548,74 @@ class TestProjectionProblemValidation:
         with pytest.raises(ValueError, match="too far from the region to project") as info:
             project(problem(region, target, weights))
         assert type(info.value) is ValueError
+
+
+def sample_record(**changes):
+    fields = dict(
+        sample=GridSample(0.0, 50.0, 21.0),
+        dfreq=0.0,
+        dvac=192.0,
+        p_target=-0.5,
+        q_target=1610.88,
+        p_opt=-0.5,
+        q_opt=511.0,
+        vdc_pred=700.25,
+        vac_pred=301.5,
+        curve_dc=(600.0, 300.0),
+        curve_ac=None,
+        alpha_star=None,
+        beta_star=2.6614583333333335,
+        status=(STATUS_CLIPPED,),
+    )
+    return ControlRecord(**{**fields, **changes})
+
+
+class TestValueTypes:
+    """The per-step values are immutable NamedTuples; the problem validates."""
+
+    def test_problem_fields_cannot_be_assigned(self, region_600):
+        prob = problem(region_600, (1.0, 2.0))
+        with pytest.raises(AttributeError):
+            prob.p_target = 3.0
+
+    def test_problem_replace_validates(self, region_600):
+        prob = problem(region_600, (1.0, 2.0), bounds=(-1.0, 1.0))
+        assert prob._replace(q_target=3.0).q_target == 3.0
+        with pytest.raises(ValueError, match=re.escape("AC power bounds must straddle 0")):
+            prob._replace(p_min=0.5)
+
+    def test_problem_pickle_round_trips(self, region_600):
+        prob = problem(region_600, (1.0, 2.0), weights=(1.0, 0.0), bounds=(-1.0, 1.0))
+        restored = pickle.loads(pickle.dumps(prob))
+        assert type(restored) is ProjectionProblem
+        assert project(restored) == project(prob)
+
+    def test_record_fields_cannot_be_assigned(self):
+        record = sample_record()
+        with pytest.raises(AttributeError):
+            record.p_opt = 0.0
+
+    def test_record_repr_names_every_field(self):
+        assert repr(sample_record()) == (
+            "ControlRecord(sample=GridSample(timestamp=0.0, freq=50.0, v_mv=21.0), "
+            "dfreq=0.0, dvac=192.0, p_target=-0.5, q_target=1610.88, p_opt=-0.5, "
+            "q_opt=511.0, vdc_pred=700.25, vac_pred=301.5, curve_dc=(600.0, 300.0), "
+            "curve_ac=None, alpha_star=None, beta_star=2.6614583333333335, "
+            "status=('clipped-to-boundary',))"
+        )
+
+    def test_record_target_feasible(self):
+        assert not sample_record().target_feasible
+        assert sample_record(status=(STATUS_UNCHANGED,)).target_feasible
+
+    def test_step_whose_droop_target_overflows_raises(self, controller_cfg, curve_map, bands):
+        # alpha0 * 4.9 Hz overflows to an infinite p target.
+        droop = dataclasses.replace(controller_cfg.droop, alpha0=1e308)
+        ctl = SetpointController(
+            dataclasses.replace(controller_cfg, droop=droop), curve_map, bands
+        )
+        with pytest.raises(ValueError, match="targets and weights must be finite"):
+            ctl.solve_step(GridSample(0.0, 45.1, 21.192), TtcState(0.0, 0.0, 0.0, 0.5))
 
 
 #: Each envelope alone, and every envelope pair the selection tables produce.

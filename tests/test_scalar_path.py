@@ -3,18 +3,23 @@ battery, grid and optimizer imports numpy), the control-loop modules import
 without the CLI, no module finds roots through ``np.roots`` or eigenvalues
 through ``np.linalg.eigvals`` (capability alone calls the LAPACK gufunc
 behind it), the line grammars stay in linefmt (no other module imports a
-tokenizer), and the optimizer's set-point tolerance only sets the status
-flags."""
+tokenizer), the optimizer's set-point tolerance only sets the status
+flags, the per-step value types are NamedTuples rather than dataclasses,
+and a step calls the layer functions through the optimizer's globals."""
 
 import ast
+import dataclasses
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
 import pytest
 
 import bessctl
+from bessctl.battery import TtcState
+from bessctl.optimizer import ControlRecord, Probe, ProjectionProblem
 
 PACKAGE = Path(bessctl.__file__).parent
 
@@ -153,3 +158,35 @@ def test_point_tol_only_sets_the_status_flags():
     # A projection stays inside its cell, so neither the projection nor the
     # step's voltage bounds may lean on the set-point tolerance.
     assert readers_of(PACKAGE / "optimizer.py", "_POINT_TOL") == {"SetpointController.solve_step"}
+
+
+@pytest.mark.parametrize("value_type", [TtcState, ProjectionProblem, ControlRecord, Probe])
+def test_per_step_value_types_are_not_dataclasses(value_type):
+    # A frozen dataclass sets each field through object.__setattr__ and then
+    # runs __post_init__, a large share of a cheap step.
+    assert not dataclasses.is_dataclass(value_type)
+    assert issubclass(value_type, tuple)
+
+
+def local_names(path, qualname):
+    """Names bound inside the function ``qualname`` or a function nested in it."""
+    table = symtable.symtable(path.read_text("utf-8"), str(path), "exec")
+    for part in qualname.split("."):
+        table = next(t for t in table.get_children() if t.get_name() == part)
+    names, tables = set(), [table]
+    while tables:
+        table = tables.pop()
+        names |= {s.get_name() for s in table.get_symbols() if s.is_local()}
+        tables += table.get_children()
+    return names
+
+
+@pytest.mark.parametrize("name", ["project", "dc_power_bounds", "solve_vdc", "predict_vac", "ttc_step"])
+def test_solve_step_calls_the_layers_through_module_globals(name):
+    # The benchmark tracer times each layer by replacing these globals, and
+    # tests count calls through them: a step that called an alias or an
+    # unchecked core would lose those spans without an error.
+    step = "SetpointController.solve_step"
+    readers = readers_of(PACKAGE / "optimizer.py", name)
+    assert any(r == step or r.startswith(step + ".") for r in readers), readers
+    assert name not in local_names(PACKAGE / "optimizer.py", step)
