@@ -253,11 +253,21 @@ def ttc_step(
 def _into_window(p: float, drive: float, rs: float, eta: float, lo: float, hi: float) -> float:
     """p stepped toward 0 one float at a time until the bus voltages of p and
     of ``dc_from_ac(ac_from_dc(p, eta), eta)`` lie in [lo, hi]; a power beyond
-    the maximum power point has none.  The walk stops at 0."""
+    the maximum power point has none.  The walk stops at 0.
+
+    The round trip and ``_bus_voltage`` are written out with their own float
+    expressions, so a step of the walk calls no function of this module;
+    eta was checked by BatteryConfig.
+    """
+    drive_sq = drive * drive
     while p != 0.0:
-        round_trip = dc_from_ac(ac_from_dc(p, eta), eta)
-        if lo <= _bus_voltage(p, drive, rs) <= hi and lo <= _bus_voltage(round_trip, drive, rs) <= hi:
-            return p
+        disc = drive_sq - 4.0 * p * 1000.0 * rs
+        if disc >= 0 and lo <= 0.5 * (drive + math.sqrt(disc)) <= hi:
+            ac = p / eta if p < 0 else eta * p
+            round_trip = eta * ac if ac < 0 else ac / eta
+            disc = drive_sq - 4.0 * round_trip * 1000.0 * rs
+            if disc >= 0 and lo <= 0.5 * (drive + math.sqrt(disc)) <= hi:
+                return p
         p = math.nextafter(p, 0.0)
     return p
 

@@ -220,17 +220,59 @@ def _raise_nonconvergence(err: str, flag: int) -> None:
     raise LinAlgError("Eigenvalues did not converge")
 
 
+@np.errstate(
+    call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
 def _eigvals(companion: np.ndarray) -> np.ndarray:
     """Complex eigenvalues of a finite, square float64 matrix.
 
     The LAPACK ``dgeev`` gufunc behind ``np.linalg.eigvals``, called under
     the same error state, so non-convergence raises the same LinAlgError;
-    the caller makes the wrapper's input checks.
+    the caller makes the wrapper's input checks.  The ``np.errstate``
+    decorator is built once, at import; numpy >= 2 sets its state for each
+    call in a per-context variable, so concurrent calls do not share it,
+    and restores the caller's state on return and on raise.
     """
-    with np.errstate(
-        call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        return _umath_linalg.eigvals(companion, signature="d->D")
+    return _umath_linalg.eigvals(companion, signature="d->D")
+
+
+def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
+    """Real roots of a0*x^3 + a1*x^2 + a2*x + a3: ``poly_real_roots([a0, a1,
+    a2, a3])``, the same list or the same error.
+
+    With a0 finite and nonzero, a3 nonzero and the companion row
+    (-a1/a0, -a2/a0, -a3/a0) finite, the companion matrix is filled by
+    scalar stores and the two Newton steps of the polish are unrolled
+    Horner in ``poly_real_roots``' operation order.  Any other input is
+    solved there.
+    """
+    if a0 != 0.0 and a3 != 0.0 and math.isfinite(a0):
+        r0 = -a1 / a0
+        r1 = -a2 / a0
+        r2 = -a3 / a0
+        if math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2):
+            companion = np.zeros((3, 3))
+            companion[0, 0] = r0
+            companion[0, 1] = r1
+            companion[0, 2] = r2
+            companion[1, 0] = 1.0
+            companion[2, 1] = 1.0
+            d0 = a0 * 3
+            d1 = a1 * 2
+            out: list[float] = []
+            for root in _eigvals(companion).tolist():
+                x = root.real
+                if abs(root.imag) > 1e-8 * (1.0 + abs(x)):
+                    continue
+                d = (d0 * x + d1) * x + a2
+                if d != 0.0:
+                    x -= (((a0 * x + a1) * x + a2) * x + a3) / d
+                    d = (d0 * x + d1) * x + a2
+                    if d != 0.0:
+                        x -= (((a0 * x + a1) * x + a2) * x + a3) / d
+                out.append(x)
+            return out
+    return poly_real_roots([a0, a1, a2, a3])
 
 
 def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
@@ -243,8 +285,10 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     would build.  They come from ``_eigvals``, the LAPACK gufunc that
     ``np.linalg.eigvals`` calls, without that wrapper's checks: this
     function has already made the matrix 2-D, square, float64 and finite,
-    and keeps complex roots as ``.imag``.  A wrapper call took about four
-    times as long as the gufunc alone.
+    and keeps complex roots as ``.imag``.  ``_eigvals`` sets the wrapper's
+    error state through a decorator built at import.  A cubic without
+    a zero root is solved by ``cubic_real_roots``, which builds the same
+    matrix by scalar stores and polishes in the same operation order.
     ``tests/test_capability.py::TestPolyRealRoots`` keeps the roots
     bit-equal to the public ``np.roots`` path on the numpy installed.  Real
     roots are polished with two Newton steps, evaluated by
@@ -275,6 +319,9 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
             f"leading coefficient {lead!r} is too small beside {trimmed[1:]}: "
             "the companion matrix overflows"
         )
+    if n == 3 == degree:
+        # Every check of cubic_real_roots' own path holds here.
+        return cubic_real_roots(*trimmed)
     roots = [0.0] * (degree - n)
     if n:
         companion = np.zeros((n, n))

@@ -27,7 +27,9 @@ rounded, hence monotone, float operations; so the ends of those intervals
 bound the voltages.  A range test that the bounds decide, the
 range missing or holding them, needs no projection and gives the probe's
 answer; so the records equal those of the loop that probes every range,
-including k in ``converged-after-k-switches(k)``.  On the shipped curves a
+including k in ``converged-after-k-switches(k)``.  Each AC range is decided
+once per step, as the vac bounds do not depend on the DC range; only a range
+whose edge the bounds straddle asks a probe.  On the shipped curves a
 step solves one projection instead of three to nine.
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
@@ -43,8 +45,10 @@ passes the feasibility screen, polished into the cell, is the exact
 projection.  The intersections that do not involve the P box,
 among them the disk-parabola quartic, are the cell's corners, found once
 by ``build_region``; per call, only the parabola stationary-point cubic
-goes through numpy, in ``poly_real_roots``.  The screen and the interior
-test use ``Cell.within``, which stops at the first violated constraint.
+goes through numpy, in ``capability.cubic_real_roots``, which stores its
+scalar coefficients straight into a 3x3 companion matrix for LAPACK.  The
+screen and the interior test use ``Cell.within``, which stops at the first
+violated constraint.
 The cell across Q = 0 from the target is solved only when it could still
 win.
 
@@ -119,8 +123,8 @@ from bessctl.capability import (
     Cell,
     FeasibleRegion,
     build_region,
-    in_half_open,
-    poly_real_roots,
+    cubic_real_roots,
+    poly_real_roots,  # noqa: F401 -- re-exported for the tests' root references
     quad_roots,
     select_ac,
 )
@@ -290,13 +294,13 @@ def _parabola_stationary(
     """Stationary points of the weighted objective on q = c0 + c1 p + c2 p^2."""
     c0, c1, c2 = para
     shift = c0 - q0
-    coeffs = [
+    roots = cubic_real_roots(
         2.0 * wq * c2 * c2,
         3.0 * wq * c2 * c1,
         wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
         wq * c1 * shift - wp * p0,
-    ]
-    return [(p, c0 + c1 * p + c2 * p * p) for p in poly_real_roots(coeffs)]
+    )
+    return [(p, c0 + c1 * p + c2 * p * p) for p in roots]
 
 
 def _cell_candidates(
@@ -561,8 +565,12 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     and the other sign of q.  The float objective is monotone in |p - p0|
     and |q - q0|, so the bound holds after rounding too; when the
     target-side cell, solved first, does better than it (by a relative
-    1e-12) the other cell is not solved.  With lambda_q = 0 the bound is not
-    computed: the first cell, whose P box is the other's, cannot beat it.
+    1e-12) the other cell is not solved.  With lambda_q = 0 the bound is
+    lambda_p * d^2 alone, which the other cell's objective, lambda_p *
+    (p - p0)^2 plus an exact zero, cannot fall below in floats.  So when
+    q0 >= 0, where the other cell is the lower one and loses ties, a first
+    cell that costs at most the bound wins and the lower cell is not
+    solved; with q0 < 0 the upper cell can still tie and is solved.
     _polish keeps lower-cell points at q <= 0, but upper-cell ones at
     q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
     can pull them just below.  A target whose p0^2 + q0^2 overflows (about
@@ -583,25 +591,16 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
                 return first[0], first[1]
+        elif wq == 0.0 and q0 >= 0.0:
+            edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
+            if first[2] <= wp * (edge - p0) ** 2:
+                return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     upper, lower = (second, first) if q0 < 0.0 else (first, second)
     best = lower if lower[2] < upper[2] else upper
     return best[0], best[1]
-
-
-def _in_range(
-    lo: float, hi: float, bounds: tuple[float, float], predict: Callable[[], float]
-) -> bool:
-    """in_half_open(predict(), lo, hi), answered without calling predict when
-    bounds, a closed interval holding its value, lies outside or inside."""
-    v_lo, v_hi = bounds
-    if v_hi <= lo or hi < v_lo:
-        return False
-    if lo < v_lo and v_hi <= hi:
-        return True
-    return in_half_open(predict(), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -718,26 +717,42 @@ class SetpointController:
         # Accept the first range pair, in table order, whose probe predicts
         # voltages inside both ranges.  Within a DC range the first AC range
         # that agrees with its probe settles it; when its DC voltage disagrees,
-        # or no AC range agrees, the next DC range is tried.
-        vdc_bounds, vac_bounds = self._voltage_bounds(sample, drive, params.rs, pac_lo, pac_hi)
+        # or no AC range agrees, the next DC range is tried.  A range that the
+        # voltage bounds miss or hold answers for every probe; only a range
+        # that they straddle asks the probe.
+        (vdc_lo, vdc_hi), (vac_lo, vac_hi) = self._voltage_bounds(
+            sample, drive, params.rs, pac_lo, pac_hi
+        )
+        ac_known = [
+            False
+            if vac_hi <= lo or hi < vac_lo
+            else (True if lo < vac_lo and vac_hi <= hi else None)
+            for lo, hi, _, _ in AC_SELECTION
+        ]
         probes = 0
         fallback = False
         for dc_lo, dc_hi, dc_anchor in DC_SELECTION:
-            for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
+            for (ac_lo, ac_hi, ac_anchor, clamped), agrees in zip(AC_SELECTION, ac_known):
                 probes += 1
-                if _in_range(ac_lo, ac_hi, vac_bounds, lambda: probe(dc_anchor, ac_anchor).vac):
+                if agrees is None:
+                    agrees = ac_lo < probe(dc_anchor, ac_anchor).vac <= ac_hi
+                if agrees:
                     break
             else:
                 continue
-            if _in_range(dc_lo, dc_hi, vdc_bounds, lambda: probe(dc_anchor, ac_anchor).vdc):
-                probed = probe(dc_anchor, ac_anchor)
+            if vdc_hi <= dc_lo or dc_hi < vdc_lo:
+                continue
+            # Accepted or not, the probe is needed now: its vdc lies within
+            # the bounds, so a DC range that holds them holds it too.
+            probed = probe(dc_anchor, ac_anchor)
+            if dc_lo < probed.vdc <= dc_hi:
                 break
         else:
             # No self-consistent range pair: fall back to the most conservative
             # DC envelope, with the AC envelope chosen by the last prediction,
             # which the bounds settle when they lie in one AC range.
-            choice = select_ac(vac_bounds[0])
-            if select_ac(vac_bounds[1]) != choice:
+            choice = select_ac(vac_lo)
+            if select_ac(vac_hi) != choice:
                 choice = select_ac(probe(dc_anchor, ac_anchor).vac)
             ac_anchor, clamped = choice
             probed = probe(DC_SELECTION[0][2], ac_anchor)

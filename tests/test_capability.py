@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from bessctl.capability import (
     QMax,
     atom_violation,
     build_region,
+    cubic_real_roots,
     in_half_open,
     index_curves,
     parse_curves,
@@ -387,6 +390,30 @@ COEFFICIENT = st.one_of(
 )
 
 
+def stationary_cubic(cap, target, weights):
+    """Coefficients of optimizer._parabola_stationary's cubic."""
+    (c0, c1, c2), (p0, q0), (wp, wq) = cap, target, weights
+    shift = c0 - q0
+    return (
+        2.0 * wq * c2 * c2,
+        3.0 * wq * c2 * c1,
+        wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
+        wq * c1 * shift - wp * p0,
+    )
+
+
+STATIONARY_CUBIC = st.builds(
+    stationary_cubic,
+    st.tuples(
+        st.floats(0.0, 800.0),
+        st.floats(-1.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(-1e-2, -1e-8), st.just(-1e-160)),
+    ),
+    st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
+    st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+)
+
+
 class TestPolyRealRoots:
     """poly_real_roots builds np.roots' companion matrix itself; its roots
     must equal those of the np.roots reference bit for bit."""
@@ -401,25 +428,8 @@ class TestPolyRealRoots:
         assert root_outcome(poly_real_roots, coeffs) == root_outcome(np_roots_real_roots, coeffs)
 
     @settings(max_examples=1500, deadline=None)
-    @given(
-        cap=st.tuples(
-            st.floats(0.0, 800.0),
-            st.floats(-1.0, 1.0),
-            st.one_of(st.just(0.0), st.floats(-1e-2, -1e-8), st.just(-1e-160)),
-        ),
-        target=st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
-        weights=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
-    )
-    def test_stationary_cubic_equals_np_roots(self, cap, target, weights):
-        # The cubic of optimizer._parabola_stationary.
-        (c0, c1, c2), (p0, q0), (wp, wq) = cap, target, weights
-        shift = c0 - q0
-        coeffs = [
-            2.0 * wq * c2 * c2,
-            3.0 * wq * c2 * c1,
-            wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
-            wq * c1 * shift - wp * p0,
-        ]
+    @given(coeffs=STATIONARY_CUBIC.map(list))
+    def test_stationary_cubic_equals_np_roots(self, coeffs):
         assert root_outcome(poly_real_roots, coeffs) == root_outcome(np_roots_real_roots, coeffs)
 
     def test_trailing_zeros_are_roots_at_zero(self):
@@ -444,3 +454,115 @@ class TestPolyRealRoots:
     def test_companion_overflow_names_the_leading_coefficient(self):
         with pytest.raises(CompanionOverflowError, match="leading coefficient 1e-320 "):
             poly_real_roots([1e-320, 0.0, 1.0, 0.0, -412500.0])
+
+
+def exact_outcome(f, *args):
+    """The hex of each root f finds, or the type and message of its error."""
+    try:
+        return [x.hex() for x in f(*args)]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: Coefficients at the edges of the scalar path: zeros of either sign, tiny
+#: leads (the subnormal ones overflow the companion row) and non-finite ones.
+ODD_COEFFICIENT = st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-320, 1e-310, 1e-160, math.inf, -math.inf, math.nan]
+)
+
+
+class TestCubicRealRoots:
+    """cubic_real_roots is poly_real_roots on four coefficients: the same
+    roots bit for bit, or the same error with the same message."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        coeffs=st.one_of(
+            STATIONARY_CUBIC,
+            st.tuples(*[st.one_of(COEFFICIENT, ODD_COEFFICIENT)] * 4),
+            st.tuples(ODD_COEFFICIENT, COEFFICIENT, COEFFICIENT, COEFFICIENT),
+            st.tuples(COEFFICIENT, COEFFICIENT, COEFFICIENT, ODD_COEFFICIENT),
+        )
+    )
+    def test_equals_poly_real_roots_and_np_roots(self, coeffs):
+        outcome = exact_outcome(cubic_real_roots, *coeffs)
+        assert outcome == exact_outcome(poly_real_roots, list(coeffs))
+        assert root_outcome(lambda c: cubic_real_roots(*c), coeffs) == root_outcome(
+            np_roots_real_roots, list(coeffs)
+        )
+
+    def test_subnormal_lead_overflows_the_companion(self):
+        with pytest.raises(CompanionOverflowError, match="leading coefficient 5e-324 "):
+            cubic_real_roots(5e-324, 1.0, 0.0, -1.0)
+
+    def test_non_finite_coefficient_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("got [1.0, nan, 0.0, -1.0]")):
+            cubic_real_roots(1.0, math.nan, 0.0, -1.0)
+
+    def test_poly_real_roots_hands_its_cubics_over(self, monkeypatch):
+        calls = []
+        original = capability.cubic_real_roots
+
+        def counting(*coeffs):
+            calls.append(coeffs)
+            return original(*coeffs)
+
+        monkeypatch.setattr(capability, "cubic_real_roots", counting)
+        assert poly_real_roots([0.0, 1.0, -6.0, 11.0, -6.0]) == original(1.0, -6.0, 11.0, -6.0)
+        poly_real_roots([1.0, -3.0, 2.0, 0.0])  # a root at 0: the general path
+        assert calls == [(1.0, -6.0, 11.0, -6.0)]
+
+
+class TestEigvalsErrorState:
+    """_eigvals sets numpy's error state per call through its decorator and
+    leaves the caller's state as it found it, also across threads."""
+
+    @staticmethod
+    def marker(err, flag):
+        raise AssertionError("the caller's error callback must not run")
+
+    def test_caller_state_survives_a_solve(self):
+        with np.errstate(over="raise", invalid="warn", call=self.marker):
+            before = np.geterr(), np.geterrcall()
+            assert poly_real_roots([1.0, -6.0, 11.0, -6.0])
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_caller_state_survives_nonconvergence(self, monkeypatch):
+        class NonConverging:
+            @staticmethod
+            def eigvals(companion, signature):
+                np.sqrt(np.full(1, -1.0))
+                return np.full(len(companion), complex(math.nan, math.nan))
+
+        monkeypatch.setattr(capability, "_umath_linalg", NonConverging)
+        with np.errstate(over="raise", invalid="warn", call=self.marker):
+            before = np.geterr(), np.geterrcall()
+            with pytest.raises(LinAlgError, match="^Eigenvalues did not converge$"):
+                poly_real_roots([1.0, -6.0, 11.0, -6.0])
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_two_threads_find_the_serial_roots(self):
+        rng = np.random.default_rng(23)
+        cubics = [
+            stationary_cubic(
+                (float(rng.uniform(0.0, 800.0)), float(rng.uniform(-1.0, 1.0)), -1e-3),
+                (float(rng.uniform(-2000.0, 2000.0)), float(rng.uniform(-2000.0, 2000.0))),
+                (1.0, 1.0),
+            )
+            for _ in range(200)
+        ]
+        serial = [cubic_real_roots(*c) for c in cubics]
+
+        def solve_all(_):
+            return [[cubic_real_roots(*c) for c in cubics] for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the solves
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(solve_all, range(2), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 2
+        for rounds in results:
+            assert all(roots == serial for roots in rounds)

@@ -34,7 +34,7 @@ from bessctl.capability import (
     QMax,
     build_region,
 )
-from bessctl.grid import DroopConfig, GridSample, TransformerParams
+from bessctl.grid import DroopConfig, GridSample, TransformerParams, predict_vac
 from bessctl.optimizer import (
     ControlRecord,
     ControllerConfig,
@@ -883,6 +883,45 @@ class TestProjectExactness:
 
     @settings(max_examples=1500, deadline=None)
     @given(
+        anchors=st.sampled_from(REGION_ANCHORS + ["dipping", "crossing"]),
+        shrink=st.floats(1e-3, 1.0),
+        wp=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+        target=st.tuples(
+            st.floats(-2000.0, 2000.0),
+            st.one_of(
+                st.floats(-2000.0, 2000.0), st.floats(-1e-9, 1e-9), st.sampled_from([0.0, -0.0])
+            ),
+        ),
+        p_min=p_min_st,
+        p_max=p_max_st,
+    )
+    def test_zero_q_weight_equals_both_cell_reference(
+        self, curve_map, anchors, shrink, wp, target, p_min, p_max
+    ):
+        # With lambda_q = 0 and q0 >= 0 the lower cell is skipped when the
+        # upper one costs at most lambda_p * d^2; it must lose every such tie.
+        named = {"dipping": [DIPPING], "crossing": [CROSSING]}
+        curves = named.get(anchors) or [curve_map[a] for a in anchors]
+        prob = problem(build_region(curves, shrink), target, (wp, 0.0), (p_min, p_max))
+        assert project(prob) == reference_project(prob)
+
+    @pytest.mark.parametrize("q0, cells", [(50.0, 1), (0.0, 1), (-50.0, 2)])
+    def test_zero_q_weight_solves_the_lower_cell_only_when_it_can_win(
+        self, curve_map, monkeypatch, q0, cells
+    ):
+        # p0 lies beyond the battery bound, which both cells reach: the
+        # objectives tie at lambda_p * (p_max - p0)^2.  The upper cell wins
+        # ties, so solved first (q0 >= 0) it settles the step alone; solved
+        # second (q0 < 0) it is still needed to break the tie.
+        region = build_region([curve_map[(600.0, 300.0)]], 1.0)
+        prob = problem(region, (800.0, q0), (1.0, 0.0), (-300.0, 300.0))
+        expected = reference_project(prob)
+        counts = count_calls(monkeypatch, (optimizer, "_project_cell"))
+        assert project(prob) == expected
+        assert counts == {"_project_cell": cells}
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
         data=st.data(),
         weights=st.tuples(
             st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
@@ -1448,12 +1487,25 @@ STEP_WEIGHTS = st.one_of(
 EDGE_DELTA = st.one_of(st.floats(-2e-9, 2e-9), st.sampled_from([0.6e-9, 0.9e-9, 0.99e-9]))
 
 
+def step_voltage_bounds(ctl, sample, state):
+    """The (vdc, vac) bounds that ctl's step at sample and state computes."""
+    params = params_for_soc(state.soc, ctl.bands)
+    pdc_lo, pdc_hi = dc_power_bounds(state, params, ctl.cfg.battery)
+    eta = ctl.cfg.battery.eta
+    drive = open_circuit_voltage(state.soc, params) - state.vc_sum
+    return ctl._voltage_bounds(
+        sample, drive, params.rs, ac_from_dc(pdc_lo, eta), ac_from_dc(pdc_hi, eta)
+    )
+
+
 def draw_step(data, curve_map, bands):
     """A controller, sample and state.  The droop target is random, or just
     past an end of the step's P interval (where a battery bound or the
     regions' P extent binds), or just outside the disk of ONE_DISK, which
-    sets S_max."""
-    mode = data.draw(st.sampled_from(["random", "p-edge", "s-edge"]))
+    sets S_max.  In "vac-edge" mode the target is random and the MV voltage
+    puts the step's vac bounds across 270 V or 330 V, so that the AC range
+    of that edge is left to the probe in every DC range."""
+    mode = data.draw(st.sampled_from(["random", "p-edge", "s-edge", "vac-edge"]))
     if mode == "s-edge":
         curves = ONE_DISK
     else:
@@ -1475,6 +1527,20 @@ def draw_step(data, curve_map, bands):
     if mode == "random":
         freq = data.draw(st.floats(49.9, 50.1))
         return ctl, GridSample(0.0, freq, data.draw(st.floats(17.5, 24.5))), state
+    if mode == "vac-edge":
+        # The LV voltage at S = 0 lies below the edge by less than the rise
+        # that S_max adds at the edge; the rise is larger below it, so the
+        # voltage at S_max lies above the edge.
+        edge = data.draw(st.sampled_from([270.0, 330.0]))
+        xf = cfg.transformer
+        s_hi = ctl._widened[2]
+        at_edge = GridSample(0.0, 50.0, edge * xf.n / 1000.0)
+        rise = predict_vac(at_edge, s_hi, 0.0, xf) - edge if s_hi < math.inf else 50.0
+        v_lv = edge - data.draw(st.floats(0.0, 1.0, exclude_max=True)) * rise
+        sample = GridSample(0.0, data.draw(st.floats(49.9, 50.1)), v_lv * xf.n / 1000.0)
+        vac_lo, vac_hi = step_voltage_bounds(ctl, sample, state)[1]
+        assume(vac_lo <= edge < vac_hi)
+        return ctl, sample, state
     delta = data.draw(EDGE_DELTA)
     if mode == "p-edge":
         pdc = dc_power_bounds(state, params_for_soc(state.soc, bands), STEP_BATTERY)
@@ -1508,13 +1574,7 @@ class TestPrunedAssumptionLoop:
     def test_every_probe_lies_inside_the_voltage_bounds(self, curve_map, bands, data):
         ctl, sample, state = draw_step(data, curve_map, bands)
         _, _, probes = reference_solve_step(ctl, sample, state)
-        params = params_for_soc(state.soc, bands)
-        pdc_lo, pdc_hi = dc_power_bounds(state, params, STEP_BATTERY)
-        eta = STEP_BATTERY.eta
-        drive = open_circuit_voltage(state.soc, params) - state.vc_sum
-        (vdc_lo, vdc_hi), (vac_lo, vac_hi) = ctl._voltage_bounds(
-            sample, drive, params.rs, ac_from_dc(pdc_lo, eta), ac_from_dc(pdc_hi, eta)
-        )
+        (vdc_lo, vdc_hi), (vac_lo, vac_hi) = step_voltage_bounds(ctl, sample, state)
         for probe in probes:
             assert vdc_lo <= probe.vdc <= vdc_hi, probe
             assert vac_lo <= probe.vac <= vac_hi, probe
