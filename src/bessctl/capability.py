@@ -37,6 +37,10 @@ from bessctl.linefmt import LineFormatError, parse_number, read_blocks
 
 Anchor = tuple[float, float]
 
+#: A crossing of two cell constraints, (p, q, a, b): a and b tag them as
+#: "p_lo", "p_hi", "q_lo", "q_hi", "disk" or a cap's index in the cell's paras.
+Corner = tuple[float, float, Union[str, int], Union[str, int]]
+
 #: DC-range selection table: (lo, hi] maps to the envelope at the range's
 #: lower anchor, the conservative choice because the reactive ceiling grows
 #: with vDC.
@@ -361,8 +365,10 @@ class Cell:
     there, and so on any narrower box.
 
     corners lists, in a fixed order, the pairwise crossings of the Q lines,
-    the disk and the caps in paras (see ``_cell_corners``); they depend on
-    neither the P box nor the target, so narrowing the P box keeps them.
+    the disk and the caps in paras (see ``_cell_corners``), each tagged
+    with its two constraints so that the optimizer can read their normals;
+    they depend on neither the P box nor the target, so narrowing the P box
+    keeps them.
     caps_nonneg is True when the P box is finite and every parabola cap of
     the atoms, in paras or not, is at least _CAP_MARGIN at both of its
     ends, so that, being concave, it stays >= 0 over the whole box; the
@@ -375,7 +381,7 @@ class Cell:
     q_hi: float
     r: float
     paras: tuple[tuple[float, float, float], ...]
-    corners: tuple[tuple[float, float], ...]
+    corners: tuple[Corner, ...]
     caps_nonneg: bool
 
     def within(self, p: float, q: float, tol: float) -> bool:
@@ -401,21 +407,22 @@ _CAP_MARGIN = 1e-6
 
 def _cell_corners(
     q_lo: float, q_hi: float, r: float, paras: Sequence[tuple[float, float, float]]
-) -> tuple[tuple[float, float], ...]:
+) -> tuple[Corner, ...]:
     """Crossings of a cell's finite Q lines with its disk and parabola caps,
-    then of the disk with each cap (a quartic in p), then of pairs of caps."""
-    corners: list[tuple[float, float]] = []
-    for b in (q_lo, q_hi):
+    then of the disk with each cap (a quartic in p), then of pairs of caps,
+    each as (p, q, a, b) with a and b the tags of the two constraints."""
+    corners: list[Corner] = []
+    for b, line in ((q_lo, "q_lo"), (q_hi, "q_hi")):
         if not math.isfinite(b):
             continue
         if math.isfinite(r) and r * r >= b * b:
             s = math.sqrt(r * r - b * b)
-            corners.extend([(s, b), (-s, b)])
-        for c0, c1, c2 in paras:
+            corners.extend([(s, b, line, "disk"), (-s, b, line, "disk")])
+        for i, (c0, c1, c2) in enumerate(paras):
             for p in quad_roots(c2, c1, c0 - b):
-                corners.append((p, b))
+                corners.append((p, b, line, i))
     if math.isfinite(r):
-        for c0, c1, c2 in paras:
+        for i, (c0, c1, c2) in enumerate(paras):
             coeffs = [
                 c2 * c2,
                 2.0 * c2 * c1,
@@ -424,13 +431,13 @@ def _cell_corners(
                 c0 * c0 - r * r,
             ]
             for p in poly_real_roots(coeffs):
-                corners.append((p, c0 + c1 * p + c2 * p * p))
+                corners.append((p, c0 + c1 * p + c2 * p * p, "disk", i))
     for i in range(len(paras)):
         for j in range(i + 1, len(paras)):
             a0, a1, a2 = paras[i]
             b0, b1, b2 = paras[j]
             for p in quad_roots(a2 - b2, a1 - b1, a0 - b0):
-                corners.append((p, a0 + a1 * p + a2 * p * p))
+                corners.append((p, a0 + a1 * p + a2 * p * p, i, j))
     return tuple(corners)
 
 

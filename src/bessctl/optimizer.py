@@ -37,54 +37,42 @@ power interval, one origin-centred disk, the concave parabola caps that can
 bind on its P box (one or none on the shipped curves) and a flat Q
 ceiling.  ``build_region`` scales and normalizes the cells once; a
 projection only narrows a cell's P interval to the step's battery bounds.
-A target inside the cell is its own projection.  Otherwise, unless the
-single-constraint exit below applies, the stationary point on every
-boundary curve and all pairwise boundary intersections are
-ranked by objective (the first enumerated on a tie), and the first that
-passes the feasibility screen, polished into the cell, is the exact
-projection.  The intersections that do not involve the P box,
-among them the disk-parabola quartic, are the cell's corners, found once
-by ``build_region``; per call, only the parabola stationary-point cubic
+A target inside the cell is its own projection.
+
+With both weights positive the objective f is strictly convex, and so is
+every constraint g_j <= 0 of a cell: the lines and the disk plainly, a cap's
+q - (c0 + c1 p + c2 p^2) because c2 <= 0.  So a feasible point where
+grad f + sum_j mu_j grad g_j = 0, with mu_j >= 0 over the constraints that
+bind there, is the unique optimum (Boyd and Vandenberghe, *Convex
+Optimization*, 5.5.3).  A cell solve takes the first candidate that meets
+these conditions, in one active-set pass that compares no objectives:
+
+- The projection of the target onto one constraint k that it violates
+  minimizes f over a set that holds the cell, so it is the optimum when it
+  lies in the cell.  In order: the clamps onto a violated P line and Q line,
+  the circle point, and for each violated cap the stationary point below
+  the target.  On the cap grad f + mu grad g_k = 0 gives
+  mu = 2 lambda_q (q0 - q), so that root is the one with mu >= 0.  A cap's
+  cubic is solved only when the pass reaches it.
+- Otherwise two constraints bind at the optimum; in the plane two of them
+  always carry the multipliers, even where three meet.  Each crossing is
+  tagged with its pair, and the first crossing in the cell whose two
+  multipliers, solved by Cramer's rule from the pair's gradients, are >= 0
+  is the optimum.
+- The conditions are sufficient but not necessary.  Where the binding
+  constraints have parallel gradients, as where the cell narrows to a point
+  or two boundaries touch, no multipliers exist, and the crossing in the
+  cell of least objective, the first on a tie, is taken.  A multiplier
+  that rounding pushes below 0 leads there too.
+
+"In the cell" means passing the feasibility screen, ``Cell.within`` with
+_SCREEN_TOL, which stops at the first violated constraint; the point taken
+is polished into the cell.  The crossings that do not involve the P box,
+among them the disk-parabola quartic, are the cell's corners, found once by
+``build_region``; per call, only a violated cap's stationary-point cubic
 goes through numpy, in ``capability.cubic_real_roots``, which stores its
 scalar coefficients straight into a 3x3 companion matrix for LAPACK.  The
-screen and the interior test use ``Cell.within``, which stops at the first
-violated constraint.
-The cell across Q = 0 from the target is solved only when it could still
-win.
-
-With both weights positive, a cell solve first tries a single-constraint
-exit.  For each constraint k the target violates, it projects the target
-onto k alone: a clamp onto a P or Q line, the circle point for the disk,
-and last, after the cubic, the least-objective stationary point of a cap.
-That point x* is returned, polished, when it passes the screen and is
-isolated: every other constraint g_j satisfies
-g_j(x*) + L_j rho + _SCREEN_TOL < 0.  Here
-rho = 2 sqrt(mu _SCREEN_TOL / min(wp, wq)) + _RHO_FLOOR, and
-mu = |grad f(x*)| / |grad g_k(x*)| is k's KKT multiplier.  L_j bounds
-|grad g_j| over the ball of radius rho around x*: 1 for the lines and the
-disk, and 1 + |c1 + 2 c2 p| + 2 |c2| rho for a cap.  The exit returns what
-the ranked screen would, bit for bit:
-
-- g_k is convex and the objective f is strongly convex with modulus
-  min(wp, wq).  So a point y with g_k(y) <= _SCREEN_TOL, as every screened
-  candidate has, satisfies f(y) >= f(x*) - mu _SCREEN_TOL +
-  min(wp, wq) |y - x*|^2.  A candidate can rank at or before x* only
-  within rho / 2 of it.
-- Every candidate except k's own stationary points lies on another
-  constraint's boundary.  The margin keeps each such boundary more than rho
-  away from x*, and its _SCREEN_TOL term covers candidates that rounding
-  puts just off their boundary.
-- The other stationary points of a cap lie on the cap, where f exceeds
-  f(x*).  (They lie above the target: a target above a cap can have three.)
-  x* is the first of least objective among them, so it ranks first.
-- The bound above holds for the exact x*.  The factor 2 in rho and the
-  float floor _RHO_FLOOR absorb the rounding of the computed x* (the
-  disk's bisection, the cubic's Newton polish), which matters when mu is
-  tiny.
-
-On a miss, the circle point and the cap roots already solved go to the
-enumeration, so nothing is solved twice.  The cubic of a cap the target
-does not violate is solved only when the enumeration runs.
+cell across Q = 0 from the target is solved only when it could still win.
 
 A controller builds the region of every selection-table pair once, when
 it is constructed, and holds immutable configuration only; the evolving
@@ -101,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from bessctl.battery import (
     BatteryConfig,
@@ -121,6 +109,7 @@ from bessctl.capability import (
     Anchor,
     CapabilityCurve,
     Cell,
+    Corner,
     FeasibleRegion,
     build_region,
     cubic_real_roots,
@@ -139,10 +128,6 @@ from bessctl.grid import (
 
 #: Feasibility slack used when screening projection candidates [kW/kvar].
 _SCREEN_TOL = 1e-7
-
-#: Least radius of the ball a single-constraint projection keeps clear of the
-#: cell's other boundaries [kW/kvar]; far above the rounding of the point.
-_RHO_FLOOR = 1e-9
 
 #: Two set-points closer than this per coordinate count as identical [kW/kvar].
 _POINT_TOL = 1e-9
@@ -303,43 +288,59 @@ def _parabola_stationary(
     return [(p, c0 + c1 * p + c2 * p * p) for p in roots]
 
 
-def _cell_candidates(
-    cell: Cell,
-    p0: float,
-    q0: float,
-    wp: float,
-    wq: float,
-    solved: dict[object, list[tuple[float, float]]],
-):
-    """Superset of points that can be the cell optimum: single-boundary
-    stationary points plus all pairwise boundary intersections.  Those of
-    the crossings that involve no P line are the cell's stored corners.
-    solved maps "disk" and cap indices to the stationary points already
-    found for this target, which are taken instead of being solved again."""
-    cands: list[tuple[float, float]] = []
-    p_lines = [cell.p_lo, cell.p_hi]
-    q_lines = [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
+#: Outward normals of the P and Q lines, by tag.
+_LINE_NORMALS = {
+    "p_lo": (-1.0, 0.0),
+    "p_hi": (1.0, 0.0),
+    "q_lo": (0.0, -1.0),
+    "q_hi": (0.0, 1.0),
+}
 
-    for a in p_lines:
-        cands.append((a, q0))
-    for b in q_lines:
-        cands.append((p0, b))
-    circle = solved.get("disk")
-    cands.extend(_circle_candidates(p0, q0, cell.r, wp, wq) if circle is None else circle)
-    for i, para in enumerate(cell.paras):
-        points = solved.get(i)
-        cands.extend(_parabola_stationary(p0, q0, para, wp, wq) if points is None else points)
 
-    for a in p_lines:
-        for b in q_lines:
-            cands.append((a, b))
+def _crossings(cell: Cell) -> Iterator[Corner]:
+    """Every pairwise crossing of the cell's constraints as (p, q, a, b), in
+    a fixed order: those of each finite P line with the finite Q lines, the
+    disk and the caps, which move with the narrowed P box, then the stored
+    corners."""
+    for a, line in ((cell.p_lo, "p_lo"), (cell.p_hi, "p_hi")):
+        if not math.isfinite(a):
+            continue
+        for b, other in ((cell.q_lo, "q_lo"), (cell.q_hi, "q_hi")):
+            if math.isfinite(b):
+                yield a, b, line, other
         if math.isfinite(cell.r) and cell.r * cell.r >= a * a:
             s = math.sqrt(cell.r * cell.r - a * a)
-            cands.extend([(a, s), (a, -s)])
-        for c0, c1, c2 in cell.paras:
-            cands.append((a, c0 + c1 * a + c2 * a * a))
-    cands.extend(cell.corners)
-    return cands
+            yield a, s, line, "disk"
+            yield a, -s, line, "disk"
+        for i, (c0, c1, c2) in enumerate(cell.paras):
+            yield a, c0 + c1 * a + c2 * a * a, line, i
+    yield from cell.corners
+
+
+def _normal(cell: Cell, k: str | int, p: float, q: float) -> tuple[float, float]:
+    """The gradient at (p, q) of constraint k's g, up to a positive factor."""
+    if k == "disk":
+        return p, q
+    if isinstance(k, int):
+        c0, c1, c2 = cell.paras[k]
+        return -(c1 + 2.0 * c2 * p), 1.0
+    return _LINE_NORMALS[k]
+
+
+def _certified(
+    cell: Cell, p: float, q: float, a: str | int, b: str | int, gp: float, gq: float
+) -> bool:
+    """True when the crossing (p, q) of constraints a and b has both KKT
+    multipliers >= 0 for an objective whose gradient there is (gp, gq) up to
+    a positive factor: grad f + mu_a grad g_a + mu_b grad g_b = 0, solved by
+    Cramer's rule.  Parallel normals, as where two boundaries touch, leave
+    the multipliers undetermined and certify nothing."""
+    ap, aq = _normal(cell, a, p, q)
+    bp, bq = _normal(cell, b, p, q)
+    det = ap * bq - aq * bp
+    if det == 0.0:
+        return False
+    return (bp * gq - bq * gp) / det >= 0.0 and (aq * gp - ap * gq) / det >= 0.0
 
 
 def _polish(cell: Cell, p: float, q: float) -> tuple[float, float]:
@@ -416,44 +417,37 @@ def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _isolated(
-    cell: Cell,
-    k: object,
-    p: float,
-    q: float,
-    grad: float,
-    p0: float,
-    q0: float,
-    wp: float,
-    wq: float,
-) -> bool:
-    """True when every constraint of the cell but k holds at (p, q), the
-    projection of the target onto k alone, with the margin that makes it
-    the ranked screen's winner (see the module docstring).
+def _single_projections(
+    cell: Cell, p0: float, q0: float, wp: float, wq: float
+) -> Iterator[tuple[float, float]]:
+    """The projection of the target onto each constraint it violates, alone:
+    a clamp onto a P line, then onto a Q line, the circle point, and for each
+    violated cap, whose cubic is solved only when it is reached, its
+    stationary point below the target, the one root where the cap's
+    multiplier 2 wq (q0 - q) is >= 0."""
+    if p0 < cell.p_lo:
+        yield cell.p_lo, q0
+    elif p0 > cell.p_hi:
+        yield cell.p_hi, q0
+    if q0 < cell.q_lo:
+        yield p0, cell.q_lo
+    elif q0 > cell.q_hi:
+        yield p0, cell.q_hi
+    yield from _circle_candidates(p0, q0, cell.r, wp, wq)
+    for para in cell.paras:
+        c0, c1, c2 = para
+        if q0 - (c0 + c1 * p0 + c2 * p0 * p0) > 0.0:
+            for p, q in _parabola_stationary(p0, q0, para, wp, wq):
+                if q <= q0:
+                    yield p, q
+                    break
 
-    k is "p_lo", "p_hi", "q_lo", "q_hi", "disk" or a cap's index in paras,
-    and grad is |grad g_k| at (p, q).  Each other g_j must satisfy
-    g_j + L_j rho + _SCREEN_TOL < 0, with L_j a bound on |grad g_j| over
-    the ball of radius rho around (p, q).
-    """
-    mu = 2.0 * math.hypot(wp * (p - p0), wq * (q - q0)) / grad
-    rho = 2.0 * math.sqrt(mu * _SCREEN_TOL / min(wp, wq)) + _RHO_FLOOR
-    gap = rho + _SCREEN_TOL  # L_j = 1 for the lines and the disk
-    if (
-        (k != "p_lo" and cell.p_lo - p + gap >= 0.0)
-        or (k != "p_hi" and p - cell.p_hi + gap >= 0.0)
-        or (k != "q_lo" and cell.q_lo - q + gap >= 0.0)
-        or (k != "q_hi" and q - cell.q_hi + gap >= 0.0)
-        or (k != "disk" and math.hypot(p, q) - cell.r + gap >= 0.0)
-    ):
-        return False
-    for i, (c0, c1, c2) in enumerate(cell.paras):
-        if i == k:
-            continue
-        slope = 1.0 + abs(c1 + 2.0 * c2 * p) + 2.0 * abs(c2) * rho
-        if q - (c0 + c1 * p + c2 * p * p) + slope * rho + _SCREEN_TOL >= 0.0:
-            return False
-    return True
+
+def _least_objective(
+    points: list[tuple[float, float]], objective: Callable[[float, float], float]
+) -> tuple[float, float]:
+    """The first of least objective among points, which must not be empty."""
+    return min(points, key=lambda x: objective(*x))
 
 
 def _project_cell(
@@ -462,17 +456,15 @@ def _project_cell(
     """Exact weighted projection onto one cell; returns (p, q, objective).
 
     A single weight takes the lexicographic branch.  With both weights
-    positive, a target inside the cell is returned as it is.  Otherwise the
-    target is projected onto each constraint k it violates, alone: the P and
-    Q lines, then the disk, then each violated cap, whose cubic is solved
-    last.  The first such point that passes the screen and is isolated
-    (see _isolated) is returned, polished; the module docstring shows that
-    it is what the ranked screen returns, bit for bit.  On a miss, the
-    candidates are ranked by objective, the first enumerated on a tie, and
-    the first that passes the screen, polished, is returned.  The circle
-    point and the cap roots solved for the exit are reused there.  The cell
-    holds the origin, so some candidate passes; if none does, RuntimeError
-    names the target.
+    positive, a target inside the cell is returned as it is.  Otherwise one
+    active-set pass takes, polished, the first of these that passes the
+    screen, comparing no objectives: a projection of _single_projections,
+    then a crossing of _crossings whose two multipliers are >= 0 (see
+    _certified).  The module docstring shows that such a point is the
+    optimum.  Only when no crossing certifies, as where the cell has no
+    interior at its optimum, the screened crossing of least objective is
+    taken.  The cell holds the origin, so some crossing passes the screen;
+    if none does, RuntimeError names the target.
     """
 
     def objective(p: float, q: float) -> float:
@@ -490,51 +482,28 @@ def _project_cell(
 
     if cell.within(p0, q0, 0.0):
         return p0, q0, 0.0
-
-    # The projection onto each violated constraint alone, lines first and
-    # cap cubics last; the first that is in the cell and isolated wins.
-    shots: list[tuple[object, float, float]] = []
-    if p0 < cell.p_lo:
-        shots.append(("p_lo", cell.p_lo, q0))
-    elif p0 > cell.p_hi:
-        shots.append(("p_hi", cell.p_hi, q0))
-    if q0 < cell.q_lo:
-        shots.append(("q_lo", p0, cell.q_lo))
-    elif q0 > cell.q_hi:
-        shots.append(("q_hi", p0, cell.q_hi))
-    circle = _circle_candidates(p0, q0, cell.r, wp, wq)
-    solved: dict[object, list[tuple[float, float]]] = {"disk": circle}
-    shots += [("disk", p, q) for p, q in circle]
-    # The lines and the disk have |grad g_k| = 1.
-    for k, p, q in shots:
-        if cell.within(p, q, _SCREEN_TOL) and _isolated(cell, k, p, q, 1.0, p0, q0, wp, wq):
-            p, q = _polish(cell, p, q)
-            return p, q, objective(p, q)
-    for i, para in enumerate(cell.paras):
-        c0, c1, c2 = para
-        if q0 - (c0 + c1 * p0 + c2 * p0 * p0) <= 0.0:
-            continue
-        points = solved[i] = _parabola_stationary(p0, q0, para, wp, wq)
-        if not points:
-            continue
-        p, q = min(points, key=lambda x: objective(*x))
-        grad = math.hypot(1.0, c1 + 2.0 * c2 * p)
-        if cell.within(p, q, _SCREEN_TOL) and _isolated(cell, i, p, q, grad, p0, q0, wp, wq):
-            p, q = _polish(cell, p, q)
-            return p, q, objective(p, q)
-
-    # Candidates outside the P box fail the screen; unranked, they cannot
-    # overflow.  The objective is inlined, as it is evaluated per candidate.
-    ranked = sorted(
-        (wp * (p - p0) ** 2 + wq * (q - q0) ** 2, i, p, q)
-        for i, (p, q) in enumerate(_cell_candidates(cell, p0, q0, wp, wq, solved))
-        if cell.p_lo - p <= _SCREEN_TOL and p - cell.p_hi <= _SCREEN_TOL
-    )
-    for _, _, p, q in ranked:
+    for p, q in _single_projections(cell, p0, q0, wp, wq):
         if cell.within(p, q, _SCREEN_TOL):
-            p, q = _polish(cell, p, q)
-            return p, q, objective(p, q)
-    raise RuntimeError(f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})")
+            break
+    else:
+        # The multipliers' signs do not depend on the weights' common scale,
+        # which is divided out so that huge weights cannot overflow them.
+        scale = max(wp, wq)
+        sp, sq = wp / scale, wq / scale
+        screened: list[tuple[float, float]] = []
+        for p, q, a, b in _crossings(cell):
+            if cell.within(p, q, _SCREEN_TOL):
+                if _certified(cell, p, q, a, b, sp * (p - p0), sq * (q - q0)):
+                    break
+                screened.append((p, q))
+        else:
+            if not screened:
+                raise RuntimeError(
+                    f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
+                )
+            p, q = _least_objective(screened, objective)
+    p, q = _polish(cell, p, q)
+    return p, q, objective(p, q)
 
 
 def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:

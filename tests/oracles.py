@@ -4,14 +4,19 @@ reference cell selection and a reference polynomial root finder.
 The inequalities are written out literally (vectorized over numpy arrays)
 so tests can cross-check the library's membership and projection code
 against a path that shares nothing with it.  ``violation`` measures how
-far a point lies outside a cell.  ``running_best_cell`` picks a cell
-optimum by a running-best scan of the screened candidates, the reference
-for the projection's ranked selection.  ``np_roots_real_roots``
-finds roots through ``np.roots``, the reference for the companion-matrix
+far a point lies outside a cell.  ``certify`` measures how far a point is
+from satisfying a cell's KKT conditions (Boyd and Vandenberghe, *Convex
+Optimization*, 5.5.3), which with both weights positive make it the
+unique optimum.  ``running_best_cell`` picks a cell optimum by a
+running-best scan over every screened stationary point and crossing, which
+a cell solve must match up to the screen's tolerance.
+``np_roots_real_roots`` finds roots through ``np.roots``, the reference for the companion-matrix
 eigenvalues of ``capability.poly_real_roots``.
 """
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +90,87 @@ def violation(cell, p, q):
     return worst
 
 
+def constraint_terms(cell, p, q):
+    """(tag, g, unit outward normal) of each constraint g <= 0 of the cell
+    at (p, q), tagged as in ``Cell.corners``; a missing bound has none."""
+    terms = [
+        ("p_lo", cell.p_lo - p, (-1.0, 0.0)),
+        ("p_hi", p - cell.p_hi, (1.0, 0.0)),
+        ("q_lo", cell.q_lo - q, (0.0, -1.0)),
+        ("q_hi", q - cell.q_hi, (0.0, 1.0)),
+    ]
+    norm = math.hypot(p, q)
+    if math.isfinite(cell.r) and norm > 0.0:
+        terms.append(("disk", norm - cell.r, (p / norm, q / norm)))
+    for i, (c0, c1, c2) in enumerate(cell.paras):
+        slope = c1 + 2.0 * c2 * p
+        length = math.hypot(slope, 1.0)
+        terms.append((i, q - (c0 + c1 * p + c2 * p * p), (-slope / length, 1.0 / length)))
+    return [t for t in terms if math.isfinite(t[1])]
+
+
+class Certificate(NamedTuple):
+    """The KKT multipliers of the active constraints, by tag, and the
+    residual |grad f / 2 + sum_j mu_j n_j| / max(wp, wq) in kW/kvar, n_j
+    being the unit outward normals; 0 at an exact optimum, and up to about
+    the rounding of the point's coordinates at a computed one."""
+
+    multipliers: dict
+    residual: float
+
+
+def certify(cell, p, q, p0, q0, wp, wq, active_tol=1e-6):
+    """The certificate of (p, q) as the projection of (p0, q0) onto the cell
+    under weights (wp, wq), both positive: of all nonnegative multipliers on
+    at most two of the constraints within active_tol of binding at (p, q),
+    those that leave the least residual.  In the plane two constraints carry
+    any point of a cone of normals (Caratheodory).  Feasibility is
+    ``violation``'s to check."""
+    gp, gq = wp * (p - p0), wq * (q - q0)
+    scale = max(wp, wq)
+    active = [(tag, n) for tag, g, n in constraint_terms(cell, p, q) if g >= -active_tol]
+    best = Certificate({}, math.hypot(gp, gq) / scale)
+    for a, (ap, aq) in active:
+        mu = -(gp * ap + gq * aq)
+        if mu >= 0.0:
+            residual = math.hypot(gp + mu * ap, gq + mu * aq) / scale
+            if residual < best.residual:
+                best = Certificate({a: mu}, residual)
+    for (a, (ap, aq)), (b, (bp, bq)) in itertools.combinations(active, 2):
+        det = ap * bq - aq * bp
+        if det == 0.0:
+            continue
+        mu_a = (bp * gq - bq * gp) / det
+        mu_b = (aq * gp - ap * gq) / det
+        if mu_a >= 0.0 and mu_b >= 0.0:
+            residual = math.hypot(gp + mu_a * ap + mu_b * bp, gq + mu_a * aq + mu_b * bq) / scale
+            if residual < best.residual:
+                best = Certificate({a: mu_a, b: mu_b}, residual)
+    return best
+
+
+def all_candidates(cell, p0, q0, wp, wq):
+    """Every point that can be a cell optimum, in a fixed order: the clamp of
+    the target onto each P and Q line, every stationary point on the disk and
+    on each cap, then every pairwise crossing."""
+    cands = []
+    p_lines = [cell.p_lo, cell.p_hi]
+    q_lines = [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]
+    cands += [(a, q0) for a in p_lines]
+    cands += [(p0, b) for b in q_lines]
+    cands += optimizer._circle_candidates(p0, q0, cell.r, wp, wq)
+    for para in cell.paras:
+        cands += optimizer._parabola_stationary(p0, q0, para, wp, wq)
+    for a in p_lines:
+        cands += [(a, b) for b in q_lines]
+        if math.isfinite(cell.r) and cell.r * cell.r >= a * a:
+            s = math.sqrt(cell.r * cell.r - a * a)
+            cands += [(a, s), (a, -s)]
+        cands += [(a, c0 + c1 * a + c2 * a * a) for c0, c1, c2 in cell.paras]
+    cands += [(p, q) for p, q, _, _ in cell.corners]
+    return cands
+
+
 def running_best_cell(cell, p0, q0, wp, wq):
     """Weighted projection onto a cell with both weights positive: the
     target itself when it is inside, otherwise the screened candidate of
@@ -98,7 +184,7 @@ def running_best_cell(cell, p0, q0, wp, wq):
     if violation(cell, p0, q0) <= 0.0:
         return p0, q0, 0.0
     best = None
-    for p, q in optimizer._cell_candidates(cell, p0, q0, wp, wq, {}):
+    for p, q in all_candidates(cell, p0, q0, wp, wq):
         if violation(cell, p, q) > optimizer._SCREEN_TOL:
             continue
         obj = objective(p, q)

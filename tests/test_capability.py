@@ -293,7 +293,7 @@ class TestRegion:
         region = region_for(curve_map, [(600.0, 300.0)], 1e-3)
         for cell in (region.upper_cell, region.lower_cell):
             assert cell.corners
-            assert all(math.isfinite(v) for point in cell.corners for v in point)
+            assert all(math.isfinite(v) for point in cell.corners for v in point[:2])
 
     def test_lower_disk_only_binds_below_axis(self, curve_map):
         region = region_for(curve_map, [(600.0, 300.0)])

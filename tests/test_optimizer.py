@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import minimize
 
 import bessctl.battery as battery
 import bessctl.capability as capability
@@ -48,7 +49,7 @@ from bessctl.optimizer import (
 )
 from bessctl.simctl import builtin_scenario_path, load_run_config, run_scenario
 
-from oracles import direct_feasible, running_best_cell, violation
+from oracles import certify, direct_feasible, running_best_cell, violation
 from reference_step import reference_solve_step
 
 WIDE = (-1e6, 1e6)
@@ -674,19 +675,21 @@ def numpy_real_roots(coeffs):
 
 def fresh_corners(cell):
     """The target-independent crossings as the projection once enumerated
-    them on every call: Q lines with the disk and the caps, the disk with
-    each cap, then pairs of caps."""
+    them on every call, tagged: Q lines with the disk and the caps, the disk
+    with each cap, then pairs of caps."""
     quad = optimizer.quad_roots
     cands = []
-    for b in [b for b in (cell.q_lo, cell.q_hi) if math.isfinite(b)]:
+    for b, line in ((cell.q_lo, "q_lo"), (cell.q_hi, "q_hi")):
+        if not math.isfinite(b):
+            continue
         if math.isfinite(cell.r) and cell.r * cell.r >= b * b:
             s = math.sqrt(cell.r * cell.r - b * b)
-            cands.extend([(s, b), (-s, b)])
-        for c0, c1, c2 in cell.paras:
+            cands.extend([(s, b, line, "disk"), (-s, b, line, "disk")])
+        for i, (c0, c1, c2) in enumerate(cell.paras):
             for p in quad(c2, c1, c0 - b):
-                cands.append((p, b))
+                cands.append((p, b, line, i))
     if math.isfinite(cell.r):
-        for c0, c1, c2 in cell.paras:
+        for i, (c0, c1, c2) in enumerate(cell.paras):
             coeffs = [
                 c2 * c2,
                 2.0 * c2 * c1,
@@ -695,13 +698,13 @@ def fresh_corners(cell):
                 c0 * c0 - cell.r * cell.r,
             ]
             for p in numpy_real_roots(coeffs):
-                cands.append((p, c0 + c1 * p + c2 * p * p))
+                cands.append((p, c0 + c1 * p + c2 * p * p, "disk", i))
     for i in range(len(cell.paras)):
         for j in range(i + 1, len(cell.paras)):
             a0, a1, a2 = cell.paras[i]
             b0, b1, b2 = cell.paras[j]
             for p in quad(a2 - b2, a1 - b1, a0 - b0):
-                cands.append((p, a0 + a1 * p + a2 * p * p))
+                cands.append((p, a0 + a1 * p + a2 * p * p, i, j))
     return tuple(cands)
 
 
@@ -811,11 +814,40 @@ def near_boundary(data, cell, deltas=BOUNDARY_DELTA):
     if kind == "cap" and cell.paras:
         c0, c1, c2 = data.draw(st.sampled_from(cell.paras))
         return along, c0 + c1 * along + c2 * along * along + delta
-    corners = [c for c in cell.corners if math.isfinite(c[0])]
+    corners = [c[:2] for c in cell.corners if math.isfinite(c[0])]
     if kind == "corner" and corners:
         p, q = data.draw(st.sampled_from(corners))
         return p + delta, q + data.draw(deltas)
     return along, data.draw(st.floats(-1000.0, 1000.0))
+
+
+def certifies(cell, p, q, p0, q0, wp, wq):
+    """(p, q) passes the screen and meets the KKT conditions for the target
+    up to 1e-9 of its coordinates and its distance from the target."""
+    scale = max(1.0, abs(p), abs(q), abs(p - p0), abs(q - q0))
+    return (
+        violation(cell, p, q) <= optimizer._SCREEN_TOL
+        and certify(cell, p, q, p0, q0, wp, wq).residual <= 1e-9 * scale
+    )
+
+
+def assert_agrees_with_running_best(cell, p0, q0, wp, wq):
+    """The cell solve returns what the running-best scan returns, or, where
+    the two part, a certified point that costs at most what the scan's does,
+    give or take moving it by _SCREEN_TOL.  Both polish a candidate that the
+    screen admits up to that far outside the cell, and they can take two
+    different ones where the target is that near a corner, or two that
+    represent one point, as the circle point and a corner on the circle.
+    Beyond about 1e154 from the target objectives overflow, and both raise
+    the same error."""
+    got = outcome(optimizer._project_cell, cell, p0, q0, wp, wq)
+    expected = outcome(running_best_cell, cell, p0, q0, wp, wq)
+    if got != expected:
+        p, q, objective = got
+        assert certifies(cell, p, q, p0, q0, wp, wq)
+        move = optimizer._SCREEN_TOL
+        slope = 2.0 * math.hypot(wp * (p - p0), wq * (q - q0))
+        assert objective <= expected[2] + slope * move + max(wp, wq) * move * move
 
 
 def tol_deltas(tol):
@@ -827,9 +859,10 @@ def tol_deltas(tol):
 
 class TestProjectExactness:
     """project skips the Q cell that cannot win, reads each cell's corners
-    from the region, takes a cell's first feasible candidate in objective
-    order and screens it with Cell.within; none of these may change one bit
-    of its result."""
+    from the region and screens candidates with Cell.within; none of these
+    may change one bit of its result.  A cell solve returns what the
+    running-best scan over every candidate returns, or a certified point
+    that costs no more."""
 
     @settings(max_examples=3000, deadline=None)
     @given(data=st.data(), tol=st.sampled_from([0.0, optimizer._SCREEN_TOL]))
@@ -931,10 +964,7 @@ class TestProjectExactness:
     def test_ranked_selection_equals_running_best(self, curve_map, data, weights):
         cell = draw_cell(data, curve_map)
         p0, q0 = near_boundary(data, cell)
-        # Beyond about 1e154 from the target, objectives overflow in both.
-        assert outcome(optimizer._project_cell, cell, p0, q0, *weights) == outcome(
-            running_best_cell, cell, p0, q0, *weights
-        )
+        assert_agrees_with_running_best(cell, p0, q0, *weights)
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -1150,6 +1180,29 @@ def draw_spot_target(data, cell, spots):
     return p0, c0 + c1 * p0 + c2 * p0 * p0 + data.draw(GAP)
 
 
+def draw_capped_atoms(data, upper):
+    """(atoms, caps, spots): a finite P box, maybe a disk and a Q ceiling,
+    and one to three caps from draw_cap that crowd one end of the box, all
+    holding the origin; spots are that end and the places caps were put."""
+    p_lo, p_hi = -data.draw(st.floats(1.0, 1000.0)), data.draw(st.floats(1.0, 1000.0))
+    atoms = [PMin(p_lo), PMax(p_hi)]
+    if data.draw(st.booleans()):
+        atoms.append(Disk(data.draw(st.floats(10.0, 1500.0))))
+    q_max = data.draw(st.one_of(st.just(math.inf), st.floats(0.0, 1000.0)))
+    if math.isfinite(q_max):
+        atoms.append(QMax(q_max))
+    q_hi = q_max if upper else 0.0
+    end = data.draw(st.sampled_from([0, 1]))
+    caps, spots = [], [(p_lo, p_hi)[end]]
+    for _ in range(data.draw(st.integers(1, 3))):
+        cap, spot = draw_cap(data, (p_lo, p_hi), end, q_hi, caps)
+        caps.append(cap)
+        spots += [spot] * (spot is not None)
+    # The origin is feasible in every region.
+    assume(all(c0 >= 0.0 for c0, _, _ in caps))
+    return atoms + [ParabolaCap(*c) for c in caps], caps, spots
+
+
 class TestBindingCaps:
     """_scaled_cell keeps only the caps that can bind on its finite P box;
     projecting onto the pruned cell must equal projecting onto the cell
@@ -1174,25 +1227,7 @@ class TestBindingCaps:
     def test_pruned_cell_projects_as_the_full_cell(
         self, data, upper, shrink, weights, p_min, p_max
     ):
-        p_lo, p_hi = -data.draw(st.floats(1.0, 1000.0)), data.draw(st.floats(1.0, 1000.0))
-        atoms = [PMin(p_lo), PMax(p_hi)]
-        if data.draw(st.booleans()):
-            atoms.append(Disk(data.draw(st.floats(10.0, 1500.0))))
-        q_max = data.draw(st.one_of(st.just(math.inf), st.floats(0.0, 1000.0)))
-        if math.isfinite(q_max):
-            atoms.append(QMax(q_max))
-        q_hi = q_max if upper else 0.0
-        # Caps placed at a box end crowd one end, and targets crowd the
-        # places where caps were placed.
-        end = data.draw(st.sampled_from([0, 1]))
-        caps, spots = [], [(p_lo, p_hi)[end]]
-        for _ in range(data.draw(st.integers(1, 3))):
-            cap, spot = draw_cap(data, (p_lo, p_hi), end, q_hi, caps)
-            caps.append(cap)
-            spots += [spot] * (spot is not None)
-        # The origin is feasible in every region.
-        assume(all(c0 >= 0.0 for c0, _, _ in caps))
-        atoms += [ParabolaCap(*c) for c in caps]
+        atoms, caps, spots = draw_capped_atoms(data, upper)
         paras = [(c0 * shrink, c1, c2 / shrink) for c0, c1, c2 in caps]
         try:
             pruned = capability._scaled_cell(atoms, shrink, upper)
@@ -1209,14 +1244,18 @@ class TestBindingCaps:
     def test_steep_cap_clearing_the_ceiling_at_a_box_end_is_kept(self):
         # 1e-5 above Q = 0 at p = -1, the cap falls below it 1e-8 further
         # out, where the screen still admits candidates: without the cap,
-        # this projection moves.
+        # the screen would admit points that it rejects.
         cell = capability._scaled_cell(
             [PMin(-1.0), PMax(1.0), ParabolaCap(1000.00001, 1000.0, 0.0)], 1.0, False
         )
         assert cell.paras == ((1000.00001, 1000.0, 0.0),)
         without = dataclasses.replace(cell, paras=(), corners=())
+        outside = (-1.0 - 5e-8, 0.0, optimizer._SCREEN_TOL)
+        assert without.within(*outside) and not cell.within(*outside)
+        # The cap's stationary point beyond the box no longer outranks the
+        # clamp onto P_min, which is in the cell and so the optimum.
         target = (-1.01, 0.0, 1.0, 1.0)
-        assert optimizer._project_cell(cell, *target) != optimizer._project_cell(without, *target)
+        assert optimizer._project_cell(cell, *target)[:2] == (-1.0, 0.0)
 
     def test_scenario4_controller_solves_six_quartics(self, curve_map, bands, monkeypatch):
         degrees = []
@@ -1237,8 +1276,8 @@ class TestBindingCaps:
 #: Offsets from a corner, a crossing or a boundary, 1e-8 to 1e-1 either way:
 #: within the screen's tolerance of it and far beyond.
 MARGIN_DELTA = signed(log_uniform(-8.0, -1.0))
-#: Positive weights up to six decades apart, which stretch the ball that the
-#: single-constraint exit keeps clear of the other boundaries.
+#: Positive weights up to six decades apart, which tilt the single-constraint
+#: projections and the multipliers of the crossings.
 UNEQUAL_WEIGHTS = st.tuples(log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0))
 #: Target coordinates up to 1e6 away from the origin.
 FAR = signed(log_uniform(0.0, 6.0))
@@ -1297,20 +1336,24 @@ def count_calls(monkeypatch, *functions):
     return counts
 
 
+def violated_caps(cell, p0, q0):
+    """The caps of the cell that the target lies above."""
+    return [(c0, c1, c2) for c0, c1, c2 in cell.paras if q0 - (c0 + c1 * p0 + c2 * p0 * p0) > 0.0]
+
+
 class TestSingleConstraintExit:
     """_project_cell returns the projection onto one constraint the target
-    violates when it passes the screen and the ball of radius rho around it
-    is clear of every other boundary.  The exit must equal the ranked
-    screen bit for bit, and a cell solve must solve no root twice."""
+    violates when it passes the screen, and otherwise the first crossing
+    whose multipliers certify it.  The result must agree with the running-best
+    scan, and a cell solve solves at most one cubic per cap the target
+    violates and none for the other caps."""
 
     @settings(max_examples=3000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
     def test_exit_equals_running_best(self, curve_map, data, weights):
         cell = draw_cell(data, curve_map)
         p0, q0 = margin_target(data, cell)
-        assert outcome(optimizer._project_cell, cell, p0, q0, *weights) == outcome(
-            running_best_cell, cell, p0, q0, *weights
-        )
+        assert_agrees_with_running_best(cell, p0, q0, *weights)
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
@@ -1335,23 +1378,13 @@ class TestSingleConstraintExit:
             with mock.patch.object(optimizer, "_circle_candidates", count_circle):
                 outcome(optimizer._project_cell, cell, p0, q0, *weights)
         assert len(circles) <= 1
-        assert all(cubics.count(para) <= cell.paras.count(para) for para in cubics)
-
-    def test_margin_holds_when_the_multiplier_underflows(self, curve_map):
-        # The target is 5e-324 below Q = 0, so mu * _SCREEN_TOL underflows
-        # to 0.  The P line at 0 lies 1.2e-258 from the projection onto
-        # Q = 0, and the P-line candidate, enumerated first, ties with it at
-        # objective 0; the margin must keep the exit from taking it.
-        region = build_region([curve_map[(500.0, 270.0)]], 1.0)
-        cell = optimizer._narrowed(region.upper_cell, 0.0, 1e6)
-        target = (1.196823814419301e-258, -5e-324, 1.0, 1.0)
-        assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
-        assert optimizer._project_cell(cell, *target) == (0.0, 0.0, 0.0)
+        above = violated_caps(cell, p0, q0)
+        assert all(cubics.count(para) <= above.count(para) for para in cubics)
 
     def test_cap_exit_takes_the_least_objective_stationary_point(self):
         # The target lies above DIPPING's cap, which has three stationary
         # points for it.  Only the one below the target is its projection
-        # onto the cap, and it lies beyond the P box, so the exit misses.
+        # onto the cap, and it lies beyond the P box, so a crossing is taken.
         cell = optimizer._narrowed(build_region([DIPPING], 0.5).upper_cell, -1e6, 0.0)
         target = (172.0, 0.0, 1.0, 20.0)
         points = optimizer._parabola_stationary(172.0, 0.0, cell.paras[0], 1.0, 20.0)
@@ -1360,51 +1393,212 @@ class TestSingleConstraintExit:
         assert points[0][0] > cell.p_hi
         assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
 
+    def test_cap_projection_is_the_root_below_the_target(self):
+        # Of the cap's three stationary points for this target the first is
+        # in the cell but above the target, where the cap's multiplier is
+        # negative; the second, below the target, is the projection.
+        cell = capability._scaled_cell(
+            [PMin(-870.0), PMax(980.0), ParabolaCap(600.0, 0.8, -0.07)], 1.0, False
+        )
+        target = (-1365.0, -935.0, 0.005, 11.4)
+        points = optimizer._parabola_stationary(-1365.0, -935.0, cell.paras[0], 0.005, 11.4)
+        assert [q > -935.0 for _, q in points] == [True, False, True]
+        assert cell.within(*points[0], 0.0)
+        assert optimizer._project_cell(cell, *target) == (*points[1], 7472.781412262812)
+        assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
+
     def test_cap_bound_cell_solve_enumerates_nothing(self, curve_map, monkeypatch):
         # The target of the clipped step at (2.0, 50.005, 21.125) in
         # TestProjectExactness: far above the Q ceiling, P well inside.
         cell = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0).upper_cell
         target = (-148.6, 842.2, 1.0, 1.0)
         expected = running_best_cell(cell, *target)
-        counts = count_calls(monkeypatch, (optimizer, "_cell_candidates"), (capability, "_eigvals"))
+        counts = count_calls(monkeypatch, (optimizer, "_crossings"), (capability, "_eigvals"))
         p, q, objective = optimizer._project_cell(cell, *target)
         assert (p, q, objective) == expected
-        assert counts == {"_cell_candidates": 0, "_eigvals": 1}
+        assert counts == {"_crossings": 0, "_eigvals": 1}
         (c0, c1, c2), = cell.paras
         assert q == c0 + c1 * p + c2 * p * p < cell.q_hi
 
     @pytest.mark.parametrize(
-        "target",
+        "target, crossings, cubics",
         [
-            # Outside the disk alone, 1e-3 above Q = 0, which lies within
-            # rho: the enumeration solves the cap's cubic.
-            (505.1666666666667 + 0.5, 0.001, 20.0, 1.0),
+            # Outside the disk alone, 1e-3 above Q = 0: the circle point is
+            # in the cell, and the cap, far above the target, needs no cubic.
+            ((505.1666666666667 + 0.5, 0.001, 20.0, 1.0), 0, 0),
             # Beyond the P box, the disk and the cap, by where the cap meets
-            # Q = 0: the cubic solved for the exit goes to the enumeration.
-            (1026.6554378595035 + 0.001, 0.001, 1.0, 20.0),
+            # Q = 0: the circle point is in the cell, so the cap's cubic,
+            # last in the pass, is not solved.
+            ((1026.6554378595035 + 0.001, 0.001, 1.0, 20.0), 0, 0),
+            # Above the cap and beyond the P box and the disk: no single
+            # projection is in the cell, so the cap's cubic is solved once
+            # and the crossings are searched, to the disk-cap corner.
+            ((600.0, 400.0, 1.0, 1.0), 1, 1),
         ],
     )
-    def test_near_corner_miss_solves_each_root_once(self, curve_map, monkeypatch, target):
+    def test_near_corner_miss_solves_each_root_once(
+        self, curve_map, monkeypatch, target, crossings, cubics
+    ):
         curves = [curve_map[(600.0, 300.0)], curve_map[(500.0, 270.0)]]
         cell = build_region(curves, 7.0 / 9.0).upper_cell
+        assert cubics <= len(violated_caps(cell, *target[:2]))
         expected = running_best_cell(cell, *target)
         counts = count_calls(
             monkeypatch,
-            (optimizer, "_cell_candidates"),
+            (optimizer, "_crossings"),
             (optimizer, "_circle_candidates"),
             (capability, "_eigvals"),
         )
         assert optimizer._project_cell(cell, *target) == expected
-        assert counts == {"_cell_candidates": 1, "_circle_candidates": 1, "_eigvals": 1}
+        assert counts == {"_crossings": crossings, "_circle_candidates": 1, "_eigvals": cubics}
 
     def test_cell_solve_without_a_screened_candidate_raises(self, curve_map, monkeypatch):
-        # A cell holds the origin, so some candidate always passes the
-        # screen; with the exit and the enumeration emptied, none does.
+        # A cell holds the origin, so some crossing always passes the screen;
+        # with the crossings emptied, and no single projection in the cell
+        # for this target, none does.
         cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
-        monkeypatch.setattr(optimizer, "_isolated", lambda *args: False)
-        monkeypatch.setattr(optimizer, "_cell_candidates", lambda *args: [])
-        with pytest.raises(RuntimeError, match=re.escape("target (900.0, 0.0)")):
-            optimizer._project_cell(cell, 900.0, 0.0, 1.0, 1.0)
+        singles = list(optimizer._single_projections(cell, 2000.0, 300.0, 1.0, 1.0))
+        assert singles and not any(cell.within(p, q, optimizer._SCREEN_TOL) for p, q in singles)
+        monkeypatch.setattr(optimizer, "_crossings", lambda cell: iter(()))
+        with pytest.raises(RuntimeError, match=re.escape("target (2000.0, 300.0)")):
+            optimizer._project_cell(cell, 2000.0, 300.0, 1.0, 1.0)
+
+
+def draw_spot_cell(data):
+    """A cell of random_atoms or draw_capped_atoms, of either Q sign, scaled
+    and narrowed as project narrows it, and a target from draw_spot_target."""
+    upper = data.draw(st.booleans())
+    shrink = data.draw(st.sampled_from([1.0, 7.0 / 9.0, 0.3]))
+    if data.draw(st.booleans()):
+        atoms, spots = random_atoms(data), [0.0]
+    else:
+        atoms, _, spots = draw_capped_atoms(data, upper)
+    try:
+        cell = capability._scaled_cell(atoms, shrink, upper)
+    except ValueError:
+        assume(False)  # a cap too flat beside the disk
+    cell = optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
+    return cell, draw_spot_target(data, cell, [p * shrink for p in spots])
+
+
+def slsqp_objective(cell, p0, q0, wp, wq):
+    """The least objective scipy's SLSQP finds from the origin, and whether
+    it converged.  The objective is divided by max(wp, wq) times the larger
+    of 1 and the target's squared largest coordinate, and converges to 1e-16
+    of that."""
+    scale = max(wp, wq) * max(1.0, abs(p0), abs(q0)) ** 2
+
+    def objective(x):
+        dp, dq = x[0] - p0, x[1] - q0
+        return (wp * dp * dp + wq * dq * dq) / scale, np.array([wp * dp, wq * dq]) * (2.0 / scale)
+
+    def ineq(fun, jac):
+        return {"type": "ineq", "fun": fun, "jac": jac}
+
+    constraints = []
+    if math.isfinite(cell.q_lo):
+        constraints.append(ineq(lambda x: x[1] - cell.q_lo, lambda x: np.array([0.0, 1.0])))
+    if math.isfinite(cell.q_hi):
+        constraints.append(ineq(lambda x: cell.q_hi - x[1], lambda x: np.array([0.0, -1.0])))
+    if math.isfinite(cell.r):
+        r = cell.r
+        constraints.append(
+            ineq(lambda x: (r * r - x[0] ** 2 - x[1] ** 2) / r, lambda x: x * (-2.0 / r))
+        )
+    for c0, c1, c2 in cell.paras:
+        constraints.append(
+            ineq(
+                lambda x, c0=c0, c1=c1, c2=c2: c0 + c1 * x[0] + c2 * x[0] ** 2 - x[1],
+                lambda x, c1=c1, c2=c2: np.array([c1 + 2.0 * c2 * x[0], -1.0]),
+            )
+        )
+    bounds = [tuple(b if math.isfinite(b) else None for b in (cell.p_lo, cell.p_hi)), (None, None)]
+    result = minimize(
+        objective,
+        np.zeros(2),
+        jac=True,
+        method="SLSQP",
+        bounds=bounds,
+        constraints=constraints,
+        options={"ftol": 1e-16, "maxiter": 500},
+    )
+    return result.fun * scale, result.success
+
+
+class TestKktCertificate:
+    """With both weights positive, a cell solve returns a point that meets
+    the KKT conditions (Boyd and Vandenberghe, 5.5.3), unless no crossing
+    certifies, where it falls back to the screened crossing of least
+    objective; and an independent solver finds no lower objective."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
+    def test_every_result_certifies_or_falls_back(self, data, weights):
+        cell, (p0, q0) = draw_spot_cell(data)
+        least = optimizer._least_objective
+        with mock.patch.object(optimizer, "_least_objective", wraps=least) as fallback:
+            p, q, _ = optimizer._project_cell(cell, p0, q0, *weights)
+        assert fallback.called or certifies(cell, p, q, p0, q0, *weights)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
+    def test_objective_equals_slsqp(self, data, weights):
+        cell, (p0, q0) = draw_spot_cell(data)
+        _, _, objective = optimizer._project_cell(cell, p0, q0, *weights)
+        expected, converged = slsqp_objective(cell, p0, q0, *weights)
+        assume(converged)
+        # Within 1e-9 of SLSQP's objective, or of its convergence tolerance.
+        floor = 1e-15 * max(weights) * max(1.0, abs(p0), abs(q0)) ** 2
+        assert abs(objective - expected) <= 1e-9 * expected + floor
+
+    @pytest.mark.parametrize("p_min", [0.0, -1e-4])
+    def test_a_point_cell_falls_back_to_its_least_crossing(self, monkeypatch, p_min):
+        # The cap q <= -0.01 p^2 meets Q >= 0 only at the origin, where the
+        # normals of the cap and Q = 0 are parallel: no crossing certifies,
+        # and the fallback takes the origin.  From P_min = -1e-4 the screen
+        # also admits the P line's crossings, which come first but cost more.
+        atoms = [PMin(-1.0), PMax(1.0), ParabolaCap(0.0, 0.0, -0.01)]
+        cell = optimizer._narrowed(capability._scaled_cell(atoms, 1.0, True), p_min, 1.0)
+        counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
+        assert optimizer._project_cell(cell, 1.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0)
+        assert counts == {"_least_objective": 1}
+
+    def test_overflowing_weights_project_as_unit_weights(self, curve_map):
+        # Every objective is inf with lambda = 1e300, so ranking by it tied.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        expected = (527.8855555555556, 193.86041571256084)
+        for weight in (1.0, 1e300):
+            prob = problem(region, (1e5, 3e4), (weight, weight), (-700.0, 700.0))
+            assert project(prob) == expected
+
+    def test_huge_weights_do_not_overflow_the_multipliers(self, curve_map):
+        # lambda * (q - q0) overflows at 1e300 * 1e10: the multipliers are
+        # solved with the weights' common scale divided out.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
+        for weight in (1.0, 1e300):
+            p, q, _ = optimizer._project_cell(cell, 1e5, -1e10, weight, weight)
+            assert (p, q) == (527.8855555555556, 0.0)
+
+    def test_far_target_takes_the_certified_corner(self, curve_map):
+        # 1e19 away, the candidates' objectives differ by less than an ulp.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
+        p, q, _ = optimizer._project_cell(cell, 1e19, -1e19, 1.0, 1.0)
+        assert (p, q) == (527.8855555555556, 0.0)
+        assert certifies(cell, p, q, 1e19, -1e19, 1.0, 1.0)
+
+    def test_far_targets_cross_cell_tie_goes_to_the_upper_cell(self, curve_map):
+        # Both cells cost 2e38 in floats, though the lower one is nearer:
+        # project breaks the tie toward the upper cell.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        upper, lower = (
+            optimizer._project_cell(optimizer._narrowed(c, -700.0, 700.0), 1e19, -1e19, 1.0, 1.0)
+            for c in (region.upper_cell, region.lower_cell)
+        )
+        assert upper[2] == lower[2] == 2e38
+        assert lower[:2] != upper[:2]
+        assert project(problem(region, (1e19, -1e19), bounds=(-700.0, 700.0))) == upper[:2]
 
 
 @st.composite
