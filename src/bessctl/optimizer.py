@@ -45,30 +45,31 @@ q - (c0 + c1 p + c2 p^2) because c2 <= 0.  So a feasible point where
 grad f + sum_j mu_j grad g_j = 0, with mu_j >= 0 over the constraints that
 bind there, is the unique optimum (Boyd and Vandenberghe, *Convex
 Optimization*, 5.5.3).  A cell solve takes the first candidate that meets
-these conditions, in one active-set pass that compares no objectives:
+these conditions, in one active-set pass that compares no objectives.  A
+candidate projects the target onto one or two constraints alone and must
+meet every other constraint exactly: one that misses by less than the
+screen costs more than the crossing with the missed constraint.
 
-- The projection of the target onto one constraint k that it violates
-  minimizes f over a set that holds the cell, so it is the optimum when it
-  lies in the cell.  In order: the clamps onto a violated P line and Q line,
-  the circle point, and for each violated cap the stationary point below
-  the target.  On the cap grad f + mu grad g_k = 0 gives
-  mu = 2 lambda_q (q0 - q), so that root is the one with mu >= 0.  A cap's
-  cubic is solved only when the pass reaches it.
+- First the projection onto each violated constraint k; its multiplier is
+  >= 0 by construction.  In order: the clamps onto a violated P line and
+  Q line, the circle point, and for each violated cap its stationary point
+  of least q.  On the cap grad f + mu grad g_k = 0 gives
+  mu = 2 lambda_q (q0 - q), so the optimum is the root with q <= q0, the
+  others lying above q0.  A cap's cubic is solved only when reached.
 - Otherwise two constraints bind at the optimum; in the plane two of them
   always carry the multipliers, even where three meet.  Each crossing is
-  tagged with its pair, and the first crossing in the cell whose two
-  multipliers, solved by Cramer's rule from the pair's gradients, are >= 0
-  is the optimum.
+  tagged with its pair, and the first whose two multipliers, solved by
+  Cramer's rule from the pair's gradients, are >= 0 (up to rounding,
+  _MU_TOL) is the optimum.
 - The conditions are sufficient but not necessary.  Where the binding
   constraints have parallel gradients, as where the cell narrows to a point
-  or two boundaries touch, no multipliers exist, and the crossing in the
-  cell of least objective, the first on a tie, is taken.  A multiplier
-  that rounding pushes below 0 leads there too.
+  or two boundaries touch, no multipliers exist, and the screened crossing
+  of least objective, the first on a tie, is taken.
 
-"In the cell" means passing the feasibility screen, ``Cell.within`` with
-_SCREEN_TOL, which stops at the first violated constraint; the point taken
-is polished into the cell.  The crossings that do not involve the P box,
-among them the disk-parabola quartic, are the cell's corners, found once by
+The screen is ``Cell.within`` with _SCREEN_TOL; the point taken is polished
+into the cell.  Weights above 1 are scaled below 1 by a power of two, which
+rounds nothing.  The crossings that do not involve the P box, among them
+the disk-parabola quartic, are the cell's corners, found once by
 ``build_region``; per call, only a violated cap's stationary-point cubic
 goes through numpy, in ``capability.cubic_real_roots``, which stores its
 scalar coefficients straight into a 3x3 companion matrix for LAPACK.  The
@@ -88,7 +89,9 @@ through this module's globals, where a tracer can wrap them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from bessctl.battery import (
@@ -131,6 +134,9 @@ _SCREEN_TOL = 1e-7
 
 #: Two set-points closer than this per coordinate count as identical [kW/kvar].
 _POINT_TOL = 1e-9
+
+#: Relative rounding allowed on a KKT multiplier that is 0 at the optimum.
+_MU_TOL = 1e-12
 
 STATUS_UNCHANGED = "feasible-unchanged"
 STATUS_CLIPPED = "clipped-to-boundary"
@@ -289,12 +295,7 @@ def _parabola_stationary(
 
 
 #: Outward normals of the P and Q lines, by tag.
-_LINE_NORMALS = {
-    "p_lo": (-1.0, 0.0),
-    "p_hi": (1.0, 0.0),
-    "q_lo": (0.0, -1.0),
-    "q_hi": (0.0, 1.0),
-}
+_LINE_NORMALS = {"p_lo": (-1.0, 0.0), "p_hi": (1.0, 0.0), "q_lo": (0.0, -1.0), "q_hi": (0.0, 1.0)}
 
 
 def _crossings(cell: Cell) -> Iterator[Corner]:
@@ -332,15 +333,18 @@ def _certified(
 ) -> bool:
     """True when the crossing (p, q) of constraints a and b has both KKT
     multipliers >= 0 for an objective whose gradient there is (gp, gq) up to
-    a positive factor: grad f + mu_a grad g_a + mu_b grad g_b = 0, solved by
-    Cramer's rule.  Parallel normals, as where two boundaries touch, leave
-    the multipliers undetermined and certify nothing."""
+    a positive factor, by Cramer's rule on grad f + mu_a grad g_a + mu_b
+    grad g_b = 0.  Each mu_j |grad g_j| may round to -_MU_TOL |grad f|;
+    normals within _MU_TOL of parallel leave the signs to rounding."""
     ap, aq = _normal(cell, a, p, q)
     bp, bq = _normal(cell, b, p, q)
+    na, nb = ap * ap + aq * aq, bp * bp + bq * bq
     det = ap * bq - aq * bp
-    if det == 0.0:
+    if det * det <= _MU_TOL * _MU_TOL * na * nb:
         return False
-    return (bp * gq - bq * gp) / det >= 0.0 and (aq * gp - ap * gq) / det >= 0.0
+    mu_a, mu_b = (bp * gq - bq * gp) / det, (aq * gp - ap * gq) / det
+    tol = -_MU_TOL * math.hypot(gp, gq)
+    return mu_a * math.sqrt(na) >= tol and mu_b * math.sqrt(nb) >= tol
 
 
 def _polish(cell: Cell, p: float, q: float) -> tuple[float, float]:
@@ -419,35 +423,49 @@ def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
 
 def _single_projections(
     cell: Cell, p0: float, q0: float, wp: float, wq: float
-) -> Iterator[tuple[float, float]]:
-    """The projection of the target onto each constraint it violates, alone:
-    a clamp onto a P line, then onto a Q line, the circle point, and for each
-    violated cap, whose cubic is solved only when it is reached, its
-    stationary point below the target, the one root where the cap's
-    multiplier 2 wq (q0 - q) is >= 0."""
+) -> Iterator[tuple[float, float, str | int]]:
+    """The projection of the target onto each constraint it violates, alone,
+    as (p, q, tag): a clamp onto a P line, then onto a Q line, the circle
+    point, and for each violated cap, whose cubic is solved only when it is
+    reached, its stationary point of least q, the one below the target."""
     if p0 < cell.p_lo:
-        yield cell.p_lo, q0
+        yield cell.p_lo, q0, "p_lo"
     elif p0 > cell.p_hi:
-        yield cell.p_hi, q0
+        yield cell.p_hi, q0, "p_hi"
     if q0 < cell.q_lo:
-        yield p0, cell.q_lo
+        yield p0, cell.q_lo, "q_lo"
     elif q0 > cell.q_hi:
-        yield p0, cell.q_hi
-    yield from _circle_candidates(p0, q0, cell.r, wp, wq)
-    for para in cell.paras:
-        c0, c1, c2 = para
+        yield p0, cell.q_hi, "q_hi"
+    for p, q in _circle_candidates(p0, q0, cell.r, wp, wq):
+        yield p, q, "disk"
+    for i, (c0, c1, c2) in enumerate(cell.paras):
         if q0 - (c0 + c1 * p0 + c2 * p0 * p0) > 0.0:
-            for p, q in _parabola_stationary(p0, q0, para, wp, wq):
-                if q <= q0:
-                    yield p, q
-                    break
+            if roots := _parabola_stationary(p0, q0, (c0, c1, c2), wp, wq):
+                yield (*min(roots, key=itemgetter(1)), i)
+
+
+def _meets(cell: Cell, p: float, q: float, pair: tuple[str | int, ...]) -> bool:
+    """True when (p, q), the projection onto the constraints of pair alone,
+    passes the screen and meets every other constraint exactly."""
+    if not cell.within(p, q, _SCREEN_TOL):
+        return False
+    return cell.within(p, q, 0.0) or (
+        ("p_lo" in pair or p >= cell.p_lo)
+        and ("p_hi" in pair or p <= cell.p_hi)
+        and ("q_lo" in pair or q >= cell.q_lo)
+        and ("q_hi" in pair or q <= cell.q_hi)
+        and ("disk" in pair or math.hypot(p, q) <= cell.r)
+        and all(
+            i in pair or q <= c0 + c1 * p + c2 * p * p for i, (c0, c1, c2) in enumerate(cell.paras)
+        )
+    )
 
 
 def _least_objective(
-    points: list[tuple[float, float]], objective: Callable[[float, float], float]
+    points: list[tuple[float, float]], p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float]:
     """The first of least objective among points, which must not be empty."""
-    return min(points, key=lambda x: objective(*x))
+    return min(points, key=lambda x: wp * (x[0] - p0) ** 2 + wq * (x[1] - q0) ** 2)
 
 
 def _project_cell(
@@ -457,14 +475,15 @@ def _project_cell(
 
     A single weight takes the lexicographic branch.  With both weights
     positive, a target inside the cell is returned as it is.  Otherwise one
-    active-set pass takes, polished, the first of these that passes the
-    screen, comparing no objectives: a projection of _single_projections,
-    then a crossing of _crossings whose two multipliers are >= 0 (see
-    _certified).  The module docstring shows that such a point is the
-    optimum.  Only when no crossing certifies, as where the cell has no
-    interior at its optimum, the screened crossing of least objective is
-    taken.  The cell holds the origin, so some crossing passes the screen;
-    if none does, RuntimeError names the target.
+    active-set pass takes, polished, the first of these that meets every
+    constraint but its own exactly (see _meets), comparing no objectives: a
+    projection of _single_projections, then a crossing of _crossings whose
+    two multipliers are >= 0 (see _certified).  The module docstring shows
+    that such a point is the optimum.  Only when none qualifies, as where
+    the cell has no interior at its optimum, the crossing of least
+    objective that passes the screen is taken.  The cell holds the origin,
+    so some crossing passes the screen; if none does, RuntimeError names
+    the target.
     """
 
     def objective(p: float, q: float) -> float:
@@ -482,18 +501,21 @@ def _project_cell(
 
     if cell.within(p0, q0, 0.0):
         return p0, q0, 0.0
-    for p, q in _single_projections(cell, p0, q0, wp, wq):
-        if cell.within(p, q, _SCREEN_TOL):
+    sp, sq = wp, wq
+    if wp > 1.0 or wq > 1.0:  # scaled into [0.5, 1), they round nothing while normal
+        scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])
+        if min(wp, wq) * scale >= sys.float_info.min:
+            sp, sq = wp * scale, wq * scale
+    for p, q, k in _single_projections(cell, p0, q0, sp, sq):
+        # Only the circle point can miss its own constraint, by rounding.
+        if _meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
             break
     else:
-        # The multipliers' signs do not depend on the weights' common scale,
-        # which is divided out so that huge weights cannot overflow them.
-        scale = max(wp, wq)
-        sp, sq = wp / scale, wq / scale
         screened: list[tuple[float, float]] = []
         for p, q, a, b in _crossings(cell):
             if cell.within(p, q, _SCREEN_TOL):
-                if _certified(cell, p, q, a, b, sp * (p - p0), sq * (q - q0)):
+                gp, gq = sp * (p - p0), sq * (q - q0)
+                if _certified(cell, p, q, a, b, gp, gq) and _meets(cell, p, q, (a, b)):
                     break
                 screened.append((p, q))
         else:
@@ -501,7 +523,7 @@ def _project_cell(
                 raise RuntimeError(
                     f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
                 )
-            p, q = _least_objective(screened, objective)
+            p, q = _least_objective(screened, p0, q0, sp, sq)
     p, q = _polish(cell, p, q)
     return p, q, objective(p, q)
 

@@ -8,8 +8,9 @@ far a point lies outside a cell.  ``certify`` measures how far a point is
 from satisfying a cell's KKT conditions (Boyd and Vandenberghe, *Convex
 Optimization*, 5.5.3), which with both weights positive make it the
 unique optimum.  ``running_best_cell`` picks a cell optimum by a
-running-best scan over every screened stationary point and crossing, which
-a cell solve must match up to the screen's tolerance.
+running-best scan over every screened stationary point and crossing, and
+``least_in_cell`` bounds the cell optimum by those of them that lie in the
+cell, which the scan's point, up to the screen's tolerance outside, does not.
 ``np_roots_real_roots`` finds roots through ``np.roots``, the reference for the companion-matrix
 eigenvalues of ``capability.poly_real_roots``.
 """
@@ -194,6 +195,24 @@ def running_best_cell(cell, p0, q0, wp, wq):
         return None
     p, q = optimizer._polish(cell, best[0], best[1])
     return p, q, objective(p, q)
+
+
+def least_in_cell(cell, p0, q0, wp, wq):
+    """The least objective over the candidates of ``all_candidates`` that
+    lie in the cell after the polish, inf if none does.  Each is a point of
+    the cell, so the cell optimum costs no more; ``running_best_cell``'s
+    point can lie up to the screen's tolerance outside and cost less."""
+
+    def objective(p, q):
+        return wp * (p - p0) ** 2 + wq * (q - q0) ** 2
+
+    least = math.inf
+    for p, q in all_candidates(cell, p0, q0, wp, wq):
+        if violation(cell, p, q) <= optimizer._SCREEN_TOL:
+            p, q = optimizer._polish(cell, p, q)
+            if violation(cell, p, q) <= 0.0:
+                least = min(least, objective(p, q))
+    return least
 
 
 def np_roots_real_roots(coeffs):
