@@ -25,6 +25,7 @@ unrestricted concurrent reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -197,15 +198,33 @@ def select_ac(vac: float) -> tuple[Anchor | None, bool]:
 
 
 def quad_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c, numerically stable, degenerate-safe."""
+    """Real roots of a*x^2 + b*x + c, numerically stable, degenerate-safe.
+
+    When b*b or 4*a*c leaves the normal float range, the discriminant is
+    formed from the coefficients scaled by powers of two, with its larger
+    term near 1, so neither term is lost to underflow or overflow.  Other
+    inputs keep the unscaled formula's bits.  Only a discriminant whose
+    square root overflows raises OverflowError.
+    """
     if a == 0.0:
         if b == 0.0:
             return []
         return [-c / b]
-    disc = b * b - 4.0 * a * c
+    bb, ac4, e = b * b, 4.0 * (a * c), 0
+    if (b and not sys.float_info.min <= bb < math.inf) or (
+        c and not sys.float_info.min <= abs(ac4) < math.inf
+    ):
+        e = math.frexp(max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(c))))[1]
+        # a takes its own exponent and c the rest, so 4*a*c scales by
+        # 2**(-2e) as b*b does, and neither factor overflows.
+        ea = math.frexp(a)[1]
+        b_scaled = math.ldexp(b, -e)
+        bb = b_scaled * b_scaled
+        ac4 = 4.0 * math.ldexp(a, -ea) * math.ldexp(c, ea - 2 * e)
+    disc = bb - ac4
     if disc < 0.0:
         return []
-    s = math.sqrt(disc)
+    s = math.ldexp(math.sqrt(disc), e)
     q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else 0.5 * s
     roots = [q / a]
     if q != 0.0:

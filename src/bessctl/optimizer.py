@@ -550,18 +550,23 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     """Feasible set-point with least weighted distance to the target.
 
     The better of the two Q-sign cells wins, with ties broken toward the
-    upper (Q >= 0) cell for determinism.  The cell across Q = 0 from the
-    target costs at least lambda_p * d^2 + lambda_q * q0^2, d the distance
-    from p0 to its narrowed P box, while its projection keeps p in that box
-    and the other sign of q.  The float objective is monotone in |p - p0|
+    upper (Q >= 0) cell for determinism.  When the two cells' objectives
+    round to the same float, as for targets about 1e19 away, their exact
+    difference wp*(pu-pl)*(pu+pl-2*p0) + wq*(qu-ql)*(qu+ql-2*q0) decides
+    instead, with a tie of that going to the upper cell too.  The cell across Q = 0 from the target costs at least
+    lambda_p * d^2 + lambda_q * q0^2, d the distance from p0 to its
+    narrowed P box, while its projection keeps p in that box and the other
+    sign of q.  The float objective is monotone in |p - p0|
     and |q - q0|, so the bound holds after rounding too; when the
     target-side cell, solved first, does better than it (by a relative
     1e-12) the other cell is not solved.  With lambda_q = 0 the bound is
     lambda_p * d^2 alone, which the other cell's objective, lambda_p *
     (p - p0)^2 plus an exact zero, cannot fall below in floats.  So when
-    q0 >= 0, where the other cell is the lower one and loses ties, a first
-    cell that costs at most the bound wins and the lower cell is not
-    solved; with q0 < 0 the upper cell can still tie and is solved.
+    q0 >= 0, where the other cell is the lower one, a first cell that costs
+    less than the bound wins, and so does one whose p is the bound's: the
+    lower cell's p is no nearer to p0, so it loses the tie.  The lower cell
+    is then not solved; with q0 < 0 the upper cell can still tie and is
+    solved.
     _polish keeps lower-cell points at q <= 0, but upper-cell ones at
     q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
     can pull them just below.  A target whose p0^2 + q0^2 overflows (about
@@ -584,14 +589,17 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
                 return first[0], first[1]
         elif wq == 0.0 and q0 >= 0.0:
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
-            if first[2] <= wp * (edge - p0) ** 2:
+            if first[2] < wp * (edge - p0) ** 2 or first[0] == edge:
                 return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
-    upper, lower = (second, first) if q0 < 0.0 else (first, second)
-    best = lower if lower[2] < upper[2] else upper
-    return best[0], best[1]
+    (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)
+    if fl == fu:
+        # Both objectives rounded to one float: fu - fl written as a product
+        # of differences, which keeps what the rounded squares lost, decides.
+        fl, fu = 0.0, wp * (pu - pl) * (pu + pl - 2.0 * p0) + wq * (qu - ql) * (qu + ql - 2.0 * q0)
+    return (pl, ql) if fl < fu else (pu, qu)
 
 
 @dataclass(frozen=True)

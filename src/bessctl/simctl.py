@@ -20,6 +20,16 @@ and summary.json, ``gen-trace`` writes a synthetic trace CSV and
 ``metrics`` recomputes the energies from a records CSV.  Each exits with 0
 on success, with 1 after ``Error: <message>`` on stderr, and with 2 on a
 usage error.
+
+Both CSV files are written the way ``csv.writer`` with its default dialect
+would write them, byte for byte, without it: a header line, then one line
+per row, its cells joined by commas, every line ending in CRLF, no cell
+ever quoted.  No cell needs quoting, because none can hold a comma, a
+double quote, CR or LF: floats are written as their shortest round-trip
+``repr``, an anchor as ``%g/%g`` of its two voltages and the status as the
+optimizer's flag constants joined by ``;``.  A record whose cell would need
+quoting, which only a status flag read back from a hand-edited CSV can
+hold, raises ValueError naming the column.  ``csv`` only reads.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -144,12 +154,22 @@ def _csv_rows(path: str | Path, columns: list[str]) -> Iterator[tuple[str, dict[
             yield where, row
 
 
-def write_trace(samples: Sequence[GridSample], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the header and then lines, each a row's cells joined by commas
+    and ending in CRLF, to the CSV at path."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_s", "freq_hz", "v_mv_kv"])
-        for s in samples:
-            writer.writerow([repr(s.timestamp), repr(s.freq), repr(s.v_mv)])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
+
+
+def write_trace(samples: Sequence[GridSample], path: str | Path) -> None:
+    """Write samples as a trace CSV that load_trace reads; every cell is a
+    float repr, which needs no quoting."""
+    _write_csv(
+        path,
+        ["timestamp_s", "freq_hz", "v_mv_kv"],
+        (f"{s.timestamp!r},{s.freq!r},{s.v_mv!r}\r\n" for s in samples),
+    )
 
 
 def parse_gen_spec(spec: str) -> dict[str, float]:
@@ -310,14 +330,32 @@ _RECORD_COLUMNS = (
 )
 
 
-def write_records(records: Sequence[ControlRecord], path: str | Path) -> None:
-    """Write per-step records as CSV; float fields use shortest-roundtrip repr."""
+def _record_lines(records: Iterable[ControlRecord]) -> Iterator[str]:
+    """Each record's records.csv line, CRLF included.  A cell that would
+    need quoting raises ValueError naming its column."""
     cells = operator.attrgetter(*(attr for _, attr, _, _ in _RECORD_COLUMNS))
     writers = [to_text for _, _, to_text, _ in _RECORD_COLUMNS]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header for header, _, _, _ in _RECORD_COLUMNS])
-        writer.writerows([f(v) for f, v in zip(writers, cells(r))] for r in records)
+    commas = len(_RECORD_COLUMNS) - 1
+    join = ",".join
+    for record in records:
+        texts = [f(v) for f, v in zip(writers, cells(record))]
+        line = join(texts)
+        if line.count(",") != commas or '"' in line or "\r" in line or "\n" in line:
+            header, text = next(
+                (header, text)
+                for (header, _, _, _), text in zip(_RECORD_COLUMNS, texts)
+                if any(char in text for char in ',"\r\n')
+            )
+            raise ValueError(f"records.csv column {header} would need quoting: {text!r}")
+        yield line + "\r\n"
+
+
+def write_records(records: Sequence[ControlRecord], path: str | Path) -> None:
+    """Write per-step records as CSV in the format the module docstring
+    states.  The lines are made before the file is opened, so a record that
+    is refused leaves no file behind."""
+    lines = list(_record_lines(records))
+    _write_csv(path, [header for header, _, _, _ in _RECORD_COLUMNS], lines)
 
 
 def read_records(path: str | Path) -> list[ControlRecord]:

@@ -12,16 +12,20 @@ running-best scan over every screened stationary point and crossing, and
 ``least_in_cell`` bounds the cell optimum by those of them that lie in the
 cell, which the scan's point, up to the screen's tolerance outside, does not.
 ``np_roots_real_roots`` finds roots through ``np.roots``, the reference for the companion-matrix
-eigenvalues of ``capability.poly_real_roots``.
+eigenvalues of ``capability.poly_real_roots``.  ``csv_write_records`` and
+``csv_write_trace`` write the two CSV files through ``csv.writer``, as
+``simctl`` once did: the reference for the bytes of its own writers.
 """
 
+import csv
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from bessctl import optimizer
+from bessctl import optimizer, simctl
 from bessctl.capability import quad_roots
 
 
@@ -251,3 +255,24 @@ def np_roots_real_roots(coeffs):
             x -= y / d
         out.append(x)
     return out
+
+
+def csv_write_records(records, path):
+    """records.csv through ``csv.writer`` with its default dialect, cells
+    made by ``simctl._RECORD_COLUMNS``; it quotes a cell that needs it."""
+    columns = simctl._RECORD_COLUMNS
+    cells = operator.attrgetter(*(attr for _, attr, _, _ in columns))
+    writers = [to_text for _, _, to_text, _ in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header for header, _, _, _ in columns])
+        writer.writerows([f(v) for f, v in zip(writers, cells(r))] for r in records)
+
+
+def csv_write_trace(samples, path):
+    """A trace CSV through ``csv.writer`` with its default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp_s", "freq_hz", "v_mv_kv"])
+        for s in samples:
+            writer.writerow([repr(s.timestamp), repr(s.freq), repr(s.v_mv)])

@@ -3,8 +3,8 @@
 ``perfbench/run.py --trace 1`` wraps each layer's public functions with
 ``tracer.Tracer`` and reduces the spans with ``workloads.layer_metrics``.
 Each metric needs spans of its layer, so a change that stops calling a
-traced function where the tracer looks for it breaks the benchmark; this
-test fails first.  It only imports from perfbench/ and writes to tmp_path.
+traced function where the tracer looks for it breaks the benchmark; these
+tests fail first.  They only import from perfbench/ and write to tmp_path.
 """
 
 import math
@@ -51,3 +51,15 @@ def test_traced_undervoltage_run_gives_finite_layer_metrics(bench, tmp_path):
     # The assumption loop skips every range pair that cannot agree: on these
     # steps only one pair can, so each step solves one projection.
     assert tracer.count("optimizer.project") == len(records)
+
+
+def test_traced_preset_run_spans_each_cli_layer_once(bench, tmp_path):
+    # The presets workload times ``bessctl run`` through main and _run, which
+    # must look up these three functions as simctl globals for the tracer.
+    tracer_mod, wl = bench
+    tracer = tracer_mod.Tracer(tracer_mod.ALL_POINTS)
+    with tracer:
+        wl.run_preset("scenario1", tmp_path)
+    for name in ("simctl.write_records", "simctl.run_scenario", "linefmt.load_run_config"):
+        assert tracer.count(name) == 1, name
+    assert wl.matches_golden("scenario1", tmp_path)

@@ -31,6 +31,7 @@ from bessctl.capability import (
     index_curves,
     parse_curves,
     poly_real_roots,
+    quad_roots,
     select_ac,
 )
 
@@ -454,6 +455,62 @@ class TestPolyRealRoots:
     def test_companion_overflow_names_the_leading_coefficient(self):
         with pytest.raises(CompanionOverflowError, match="leading coefficient 1e-320 "):
             poly_real_roots([1e-320, 0.0, 1.0, 0.0, -412500.0])
+
+
+def unscaled_quad_roots(a, b, c):
+    """quad_roots' formula without the scaling of its discriminant."""
+    if a == 0.0:
+        return [] if b == 0.0 else [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    s = math.sqrt(disc)
+    q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else 0.5 * s
+    return [q / a, c / q if q != 0.0 else -q / a]
+
+
+#: Any finite coefficient, magnitudes from subnormal to the largest float.
+ANY_COEFFICIENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -1e-320, 1e-300, 1e300, -1.7e308]),
+)
+
+
+class TestQuadRoots:
+    """quad_roots scales its discriminant by powers of two only when b*b or
+    4*a*c leaves the normal range; then neither term is lost."""
+
+    def test_underflowing_b_squared_keeps_the_root(self):
+        # b * b underflows to 0: the root -b/a used to come out halved.
+        assert quad_roots(1.5e-7, 1.1e-293, 0.0) == [-1.1e-293 / 1.5e-7, -0.0]
+        assert quad_roots(1.0, 1e-320, 0.0) == [-1e-320, -0.0]
+
+    def test_overflowing_terms_keep_the_roots(self):
+        assert quad_roots(1e300, 0.0, -1e300) == [1.0, -1.0]
+        assert quad_roots(1.0, 1e200, 1.0) == [-1e200, -1e-200]
+        assert quad_roots(1e300, 0.0, 1e300) == []
+
+    def test_a_square_root_beyond_the_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            quad_roots(-1e308, 1e308, 1e308)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(a=ANY_COEFFICIENT, b=ANY_COEFFICIENT)
+    def test_without_constant_the_first_root_is_minus_b_over_a(self, a, b):
+        # From |b| = 2**1023 on, b + sqrt(disc) = 2b overflows on its own.
+        assume(a != 0.0 and 0.0 < abs(b) < 2.0**1023)
+        assert quad_roots(a, b, 0.0)[0] == -b / a
+
+    @settings(max_examples=2000, deadline=None)
+    @given(a=ANY_COEFFICIENT, b=ANY_COEFFICIENT, c=ANY_COEFFICIENT)
+    def test_normal_terms_keep_the_unscaled_bits(self, a, b, c):
+        def normal(x):
+            return sys.float_info.min <= abs(x) < math.inf
+
+        assume(b == 0.0 or normal(b * b))
+        assume(normal(4.0 * a * c) or (c == 0.0 and math.isfinite(4.0 * a)))
+        expected = unscaled_quad_roots(a, b, c)
+        assert [x.hex() for x in quad_roots(a, b, c)] == [x.hex() for x in expected]
 
 
 def exact_outcome(f, *args):

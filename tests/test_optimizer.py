@@ -710,19 +710,17 @@ def fresh_corners(cell):
 
 
 def reference_project(prob):
-    """Both narrowed cells solved; the lower one wins only if strictly better."""
-    best = None
-    for cell in (prob.region.upper_cell, prob.region.lower_cell):
-        result = optimizer._project_cell(
-            optimizer._narrowed(cell, prob.p_min, prob.p_max),
-            prob.p_target,
-            prob.q_target,
-            prob.lambda_p,
-            prob.lambda_q,
-        )
-        if result is not None and (best is None or result[2] < best[2]):
-            best = result
-    return best[0], best[1]
+    """Both narrowed cells solved; the lower one wins only if strictly
+    better, or, when the objectives tie, if their difference, written as a
+    product of differences, puts it ahead."""
+    p0, q0, wp, wq = prob.p_target, prob.q_target, prob.lambda_p, prob.lambda_q
+    (pu, qu, fu), (pl, ql, fl) = (
+        optimizer._project_cell(optimizer._narrowed(cell, prob.p_min, prob.p_max), p0, q0, wp, wq)
+        for cell in (prob.region.upper_cell, prob.region.lower_cell)
+    )
+    if fl == fu:
+        fl, fu = 0.0, wp * (pu - pl) * (pu + pl - 2.0 * p0) + wq * (qu - ql) * (qu + ql - 2.0 * q0)
+    return (pl, ql) if fl < fu else (pu, qu)
 
 
 weights_st = st.tuples(
@@ -1655,13 +1653,13 @@ class TestKktCertificate:
 
     def test_nearly_parallel_normals_certify_nothing(self, monkeypatch):
         # The cap q <= -1.1e-293 p - 1.5e-7 p^2 clears Q = 0 only on
-        # [-7.5e-287, 0]; its crossing with Q = 0 rounds to the vertex, where
+        # [-7.5e-287, 0]; at its crossing with Q = 0, the root -7.5e-287,
         # the cap's normal is (0, 1) up to 1e-293, and Cramer's rule would
         # certify it with multipliers of 1e293.
         cap = ParabolaCap(0.0, -1.1490036370512318e-293, -1.5326908662857144e-07)
         cell = capability._scaled_cell([PMin(-1e6), PMax(0.0), cap], 1.0, True)
         p, q, a, b = cell.corners[0]
-        assert (p, q, a, b) == (-3.74832153804015e-287, 0.0, "q_lo", 0)
+        assert (p, q, a, b) == (-7.4966430760803e-287, 0.0, "q_lo", 0)
         assert not optimizer._certified(cell, p, q, a, b, p + 1.0, q)
         counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
         assert optimizer._project_cell(cell, -1.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0)
@@ -1702,18 +1700,15 @@ class TestKktCertificate:
         assert (p, q) == (527.8855555555556, 0.0)
         assert certifies(cell, p, q, 1e19, -1e19, 1.0, 1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="project compares the two cells' objectives, which both round "
-        "to 2e38 from (1e19, -1e19), and breaks the tie toward the upper cell",
-    )
     def test_far_target_takes_the_nearer_cell(self, curve_map):
+        # Both cells' objectives round to 2e38 from (1e19, -1e19); their
+        # difference, 5.3e21 in the lower cell's favour, decides.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
         upper, lower = (
             optimizer._project_cell(optimizer._narrowed(c, -700.0, 700.0), 1e19, -1e19, 1.0, 1.0)
             for c in (region.upper_cell, region.lower_cell)
         )
-        assert lower[:2] == (395.53432019231906, -395.53432019231906)
+        assert lower[:2] == (395.5343201923191, -395.5343201923191)
         assert upper[:2] == (527.8855555555556, 0.0)
         assert project(problem(region, (1e19, -1e19), bounds=(-700.0, 700.0))) == lower[:2]
 

@@ -4,11 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bessctl import optimizer
 from bessctl.battery import BatteryConfig
+from bessctl.capability import KNOWN_ANCHORS
 from bessctl.grid import DroopConfig, GridSample, TransformerParams
 from bessctl.linefmt import LineFormatError
-from bessctl.optimizer import STATUS_CLIPPED, STATUS_UNCHANGED, ControllerConfig
+from bessctl.optimizer import STATUS_CLIPPED, STATUS_UNCHANGED, ControlRecord, ControllerConfig
 from bessctl.simctl import (
     EnergyReport,
     ScenarioSpec,
@@ -26,6 +29,8 @@ from bessctl.simctl import (
     write_records,
     write_trace,
 )
+
+from oracles import csv_write_records, csv_write_trace
 
 #: The two required keys of a ``gen:`` trace spec.
 SIGMAS = "gen:sigma_f=0.01,sigma_v=0.01"
@@ -371,6 +376,99 @@ class TestRecordsRoundTrip:
             report2,
         )
         assert text_a == json.dumps(summary2, sort_keys=True)
+
+
+#: Finite floats, with the extremes of the float range drawn often.
+FINITE = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 0.0, -0.0, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: Anchors that ``%g`` writes exactly: the shipped ones and whole volts.
+ANCHORS = st.one_of(
+    st.sampled_from(sorted(KNOWN_ANCHORS)),
+    st.tuples(st.integers(0, 99999), st.integers(0, 99999)).map(
+        lambda vs: (float(vs[0]), float(vs[1]))
+    ),
+)
+FLAGS = st.sampled_from(
+    [
+        optimizer.STATUS_UNCHANGED,
+        optimizer.STATUS_CLIPPED,
+        optimizer.STATUS_CLAMP,
+        optimizer.STATUS_FALLBACK,
+        optimizer.STATUS_P_EXCEEDS,
+    ]
+)
+RECORDS = st.builds(
+    ControlRecord,
+    sample=st.builds(
+        GridSample,
+        timestamp=FINITE,
+        freq=st.floats(45.0, 55.0, exclude_min=True, exclude_max=True),
+        v_mv=st.one_of(st.sampled_from([5e-324, 1e308]), st.floats(5e-324, 1e308)),
+    ),
+    dfreq=FINITE,
+    dvac=FINITE,
+    p_target=FINITE,
+    q_target=FINITE,
+    p_opt=FINITE,
+    q_opt=FINITE,
+    vdc_pred=FINITE,
+    vac_pred=FINITE,
+    curve_dc=ANCHORS,
+    curve_ac=st.none() | ANCHORS,
+    alpha_star=st.none() | FINITE,
+    beta_star=st.none() | FINITE,
+    status=st.lists(FLAGS, min_size=1, max_size=4).map(tuple),
+)
+
+
+def idle_record(status):
+    """A record of one step at the reference point with the given flags."""
+    sample = GridSample(0.0, 50.0, 21.192)
+    fields = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 700.0, 300.0, (600.0, 300.0), None, None, None)
+    return ControlRecord(sample, *fields, status)
+
+
+class TestCsvWriters:
+    """write_records and write_trace write what csv.writer with its default
+    dialect wrote, byte for byte, and refuse a cell it would have quoted."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(RECORDS, max_size=5))
+    def test_records_bytes_equal_csv_writer_and_read_back(self, tmp_path_factory, records):
+        folder = tmp_path_factory.mktemp("records")
+        write_records(records, folder / "records.csv")
+        csv_write_records(records, folder / "oracle.csv")
+        assert (folder / "records.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
+        assert read_records(folder / "records.csv") == records
+
+    @pytest.mark.parametrize("flag", ["a,b", 'say "x"', "line\nbreak", "carriage\rreturn"])
+    def test_a_flag_that_needs_quoting_is_refused_naming_its_column(self, tmp_path, flag):
+        records = [idle_record((STATUS_UNCHANGED,)), idle_record((STATUS_UNCHANGED, flag))]
+        cell = re.escape(repr(f"{STATUS_UNCHANGED};{flag}"))
+        with pytest.raises(ValueError, match=f"^records.csv column status would need quoting: {cell}$"):
+            write_records(records, tmp_path / "records.csv")
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_a_hand_edited_flag_read_back_is_refused(self, tmp_path):
+        # csv reads a quoted cell back with its comma: the only way a
+        # record's status can come to hold one.
+        path = tmp_path / "records.csv"
+        write_records([idle_record((STATUS_UNCHANGED,))], path)
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f'{header}\n{row.rpartition(",")[0]},"a,b"\n', encoding="utf-8")
+        (record,) = read_records(path)
+        assert record.status == ("a,b",)
+        with pytest.raises(ValueError, match="column status"):
+            write_records([record], tmp_path / "again.csv")
+
+    def test_gen_trace_bytes_equal_csv_writer(self, tmp_path, bessctl):
+        out = tmp_path / "trace.csv"
+        result = bessctl(["gen-trace", "--n", "40", "--seed", "6", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        csv_write_trace(generate_trace(0.01782, 0.0672, n=40, seed=6), tmp_path / "oracle.csv")
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestRunConfig:
