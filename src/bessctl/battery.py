@@ -14,6 +14,11 @@ the power bounds takes its tightest closed-form cap and steps it toward 0
 until it and its AC round trip keep that side's edge of the vdc window.
 Circuit parameters are banded by SOC; bands partition [0, 1].
 
+The functions a control step calls are scalar code.  ``dc_power_bounds``
+compares its caps one at a time, with the tie rules of ``min`` and ``max``,
+and ``ttc_step`` reads each field once into a local; neither builds a list,
+and each returns the bits that the list and attribute forms return.
+
 Sign convention: positive AC/DC power discharges the battery and lowers both
 the SOC and the DC-bus voltage.  Charging power is negative.
 
@@ -154,9 +159,13 @@ class BatteryConfig:
 
 
 def params_for_soc(soc: float, bands: Sequence[TtcParams]) -> TtcParams:
-    """Select the parameter set whose band contains soc."""
+    """Select the parameter set whose band contains soc.
+
+    Each band is tested as ``TtcParams.covers`` tests it, written out.
+    """
     for params in bands:
-        if params.covers(soc):
+        hi = params.soc_hi
+        if params.soc_lo <= soc and (soc < hi or soc == hi == 1.0):
             return params
     raise SocBandError(f"no parameter band covers soc={soc}")
 
@@ -233,20 +242,26 @@ def ttc_step(
     """
     if vdc <= 0:
         raise ValueError(f"vdc must be positive, got {vdc}")
-    dt = cfg.delta_t
+    vc1, vc2, vc3, soc = state
+    r1, r2, r3 = params.r1, params.r2, params.r3
+    dt, soc_min, soc_max = cfg.delta_t, cfg.soc_min, cfg.soc_max
+    exp = math.exp
     i_dc = p_dc_kw * 1000.0 / vdc
-    decay = math.exp(-dt / (params.r1 * params.c1))
-    vc1 = state.vc1 * decay + params.r1 * i_dc * (1.0 - decay)
-    decay = math.exp(-dt / (params.r2 * params.c2))
-    vc2 = state.vc2 * decay + params.r2 * i_dc * (1.0 - decay)
-    decay = math.exp(-dt / (params.r3 * params.c3))
-    vc3 = state.vc3 * decay + params.r3 * i_dc * (1.0 - decay)
-    new_soc = state.soc - (p_dc_kw * 1000.0 / (vdc * cfg.c_max_as)) * dt
-    if new_soc < cfg.soc_min - SOC_EPS or new_soc > cfg.soc_max + SOC_EPS:
-        raise SocLimitError(
-            f"soc {new_soc:.6f} outside [{cfg.soc_min}, {cfg.soc_max}]"
-        )
-    new_soc = min(max(new_soc, cfg.soc_min), cfg.soc_max)
+    decay = exp(-dt / (r1 * params.c1))
+    vc1 = vc1 * decay + r1 * i_dc * (1.0 - decay)
+    decay = exp(-dt / (r2 * params.c2))
+    vc2 = vc2 * decay + r2 * i_dc * (1.0 - decay)
+    decay = exp(-dt / (r3 * params.c3))
+    vc3 = vc3 * decay + r3 * i_dc * (1.0 - decay)
+    # cfg.c_max_as, read as its defining product.
+    new_soc = soc - (p_dc_kw * 1000.0 / (vdc * (cfg.c_max_ah * 3600.0))) * dt
+    if new_soc < soc_min - SOC_EPS or new_soc > soc_max + SOC_EPS:
+        raise SocLimitError(f"soc {new_soc:.6f} outside [{soc_min}, {soc_max}]")
+    # min(max(new_soc, soc_min), soc_max) with soc_min < soc_max.
+    if soc_min > new_soc:
+        new_soc = soc_min
+    elif soc_max < new_soc:
+        new_soc = soc_max
     return TtcState(vc1, vc2, vc3, new_soc)
 
 
@@ -288,24 +303,39 @@ def dc_power_bounds(
     the maximum power point) when discharging, vdc <= vdc_max when charging.
     So every AC power between the bounds' AC images maps back to a DC power
     that solve_vdc accepts and that keeps its side's edge.
+
+    The caps are compared as scalars, in the order and with the tie rules of
+    ``min`` and ``max`` over them, and the branch voltages are summed in
+    ``TtcState.vc_sum``'s order; the drive still comes through
+    open_circuit_voltage, which checks the band.
     """
-    drive = open_circuit_voltage(state.soc, params) - state.vc_sum
+    vc1, vc2, vc3, soc = state
+    drive = open_circuit_voltage(soc, params) - (vc1 + vc2 + vc3)
     if drive <= 0:
         raise InfeasiblePowerError("branch voltages exceed the open-circuit voltage")
     rs = params.rs
-    caps = [drive * drive / (4.0 * rs) / 1000.0]
-    if cfg.vdc_min > 0.5 * drive:
-        caps.append(cfg.vdc_min * (drive - cfg.vdc_min) / (rs * 1000.0))
+    vdc_min, vdc_max, dt, eta = cfg.vdc_min, cfg.vdc_max, cfg.delta_t, cfg.eta
+    c_max_as = cfg.c_max_ah * 3600.0
+    cap = drive * drive / (4.0 * rs) / 1000.0
+    if vdc_min > 0.5 * drive:
+        other = vdc_min * (drive - vdc_min) / (rs * 1000.0)
+        if other < cap:
+            cap = other
     # Current that lands exactly on soc_min after one step; the matching
     # power follows from vdc = drive - i * rs on the high-voltage root branch.
-    i_soc = (state.soc - cfg.soc_min) * cfg.c_max_as / cfg.delta_t
+    i_soc = (soc - cfg.soc_min) * c_max_as / dt
     if i_soc < drive / (2.0 * rs):
-        caps.append(i_soc * (drive - i_soc * rs) / 1000.0)
-    p_dc_max = _into_window(max(0.0, min(caps)), drive, rs, cfg.eta, cfg.vdc_min, math.inf)
+        other = i_soc * (drive - i_soc * rs) / 1000.0
+        if other < cap:
+            cap = other
+    p_dc_max = _into_window(cap if cap > 0.0 else 0.0, drive, rs, eta, vdc_min, math.inf)
 
-    i_soc = (state.soc - cfg.soc_max) * cfg.c_max_as / cfg.delta_t
-    caps = [cfg.vdc_max * (drive - cfg.vdc_max) / (rs * 1000.0), i_soc * (drive - i_soc * rs) / 1000.0]
-    p_dc_min = _into_window(min(0.0, max(caps)), drive, rs, cfg.eta, -math.inf, cfg.vdc_max)
+    cap = vdc_max * (drive - vdc_max) / (rs * 1000.0)
+    i_soc = (soc - cfg.soc_max) * c_max_as / dt
+    other = i_soc * (drive - i_soc * rs) / 1000.0
+    if other > cap:
+        cap = other
+    p_dc_min = _into_window(cap if cap < 0.0 else 0.0, drive, rs, eta, -math.inf, vdc_max)
     return p_dc_min, p_dc_max
 
 

@@ -203,8 +203,11 @@ def quad_roots(a: float, b: float, c: float) -> list[float]:
     When b*b or 4*a*c leaves the normal float range, the discriminant is
     formed from the coefficients scaled by powers of two, with its larger
     term near 1, so neither term is lost to underflow or overflow.  Other
-    inputs keep the unscaled formula's bits.  Only a discriminant whose
-    square root overflows raises OverflowError.
+    inputs keep the unscaled formula's bits.  Where b + sign(b)*sqrt(disc)
+    overflows, as from |b| = 2**1023 on, both terms are halved before they
+    are added; halving a normal float is exact, so this changes no other
+    input's bits.  Only a discriminant whose square root overflows raises
+    OverflowError.
     """
     if a == 0.0:
         if b == 0.0:
@@ -225,7 +228,12 @@ def quad_roots(a: float, b: float, c: float) -> list[float]:
     if disc < 0.0:
         return []
     s = math.ldexp(math.sqrt(disc), e)
-    q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else 0.5 * s
+    if b == 0.0:
+        q = 0.5 * s
+    else:
+        q = -0.5 * (b + math.copysign(s, b))
+        if math.isinf(q):  # |b| + s overflowed; their halves add in range
+            q = -(0.5 * b + math.copysign(0.5 * s, b))
     roots = [q / a]
     if q != 0.0:
         roots.append(c / q)
@@ -429,7 +437,12 @@ def _cell_corners(
 ) -> tuple[Corner, ...]:
     """Crossings of a cell's finite Q lines with its disk and parabola caps,
     then of the disk with each cap (a quartic in p), then of pairs of caps,
-    each as (p, q, a, b) with a and b the tags of the two constraints."""
+    each as (p, q, a, b) with a and b the tags of the two constraints.
+
+    Only crossings with finite p and q are kept.  Two nearly equal caps can
+    cross so far out that q overflows, as at (-1e219, -inf); such a point
+    is no candidate, and as a target it would feed non-finite terms to the
+    projection's cubic."""
     corners: list[Corner] = []
     for b, line in ((q_lo, "q_lo"), (q_hi, "q_hi")):
         if not math.isfinite(b):
@@ -457,7 +470,7 @@ def _cell_corners(
             b0, b1, b2 = paras[j]
             for p in quad_roots(a2 - b2, a1 - b1, a0 - b0):
                 corners.append((p, a0 + a1 * p + a2 * p * p, i, j))
-    return tuple(corners)
+    return tuple(c for c in corners if math.isfinite(c[0]) and math.isfinite(c[1]))
 
 
 def _clears(d0: float, d1: float, d2: float, lo: float, hi: float) -> bool:

@@ -83,7 +83,10 @@ it returns, its ``ProjectionProblem`` and its ``ControlRecord``, are
 immutable NamedTuples; the state and the problem validate their fields in
 ``__new__``.  A step still calls ``project``, ``dc_power_bounds``,
 ``solve_vdc``, ``predict_vac``, ``ttc_step`` and the other layer functions
-through this module's globals, where a tracer can wrap them.
+through this module's globals, where a tracer can wrap them.  It evaluates
+the circuit once, in ``dc_power_bounds``: the drive E - sum(vc) that the
+voltage bounds and every probe share is written out with the same float
+operations, and needs no band check, as ``params_for_soc`` chose the band.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ from bessctl.battery import (
     ac_from_dc,
     dc_from_ac,
     dc_power_bounds,
-    open_circuit_voltage,
     params_for_soc,
     solve_vdc,
     ttc_step,
@@ -486,46 +488,41 @@ def _project_cell(
     the target.
     """
 
-    def objective(p: float, q: float) -> float:
-        return wp * (p - p0) ** 2 + wq * (q - q0) ** 2
-
     if wq == 0.0:
         # Lexicographic: best p first, then closest feasible q at that p.
         p, lo, hi = _clip_to_nonempty(_q_interval_at, cell, min(max(p0, cell.p_lo), cell.p_hi))
         q = min(max(q0, lo), hi)
-        return p, q, objective(p, q)
-    if wp == 0.0:
+    elif wp == 0.0:
         q, lo, hi = _clip_to_nonempty(_p_interval_at, cell, min(max(q0, cell.q_lo), cell.q_hi))
         p = min(max(p0, lo), hi)
-        return p, q, objective(p, q)
-
-    if cell.within(p0, q0, 0.0):
+    elif cell.within(p0, q0, 0.0):
         return p0, q0, 0.0
-    sp, sq = wp, wq
-    if wp > 1.0 or wq > 1.0:  # scaled into [0.5, 1), they round nothing while normal
-        scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])
-        if min(wp, wq) * scale >= sys.float_info.min:
-            sp, sq = wp * scale, wq * scale
-    for p, q, k in _single_projections(cell, p0, q0, sp, sq):
-        # Only the circle point can miss its own constraint, by rounding.
-        if _meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
-            break
     else:
-        screened: list[tuple[float, float]] = []
-        for p, q, a, b in _crossings(cell):
-            if cell.within(p, q, _SCREEN_TOL):
-                gp, gq = sp * (p - p0), sq * (q - q0)
-                if _certified(cell, p, q, a, b, gp, gq) and _meets(cell, p, q, (a, b)):
-                    break
-                screened.append((p, q))
+        sp, sq = wp, wq
+        if wp > 1.0 or wq > 1.0:  # scaled into [0.5, 1), they round nothing while normal
+            scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])
+            if min(wp, wq) * scale >= sys.float_info.min:
+                sp, sq = wp * scale, wq * scale
+        for p, q, k in _single_projections(cell, p0, q0, sp, sq):
+            # Only the circle point can miss its own constraint, by rounding.
+            if _meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
+                break
         else:
-            if not screened:
-                raise RuntimeError(
-                    f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
-                )
-            p, q = _least_objective(screened, p0, q0, sp, sq)
-    p, q = _polish(cell, p, q)
-    return p, q, objective(p, q)
+            screened: list[tuple[float, float]] = []
+            for p, q, a, b in _crossings(cell):
+                if cell.within(p, q, _SCREEN_TOL):
+                    gp, gq = sp * (p - p0), sq * (q - q0)
+                    if _certified(cell, p, q, a, b, gp, gq) and _meets(cell, p, q, (a, b)):
+                        break
+                    screened.append((p, q))
+            else:
+                if not screened:
+                    raise RuntimeError(
+                        f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
+                    )
+                p, q = _least_objective(screened, p0, q0, sp, sq)
+        p, q = _polish(cell, p, q)
+    return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
 
 
 def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
@@ -546,6 +543,34 @@ def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
     )
 
 
+def _mantissa_product(w: float, d: float, s: float) -> tuple[float, int]:
+    """(m, e) with w*d*s = m * 2**e as the float product rounds it, m formed
+    from the factors' mantissas in [0.5, 1), so it neither underflows nor
+    overflows."""
+    (mw, ew), (md, ed), (ms, es) = math.frexp(w), math.frexp(d), math.frexp(s)
+    return mw * md * ms, ew + ed + es
+
+
+def _tie_difference(
+    wp: float, dp: float, sp: float, wq: float, dq: float, sq: float
+) -> float:
+    """wp*dp*sp + wq*dq*sq times a positive power of two.
+
+    The two products are added at the larger one's exponent.  Scaling by
+    powers of two rounds nothing in the normal range, so where the plain
+    expression neither underflows nor overflows its sign is unchanged; a
+    product below the float range, as of two 1e-170 differences, keeps it.
+    """
+    x, ex = _mantissa_product(wp, dp, sp)
+    y, ey = _mantissa_product(wq, dq, sq)
+    if x == 0.0:
+        return y
+    if y == 0.0:
+        return x
+    top = max(ex, ey)
+    return math.ldexp(x, ex - top) + math.ldexp(y, ey - top)
+
+
 def project(problem: ProjectionProblem) -> tuple[float, float]:
     """Feasible set-point with least weighted distance to the target.
 
@@ -553,7 +578,10 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     upper (Q >= 0) cell for determinism.  When the two cells' objectives
     round to the same float, as for targets about 1e19 away, their exact
     difference wp*(pu-pl)*(pu+pl-2*p0) + wq*(qu-ql)*(qu+ql-2*q0) decides
-    instead, with a tie of that going to the upper cell too.  The cell across Q = 0 from the target costs at least
+    instead, with a tie of that going to the upper cell too; its products
+    are scaled by powers of two (see _tie_difference), so one that
+    underflows, as for targets within about 1e-162 of both points, keeps
+    its sign.  The cell across Q = 0 from the target costs at least
     lambda_p * d^2 + lambda_q * q0^2, d the distance from p0 to its
     narrowed P box, while its projection keeps p in that box and the other
     sign of q.  The float objective is monotone in |p - p0|
@@ -598,7 +626,7 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     if fl == fu:
         # Both objectives rounded to one float: fu - fl written as a product
         # of differences, which keeps what the rounded squares lost, decides.
-        fl, fu = 0.0, wp * (pu - pl) * (pu + pl - 2.0 * p0) + wq * (qu - ql) * (qu + ql - 2.0 * q0)
+        fl, fu = 0.0, _tie_difference(wp, pu - pl, pu + pl - 2.0 * p0, wq, qu - ql, qu + ql - 2.0 * q0)
     return (pl, ql) if fl < fu else (pu, qu)
 
 
@@ -674,8 +702,9 @@ class SetpointController:
         p_lo = max(pac_lo, p_min)
         p_hi = min(pac_hi, p_max)
         eta = self.cfg.battery.eta
-        vdc_lo = solve_vdc(dc_from_ac(p_hi, eta), drive, rs)
-        vdc_hi = solve_vdc(dc_from_ac(p_lo, eta), drive, rs)
+        # dc_from_ac written out; BatteryConfig checked eta.
+        vdc_lo = solve_vdc(eta * p_hi if p_hi < 0 else p_hi / eta, drive, rs)
+        vdc_hi = solve_vdc(eta * p_lo if p_lo < 0 else p_lo / eta, drive, rs)
         xf = self.cfg.transformer
         vac_hi = predict_vac(sample, s_hi, 0.0, xf) if s_hi < math.inf else math.inf
         return (vdc_lo, vdc_hi), (predict_vac(sample, 0.0, 0.0, xf), vac_hi)
@@ -690,7 +719,9 @@ class SetpointController:
         dvac = (cfg.droop.v_ref - sample.v_mv) * 1000.0
         params = params_for_soc(state.soc, self.bands)
         pdc_lo, pdc_hi = dc_power_bounds(state, params, cfg.battery)
-        drive = open_circuit_voltage(state.soc, params) - state.vc_sum
+        # open_circuit_voltage(soc, params) - state.vc_sum, bit for bit.
+        vc1, vc2, vc3, soc = state
+        drive = params.a + params.b * soc - (vc1 + vc2 + vc3)
         pac_lo = ac_from_dc(pdc_lo, eta)
         pac_hi = ac_from_dc(pdc_hi, eta)
 
@@ -758,17 +789,16 @@ class SetpointController:
             fallback = True
         p_opt, q_opt = probed.p, probed.q
 
-        flags: list[str] = []
         unchanged = abs(p_opt - p0) <= _POINT_TOL and abs(q_opt - q0) <= _POINT_TOL
-        flags.append(STATUS_UNCHANGED if unchanged else STATUS_CLIPPED)
+        flags: tuple[str, ...] = (STATUS_UNCHANGED if unchanged else STATUS_CLIPPED,)
         if clamped:
-            flags.append(STATUS_CLAMP)
+            flags += (STATUS_CLAMP,)
         if fallback:
-            flags.append(STATUS_FALLBACK)
+            flags += (STATUS_FALLBACK,)
         elif probes > 1:
-            flags.append(_status_switches(probes - 1))
+            flags += (_status_switches(probes - 1),)
         if abs(p_opt) > abs(p0) + _POINT_TOL:
-            flags.append(STATUS_P_EXCEEDS)
+            flags += (STATUS_P_EXCEEDS,)
 
         alpha_star, beta_star = optimal_droops(p_opt, q_opt, dfreq, dvac)
         record = ControlRecord(
@@ -785,7 +815,7 @@ class SetpointController:
             probed.ac_anchor,
             alpha_star,
             beta_star,
-            tuple(flags),
+            flags,
         )
         new_state = ttc_step(state, probed.p_dc, probed.vdc, params, cfg.battery)
         return record, new_state

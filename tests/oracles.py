@@ -15,6 +15,10 @@ cell, which the scan's point, up to the screen's tolerance outside, does not.
 eigenvalues of ``capability.poly_real_roots``.  ``csv_write_records`` and
 ``csv_write_trace`` write the two CSV files through ``csv.writer``, as
 ``simctl`` once did: the reference for the bytes of its own writers.
+``list_params_for_soc``, ``list_dc_power_bounds`` and ``list_ttc_step``
+are the battery layer as it was written before its scalar rewrite, with
+``TtcParams.covers``, lists of caps under ``min``/``max``, ``vc_sum`` and
+``c_max_as``: the reference for the bits of the scalar functions.
 """
 
 import csv
@@ -26,6 +30,15 @@ from typing import NamedTuple
 import numpy as np
 
 from bessctl import optimizer, simctl
+from bessctl.battery import (
+    SOC_EPS,
+    InfeasiblePowerError,
+    SocBandError,
+    SocLimitError,
+    TtcState,
+    _into_window,
+    open_circuit_voltage,
+)
 from bessctl.capability import quad_roots
 
 
@@ -276,3 +289,50 @@ def csv_write_trace(samples, path):
         writer.writerow(["timestamp_s", "freq_hz", "v_mv_kv"])
         for s in samples:
             writer.writerow([repr(s.timestamp), repr(s.freq), repr(s.v_mv)])
+
+
+def list_params_for_soc(soc, bands):
+    """The parameter set whose band covers soc, by ``TtcParams.covers``."""
+    for params in bands:
+        if params.covers(soc):
+            return params
+    raise SocBandError(f"no parameter band covers soc={soc}")
+
+
+def list_dc_power_bounds(state, params, cfg):
+    """``battery.dc_power_bounds`` with each side's caps in a list."""
+    drive = open_circuit_voltage(state.soc, params) - state.vc_sum
+    if drive <= 0:
+        raise InfeasiblePowerError("branch voltages exceed the open-circuit voltage")
+    rs = params.rs
+    caps = [drive * drive / (4.0 * rs) / 1000.0]
+    if cfg.vdc_min > 0.5 * drive:
+        caps.append(cfg.vdc_min * (drive - cfg.vdc_min) / (rs * 1000.0))
+    i_soc = (state.soc - cfg.soc_min) * cfg.c_max_as / cfg.delta_t
+    if i_soc < drive / (2.0 * rs):
+        caps.append(i_soc * (drive - i_soc * rs) / 1000.0)
+    p_dc_max = _into_window(max(0.0, min(caps)), drive, rs, cfg.eta, cfg.vdc_min, math.inf)
+
+    i_soc = (state.soc - cfg.soc_max) * cfg.c_max_as / cfg.delta_t
+    caps = [cfg.vdc_max * (drive - cfg.vdc_max) / (rs * 1000.0), i_soc * (drive - i_soc * rs) / 1000.0]
+    p_dc_min = _into_window(min(0.0, max(caps)), drive, rs, cfg.eta, -math.inf, cfg.vdc_max)
+    return p_dc_min, p_dc_max
+
+
+def list_ttc_step(state, p_dc_kw, vdc, params, cfg):
+    """``battery.ttc_step`` reading every field through its object."""
+    if vdc <= 0:
+        raise ValueError(f"vdc must be positive, got {vdc}")
+    dt = cfg.delta_t
+    i_dc = p_dc_kw * 1000.0 / vdc
+    decay = math.exp(-dt / (params.r1 * params.c1))
+    vc1 = state.vc1 * decay + params.r1 * i_dc * (1.0 - decay)
+    decay = math.exp(-dt / (params.r2 * params.c2))
+    vc2 = state.vc2 * decay + params.r2 * i_dc * (1.0 - decay)
+    decay = math.exp(-dt / (params.r3 * params.c3))
+    vc3 = state.vc3 * decay + params.r3 * i_dc * (1.0 - decay)
+    new_soc = state.soc - (p_dc_kw * 1000.0 / (vdc * cfg.c_max_as)) * dt
+    if new_soc < cfg.soc_min - SOC_EPS or new_soc > cfg.soc_max + SOC_EPS:
+        raise SocLimitError(f"soc {new_soc:.6f} outside [{cfg.soc_min}, {cfg.soc_max}]")
+    new_soc = min(max(new_soc, cfg.soc_min), cfg.soc_max)
+    return TtcState(vc1, vc2, vc3, new_soc)

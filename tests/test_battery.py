@@ -24,6 +24,7 @@ from bessctl.battery import (
     validate_bands,
 )
 from bessctl.linefmt import LineFormatError
+from oracles import list_dc_power_bounds, list_params_for_soc, list_ttc_step
 
 
 def band(bands, soc):
@@ -394,6 +395,112 @@ class TestSocLanding:
         for bound in dc_power_bounds(state, p, cfg):
             new_state = ttc_step(state, bound, vdc_at(bound, state, p), p, cfg)
             assert soc_min <= new_state.soc <= soc_max, (bound, new_state.soc)
+
+
+def bits(f, *args):
+    """f(*args) with each float as its hex, which tells -0.0 from 0.0, or
+    the type and message of the error it raised."""
+    try:
+        result = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, TtcParams):
+        return id(result)
+    return tuple(x.hex() for x in result)
+
+
+@st.composite
+def random_bands(draw):
+    """SOC bands partitioning [0, 1] at up to three cuts, each with its own
+    circuit, in order."""
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=3))
+    edges = [0.0, *sorted(set(cuts)), 1.0]
+    positive = st.floats(1e-4, 0.1)
+    return [
+        TtcParams(
+            a=draw(st.floats(100.0, 1000.0)),
+            b=draw(st.floats(-200.0, 200.0)),
+            rs=draw(st.floats(1e-4, 1.0)),
+            r1=draw(positive),
+            r2=draw(positive),
+            r3=draw(positive),
+            c1=draw(st.floats(1.0, 1e7)),
+            c2=draw(st.floats(1.0, 1e7)),
+            c3=draw(st.floats(1.0, 1e7)),
+            soc_lo=lo,
+            soc_hi=hi,
+        )
+        for lo, hi in zip(edges, edges[1:])
+    ]
+
+
+@st.composite
+def battery_configs(draw):
+    soc_min, soc_max = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    vdc_min = draw(st.floats(1.0, 1000.0))
+    return BatteryConfig(
+        c_max_ah=draw(st.one_of(st.sampled_from([580.0, 1e6]), st.floats(1.0, 1e4))),
+        eta=draw(st.floats(0.5, 1.0)),
+        soc_min=soc_min,
+        soc_max=soc_max,
+        vdc_min=vdc_min,
+        vdc_max=vdc_min + draw(st.floats(1e-3, 1000.0)),
+        delta_t=draw(st.floats(0.1, 10.0)),
+    )
+
+
+def soc_near(bands):
+    """An SOC anywhere, on a band edge or an ulp either side of one."""
+    edges = [b.soc_lo for b in bands] + [1.0]
+    near = [x for e in edges for x in (e, math.nextafter(e, -1.0), math.nextafter(e, 2.0))]
+    return st.one_of(st.floats(0.0, 1.0), st.sampled_from(near))
+
+
+class TestScalarRewrite:
+    """params_for_soc, dc_power_bounds and ttc_step return, bit for bit, what
+    their list-and-attribute forms in the oracles return, or raise the same
+    error with the same message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), bands=st.one_of(st.just(None), random_bands()), keep=st.integers(0, 4))
+    def test_params_for_soc(self, data, bands, keep, request):
+        bands = bands or request.getfixturevalue("bands")
+        soc = data.draw(st.one_of(soc_near(bands), st.floats(allow_nan=True)))
+        # A prefix of the bands can leave soc uncovered.
+        for subset in (bands, bands[:keep]):
+            assert bits(params_for_soc, soc, subset) == bits(list_params_for_soc, soc, subset)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        bands=st.one_of(st.just(None), random_bands()),
+        vc=st.tuples(st.floats(-100.0, 800.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        cfg=battery_configs(),
+    )
+    def test_dc_power_bounds(self, data, bands, vc, cfg, request):
+        bands = bands or request.getfixturevalue("bands")
+        soc = data.draw(soc_near(bands).filter(lambda soc: 0.0 <= soc <= 1.0))
+        state = TtcState(*vc, soc)
+        # Mostly the band of soc; any other raises SocBandError.
+        params = data.draw(st.one_of(st.just(params_for_soc(soc, bands)), st.sampled_from(bands)))
+        assert bits(dc_power_bounds, state, params, cfg) == bits(list_dc_power_bounds, state, params, cfg)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        bands=st.one_of(st.just(None), random_bands()),
+        vc=st.tuples(st.floats(-100.0, 800.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        p_dc=st.one_of(st.floats(-2000.0, 2000.0), st.just(0.0)),
+        vdc=st.one_of(st.floats(1.0, 1000.0), st.sampled_from([0.0, -1.0])),
+        cfg=battery_configs(),
+    )
+    def test_ttc_step(self, data, bands, vc, p_dc, vdc, cfg, request):
+        bands = bands or request.getfixturevalue("bands")
+        state = TtcState(*vc, data.draw(st.floats(0.0, 1.0)))
+        params = data.draw(st.sampled_from(bands))
+        assert bits(ttc_step, state, p_dc, vdc, params, cfg) == bits(
+            list_ttc_step, state, p_dc, vdc, params, cfg
+        )
 
 
 class TestValidation:

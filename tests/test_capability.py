@@ -497,9 +497,15 @@ class TestQuadRoots:
     @settings(max_examples=2000, deadline=None)
     @given(a=ANY_COEFFICIENT, b=ANY_COEFFICIENT)
     def test_without_constant_the_first_root_is_minus_b_over_a(self, a, b):
-        # From |b| = 2**1023 on, b + sqrt(disc) = 2b overflows on its own.
-        assume(a != 0.0 and 0.0 < abs(b) < 2.0**1023)
+        # From |b| = 2**1023 on, b + sqrt(disc) = 2b overflows; the halves
+        # are added instead.
+        assume(a != 0.0 and b != 0.0)
         assert quad_roots(a, b, 0.0)[0] == -b / a
+
+    def test_an_overflowing_sum_of_b_and_the_root_is_halved(self):
+        assert quad_roots(1.0, 2.0**1023, 0.0) == [-(2.0**1023), -0.0]
+        assert quad_roots(1.0, -sys.float_info.max, 0.0) == [sys.float_info.max, 0.0]
+        assert quad_roots(2.0, 1e308, 1.0) == [-5e307, -1e-308]
 
     @settings(max_examples=2000, deadline=None)
     @given(a=ANY_COEFFICIENT, b=ANY_COEFFICIENT, c=ANY_COEFFICIENT)

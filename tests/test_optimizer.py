@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -411,11 +412,12 @@ class TestSolveStep:
         ],
         ids=["soc-edge", "undervoltage"],
     )
-    def test_a_step_evaluates_the_circuit_twice(
+    def test_a_step_evaluates_the_circuit_once(
         self, bands, curve_map, monkeypatch, lambda_q, sample, state
     ):
-        # Once in dc_power_bounds and once for the drive that the voltage
-        # bounds and every probe share.
+        # In dc_power_bounds; the drive that the voltage bounds and every
+        # probe share is written out in solve_step, which imports no
+        # open_circuit_voltage to call instead.
         calls = []
         original = battery.open_circuit_voltage
 
@@ -424,13 +426,13 @@ class TestSolveStep:
             return original(soc, params)
 
         monkeypatch.setattr(battery, "open_circuit_voltage", counting)
-        monkeypatch.setattr(optimizer, "open_circuit_voltage", counting)
+        assert not hasattr(optimizer, "open_circuit_voltage")
         _, cfg = load_run_config(builtin_scenario_path("scenario4"))
         cfg = dataclasses.replace(cfg, droop=dataclasses.replace(cfg.droop, lambda_q=lambda_q))
         ctl = SetpointController(cfg, curve_map, bands)
         record, _ = ctl.solve_step(sample, state)
         assert record.p_opt < record.p_target
-        assert calls == [state.soc] * 2
+        assert calls == [state.soc]
 
     def test_step_builds_no_region_and_leaves_the_controller_unchanged(
         self, controller_cfg, curve_map, bands, monkeypatch
@@ -712,14 +714,15 @@ def fresh_corners(cell):
 def reference_project(prob):
     """Both narrowed cells solved; the lower one wins only if strictly
     better, or, when the objectives tie, if their difference, written as a
-    product of differences, puts it ahead."""
+    product of differences and evaluated in exact rationals, puts it ahead."""
     p0, q0, wp, wq = prob.p_target, prob.q_target, prob.lambda_p, prob.lambda_q
     (pu, qu, fu), (pl, ql, fl) = (
         optimizer._project_cell(optimizer._narrowed(cell, prob.p_min, prob.p_max), p0, q0, wp, wq)
         for cell in (prob.region.upper_cell, prob.region.lower_cell)
     )
     if fl == fu:
-        fl, fu = 0.0, wp * (pu - pl) * (pu + pl - 2.0 * p0) + wq * (qu - ql) * (qu + ql - 2.0 * q0)
+        exact = [Fraction(x) for x in (pu - pl, pu + pl - 2.0 * p0, qu - ql, qu + ql - 2.0 * q0)]
+        fl, fu = 0, Fraction(wp) * exact[0] * exact[1] + Fraction(wq) * exact[2] * exact[3]
     return (pl, ql) if fl < fu else (pu, qu)
 
 
@@ -819,6 +822,10 @@ def near_boundary(data, cell, deltas=BOUNDARY_DELTA):
         return p + delta, q + data.draw(deltas)
     return along, data.draw(st.floats(-1000.0, 1000.0))
 
+
+#: A weight and a difference of the cross-cell tie, with exact zeros.
+TIE_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+TIE_FACTOR = st.floats(-1e3, 1e3)
 
 #: Unit roundoff times two: the spacing of floats just above 1.
 EPS = sys.float_info.epsilon
@@ -982,6 +989,21 @@ class TestProjectExactness:
         cell = draw_cell(data, curve_map)
         p0, q0 = near_boundary(data, cell)
         assert_agrees_with_running_best(cell, p0, q0, *weights)
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_caps_crossing_beyond_the_float_range_store_no_corner(self, upper):
+        # Equal curvatures and slopes 1e-217 apart cross at p = -1e219,
+        # where q overflows to -inf.  Stored, that corner was a target of
+        # near_boundary, whose q = -inf fed the oracle's cubic non-finite
+        # coefficients (ValueError) in the upper cell.
+        cell = capability._scaled_cell(
+            [ParabolaCap(100.0, 0.0, -1e-3), ParabolaCap(200.0, 1e-217, -1e-3)], 1.0, upper
+        )
+        # Each cap crosses the Q = 0 line twice; the cap-cap crossing is dropped.
+        assert [c[3] for c in cell.corners] == [0, 0, 1, 1]
+        assert all(math.isfinite(p) and math.isfinite(q) for p, q, _, _ in cell.corners)
+        for p, q, _, _ in cell.corners:
+            assert_agrees_with_running_best(cell, p, q, 1.0, 1.0)
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -1711,6 +1733,38 @@ class TestKktCertificate:
         assert lower[:2] == (395.5343201923191, -395.5343201923191)
         assert upper[:2] == (527.8855555555556, 0.0)
         assert project(problem(region, (1e19, -1e19), bounds=(-700.0, 700.0))) == lower[:2]
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0)])
+    def test_underflowing_tie_difference_keeps_its_sign(self, curve_map, weights):
+        # From (0, -1e-170) both objectives and the plain difference,
+        # 1e-170 * 1e-170, round to 0; the target itself, in the lower
+        # cell, is the nearer point.
+        region = build_region([curve_map[(600.0, 300.0)]], 1.0)
+        prob = problem(region, (0.0, -1e-170), weights, (-700.0, 700.0))
+        assert project(prob) == (0.0, -1e-170) == reference_project(prob)
+        assert project(problem(region, (0.0, -1e-160), weights, (-700.0, 700.0))) == (0.0, -1e-160)
+
+    def test_tie_difference_keeps_the_sign_of_underflowing_products(self):
+        tie = optimizer._tie_difference
+        assert tie(1.0, 0.0, 3.0, 2.0, 1e-170, -1e-170) < 0.0
+        assert tie(1.0, 1e-170, 1e-170, 1.0, -1e-300, 1e-300) > 0.0
+        assert tie(1.0, 1e-170, -1e-170, 2.0, 1e-171, 1e-170) < 0.0
+        assert tie(0.0, 1.0, 1.0, 1.0, 0.0, 1.0) == 0.0
+
+    @settings(max_examples=1000, deadline=None)
+    @given(factors=st.tuples(*(TIE_WEIGHT, TIE_FACTOR, TIE_FACTOR) * 2))
+    def test_tie_difference_has_the_plain_sign_in_range(self, factors):
+        wp, dp, sp, wq, dq, sq = factors
+
+        def in_range(w, d, s):
+            """A zero factor, or normal factors and partial products."""
+            normal = [sys.float_info.min <= abs(x) < math.inf for x in (w, d, s, w * d, w * d * s)]
+            return 0.0 in (w, d, s) or all(normal)
+
+        assume(in_range(wp, dp, sp) and in_range(wq, dq, sq))
+        plain = wp * dp * sp + wq * dq * sq
+        scaled = optimizer._tie_difference(*factors)
+        assert (scaled > 0.0, scaled < 0.0) == (plain > 0.0, plain < 0.0)
 
 
 @st.composite

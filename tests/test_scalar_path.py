@@ -5,7 +5,8 @@ through ``np.linalg.eigvals`` (capability alone calls the LAPACK gufunc
 behind it), the line grammars stay in linefmt (no other module imports a
 tokenizer), the optimizer's set-point tolerance only sets the status
 flags, the per-step value types are NamedTuples rather than dataclasses,
-and a step calls the layer functions through the optimizer's globals."""
+a step calls the layer functions through the optimizer's globals, and the
+battery functions a step calls build no lists."""
 
 import ast
 import dataclasses
@@ -190,3 +191,22 @@ def test_solve_step_calls_the_layers_through_module_globals(name):
     readers = readers_of(PACKAGE / "optimizer.py", name)
     assert any(r == step or r.startswith(step + ".") for r in readers), readers
     assert name not in local_names(PACKAGE / "optimizer.py", step)
+
+
+def function_def(path, name):
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+@pytest.mark.parametrize("name", ["dc_power_bounds", "_into_window", "ttc_step"])
+def test_battery_step_functions_build_no_lists(name):
+    # Lists of caps under min and max took about half of dc_power_bounds;
+    # scalar comparisons return the same bits (see test_battery's
+    # TestScalarRewrite).
+    node = function_def(PACKAGE / "battery.py", name)
+    lists = [
+        f"{type(n).__name__}:{n.lineno}"
+        for n in ast.walk(node)
+        if isinstance(n, (ast.List, ast.ListComp))
+    ]
+    assert lists == []
