@@ -16,8 +16,7 @@ Circuit parameters are banded by SOC; bands partition [0, 1].
 
 The functions a control step calls are scalar code.  ``dc_power_bounds``
 compares its caps one at a time, with the tie rules of ``min`` and ``max``,
-and ``ttc_step`` reads each field once into a local; neither builds a list,
-and each returns the bits that the list and attribute forms return.
+and ``ttc_step`` reads each field once into a local; neither builds a list.
 
 Sign convention: positive AC/DC power discharges the battery and lowers both
 the SOC and the DC-bus voltage.  Charging power is negative.
@@ -211,15 +210,15 @@ def ac_from_dc(p_dc_kw: float, eta: float) -> float:
     return eta * p_dc_kw
 
 
-def _bus_voltage(p_dc_kw: float, drive: float, rs: float) -> float:
-    """Larger root of the circuit quadratic; nan beyond the maximum power point."""
-    disc = drive * drive - 4.0 * p_dc_kw * 1000.0 * rs
-    return 0.5 * (drive + math.sqrt(disc)) if disc >= 0 else math.nan
-
-
 def solve_vdc(p_dc_kw: float, drive: float, rs: float) -> float:
-    """DC-bus voltage sustaining p_dc_kw at circuit drive E - sum(vc) and series rs."""
-    vdc = _bus_voltage(p_dc_kw, drive, rs)
+    """DC-bus voltage sustaining p_dc_kw at circuit drive E - sum(vc) and series rs.
+
+    The larger root of the circuit quadratic.  A power beyond the maximum
+    power point, or any input that leaves the root nan, raises
+    InfeasiblePowerError.
+    """
+    disc = drive * drive - 4.0 * p_dc_kw * 1000.0 * rs
+    vdc = 0.5 * (drive + math.sqrt(disc)) if disc >= 0 else math.nan
     if math.isnan(vdc):
         raise InfeasiblePowerError(
             f"p_dc={p_dc_kw} kW beyond the maximum power point "
@@ -270,9 +269,9 @@ def _into_window(p: float, drive: float, rs: float, eta: float, lo: float, hi: f
     of ``dc_from_ac(ac_from_dc(p, eta), eta)`` lie in [lo, hi]; a power beyond
     the maximum power point has none.  The walk stops at 0.
 
-    The round trip and ``_bus_voltage`` are written out with their own float
-    expressions, so a step of the walk calls no function of this module;
-    eta was checked by BatteryConfig.
+    The round trip and ``solve_vdc``'s root are written out with their own
+    float expressions, so a step of the walk calls no function of this
+    module; eta was checked by BatteryConfig.
     """
     drive_sq = drive * drive
     while p != 0.0:

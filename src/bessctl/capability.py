@@ -25,7 +25,6 @@ unrestricted concurrent reads.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -181,18 +180,13 @@ class CapabilityCurve:
         return (float(self.vdc_anchor), float(self.vac_anchor))
 
 
-def in_half_open(value: float, lo: float, hi: float) -> bool:
-    """True iff value lies in the half-open interval (lo, hi]."""
-    return lo < value <= hi
-
-
 def select_ac(vac: float) -> tuple[Anchor | None, bool]:
     """AC envelope and clamp flag of the AC_SELECTION range holding vac.
 
     The ranges cover (0, inf); any other vac raises ValueError.
     """
     for lo, hi, ac_anchor, clamped in AC_SELECTION:
-        if in_half_open(vac, lo, hi):
+        if lo < vac <= hi:
             return ac_anchor, clamped
     raise ValueError(f"vac {vac} V matches no selection range")
 
@@ -200,40 +194,31 @@ def select_ac(vac: float) -> tuple[Anchor | None, bool]:
 def quad_roots(a: float, b: float, c: float) -> list[float]:
     """Real roots of a*x^2 + b*x + c, numerically stable, degenerate-safe.
 
-    When b*b or 4*a*c leaves the normal float range, the discriminant is
-    formed from the coefficients scaled by powers of two, with its larger
-    term near 1, so neither term is lost to underflow or overflow.  Other
-    inputs keep the unscaled formula's bits.  Where b + sign(b)*sqrt(disc)
-    overflows, as from |b| = 2**1023 on, both terms are halved before they
-    are added; halving a normal float is exact, so this changes no other
-    input's bits.  Only a discriminant whose square root overflows raises
-    OverflowError.
+    One path: the coefficients are scaled by powers of two so that the
+    larger of |b| and sqrt|a*c| lies in [0.5, 1), a by its own exponent and
+    c by the rest, so neither term of the discriminant underflows or
+    overflows.  q = -(b + sign(b)*sqrt(disc))/2 is formed at that scale and
+    scaled back; the roots are q/a and c/q.  Scaling a normal float by a
+    power of two rounds nothing, so where b*b, a*c, the discriminant and
+    its root are normal or zero, the roots have the unscaled formula's
+    bits.  Only a q beyond the float range raises OverflowError.  a == 0
+    leaves the linear root -c/b, or none.
     """
     if a == 0.0:
         if b == 0.0:
             return []
         return [-c / b]
-    bb, ac4, e = b * b, 4.0 * (a * c), 0
-    if (b and not sys.float_info.min <= bb < math.inf) or (
-        c and not sys.float_info.min <= abs(ac4) < math.inf
-    ):
-        e = math.frexp(max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(c))))[1]
-        # a takes its own exponent and c the rest, so 4*a*c scales by
-        # 2**(-2e) as b*b does, and neither factor overflows.
-        ea = math.frexp(a)[1]
-        b_scaled = math.ldexp(b, -e)
-        bb = b_scaled * b_scaled
-        ac4 = 4.0 * math.ldexp(a, -ea) * math.ldexp(c, ea - 2 * e)
-    disc = bb - ac4
+    e = math.frexp(max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(c))))[1]
+    ea = math.frexp(a)[1]
+    b_scaled = math.ldexp(b, -e)
+    disc = b_scaled * b_scaled - 4.0 * math.ldexp(a, -ea) * math.ldexp(c, ea - 2 * e)
     if disc < 0.0:
         return []
-    s = math.ldexp(math.sqrt(disc), e)
     if b == 0.0:
-        q = 0.5 * s
+        q = 0.5 * math.sqrt(disc)
     else:
-        q = -0.5 * (b + math.copysign(s, b))
-        if math.isinf(q):  # |b| + s overflowed; their halves add in range
-            q = -(0.5 * b + math.copysign(0.5 * s, b))
+        q = -0.5 * (b_scaled + math.copysign(math.sqrt(disc), b_scaled))
+    q = math.ldexp(q, e)
     roots = [q / a]
     if q != 0.0:
         roots.append(c / q)
@@ -271,11 +256,12 @@ def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
     """Real roots of a0*x^3 + a1*x^2 + a2*x + a3: ``poly_real_roots([a0, a1,
     a2, a3])``, the same list or the same error.
 
-    With a0 finite and nonzero, a3 nonzero and the companion row
-    (-a1/a0, -a2/a0, -a3/a0) finite, the companion matrix is filled by
-    scalar stores and the two Newton steps of the polish are unrolled
-    Horner in ``poly_real_roots``' operation order.  Any other input is
-    solved there.
+    The projection's scalar copy of that path.  With a0 finite and nonzero,
+    a3 nonzero and the companion row (-a1/a0, -a2/a0, -a3/a0) finite, the
+    companion matrix is filled by scalar stores and the two Newton steps of
+    the polish are unrolled Horner in ``poly_real_roots``' operation order.
+    Any other input falls back to ``poly_real_roots``, which never calls
+    this function.
     """
     if a0 != 0.0 and a3 != 0.0 and math.isfinite(a0):
         r0 = -a1 / a0
@@ -309,36 +295,32 @@ def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
 def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     """Real roots of a polynomial given by descending coefficients.
 
-    Degrees 1 and 2 are solved in closed form.  Above that, each trailing
-    zero coefficient is a root at 0, listed last, and the other roots are
-    the eigenvalues of the companion matrix of the remaining coefficients
-    (first row -c/lead, ones on the subdiagonal), the matrix ``np.roots``
-    would build.  They come from ``_eigvals``, the LAPACK gufunc that
-    ``np.linalg.eigvals`` calls, without that wrapper's checks: this
-    function has already made the matrix 2-D, square, float64 and finite,
-    and keeps complex roots as ``.imag``.  ``_eigvals`` sets the wrapper's
-    error state through a decorator built at import.  A cubic without
-    a zero root is solved by ``cubic_real_roots``, which builds the same
-    matrix by scalar stores and polishes in the same operation order.
+    Degrees 1 and 2 go to ``quad_roots``, padded with leading zeros.
+    Above that, each trailing zero coefficient is a root at 0, listed last,
+    and the other roots are the eigenvalues of the companion matrix of the
+    remaining coefficients (first row -c/lead, ones on the subdiagonal),
+    the matrix ``np.roots`` would build.  They come from ``_eigvals``, the
+    LAPACK gufunc that ``np.linalg.eigvals`` calls, without that wrapper's
+    checks: this function has already made the matrix 2-D, square, float64
+    and finite, and keeps complex roots as ``.imag``.  ``_eigvals`` sets
+    the wrapper's error state through a decorator built at import.  Cubics
+    take this path too: ``cubic_real_roots`` is its scalar copy and falls
+    back to it, never the other way round.
     ``tests/test_capability.py::TestPolyRealRoots`` keeps the roots
     bit-equal to the public ``np.roots`` path on the numpy installed.  Real
-    roots are polished with two Newton steps, evaluated by
-    Horner's rule in the same operation order as ``np.polyval``/
-    ``np.polyder``.  Non-finite coefficients raise ValueError, a companion
-    entry that overflows raises CompanionOverflowError, naming the leading
-    coefficient, and LAPACK non-convergence raises LinAlgError.
+    roots are polished with two Newton steps, evaluated by Horner's rule in
+    the same operation order as ``np.polyval``/``np.polyder``.  Non-finite
+    coefficients raise ValueError, a companion entry that overflows raises
+    CompanionOverflowError, naming the leading coefficient, and LAPACK
+    non-convergence raises LinAlgError.
     """
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError(f"polynomial coefficients must be finite, got {list(coeffs)}")
     trimmed = list(coeffs)
     while trimmed and trimmed[0] == 0.0:
         trimmed.pop(0)
-    if len(trimmed) <= 1:
-        return []
-    if len(trimmed) == 3:
-        return quad_roots(trimmed[0], trimmed[1], trimmed[2])
-    if len(trimmed) == 2:
-        return [-trimmed[1] / trimmed[0]]
+    if len(trimmed) <= 3:
+        return quad_roots(*[0.0] * (3 - len(trimmed)), *trimmed)
     degree = len(trimmed) - 1
     n = degree
     while trimmed[n] == 0.0:
@@ -350,9 +332,6 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
             f"leading coefficient {lead!r} is too small beside {trimmed[1:]}: "
             "the companion matrix overflows"
         )
-    if n == 3 == degree:
-        # Every check of cubic_real_roots' own path holds here.
-        return cubic_real_roots(*trimmed)
     roots = [0.0] * (degree - n)
     if n:
         companion = np.zeros((n, n))
@@ -396,10 +375,11 @@ class Cell:
     with its two constraints so that the optimizer can read their normals;
     they depend on neither the P box nor the target, so narrowing the P box
     keeps them.
-    caps_nonneg is True when the P box is finite and every parabola cap of
-    the atoms, in paras or not, is at least _CAP_MARGIN at both of its
-    ends, so that, being concave, it stays >= 0 over the whole box; the
-    optimizer may skip an upper cell only then.
+    caps_nonneg is True when the atoms hold no parabola cap, whatever the
+    P box, or when the P box is finite and every parabola cap of the atoms,
+    in paras or not, is at least _CAP_MARGIN at both of its ends, so that,
+    being concave, it stays >= 0 over the whole box; the optimizer may skip
+    an upper cell only then.
     """
 
     p_lo: float

@@ -100,15 +100,6 @@ def droop_targets(sample: GridSample, cfg: DroopConfig) -> tuple[float, float]:
     return p0, q0
 
 
-def initial_droops(
-    p_max_kw: float, q_max_kvar: float, dmax_f_hz: float, dmax_v_v: float
-) -> tuple[float, float]:
-    """Size droop gains so the full capability is reached at the maximum deviations."""
-    if min(p_max_kw, q_max_kvar, dmax_f_hz, dmax_v_v) <= 0:
-        raise ValueError("all inputs must be positive")
-    return p_max_kw / dmax_f_hz, q_max_kvar / dmax_v_v
-
-
 def predict_vac(
     sample: GridSample, p0_kw: float, q0_kvar: float, xf: TransformerParams
 ) -> float:

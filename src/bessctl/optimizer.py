@@ -118,7 +118,6 @@ from bessctl.capability import (
     FeasibleRegion,
     build_region,
     cubic_real_roots,
-    poly_real_roots,  # noqa: F401 -- re-exported for the tests' root references
     quad_roots,
     select_ac,
 )

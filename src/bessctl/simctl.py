@@ -113,12 +113,9 @@ def generate_trace(
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    freq = mu_f + sigma_f * rng.standard_normal(n)
-    v_mv = mu_v + sigma_v * rng.standard_normal(n)
-    return [
-        GridSample(timestamp=float(t), freq=float(freq[t]), v_mv=float(v_mv[t]))
-        for t in range(n)
-    ]
+    freq = (mu_f + sigma_f * rng.standard_normal(n)).tolist()
+    v_mv = (mu_v + sigma_v * rng.standard_normal(n)).tolist()
+    return [GridSample(float(t), f, v) for t, (f, v) in enumerate(zip(freq, v_mv))]
 
 
 def load_trace(path: str | Path) -> list[GridSample]:
@@ -255,13 +252,20 @@ def run_scenario(
     whether the trace comes from the scenario or is supplied here. A
     supplied ``trace`` replaces only the scenario's ``trace`` key, not its
     ``duration_s``. A trace shorter than the horizon raises ``TraceError``;
-    a longer one is cut to the horizon.
+    a longer one is cut to the horizon.  A ``soc_init`` outside the
+    battery's [soc_min, soc_max] raises ValueError before the first step.
     """
+    battery = controller_cfg.battery
+    if not battery.soc_min <= scenario.soc_init <= battery.soc_max:
+        raise ValueError(
+            f"soc_init {scenario.soc_init} outside [soc_min, soc_max] = "
+            f"[{battery.soc_min}, {battery.soc_max}]"
+        )
     if trace is None:
         if scenario.trace is None:
             raise TraceError("scenario has no trace and none was supplied")
         trace = resolve_trace(scenario.trace, seed)
-    steps = int(round(scenario.duration_s / controller_cfg.battery.delta_t))
+    steps = int(round(scenario.duration_s / battery.delta_t))
     if len(trace) < steps:
         raise TraceError(f"trace has {len(trace)} samples, horizon needs {steps}")
     controller = SetpointController(controller_cfg, curves, bands)
@@ -270,7 +274,7 @@ def run_scenario(
     for sample in trace[:steps]:
         record, state = controller.solve_step(sample, state)
         records.append(record)
-    report = energy_metrics(records, scenario.alpha0, controller_cfg.battery.delta_t)
+    report = energy_metrics(records, scenario.alpha0, battery.delta_t)
     return records, report
 
 

@@ -19,12 +19,17 @@ eigenvalues of ``capability.poly_real_roots``.  ``csv_write_records`` and
 are the battery layer as it was written before its scalar rewrite, with
 ``TtcParams.covers``, lists of caps under ``min``/``max``, ``vc_sum`` and
 ``c_max_as``: the reference for the bits of the scalar functions.
+``two_path_quad_roots`` is ``capability.quad_roots`` as it was before its
+single scaled path: the unscaled formula, a rescaled one when a term of
+the discriminant leaves the normal range, and halved terms when their sum
+overflows.  The reference for the bits of the one path.
 """
 
 import csv
 import itertools
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -230,6 +235,40 @@ def least_in_cell(cell, p0, q0, wp, wq):
             if violation(cell, p, q) <= 0.0:
                 least = min(least, objective(p, q))
     return least
+
+
+def two_path_quad_roots(a, b, c):
+    """Real roots of a*x^2 + b*x + c, as ``capability.quad_roots`` found
+    them with a separate scaled path for out-of-range terms."""
+    if a == 0.0:
+        if b == 0.0:
+            return []
+        return [-c / b]
+    bb, ac4, e = b * b, 4.0 * (a * c), 0
+    if (b and not sys.float_info.min <= bb < math.inf) or (
+        c and not sys.float_info.min <= abs(ac4) < math.inf
+    ):
+        e = math.frexp(max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(c))))[1]
+        ea = math.frexp(a)[1]
+        b_scaled = math.ldexp(b, -e)
+        bb = b_scaled * b_scaled
+        ac4 = 4.0 * math.ldexp(a, -ea) * math.ldexp(c, ea - 2 * e)
+    disc = bb - ac4
+    if disc < 0.0:
+        return []
+    s = math.ldexp(math.sqrt(disc), e)
+    if b == 0.0:
+        q = 0.5 * s
+    else:
+        q = -0.5 * (b + math.copysign(s, b))
+        if math.isinf(q):  # |b| + s overflowed; their halves add in range
+            q = -(0.5 * b + math.copysign(0.5 * s, b))
+    roots = [q / a]
+    if q != 0.0:
+        roots.append(c / q)
+    else:
+        roots.append(-roots[0])
+    return roots
 
 
 def np_roots_real_roots(coeffs):

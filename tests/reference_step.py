@@ -15,13 +15,7 @@ from bessctl.battery import (
     solve_vdc,
     ttc_step,
 )
-from bessctl.capability import (
-    AC_SELECTION,
-    DC_SELECTION,
-    build_region,
-    in_half_open,
-    select_ac,
-)
+from bessctl.capability import AC_SELECTION, DC_SELECTION, build_region, select_ac
 from bessctl.grid import droop_targets, optimal_droops, predict_vac
 from bessctl.optimizer import (
     STATUS_CLAMP,
@@ -72,11 +66,11 @@ def reference_solve_step(ctl, sample, state):
         for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
             probed = probe(dc_anchor, ac_anchor)
             probes += 1
-            if in_half_open(probed.vac, ac_lo, ac_hi):
+            if ac_lo < probed.vac <= ac_hi:
                 break
         else:
             continue
-        if in_half_open(probed.vdc, dc_lo, dc_hi):
+        if dc_lo < probed.vdc <= dc_hi:
             break
     else:
         ac_anchor, clamped = select_ac(probed.vac)

@@ -193,6 +193,16 @@ class TestSolveVdc:
         with pytest.raises(InfeasiblePowerError):
             vdc_at(e * e / (4.0 * p.rs) / 1000.0 * 1.001, state, p)
 
+    @pytest.mark.parametrize(
+        "p_dc, drive, rs",
+        [(math.nan, 700.0, 0.01), (0.0, math.nan, 0.01), (0.0, -math.inf, 0.01)],
+        ids=["nan-power", "nan-drive", "minus-inf-drive"],
+    )
+    def test_a_nan_root_raises(self, p_dc, drive, rs):
+        # A nan discriminant, or -inf + inf in the root, has no bus voltage.
+        with pytest.raises(InfeasiblePowerError, match="beyond the maximum power point"):
+            solve_vdc(p_dc, drive, rs)
+
     def test_residual_and_monotonicity(self, bands):
         p = band(bands, 0.5)
         prev = None

@@ -27,7 +27,6 @@ from bessctl.capability import (
     atom_violation,
     build_region,
     cubic_real_roots,
-    in_half_open,
     index_curves,
     parse_curves,
     poly_real_roots,
@@ -35,7 +34,7 @@ from bessctl.capability import (
     select_ac,
 )
 
-from oracles import np_roots_real_roots, violation
+from oracles import np_roots_real_roots, two_path_quad_roots, violation
 
 SHRINK = 7.0 / 9.0
 
@@ -188,7 +187,7 @@ class TestCurveInvariants:
 
 def dc_ranges(vdc):
     """Anchors of the DC_SELECTION ranges holding vdc, scanned as the assumption loop does."""
-    return [anchor for lo, hi, anchor in DC_SELECTION if in_half_open(vdc, lo, hi)]
+    return [anchor for lo, hi, anchor in DC_SELECTION if lo < vdc <= hi]
 
 
 class TestSelectionTables:
@@ -433,6 +432,11 @@ class TestPolyRealRoots:
     def test_stationary_cubic_equals_np_roots(self, coeffs):
         assert root_outcome(poly_real_roots, coeffs) == root_outcome(np_roots_real_roots, coeffs)
 
+    @settings(max_examples=500, deadline=None)
+    @given(coeffs=st.lists(st.one_of(COEFFICIENT, st.just(-0.0)), max_size=3))
+    def test_degrees_up_to_two_equal_the_closed_forms(self, coeffs):
+        assert root_outcome(poly_real_roots, coeffs) == root_outcome(np_roots_real_roots, coeffs)
+
     def test_trailing_zeros_are_roots_at_zero(self):
         assert poly_real_roots([1.0, -3.0, 2.0, 0.0, 0.0]) == [2.0, 1.0, 0.0, 0.0]
         assert poly_real_roots([2.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
@@ -475,10 +479,19 @@ ANY_COEFFICIENT = st.one_of(
     st.sampled_from([5e-324, -1e-320, 1e-300, 1e300, -1.7e308]),
 )
 
+#: ANY_COEFFICIENT, zeros of either sign, the largest power of two and
+#: subnormals.
+EDGE_COEFFICIENT = st.one_of(
+    ANY_COEFFICIENT,
+    st.sampled_from([0.0, -0.0, 2.0**1023, -(2.0**1023), 2.0**-1074, -3e-320, 2.2e-308]),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+)
+
 
 class TestQuadRoots:
-    """quad_roots scales its discriminant by powers of two only when b*b or
-    4*a*c leaves the normal range; then neither term is lost."""
+    """quad_roots always scales its coefficients by powers of two, so that
+    neither term of the discriminant is lost; in the normal range that
+    rounds nothing."""
 
     def test_underflowing_b_squared_keeps_the_root(self):
         # b * b underflows to 0: the root -b/a used to come out halved.
@@ -490,9 +503,13 @@ class TestQuadRoots:
         assert quad_roots(1.0, 1e200, 1.0) == [-1e200, -1e-200]
         assert quad_roots(1e300, 0.0, 1e300) == []
 
-    def test_a_square_root_beyond_the_float_range_raises(self):
+    def test_a_square_root_beyond_the_float_range_keeps_the_roots(self):
+        # b*b - 4*a*c is 5e616: its square root overflowed unscaled.
+        assert quad_roots(-1e308, 1e308, 1e308) == [1.618033988749895, -0.6180339887498948]
+
+    def test_a_root_beyond_the_float_range_raises(self):
         with pytest.raises(OverflowError):
-            quad_roots(-1e308, 1e308, 1e308)
+            quad_roots(-1.7e308, 1.7e308, 1.7e308)
 
     @settings(max_examples=2000, deadline=None)
     @given(a=ANY_COEFFICIENT, b=ANY_COEFFICIENT)
@@ -506,6 +523,51 @@ class TestQuadRoots:
         assert quad_roots(1.0, 2.0**1023, 0.0) == [-(2.0**1023), -0.0]
         assert quad_roots(1.0, -sys.float_info.max, 0.0) == [sys.float_info.max, 0.0]
         assert quad_roots(2.0, 1e308, 1.0) == [-5e307, -1e-308]
+
+    @settings(max_examples=3000, deadline=None)
+    @given(a=EDGE_COEFFICIENT, b=EDGE_COEFFICIENT, c=EDGE_COEFFICIENT)
+    def test_equals_the_two_path_reference(self, a, b, c):
+        # The same bits wherever the reference returns; it raised where the
+        # square root of the discriminant overflowed, which the one path
+        # forms scaled.  Two input sets round differently, in the
+        # reference, on purpose (see the next test): a scale below
+        # 2**-990, where its sqrt(disc) can be subnormal, and an a*c that
+        # underflows while 4*(a*c) is normal, which its range test missed.
+        scale = max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(c)))
+        assume(scale == 0.0 or scale >= 2.0**-990)
+        assume(not 0.0 < abs(a * c) < sys.float_info.min <= abs(4.0 * (a * c)))
+        try:
+            expected = [x.hex() for x in two_path_quad_roots(a, b, c)]
+        except OverflowError:
+            return
+        assert [x.hex() for x in quad_roots(a, b, c)] == expected
+
+    @pytest.mark.parametrize(
+        "coeffs, expected, reference",
+        [
+            pytest.param(
+                (6.935140125810369e-308, 1.0943068472150711e-307, 4.316810670504869e-308),
+                [-0.7889580234161641, -0.7889579629420808],
+                [-0.7889580234161643, -0.7889579629420806],
+                id="subnormal-sqrt-disc",
+            ),
+            pytest.param(
+                (1.134890753518358e-154, 2.8362071858372423e-154, 1.7719924089734617e-154),
+                [-1.2495507506094787, -1.2495507506094787],
+                [],
+                id="underflowing-a-times-c",
+            ),
+        ],
+    )
+    def test_tiny_terms_give_the_roots_of_a_normal_multiple(self, coeffs, expected, reference):
+        # Near-double roots whose discriminant terms the reference rounded
+        # in the subnormal range: it lost the roots' last bits, or both
+        # roots.  The one path forms every term near 1, so scaling the
+        # coefficients by 2**600, which the unscaled formula solves in the
+        # normal range, changes no bit.
+        big = [math.ldexp(x, 600) for x in coeffs]
+        assert quad_roots(*coeffs) == quad_roots(*big) == unscaled_quad_roots(*big) == expected
+        assert two_path_quad_roots(*coeffs) == reference
 
     @settings(max_examples=2000, deadline=None)
     @given(a=ANY_COEFFICIENT, b=ANY_COEFFICIENT, c=ANY_COEFFICIENT)
@@ -535,8 +597,9 @@ ODD_COEFFICIENT = st.sampled_from(
 
 
 class TestCubicRealRoots:
-    """cubic_real_roots is poly_real_roots on four coefficients: the same
-    roots bit for bit, or the same error with the same message."""
+    """cubic_real_roots is the scalar copy of poly_real_roots' path for
+    four coefficients, which never calls it: the same roots bit for bit,
+    or the same error with the same message."""
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -562,18 +625,14 @@ class TestCubicRealRoots:
         with pytest.raises(ValueError, match=re.escape("got [1.0, nan, 0.0, -1.0]")):
             cubic_real_roots(1.0, math.nan, 0.0, -1.0)
 
-    def test_poly_real_roots_hands_its_cubics_over(self, monkeypatch):
-        calls = []
-        original = capability.cubic_real_roots
+    def test_poly_real_roots_solves_cubics_itself(self, monkeypatch):
+        expected = cubic_real_roots(1.0, -6.0, 11.0, -6.0)
 
-        def counting(*coeffs):
-            calls.append(coeffs)
-            return original(*coeffs)
+        def fail(*coeffs):
+            raise AssertionError(f"poly_real_roots called cubic_real_roots{coeffs}")
 
-        monkeypatch.setattr(capability, "cubic_real_roots", counting)
-        assert poly_real_roots([0.0, 1.0, -6.0, 11.0, -6.0]) == original(1.0, -6.0, 11.0, -6.0)
-        poly_real_roots([1.0, -3.0, 2.0, 0.0])  # a root at 0: the general path
-        assert calls == [(1.0, -6.0, 11.0, -6.0)]
+        monkeypatch.setattr(capability, "cubic_real_roots", fail)
+        assert poly_real_roots([0.0, 1.0, -6.0, 11.0, -6.0]) == expected
 
 
 class TestEigvalsErrorState:

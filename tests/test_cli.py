@@ -139,6 +139,18 @@ def test_short_trace_raises_outside_standalone_mode_and_exits_1_inside(tmp_path,
     assert result.stderr == "Error: trace has 5 samples, horizon needs 300\n"
 
 
+def test_run_with_soc_init_below_soc_min_exits_1_before_stepping(tmp_path, bessctl):
+    text = builtin_scenario_path("scenario1").read_text(encoding="utf-8")
+    assert "\nsoc_init 0.5\n" in text and "\nsoc_min 0.1\n" in text
+    scenario = tmp_path / "low_soc.cfg"
+    scenario.write_text(text.replace("\nsoc_init 0.5\n", "\nsoc_init 0.05\n"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    result = bessctl(["run", "--scenario", str(scenario), "--out", str(out_dir)])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: soc_init 0.05 outside [soc_min, soc_max] = [0.1, 0.9]\n"
+    assert not out_dir.exists()
+
+
 def test_run_with_short_trace_row_names_its_line(tmp_path, bessctl):
     trace_csv = tmp_path / "trace.csv"
     trace_csv.write_text("timestamp_s,freq_hz,v_mv_kv\n0,50.0,21.192\n1,50.01\n", encoding="utf-8")

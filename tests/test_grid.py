@@ -8,7 +8,6 @@ from bessctl.grid import (
     GridSample,
     TransformerParams,
     droop_targets,
-    initial_droops,
     optimal_droops,
     predict_vac,
 )
@@ -45,35 +44,6 @@ class TestDroopTargets:
             assert math.copysign(1, q0) == -math.copysign(1, v - c.v_ref) or q0 == 0
 
 
-class TestInitialDroops:
-    def test_full_capacity_consistency(self):
-        alpha0, beta0 = initial_droops(680.6, 724.4, 0.0588, 67.2)
-        assert alpha0 == pytest.approx(11575.0, abs=1.0)
-        assert beta0 == pytest.approx(10.78, abs=0.01)
-        assert alpha0 * 0.0588 == pytest.approx(680.6, abs=1e-9)
-
-    def test_seven_ninths_scaling(self):
-        s = 7.0 / 9.0
-        alpha0, beta0 = initial_droops(680.6 * s, 724.4 * s, 0.0588, 67.2)
-        assert alpha0 == pytest.approx(9003.0, abs=1.0)
-        assert beta0 == pytest.approx(8.39, abs=0.01)
-
-    def test_homogeneous_in_capacity(self):
-        base = initial_droops(680.6, 724.4, 0.0588, 67.2)
-        for c in (0.1, 0.5, 2.0):
-            scaled = initial_droops(680.6 * c, 724.4 * c, 0.0588, 67.2)
-            assert scaled[0] == pytest.approx(base[0] * c, rel=1e-12)
-            assert scaled[1] == pytest.approx(base[1] * c, rel=1e-12)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            initial_droops(680.6, 724.4, 0.0, 67.2)
-
-    def test_zero_gain_rejected_by_droop_config(self):
-        with pytest.raises(ValueError):
-            DroopConfig(alpha0=9003.0, beta0=0.0)
-
-
 class TestPresetGainSizing:
     """The shipped presets' gains follow the paper's sizing, capability / (k * sigma)."""
 
@@ -87,6 +57,14 @@ class TestPresetGainSizing:
         scenario, _ = load_run_config(builtin_scenario_path(name))
         return scenario.alpha0, scenario.beta0
 
+    def sized_gains(self, k_f, k_v):
+        """Gains that reach the shrunk capability, 680.6 kW and 724.4 kvar,
+        at k_f sigma_f and k_v sigma_V."""
+        return (
+            680.6 * self.SHRINK / (k_f * self.SIGMA_F_HZ),
+            724.4 * self.SHRINK / (k_v * self.SIGMA_V_V),
+        )
+
     @pytest.mark.parametrize(
         "name, k_f, k_v",
         [("scenario1", 3.3, 1.0), ("scenario2", 3.0, 1.0), ("scenario3", 1.5, 1.0)],
@@ -96,18 +74,14 @@ class TestPresetGainSizing:
 
         header = builtin_scenario_path(name).read_text("utf-8")
         assert f"({k_f:g} sigma_f on frequency, {k_v:g} sigma_V on voltage)" in header
-        sized = initial_droops(
-            680.6 * self.SHRINK, 724.4 * self.SHRINK, k_f * self.SIGMA_F_HZ, k_v * self.SIGMA_V_V
-        )
+        sized = self.sized_gains(k_f, k_v)
         assert self.preset_gains(name) == pytest.approx(sized, rel=1e-3)
 
     def test_scenario4_is_one_and_a_half_times_scenario3(self):
         alpha3, _ = self.preset_gains("scenario3")
         alpha4, beta4 = self.preset_gains("scenario4")
         assert alpha4 == 1.5 * alpha3
-        sized3 = initial_droops(
-            680.6 * self.SHRINK, 724.4 * self.SHRINK, 1.5 * self.SIGMA_F_HZ, self.SIGMA_V_V
-        )
+        sized3 = self.sized_gains(1.5, 1.0)
         assert (alpha4, beta4) == pytest.approx((1.5 * sized3[0], 1.5 * sized3[1]), rel=1e-3)
 
 
@@ -122,6 +96,10 @@ class TestDroopConfigValidation:
     def test_nonpositive_v_ref_rejected(self, value):
         with pytest.raises(ValueError, match="^v_ref must be positive and finite"):
             cfg(v_ref=value)
+
+    def test_zero_gain_rejected(self):
+        with pytest.raises(ValueError):
+            DroopConfig(alpha0=9003.0, beta0=0.0)
 
     @pytest.mark.parametrize(
         "line, bad, match",

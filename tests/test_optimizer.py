@@ -659,7 +659,7 @@ def numpy_real_roots(coeffs):
     while trimmed and trimmed[0] == 0.0:
         trimmed.pop(0)
     if len(trimmed) <= 3:
-        return optimizer.poly_real_roots(trimmed)
+        return capability.poly_real_roots(trimmed)
     arr = np.array(trimmed, dtype=float)
     deriv = np.polyder(arr)
     out = []

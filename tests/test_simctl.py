@@ -230,6 +230,24 @@ class TestRunScenario:
         with pytest.raises(TraceError, match="scenario has no trace and none was supplied"):
             run_scenario(scenario, controller_cfg, curve_map, bands)
 
+    @pytest.mark.parametrize("soc_init", [0.05, 0.95])
+    def test_soc_init_outside_the_battery_limits_rejected_before_a_step(
+        self, controller_cfg, curve_map, bands, soc_init
+    ):
+        # A nominal trace sets zero targets, so a stepped run would leave the
+        # SOC where it started and fail in ttc_step instead.
+        scenario = ScenarioSpec(alpha0=9003.0, beta0=8.39, duration_s=10.0, soc_init=soc_init)
+        trace = [GridSample(float(t), 50.0, 21.192) for t in range(10)]
+        message = rf"^soc_init {soc_init} outside \[soc_min, soc_max\] = \[0.1, 0.9\]$"
+        with pytest.raises(ValueError, match=message):
+            run_scenario(scenario, controller_cfg, curve_map, bands, trace=trace)
+
+    def test_soc_init_on_a_battery_limit_runs(self, controller_cfg, curve_map, bands):
+        scenario = ScenarioSpec(alpha0=9003.0, beta0=8.39, duration_s=10.0, soc_init=0.1)
+        trace = [GridSample(float(t), 50.0, 21.192) for t in range(10)]
+        records, _ = run_scenario(scenario, controller_cfg, curve_map, bands, trace=trace)
+        assert len(records) == 10
+
     def test_reference_trace_gives_zero_energy(self, controller_cfg, curve_map, bands):
         scenario = ScenarioSpec(
             alpha0=9003.0, beta0=8.39, duration_s=10.0, c_shrink=7.0 / 9.0
