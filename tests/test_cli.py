@@ -6,7 +6,15 @@ from bessctl.battery import builtin_params_text
 from bessctl.capability import builtin_curve_text
 from bessctl.grid import GridSample
 from bessctl.optimizer import STATUS_UNCHANGED, ControlRecord
-from bessctl.simctl import TraceError, builtin_scenario_path, main, write_records
+from bessctl.simctl import (
+    TraceError,
+    builtin_scenario_path,
+    load_run_config,
+    main,
+    resolve_trace,
+    run_scenario,
+    write_records,
+)
 
 
 def short_scenario(tmp_path, duration=40, alpha0=9003, beta0=8.39):
@@ -86,6 +94,29 @@ def test_run_with_trace_file_and_seeded_rerun_identical(tmp_path, bessctl):
         assert result.exit_code == 0, result.output
         outputs.append((out_dir / "records.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_run_seed_reseeds_only_the_scenario_trace(tmp_path, bessctl, curve_map, bands):
+    path = short_scenario(tmp_path)
+    scenario, cfg = load_run_config(path)
+    trace = resolve_trace(scenario.trace, 7)
+    records, _ = run_scenario(scenario, cfg, curve_map, bands, trace=trace)
+    write_records(records, tmp_path / "expected.csv")
+
+    def run(name, *options):
+        out_dir = tmp_path / name
+        result = bessctl(["run", "--scenario", str(path), *options, "--out", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        return (out_dir / "records.csv").read_bytes(), (out_dir / "summary.json").read_bytes()
+
+    seeded = run("seed7", "--seed", "7")
+    assert seeded[0] == (tmp_path / "expected.csv").read_bytes()
+    assert run("seed0", "--seed", "0")[0] != seeded[0]
+    trace_csv = tmp_path / "trace.csv"
+    result = bessctl(["gen-trace", "--n", "40", "--seed", "3", "--out", str(trace_csv)])
+    assert result.exit_code == 0, result.output
+    from_csv = run("csv", "--trace", str(trace_csv))
+    assert run("csv7", "--trace", str(trace_csv), "--seed", "7") == from_csv
 
 
 def test_run_trace_longer_than_duration_is_cut_to_horizon(tmp_path, bessctl):
