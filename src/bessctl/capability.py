@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -358,8 +358,7 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
     """Convex Q >= 0 or Q <= 0 half of a scaled region, in normal form.
 
     Feasible points satisfy p_lo <= p <= p_hi, q_lo <= q <= q_hi,

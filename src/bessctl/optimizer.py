@@ -79,7 +79,7 @@ A controller builds the region of every selection-table pair once, when
 it is constructed, and holds immutable configuration only; the evolving
 battery state is passed in and returned, so distinct instances can run
 scenario sweeps concurrently.  The values a step builds, the battery state
-it returns, its ``ProjectionProblem`` and its ``ControlRecord``, are
+it returns, its ``ProjectionProblem``, ``Cell`` and ``ControlRecord``, are
 immutable NamedTuples; the state and the problem validate their fields in
 ``__new__``.  A step still calls ``project``, ``dc_power_bounds``,
 ``solve_vdc``, ``predict_vac``, ``ttc_step`` and the other layer functions
@@ -114,6 +114,7 @@ from bessctl.capability import (
     Anchor,
     CapabilityCurve,
     Cell,
+    CompanionOverflowError,
     Corner,
     FeasibleRegion,
     build_region,
@@ -286,13 +287,38 @@ def _parabola_stationary(
     """Stationary points of the weighted objective on q = c0 + c1 p + c2 p^2."""
     c0, c1, c2 = para
     shift = c0 - q0
-    roots = cubic_real_roots(
+    cubic = (
         2.0 * wq * c2 * c2,
         3.0 * wq * c2 * c1,
         wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
         wq * c1 * shift - wp * p0,
     )
+    try:
+        roots = cubic_real_roots(*cubic)
+    except CompanionOverflowError:
+        roots = _rescaled_cubic_roots(*cubic)
     return [(p, c0 + c1 * p + c2 * p * p) for p in roots]
+
+
+def _rescaled_cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
+    """Real roots of a0*x^3 + a1*x^2 + a2*x + a3 whose companion row
+    overflows, as under a negligible weight or curvature: the roots y of the
+    cubic in x = 2**k * y, k the least integer with e_i - e_0 <= i*k for
+    every nonzero a_i, e_i its exponent, so that the scaled row is below 2
+    in magnitude.  Each is scaled back and polished by two Newton steps on
+    this cubic, which recovers what scaled coefficients below the float
+    range lost; powers of two round nothing else."""
+    e0 = math.frexp(a0)[1]
+    k = max(-((e0 - math.frexp(c)[1]) // i) for i, c in ((1, a1), (2, a2), (3, a3)) if c != 0.0)
+    scaled = [math.ldexp(c, -i * k - e0) for i, c in enumerate((a0, a1, a2, a3))]
+    out: list[float] = []
+    for y in cubic_real_roots(*scaled):
+        x = math.ldexp(y, k)
+        for _ in range(2):
+            if d := (3.0 * a0 * x + 2.0 * a1) * x + a2:
+                x -= (((a0 * x + a1) * x + a2) * x + a3) / d
+        out.append(x)
+    return out
 
 
 #: Outward normals of the P and Q lines, by tag.
@@ -530,16 +556,7 @@ def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
     its own p_lo and p_hi."""
     if p_min < cell.p_lo and cell.p_hi < p_max:
         return cell
-    return Cell(
-        max(p_min, cell.p_lo),
-        min(p_max, cell.p_hi),
-        cell.q_lo,
-        cell.q_hi,
-        cell.r,
-        cell.paras,
-        cell.corners,
-        cell.caps_nonneg,
-    )
+    return Cell(max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:])
 
 
 def _mantissa_product(w: float, d: float, s: float) -> tuple[float, int]:

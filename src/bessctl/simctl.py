@@ -244,7 +244,6 @@ def run_scenario(
     curves: dict[Anchor, CapabilityCurve],
     bands: Sequence[TtcParams],
     trace: Sequence[GridSample] | None = None,
-    seed: int | None = None,
 ) -> tuple[list[ControlRecord], EnergyReport]:
     """Run the control loop over the scenario horizon and report energies.
 
@@ -264,7 +263,7 @@ def run_scenario(
     if trace is None:
         if scenario.trace is None:
             raise TraceError("scenario has no trace and none was supplied")
-        trace = resolve_trace(scenario.trace, seed)
+        trace = resolve_trace(scenario.trace)
     steps = int(round(scenario.duration_s / battery.delta_t))
     if len(trace) < steps:
         raise TraceError(f"trace has {len(trace)} samples, horizon needs {steps}")
@@ -483,8 +482,9 @@ def _run(args: argparse.Namespace) -> None:
     scenario, cfg = load_run_config(args.scenario)
     curves = index_curves(builtin_curves() if args.curves is None else load_curves(args.curves))
     bands = builtin_ttc_params() if args.params is None else load_ttc_params(args.params)
-    trace = None if args.trace is None else resolve_trace(args.trace, args.seed)
-    records, report = run_scenario(scenario, cfg, curves, bands, trace=trace, seed=args.seed)
+    spec = scenario.trace if args.trace is None else args.trace
+    trace = None if spec is None else resolve_trace(spec, args.seed)
+    records, report = run_scenario(scenario, cfg, curves, bands, trace=trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_records(records, out / "records.csv")

@@ -1277,7 +1277,7 @@ class TestBindingCaps:
             corners = capability._cell_corners(pruned.q_lo, pruned.q_hi, pruned.r, paras)
         except ValueError:
             assume(False)  # a cap too flat beside the disk
-        full = dataclasses.replace(pruned, paras=tuple(paras), corners=corners)
+        full = pruned._replace(paras=tuple(paras), corners=corners)
         p0, q0 = draw_spot_target(data, full, [p * shrink for p in spots])
         cells = [optimizer._narrowed(c, p_min, p_max) for c in (pruned, full)]
         assert outcome(optimizer._project_cell, cells[0], p0, q0, *weights) == outcome(
@@ -1292,7 +1292,7 @@ class TestBindingCaps:
             [PMin(-1.0), PMax(1.0), ParabolaCap(1000.00001, 1000.0, 0.0)], 1.0, False
         )
         assert cell.paras == ((1000.00001, 1000.0, 0.0),)
-        without = dataclasses.replace(cell, paras=(), corners=())
+        without = cell._replace(paras=(), corners=())
         outside = (-1.0 - 5e-8, 0.0, optimizer._SCREEN_TOL)
         assert without.within(*outside) and not cell.within(*outside)
         # The cap's stationary point beyond the box no longer outranks the
@@ -1713,6 +1713,34 @@ class TestKktCertificate:
         cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
         p, q, _ = optimizer._project_cell(cell, 100.0, 800.0, 2.0, 5e-324)
         assert (p, q) == (100.0, 510.29952380952375)
+
+    @pytest.mark.parametrize("lambda_q", [1e-300, 1e-305, 1e-310])
+    def test_a_negligible_weight_solves_the_cap_cubic_rescaled(self, curve_map, lambda_q):
+        # The cap's stationary cubic leads with 2 * lambda_q * c2^2, so small
+        # beside its other coefficients that the companion row overflows;
+        # solved in a power-of-two scaled variable, it gives the point that
+        # lambda_q = 0 gives.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        expected = (200.0, 501.96809523809515)
+        for weights in ((1.0, lambda_q), (1.0, 0.0)):
+            assert project(problem(region, (200.0, 600.0), weights, (-500.0, 500.0))) == expected
+        cell = optimizer._narrowed(region.upper_cell, -500.0, 500.0)
+        assert certifies(cell, *expected, 200.0, 600.0, 1.0, lambda_q)
+
+    def test_a_negligible_curvature_solves_the_cap_cubic_rescaled(self):
+        # 2 * c2^2 = 2e-320 leads the cubic, and its companion row overflows.
+        atoms = (PMin(-500.0), PMax(500.0), ParabolaCap(100.0, 0.0, -1e-160))
+        region = build_region([CapabilityCurve("flat", 600.0, 300.0, atoms)], 1.0)
+        assert project(problem(region, (10.0, 300.0))) == (10.0, 100.0)
+        cell = optimizer._narrowed(region.upper_cell, *WIDE)
+        assert certifies(cell, 10.0, 100.0, 10.0, 300.0, 1.0, 1.0)
+
+    def test_the_rescaled_roots_are_polished_on_the_original_cubic(self):
+        # At p0 = 0 the cubic's constant term, -lambda_q * c1 * 100 = -5e-304,
+        # falls below the float range once the cubic is scaled for its row,
+        # so the scaled root is 0; Newton steps on the original recover it.
+        points = optimizer._parabola_stationary(0.0, 600.0, (500.0, 0.5, -2e-4), 1.0, 1e-305)
+        assert points == [(5e-304, 500.0)]
 
     def test_far_target_takes_the_certified_corner(self, curve_map):
         # 1e19 away, the candidates' objectives differ by less than an ulp.

@@ -21,6 +21,7 @@ import pytest
 
 import bessctl
 from bessctl.battery import TtcState
+from bessctl.capability import Cell
 from bessctl.optimizer import ControlRecord, Probe, ProjectionProblem
 
 PACKAGE = Path(bessctl.__file__).parent
@@ -162,7 +163,7 @@ def test_point_tol_only_sets_the_status_flags():
     assert readers_of(PACKAGE / "optimizer.py", "_POINT_TOL") == {"SetpointController.solve_step"}
 
 
-@pytest.mark.parametrize("value_type", [TtcState, ProjectionProblem, ControlRecord, Probe])
+@pytest.mark.parametrize("value_type", [TtcState, ProjectionProblem, ControlRecord, Probe, Cell])
 def test_per_step_value_types_are_not_dataclasses(value_type):
     # A frozen dataclass sets each field through object.__setattr__ and then
     # runs __post_init__, a large share of a cheap step.
