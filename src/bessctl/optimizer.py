@@ -72,8 +72,18 @@ rounds nothing.  The crossings that do not involve the P box, among them
 the disk-parabola quartic, are the cell's corners, found once by
 ``build_region``; per call, only a violated cap's stationary-point cubic
 goes through numpy, in ``capability.cubic_real_roots``, which stores its
-scalar coefficients straight into a 3x3 companion matrix for LAPACK.  The
-cell across Q = 0 from the target is solved only when it could still win.
+scalar coefficients straight into a 3x3 companion matrix for LAPACK.
+
+The better of the two cells is the projection.  With one weight zero the
+projection is lexicographic: lambda_q = 0 takes the best p, then the q
+nearest q0 at that p.  Each cell's lexicographic branch does this within
+the cell; across the cells, a tie on the weighted coordinate goes to the
+cell whose point is nearer the target in the unweighted one, so a
+feasible q target below Q = 0 is kept rather than clipped to 0.  The
+cell across Q = 0 from the target is solved only when it could still win;
+with lambda_q = 0, only when the target-side cell stops short of the P
+bound that the other reaches: otherwise the other can at best tie on p,
+and then loses on q.
 
 A controller builds the region of every selection-table pair once, when
 it is constructed, and holds immutable configuration only; the evolving
@@ -590,27 +600,47 @@ def _tie_difference(
 def project(problem: ProjectionProblem) -> tuple[float, float]:
     """Feasible set-point with least weighted distance to the target.
 
-    The better of the two Q-sign cells wins, with ties broken toward the
-    upper (Q >= 0) cell for determinism.  When the two cells' objectives
-    round to the same float, as for targets about 1e19 away, their exact
-    difference wp*(pu-pl)*(pu+pl-2*p0) + wq*(qu-ql)*(qu+ql-2*q0) decides
-    instead, with a tie of that going to the upper cell too; its products
-    are scaled by powers of two (see _tie_difference), so one that
-    underflows, as for targets within about 1e-162 of both points, keeps
-    its sign.  The cell across Q = 0 from the target costs at least
-    lambda_p * d^2 + lambda_q * q0^2, d the distance from p0 to its
-    narrowed P box, while its projection keeps p in that box and the other
-    sign of q.  The float objective is monotone in |p - p0|
-    and |q - q0|, so the bound holds after rounding too; when the
-    target-side cell, solved first, does better than it (by a relative
-    1e-12) the other cell is not solved.  With lambda_q = 0 the bound is
-    lambda_p * d^2 alone, which the other cell's objective, lambda_p *
-    (p - p0)^2 plus an exact zero, cannot fall below in floats.  So when
-    q0 >= 0, where the other cell is the lower one, a first cell that costs
-    less than the bound wins, and so does one whose p is the bound's: the
-    lower cell's p is no nearer to p0, so it loses the tie.  The lower cell
-    is then not solved; with q0 < 0 the upper cell can still tie and is
-    solved.
+    The better of the two Q-sign cells wins.  When the two cells'
+    objectives round to the same float, as for targets about 1e19 away,
+    their exact difference wp*(pu-pl)*(pu+pl-2*p0) + wq*(qu-ql)*(qu+ql-2*q0)
+    decides instead; its products are scaled by powers of two (see
+    _tie_difference), so one that underflows, as for targets within about
+    1e-162 of both points, keeps its sign.  When that difference is 0 and
+    one weight is zero, the projection is lexicographic and the unweighted
+    coordinate decides: with lambda_q = 0 the cell whose q is nearer q0
+    wins, by the sign of (qu-ql)*(qu+ql-2*q0), and with lambda_p = 0 the
+    cell whose p is nearer p0.  A tie left after that goes to the upper
+    (Q >= 0) cell, for determinism.  The computed sign of each factor is
+    the exact one or 0, as a float sum or difference rounds monotonically
+    and 2*p0 and 2*q0 are exact.
+
+    The near cell, on the target's side of Q = 0, is solved first.  The far
+    cell costs at least lambda_p * d^2 + lambda_q * q0^2, d the distance
+    from p0 to edge, the clip of p0 into its narrowed P box, while its
+    projection keeps p in that box and the other sign of q.  The float
+    objective is monotone in |p - p0| and |q - q0|, so the bound holds
+    after rounding too; when lambda_q > 0 and the near cell does better
+    than it (by a relative 1e-12) the far cell is not solved.
+
+    With lambda_q = 0 both objectives are lambda_p * (p - p0)^2 plus an
+    exact zero.  The far cell's p is edge, or was pulled from edge toward
+    0 (see _clip_to_nonempty) and so lies strictly farther from p0.  So a
+    near cell that costs less than lambda_p * (edge - p0)^2 wins.  One
+    whose p is edge ties or beats the far cell on p: a far p elsewhere
+    loses the exact difference (its computed sign is 0 at worst, and only
+    where lambda_p * (p - p0)^2 underflows), and a far p at edge ties it
+    exactly, so q decides.  At p = edge the far cell's q interval is not
+    empty, so no cap is below 0 there: a cap of the atoms that were would
+    bound both cells there, or lie above one that does (see
+    capability._binding_caps).  So the near cell's q interval at edge
+    reaches 0 on its side, and its q lies between q0 and 0, nearer q0
+    than the far cell's, of the other sign, or tied with it at q = 0.  The
+    computed q sign agrees: with q0 >= 0 it favours the lower cell only if
+    the exact one does, and with q0 < 0, where qu >= 0 >= ql >= q0 and
+    qu+ql rounds to at least q0 > 2*q0, it is exact.  So the far cell is
+    not solved, for either sign of q0 and whatever the caps, unless the
+    near cell is the lower one at q = 0, as where edge lies on its disk:
+    a tie there goes to the upper cell.
     _polish keeps lower-cell points at q <= 0, but upper-cell ones at
     q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
     can pull them just below.  A target whose p0^2 + q0^2 overflows (about
@@ -631,9 +661,11 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
                 return first[0], first[1]
-        elif wq == 0.0 and q0 >= 0.0:
+        elif wq == 0.0:
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
-            if first[2] < wp * (edge - p0) ** 2 or first[0] == edge:
+            if first[2] < wp * (edge - p0) ** 2 or (
+                first[0] == edge and (q0 >= 0.0 or first[1] != 0.0)
+            ):
                 return first[0], first[1]
         second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
     except OverflowError as exc:
@@ -642,7 +674,11 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     if fl == fu:
         # Both objectives rounded to one float: fu - fl written as a product
         # of differences, which keeps what the rounded squares lost, decides.
-        fl, fu = 0.0, _tie_difference(wp, pu - pl, pu + pl - 2.0 * p0, wq, qu - ql, qu + ql - 2.0 * q0)
+        dp, sp, dq, sq = pu - pl, pu + pl - 2.0 * p0, qu - ql, qu + ql - 2.0 * q0
+        fl, fu = 0.0, _tie_difference(wp, dp, sp, wq, dq, sq)
+        if fu == 0.0 and (wp == 0.0 or wq == 0.0):
+            # Lexicographic: the weights swapped weigh the other coordinate.
+            fu = _tie_difference(wq, dp, sp, wp, dq, sq)
     return (pl, ql) if fl < fu else (pu, qu)
 
 

@@ -6,10 +6,13 @@ a short low-voltage run, which takes the two-envelope regions and the
 conservative clamp that the nominal-voltage presets never reach.
 tests/data/soc_edge_records.csv holds a run with lambda_q = 0 that starts
 near soc_min, so it takes the lexicographic projection and, once the SOC
-reaches its floor, the battery's SOC bound.  Three short runs cover the
-projection's bisections: unequal_weights_records.csv (lambda_q = 4 at
-18.7 kV) bisects the disk multiplier and exits at a cap on every step,
-p_lex_records.csv (lambda_p = 0) bisects the feasible p slice, and
+reaches its floor, the battery's SOC bound.  Its q_opt is the feasible q
+nearest q_target at p_opt, of either sign: a tie on p between the two
+Q-sign cells goes to the one nearer q_target, so a feasible negative q
+target is kept, not clipped to 0.  Three short runs cover the projection's
+bisections: unequal_weights_records.csv (lambda_q = 4 at 18.7 kV) bisects
+the disk multiplier and exits at a cap on every step, p_lex_records.csv
+(lambda_p = 0) bisects the feasible p slice, and
 q_lex_undervoltage_records.csv (lambda_q = 0 at 18.7 kV) bisects the
 q slice of two-envelope cells.  All five data files come from
 write_golden_records.  A change that alters them must regenerate them and
@@ -32,6 +35,8 @@ from bessctl.simctl import (
     run_scenario,
     write_records,
 )
+
+from oracles import direct_feasible
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -88,6 +93,25 @@ def test_soc_edge_records_match_golden(tmp_path):
     # The SOC at its floor closes the discharge side: a P target > 0 gets 0.
     assert any(r.p_target > 0.0 and r.p_opt == 0.0 for r in records)
     assert (tmp_path / "records.csv").read_bytes() == SOC_EDGE_GOLDEN.read_bytes()
+
+
+def test_soc_edge_keeps_every_feasible_q_target(tmp_path):
+    # With lambda_q = 0, q is the feasible value nearest q_target at p_opt:
+    # q_target itself whenever the direct oracle finds (p_opt, q_target) in
+    # the step's region, whichever its sign.
+    records = write_golden_records(tmp_path / "records.csv", 300, NOMINAL_KV, 1.0, 0.0, 0.11)
+    shrink = load_run_config(builtin_scenario_path("scenario4"))[0].c_shrink
+    kept = [
+        r
+        for r in records
+        if all(
+            direct_feasible(a, r.p_opt, r.q_target, shrink)
+            for a in (r.curve_dc, r.curve_ac)
+            if a is not None
+        )
+    ]
+    assert any(r.q_target < 0.0 for r in kept)
+    assert [r.q_opt for r in kept] == [r.q_target for r in kept]
 
 
 def test_unequal_weights_records_match_golden(tmp_path):

@@ -176,11 +176,6 @@ class TestProject:
             k = primary if x[primary] != t[primary] else 1 - primary
             if x[k] == t[k]:
                 continue
-            if primary == 0 and k == 1 and x[1] == 0.0 and t[1] < 0.0:
-                # lambda_q = 0 leaves q out of the objective, so the two Q-sign
-                # cells tie and the upper one wins at q = 0, although q nearer
-                # a negative target is feasible in the lower cell.
-                continue
             step = list(x)
             step[k] += math.copysign(1e-6, t[k] - x[k])
             if k == primary:
@@ -650,6 +645,8 @@ CROSSING_CORNER = (316.2277660168379, 0.0)
 CROSSING_DELTA = st.builds(
     math.copysign, st.floats(1e-8, 1e-7), st.sampled_from([-1.0, 1.0])
 )
+#: The test envelopes by the names that the region strategies draw.
+NAMED_CURVES = {"dipping": [DIPPING], "crossing": [CROSSING]}
 
 
 def numpy_real_roots(coeffs):
@@ -714,7 +711,10 @@ def fresh_corners(cell):
 def reference_project(prob):
     """Both narrowed cells solved; the lower one wins only if strictly
     better, or, when the objectives tie, if their difference, written as a
-    product of differences and evaluated in exact rationals, puts it ahead."""
+    product of differences and evaluated in exact rationals, puts it ahead.
+    When that difference is 0 too and one weight is zero, the lower cell
+    wins only if its point is strictly nearer the target in the unweighted
+    coordinate, measured in exact rationals."""
     p0, q0, wp, wq = prob.p_target, prob.q_target, prob.lambda_p, prob.lambda_q
     (pu, qu, fu), (pl, ql, fl) = (
         optimizer._project_cell(optimizer._narrowed(cell, prob.p_min, prob.p_max), p0, q0, wp, wq)
@@ -723,6 +723,9 @@ def reference_project(prob):
     if fl == fu:
         exact = [Fraction(x) for x in (pu - pl, pu + pl - 2.0 * p0, qu - ql, qu + ql - 2.0 * q0)]
         fl, fu = 0, Fraction(wp) * exact[0] * exact[1] + Fraction(wq) * exact[2] * exact[3]
+        if fu == 0 and 0.0 in (wp, wq):
+            u, l, t = (pu, pl, p0) if wp == 0.0 else (qu, ql, q0)
+            fl, fu = (abs(Fraction(x) - Fraction(t)) for x in (l, u))
     return (pl, ql) if fl < fu else (pu, qu)
 
 
@@ -736,6 +739,10 @@ target_st = st.tuples(
 )
 p_min_st = st.one_of(st.just(0.0), st.just(-1e6), st.floats(-1000.0, 0.0))
 p_max_st = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.0, 1000.0))
+#: A target coordinate that is often on or within _POINT_TOL of its axis.
+AXIS_COORDINATE = st.one_of(
+    st.floats(-2000.0, 2000.0), st.floats(-1e-9, 1e-9), st.sampled_from([0.0, -0.0])
+)
 
 #: Offsets across a boundary, dense within the _POINT_TOL of the status
 #: flags and near its top, where a point is farther outside than a
@@ -914,7 +921,7 @@ class TestProjectExactness:
 
     @settings(max_examples=600, deadline=None)
     @given(
-        anchors=st.sampled_from(REGION_ANCHORS + ["dipping"]),
+        anchors=st.sampled_from(REGION_ANCHORS + ["dipping", "crossing"]),
         shrink=st.floats(1e-3, 1.0),
         weights=weights_st,
         target=target_st,
@@ -934,48 +941,94 @@ class TestProjectExactness:
     def test_equals_both_cell_reference(
         self, curve_map, anchors, shrink, weights, target, p_min, p_max
     ):
-        curves = [DIPPING] if anchors == "dipping" else [curve_map[a] for a in anchors]
+        curves = NAMED_CURVES.get(anchors) or [curve_map[a] for a in anchors]
         prob = problem(build_region(curves, shrink), target, weights, (p_min, p_max))
         assert project(prob) == reference_project(prob)
 
+    @pytest.mark.parametrize("axis", [(1.0, 0.0), (0.0, 1.0)], ids=["lambda_q=0", "lambda_p=0"])
     @settings(max_examples=1500, deadline=None)
     @given(
         anchors=st.sampled_from(REGION_ANCHORS + ["dipping", "crossing"]),
         shrink=st.floats(1e-3, 1.0),
-        wp=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
-        target=st.tuples(
-            st.floats(-2000.0, 2000.0),
-            st.one_of(
-                st.floats(-2000.0, 2000.0), st.floats(-1e-9, 1e-9), st.sampled_from([0.0, -0.0])
-            ),
-        ),
+        w=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+        target=st.tuples(AXIS_COORDINATE, AXIS_COORDINATE),
         p_min=p_min_st,
         p_max=p_max_st,
     )
-    def test_zero_q_weight_equals_both_cell_reference(
-        self, curve_map, anchors, shrink, wp, target, p_min, p_max
+    def test_one_zero_weight_equals_both_cell_reference(
+        self, curve_map, axis, anchors, shrink, w, target, p_min, p_max
     ):
-        # With lambda_q = 0 and q0 >= 0 the lower cell is skipped when the
-        # upper one costs at most lambda_p * d^2; it must lose every such tie.
-        named = {"dipping": [DIPPING], "crossing": [CROSSING]}
-        curves = named.get(anchors) or [curve_map[a] for a in anchors]
-        prob = problem(build_region(curves, shrink), target, (wp, 0.0), (p_min, p_max))
+        # With lambda_q = 0 the far cell is skipped when the near one costs
+        # less than lambda_p * d^2 or reaches edge; it must lose every such
+        # tie, on p or on q.  With lambda_p = 0 both cells can reach the
+        # same q at different p, and the one nearer p0 must win.
+        curves = NAMED_CURVES.get(anchors) or [curve_map[a] for a in anchors]
+        weights = (w * axis[0], w * axis[1])
+        prob = problem(build_region(curves, shrink), target, weights, (p_min, p_max))
         assert project(prob) == reference_project(prob)
 
-    @pytest.mark.parametrize("q0, cells", [(50.0, 1), (0.0, 1), (-50.0, 2)])
-    def test_zero_q_weight_solves_the_lower_cell_only_when_it_can_win(
-        self, curve_map, monkeypatch, q0, cells
+    @pytest.mark.parametrize("q0", [50.0, 0.0, -50.0])
+    def test_zero_q_weight_solves_the_far_cell_only_when_it_can_win(
+        self, curve_map, monkeypatch, q0
     ):
         # p0 lies beyond the battery bound, which both cells reach: the
-        # objectives tie at lambda_p * (p_max - p0)^2.  The upper cell wins
-        # ties, so solved first (q0 >= 0) it settles the step alone; solved
-        # second (q0 < 0) it is still needed to break the tie.
+        # objectives tie at lambda_p * (p_max - p0)^2 and so do the p.  The
+        # near cell, on q0's side of Q = 0, is nearer q0 or ties it at q = 0
+        # as the upper cell, so solved first it settles the step alone.
         region = build_region([curve_map[(600.0, 300.0)]], 1.0)
         prob = problem(region, (800.0, q0), (1.0, 0.0), (-300.0, 300.0))
         expected = reference_project(prob)
         counts = count_calls(monkeypatch, (optimizer, "_project_cell"))
-        assert project(prob) == expected
-        assert counts == {"_project_cell": cells}
+        assert project(prob) == expected == (300.0, q0)
+        assert counts == {"_project_cell": 1}
+
+    def test_zero_q_weight_solves_the_far_cell_when_the_near_one_leaves_the_edge(
+        self, monkeypatch
+    ):
+        # DIPPING's cap is below Q = 0 at p_max = 500, so the upper cell's
+        # q interval is empty there and its p is pulled toward 0; the lower
+        # cell, solved second, reaches p_max and wins on p.
+        prob = problem(build_region([DIPPING], 1.0), (800.0, 50.0), (1.0, 0.0), (-500.0, 500.0))
+        expected = reference_project(prob)
+        counts = count_calls(monkeypatch, (optimizer, "_project_cell"))
+        assert project(prob) == expected == (500.0, -125.0)
+        assert counts == {"_project_cell": 2}
+
+    def test_zero_q_weight_tie_on_p_goes_to_the_cell_nearer_q0(self, curve_map, monkeypatch):
+        # Stand-in cell solves that both stop short of p_max at p = 250, so
+        # neither is at edge and both are solved: their p tie exactly, and
+        # the lower cell's q, 10 kvar from q0, beats the upper cell's 50.
+        points = {0.0: (250.0, 0.0), -math.inf: (250.0, -40.0)}
+
+        def cell_solve(cell, p0, q0, wp, wq):
+            return (*points[cell.q_lo], wp * (250.0 - p0) ** 2)
+
+        monkeypatch.setattr(optimizer, "_project_cell", cell_solve)
+        region = build_region([curve_map[(600.0, 300.0)]], 1.0)
+        prob = problem(region, (800.0, -50.0), (1.0, 0.0), (-300.0, 300.0))
+        assert project(prob) == reference_project(prob) == (250.0, -40.0)
+
+    def test_zero_p_weight_tie_on_q_goes_to_the_cell_nearer_p0(self):
+        # At q = 0 both cells are solved and tie on q; the lower cell's
+        # wider disk reaches p0, the upper cell's stops at 650.
+        curve = CapabilityCurve(
+            "split", 600.0, 300.0, (Disk(650.0, "upperQ"), Disk(700.0, "lowerQ"))
+        )
+        prob = problem(build_region([curve], 1.0), (680.0, 0.0), (0.0, 1.0))
+        assert project(prob) == reference_project(prob) == (680.0, 0.0)
+
+    def test_zero_q_weight_solves_the_upper_cell_for_a_lower_point_at_q_zero(
+        self, curve_map, monkeypatch
+    ):
+        # p_max lies on the 500/270 disk, where the lower cell's q interval
+        # is the single point -0.0: both cells reach (649.5, 0) and the tie
+        # goes to the upper cell, whose q is +0.0.
+        region = build_region([curve_map[(500.0, 270.0)]], 1.0)
+        prob = problem(region, (800.0, -50.0), (1.0, 0.0), (-300.0, 649.5))
+        counts = count_calls(monkeypatch, (optimizer, "_project_cell"))
+        p, q = project(prob)
+        assert (p, q) == (649.5, 0.0) and math.copysign(1.0, q) == 1.0
+        assert counts == {"_project_cell": 2}
 
     @settings(max_examples=1500, deadline=None)
     @given(
