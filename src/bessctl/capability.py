@@ -14,23 +14,29 @@ each cell once into a shrink-scaled ``Cell`` (a P/Q box, at most one disk
 and the parabola caps that can bind on a finite P box), on which all
 downstream optimization works.  The cell also carries the crossings of
 those boundaries that do not involve its P lines, which are the same for
-every projection onto it.
+every projection onto it.  When a projection first reaches them, a region
+also tabulates its cells' screened crossings with their constraint normals
+(``FeasibleRegion.crossing_tables``), which no target changes.
 ``FeasibleRegion.contains`` deliberately stays on the unscaled atoms, so it
 remains an independent membership check of what the optimizer returns.
 
 Curves and regions are immutable after construction and therefore safe for
-unrestricted concurrent reads.
+unrestricted concurrent reads.  The crossing tables are the one value a
+region fills in later; threads that build them at once build equal tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar
+from numpy._core.umath import _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from bessctl.linefmt import LineFormatError, parse_number, read_blocks
@@ -236,20 +242,30 @@ def _raise_nonconvergence(err: str, flag: int) -> None:
     raise LinAlgError("Eigenvalues did not converge")
 
 
-@np.errstate(
+#: numpy's error state while ``_eigvals`` runs, built once: invalid calls
+#: ``_raise_nonconvergence``, and over, divide and under are ignored.
+_EIGVALS_EXTOBJ = _make_extobj(
     call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
+
+
 def _eigvals(companion: np.ndarray) -> np.ndarray:
     """Complex eigenvalues of a finite, square float64 matrix.
 
     The LAPACK ``dgeev`` gufunc behind ``np.linalg.eigvals``, called under
     the same error state, so non-convergence raises the same LinAlgError;
-    the caller makes the wrapper's input checks.  The ``np.errstate``
-    decorator is built once, at import; numpy >= 2 sets its state for each
-    call in a per-context variable, so concurrent calls do not share it,
-    and restores the caller's state on return and on raise.
+    the caller makes the wrapper's input checks.  The error state is
+    ``_EIGVALS_EXTOBJ``, which ``np.errstate`` would rebuild on every call;
+    it takes the buffer size in force at import, which changes no result.
+    numpy >= 2 keeps the state in a context variable, so concurrent calls
+    do not share it, and the reset restores the caller's state on return
+    and on raise.
     """
-    return _umath_linalg.eigvals(companion, signature="d->D")
+    token = _extobj_contextvar.set(_EIGVALS_EXTOBJ)
+    try:
+        return _umath_linalg.eigvals(companion, signature="d->D")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
@@ -303,7 +319,7 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     LAPACK gufunc that ``np.linalg.eigvals`` calls, without that wrapper's
     checks: this function has already made the matrix 2-D, square, float64
     and finite, and keeps complex roots as ``.imag``.  ``_eigvals`` sets
-    the wrapper's error state through a decorator built at import.  Cubics
+    the wrapper's error state from an object built at import.  Cubics
     take this path too: ``cubic_real_roots`` is its scalar copy and falls
     back to it, never the other way round.
     ``tests/test_capability.py::TestPolyRealRoots`` keeps the roots
@@ -404,6 +420,98 @@ class Cell(NamedTuple):
             if q - (c0 + c1 * p + c2 * p * p) > tol:
                 return False
         return True
+
+
+#: Feasibility slack used when screening projection candidates [kW/kvar].
+SCREEN_TOL = 1e-7
+
+#: Relative rounding allowed on a KKT multiplier that is 0 at the optimum.
+MU_TOL = 1e-12
+
+#: Outward normals of the P and Q lines, by tag.
+_LINE_NORMALS = {"p_lo": (-1.0, 0.0), "p_hi": (1.0, 0.0), "q_lo": (0.0, -1.0), "q_hi": (0.0, 1.0)}
+
+#: The target-independent half of a crossing's KKT test: the outward normals
+#: (ap, aq) and (bp, bq) of its two constraints, their determinant and
+#: their lengths.
+Kkt = tuple[float, float, float, float, float, float, float]
+
+#: A crossing that passes the screen, (p, q, kkt); kkt is None when the
+#: crossing cannot certify: its normals are parallel, or it misses a third
+#: constraint (see ``meets``).
+Crossing = tuple[float, float, Optional[Kkt]]
+
+
+def _crossings(cell: Cell) -> Iterator[Corner]:
+    """Every pairwise crossing of the cell's constraints as (p, q, a, b), in
+    a fixed order: those of each finite P line with the finite Q lines, the
+    disk and the caps, which move with the narrowed P box, then the stored
+    corners."""
+    for a, line in ((cell.p_lo, "p_lo"), (cell.p_hi, "p_hi")):
+        if not math.isfinite(a):
+            continue
+        for b, other in ((cell.q_lo, "q_lo"), (cell.q_hi, "q_hi")):
+            if math.isfinite(b):
+                yield a, b, line, other
+        if math.isfinite(cell.r) and cell.r * cell.r >= a * a:
+            s = math.sqrt(cell.r * cell.r - a * a)
+            yield a, s, line, "disk"
+            yield a, -s, line, "disk"
+        for i, (c0, c1, c2) in enumerate(cell.paras):
+            yield a, c0 + c1 * a + c2 * a * a, line, i
+    yield from cell.corners
+
+
+def _normal(cell: Cell, k: str | int, p: float, q: float) -> tuple[float, float]:
+    """The gradient at (p, q) of constraint k's g, up to a positive factor."""
+    if k == "disk":
+        return p, q
+    if isinstance(k, int):
+        c0, c1, c2 = cell.paras[k]
+        return -(c1 + 2.0 * c2 * p), 1.0
+    return _LINE_NORMALS[k]
+
+
+def meets(cell: Cell, p: float, q: float, pair: tuple[str | int, ...]) -> bool:
+    """True when (p, q), the projection onto the constraints of pair alone,
+    passes the screen and meets every other constraint exactly."""
+    if not cell.within(p, q, SCREEN_TOL):
+        return False
+    return cell.within(p, q, 0.0) or (
+        ("p_lo" in pair or p >= cell.p_lo)
+        and ("p_hi" in pair or p <= cell.p_hi)
+        and ("q_lo" in pair or q >= cell.q_lo)
+        and ("q_hi" in pair or q <= cell.q_hi)
+        and ("disk" in pair or math.hypot(p, q) <= cell.r)
+        and all(
+            i in pair or q <= c0 + c1 * p + c2 * p * p for i, (c0, c1, c2) in enumerate(cell.paras)
+        )
+    )
+
+
+def screened_crossings(cell: Cell) -> Iterator[Crossing]:
+    """Each crossing of ``_crossings`` that passes the screen, in that
+    order, as (p, q, kkt).
+
+    kkt is None where the crossing cannot be the certified optimum of any
+    target: its normals are within MU_TOL of parallel, so no multipliers
+    exist, or it misses a constraint other than its two (see ``meets``).
+    Otherwise it is (ap, aq, bp, bq, det, |a|, |b|), the normals of the
+    pair, ap*bq - aq*bp and the square roots of ap*ap + aq*aq and
+    bp*bp + bq*bq.  None of this depends on the target, so a region keeps
+    the tuple of each of its cells (``FeasibleRegion.crossing_tables``).
+    """
+    for p, q, a, b in _crossings(cell):
+        if not cell.within(p, q, SCREEN_TOL):
+            continue
+        ap, aq = _normal(cell, a, p, q)
+        bp, bq = _normal(cell, b, p, q)
+        na, nb = ap * ap + aq * aq, bp * bp + bq * bq
+        det = ap * bq - aq * bp
+        if det * det <= MU_TOL * MU_TOL * na * nb or not meets(cell, p, q, (a, b)):
+            yield p, q, None
+        else:
+            yield p, q, (ap, aq, bp, bq, det, math.sqrt(na), math.sqrt(nb))
 
 
 #: Least value, in kvar, a parabola cap must keep at the ends of the P box
@@ -547,6 +655,19 @@ class FeasibleRegion:
     def __post_init__(self) -> None:
         if not self.contains(0.0, 0.0):
             raise ValueError("region must contain the origin")
+
+    @cached_property
+    def crossing_tables(self) -> tuple[tuple[Crossing, ...], tuple[Crossing, ...]]:
+        """``screened_crossings`` of upper_cell and of lower_cell, as tuples.
+
+        Built on first use, when a projection first reaches the crossings
+        of one of the cells, and kept: the optimizer reads a cell's table
+        only when the battery bounds leave that cell itself, not a narrowed
+        copy, which has other crossings.  Building both at once costs a few
+        tens of microseconds, once per region.
+        """
+        upper, lower = self.upper_cell, self.lower_cell
+        return tuple(screened_crossings(upper)), tuple(screened_crossings(lower))
 
     def contains(self, p: float, q: float) -> bool:
         ps = p / self.shrink

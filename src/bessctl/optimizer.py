@@ -60,19 +60,31 @@ screen costs more than the crossing with the missed constraint.
   always carry the multipliers, even where three meet.  Each crossing is
   tagged with its pair, and the first whose two multipliers, solved by
   Cramer's rule from the pair's gradients, are >= 0 (up to rounding,
-  _MU_TOL) is the optimum.
+  MU_TOL) is the optimum.
 - The conditions are sufficient but not necessary.  Where the binding
   constraints have parallel gradients, as where the cell narrows to a point
   or two boundaries touch, no multipliers exist, and the screened crossing
   of least objective, the first on a tie, is taken.
 
-The screen is ``Cell.within`` with _SCREEN_TOL; the point taken is polished
+The screen is ``Cell.within`` with SCREEN_TOL; the point taken is polished
 into the cell.  Weights above 1 are scaled below 1 by a power of two, which
 rounds nothing.  The crossings that do not involve the P box, among them
-the disk-parabola quartic, are the cell's corners, found once by
-``build_region``; per call, only a violated cap's stationary-point cubic
-goes through numpy, in ``capability.cubic_real_roots``, which stores its
-scalar coefficients straight into a 3x3 companion matrix for LAPACK.
+the disk-parabola quartic, are the cell's corners, found by
+``build_region``.  A crossing is taken when it passes the screen, its
+normals are not parallel, its multipliers are >= 0 and it meets the other
+constraints: a conjunction of pure float expressions, of which only the
+multipliers read the target.  ``capability.screened_crossings`` evaluates
+the rest, and a region keeps its result for each of its cells,
+``FeasibleRegion.crossing_tables``, built when a solve first reaches the
+crossings of one of them.  So a solve that scans the table takes the same
+crossing, or falls back on the same screened ones, bit for bit.  A cell
+that the battery bounds narrow has P-line crossings of its own, which the
+solve evaluates lazily, as it reaches them.  The table goes with the region's
+cell object, not with its value: cells equal under == may differ in the
+sign of a zero bound, which the point taken keeps.  Per call, only a
+violated cap's stationary-point cubic goes through numpy, in
+``capability.cubic_real_roots``, which stores its scalar coefficients
+straight into a 3x3 companion matrix for LAPACK.
 
 The better of the two cells is the projection.  With one weight zero the
 projection is lexicographic: lambda_q = 0 takes the best p, then the q
@@ -121,15 +133,18 @@ from bessctl.battery import (
 from bessctl.capability import (
     AC_SELECTION,
     DC_SELECTION,
+    MU_TOL,
     Anchor,
     CapabilityCurve,
     Cell,
     CompanionOverflowError,
-    Corner,
+    Crossing,
     FeasibleRegion,
     build_region,
     cubic_real_roots,
+    meets,
     quad_roots,
+    screened_crossings,
     select_ac,
 )
 from bessctl.grid import (
@@ -141,14 +156,8 @@ from bessctl.grid import (
     predict_vac,
 )
 
-#: Feasibility slack used when screening projection candidates [kW/kvar].
-_SCREEN_TOL = 1e-7
-
 #: Two set-points closer than this per coordinate count as identical [kW/kvar].
 _POINT_TOL = 1e-9
-
-#: Relative rounding allowed on a KKT multiplier that is 0 at the optimum.
-_MU_TOL = 1e-12
 
 STATUS_UNCHANGED = "feasible-unchanged"
 STATUS_CLIPPED = "clipped-to-boundary"
@@ -331,59 +340,6 @@ def _rescaled_cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[fl
     return out
 
 
-#: Outward normals of the P and Q lines, by tag.
-_LINE_NORMALS = {"p_lo": (-1.0, 0.0), "p_hi": (1.0, 0.0), "q_lo": (0.0, -1.0), "q_hi": (0.0, 1.0)}
-
-
-def _crossings(cell: Cell) -> Iterator[Corner]:
-    """Every pairwise crossing of the cell's constraints as (p, q, a, b), in
-    a fixed order: those of each finite P line with the finite Q lines, the
-    disk and the caps, which move with the narrowed P box, then the stored
-    corners."""
-    for a, line in ((cell.p_lo, "p_lo"), (cell.p_hi, "p_hi")):
-        if not math.isfinite(a):
-            continue
-        for b, other in ((cell.q_lo, "q_lo"), (cell.q_hi, "q_hi")):
-            if math.isfinite(b):
-                yield a, b, line, other
-        if math.isfinite(cell.r) and cell.r * cell.r >= a * a:
-            s = math.sqrt(cell.r * cell.r - a * a)
-            yield a, s, line, "disk"
-            yield a, -s, line, "disk"
-        for i, (c0, c1, c2) in enumerate(cell.paras):
-            yield a, c0 + c1 * a + c2 * a * a, line, i
-    yield from cell.corners
-
-
-def _normal(cell: Cell, k: str | int, p: float, q: float) -> tuple[float, float]:
-    """The gradient at (p, q) of constraint k's g, up to a positive factor."""
-    if k == "disk":
-        return p, q
-    if isinstance(k, int):
-        c0, c1, c2 = cell.paras[k]
-        return -(c1 + 2.0 * c2 * p), 1.0
-    return _LINE_NORMALS[k]
-
-
-def _certified(
-    cell: Cell, p: float, q: float, a: str | int, b: str | int, gp: float, gq: float
-) -> bool:
-    """True when the crossing (p, q) of constraints a and b has both KKT
-    multipliers >= 0 for an objective whose gradient there is (gp, gq) up to
-    a positive factor, by Cramer's rule on grad f + mu_a grad g_a + mu_b
-    grad g_b = 0.  Each mu_j |grad g_j| may round to -_MU_TOL |grad f|;
-    normals within _MU_TOL of parallel leave the signs to rounding."""
-    ap, aq = _normal(cell, a, p, q)
-    bp, bq = _normal(cell, b, p, q)
-    na, nb = ap * ap + aq * aq, bp * bp + bq * bq
-    det = ap * bq - aq * bp
-    if det * det <= _MU_TOL * _MU_TOL * na * nb:
-        return False
-    mu_a, mu_b = (bp * gq - bq * gp) / det, (aq * gp - ap * gq) / det
-    tol = -_MU_TOL * math.hypot(gp, gq)
-    return mu_a * math.sqrt(na) >= tol and mu_b * math.sqrt(nb) >= tol
-
-
 def _polish(cell: Cell, p: float, q: float) -> tuple[float, float]:
     """Clamp float dust off a near-feasible point without leaving the cell."""
     p = min(max(p, cell.p_lo), cell.p_hi)
@@ -481,23 +437,6 @@ def _single_projections(
                 yield (*min(roots, key=itemgetter(1)), i)
 
 
-def _meets(cell: Cell, p: float, q: float, pair: tuple[str | int, ...]) -> bool:
-    """True when (p, q), the projection onto the constraints of pair alone,
-    passes the screen and meets every other constraint exactly."""
-    if not cell.within(p, q, _SCREEN_TOL):
-        return False
-    return cell.within(p, q, 0.0) or (
-        ("p_lo" in pair or p >= cell.p_lo)
-        and ("p_hi" in pair or p <= cell.p_hi)
-        and ("q_lo" in pair or q >= cell.q_lo)
-        and ("q_hi" in pair or q <= cell.q_hi)
-        and ("disk" in pair or math.hypot(p, q) <= cell.r)
-        and all(
-            i in pair or q <= c0 + c1 * p + c2 * p * p for i, (c0, c1, c2) in enumerate(cell.paras)
-        )
-    )
-
-
 def _least_objective(
     points: list[tuple[float, float]], p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float]:
@@ -506,21 +445,31 @@ def _least_objective(
 
 
 def _project_cell(
-    cell: Cell, p0: float, q0: float, wp: float, wq: float
+    cell: Cell,
+    p0: float,
+    q0: float,
+    wp: float,
+    wq: float,
+    region: FeasibleRegion | None = None,
 ) -> tuple[float, float, float]:
     """Exact weighted projection onto one cell; returns (p, q, objective).
 
     A single weight takes the lexicographic branch.  With both weights
     positive, a target inside the cell is returned as it is.  Otherwise one
     active-set pass takes, polished, the first of these that meets every
-    constraint but its own exactly (see _meets), comparing no objectives: a
-    projection of _single_projections, then a crossing of _crossings whose
-    two multipliers are >= 0 (see _certified).  The module docstring shows
-    that such a point is the optimum.  Only when none qualifies, as where
-    the cell has no interior at its optimum, the crossing of least
-    objective that passes the screen is taken.  The cell holds the origin,
-    so some crossing passes the screen; if none does, RuntimeError names
-    the target.
+    constraint but its own exactly (see capability.meets), comparing no
+    objectives: a projection of _single_projections, then a screened
+    crossing whose two multipliers are >= 0.  The crossings are the cell's
+    ``capability.screened_crossings``: region's table of them when region
+    is given, which must then be the region whose own cell this is, and
+    otherwise computed lazily, one at a time, up to the crossing taken.
+    Each carries its pair's normals, or None where it cannot certify, so
+    only the multipliers, by Cramer's rule, are left per call.  The module
+    docstring shows that such a point is the optimum.  Only when none
+    qualifies, as where the cell has no interior at its optimum, the
+    crossing of least objective that passes the screen is taken.  The cell
+    holds the origin, so some crossing passes the screen; if none does,
+    RuntimeError names the target.
     """
 
     if wq == 0.0:
@@ -540,16 +489,26 @@ def _project_cell(
                 sp, sq = wp * scale, wq * scale
         for p, q, k in _single_projections(cell, p0, q0, sp, sq):
             # Only the circle point can miss its own constraint, by rounding.
-            if _meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
+            if meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
                 break
         else:
             screened: list[tuple[float, float]] = []
-            for p, q, a, b in _crossings(cell):
-                if cell.within(p, q, _SCREEN_TOL):
+            if region is None:
+                crossings: Iterable[Crossing] = screened_crossings(cell)
+            else:
+                upper, lower = region.crossing_tables
+                crossings = upper if cell is region.upper_cell else lower
+            for p, q, kkt in crossings:
+                if kkt is not None:
+                    # Both multipliers by Cramer's rule; each mu_j |grad g_j|
+                    # may round to -MU_TOL |grad f|.
+                    ap, aq, bp, bq, det, norm_a, norm_b = kkt
                     gp, gq = sp * (p - p0), sq * (q - q0)
-                    if _certified(cell, p, q, a, b, gp, gq) and _meets(cell, p, q, (a, b)):
+                    mu_a, mu_b = (bp * gq - bq * gp) / det, (aq * gp - ap * gq) / det
+                    tol = -MU_TOL * math.hypot(gp, gq)
+                    if mu_a * norm_a >= tol and mu_b * norm_b >= tol:
                         break
-                    screened.append((p, q))
+                screened.append((p, q))
             else:
                 if not screened:
                     raise RuntimeError(
@@ -656,7 +615,9 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     try:
         if math.isinf(p0 * p0 + q0 * q0):
             raise OverflowError("the squared target norm overflows")
-        first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
+        # A cell that the bounds leave as it is scans the region's table.
+        cell = _narrowed(near, problem.p_min, problem.p_max)
+        first = _project_cell(cell, p0, q0, wp, wq, region if cell is near else None)
         if wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
@@ -667,7 +628,8 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
                 first[0] == edge and (q0 >= 0.0 or first[1] != 0.0)
             ):
                 return first[0], first[1]
-        second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
+        cell = _narrowed(far, problem.p_min, problem.p_max)
+        second = _project_cell(cell, p0, q0, wp, wq, region if cell is far else None)
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)

@@ -7,7 +7,11 @@ against a path that shares nothing with it.  ``violation`` measures how
 far a point lies outside a cell.  ``certify`` measures how far a point is
 from satisfying a cell's KKT conditions (Boyd and Vandenberghe, *Convex
 Optimization*, 5.5.3), which with both weights positive make it the
-unique optimum.  ``running_best_cell`` picks a cell optimum by a
+unique optimum.  ``reference_project_cell`` is ``optimizer._project_cell``
+with its crossing stage as it was before the regions' crossing tables:
+each call screens every crossing and tests its multipliers (``certified``)
+and its exactness, the reference for the bits of the table scan.
+``running_best_cell`` picks a cell optimum by a
 running-best scan over every screened stationary point and crossing, and
 ``least_in_cell`` bounds the cell optimum by those of them that lie in the
 cell, which the scan's point, up to the screen's tolerance outside, does not.
@@ -34,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bessctl import optimizer, simctl
+from bessctl import capability, optimizer, simctl
 from bessctl.battery import (
     SOC_EPS,
     InfeasiblePowerError,
@@ -44,7 +48,7 @@ from bessctl.battery import (
     _into_window,
     open_circuit_voltage,
 )
-from bessctl.capability import quad_roots
+from bessctl.capability import MU_TOL, SCREEN_TOL, quad_roots
 
 
 def _env_600_300(p, q):
@@ -172,6 +176,62 @@ def certify(cell, p, q, p0, q0, wp, wq, active_tol=1e-6):
     return best
 
 
+_PROJECT_CELL = optimizer._project_cell
+
+
+def certified(cell, p, q, a, b, gp, gq):
+    """True when the crossing (p, q) of constraints a and b has both KKT
+    multipliers >= 0 for an objective whose gradient there is (gp, gq) up to
+    a positive factor, by Cramer's rule on grad f + mu_a grad g_a + mu_b
+    grad g_b = 0.  Each mu_j |grad g_j| may round to -MU_TOL |grad f|;
+    normals within MU_TOL of parallel leave the signs to rounding."""
+    ap, aq = capability._normal(cell, a, p, q)
+    bp, bq = capability._normal(cell, b, p, q)
+    na, nb = ap * ap + aq * aq, bp * bp + bq * bq
+    det = ap * bq - aq * bp
+    if det * det <= MU_TOL * MU_TOL * na * nb:
+        return False
+    mu_a, mu_b = (bp * gq - bq * gp) / det, (aq * gp - ap * gq) / det
+    tol = -MU_TOL * math.hypot(gp, gq)
+    return mu_a * math.sqrt(na) >= tol and mu_b * math.sqrt(nb) >= tol
+
+
+def reference_project_cell(cell, p0, q0, wp, wq):
+    """``optimizer._project_cell`` with the crossing stage it had before the
+    crossing tables: it walks ``capability._crossings`` and, for each
+    crossing that passes the screen, tests ``certified`` and then
+    ``capability.meets``.  The lexicographic branches and a target inside
+    the cell are left to ``optimizer._project_cell`` as this module
+    imported it, so a test may patch the module's name with this function;
+    it reads no crossing there."""
+    if wp == 0.0 or wq == 0.0 or cell.within(p0, q0, 0.0):
+        return _PROJECT_CELL(cell, p0, q0, wp, wq)
+    sp, sq = wp, wq
+    if wp > 1.0 or wq > 1.0:
+        scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])
+        if min(wp, wq) * scale >= sys.float_info.min:
+            sp, sq = wp * scale, wq * scale
+    for p, q, k in optimizer._single_projections(cell, p0, q0, sp, sq):
+        if capability.meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
+            break
+    else:
+        screened = []
+        for p, q, a, b in capability._crossings(cell):
+            if cell.within(p, q, SCREEN_TOL):
+                gp, gq = sp * (p - p0), sq * (q - q0)
+                if certified(cell, p, q, a, b, gp, gq) and capability.meets(cell, p, q, (a, b)):
+                    break
+                screened.append((p, q))
+        else:
+            if not screened:
+                raise RuntimeError(
+                    f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
+                )
+            p, q = optimizer._least_objective(screened, p0, q0, sp, sq)
+    p, q = optimizer._polish(cell, p, q)
+    return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
+
+
 def all_candidates(cell, p0, q0, wp, wq):
     """Every point that can be a cell optimum, in a fixed order: the clamp of
     the target onto each P and Q line, every stationary point on the disk and
@@ -208,7 +268,7 @@ def running_best_cell(cell, p0, q0, wp, wq):
         return p0, q0, 0.0
     best = None
     for p, q in all_candidates(cell, p0, q0, wp, wq):
-        if violation(cell, p, q) > optimizer._SCREEN_TOL:
+        if violation(cell, p, q) > SCREEN_TOL:
             continue
         obj = objective(p, q)
         if best is None or obj < best[2]:
@@ -230,7 +290,7 @@ def least_in_cell(cell, p0, q0, wp, wq):
 
     least = math.inf
     for p, q in all_candidates(cell, p0, q0, wp, wq):
-        if violation(cell, p, q) <= optimizer._SCREEN_TOL:
+        if violation(cell, p, q) <= SCREEN_TOL:
             p, q = optimizer._polish(cell, p, q)
             if violation(cell, p, q) <= 0.0:
                 least = min(least, objective(p, q))

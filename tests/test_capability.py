@@ -636,8 +636,9 @@ class TestCubicRealRoots:
 
 
 class TestEigvalsErrorState:
-    """_eigvals sets numpy's error state per call through its decorator and
-    leaves the caller's state as it found it, also across threads."""
+    """_eigvals sets numpy's error state per call from the object it built
+    at import and leaves the caller's state as it found it, also across
+    threads."""
 
     @staticmethod
     def marker(err, flag):

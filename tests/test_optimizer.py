@@ -4,7 +4,9 @@ import math
 import pickle
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -51,7 +53,15 @@ from bessctl.optimizer import (
 )
 from bessctl.simctl import builtin_scenario_path, load_run_config, run_scenario
 
-from oracles import certify, direct_feasible, least_in_cell, running_best_cell, violation
+from oracles import (
+    certified,
+    certify,
+    direct_feasible,
+    least_in_cell,
+    reference_project_cell,
+    running_best_cell,
+    violation,
+)
 from reference_step import reference_solve_step
 
 WIDE = (-1e6, 1e6)
@@ -846,7 +856,7 @@ def certifies(cell, p, q, p0, q0, wp, wq):
     scale = max(1.0, abs(p), abs(q), abs(p - p0), abs(q - q0))
     multipliers, residual = certify(cell, p, q, p0, q0, wp, wq)
     rounding = 4.0 * EPS * sum(multipliers.values()) / max(wp, wq)
-    return violation(cell, p, q) <= optimizer._SCREEN_TOL and residual <= 1e-9 * scale + rounding
+    return violation(cell, p, q) <= capability.SCREEN_TOL and residual <= 1e-9 * scale + rounding
 
 
 def costs_no_more(cell, got, p0, q0, wp, wq):
@@ -896,7 +906,7 @@ class TestProjectExactness:
     that costs no more."""
 
     @settings(max_examples=3000, deadline=None)
-    @given(data=st.data(), tol=st.sampled_from([0.0, optimizer._SCREEN_TOL]))
+    @given(data=st.data(), tol=st.sampled_from([0.0, capability.SCREEN_TOL]))
     def test_within_equals_violation_at_most_tol(self, curve_map, data, tol):
         # _project_cell only screens points inside the P box widened by tol,
         # so p is finite; q may be anything.
@@ -1000,7 +1010,7 @@ class TestProjectExactness:
         # the lower cell's q, 10 kvar from q0, beats the upper cell's 50.
         points = {0.0: (250.0, 0.0), -math.inf: (250.0, -40.0)}
 
-        def cell_solve(cell, p0, q0, wp, wq):
+        def cell_solve(cell, p0, q0, wp, wq, region=None):
             return (*points[cell.q_lo], wp * (250.0 - p0) ** 2)
 
         monkeypatch.setattr(optimizer, "_project_cell", cell_solve)
@@ -1306,7 +1316,7 @@ class TestBindingCaps:
 
     def test_margin_covers_the_screen(self):
         # A dropped cap stays clear of every candidate the screen admits.
-        assert optimizer._SCREEN_TOL < capability._CAP_MARGIN
+        assert capability.SCREEN_TOL < capability._CAP_MARGIN
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -1346,7 +1356,7 @@ class TestBindingCaps:
         )
         assert cell.paras == ((1000.00001, 1000.0, 0.0),)
         without = cell._replace(paras=(), corners=())
-        outside = (-1.0 - 5e-8, 0.0, optimizer._SCREEN_TOL)
+        outside = (-1.0 - 5e-8, 0.0, capability.SCREEN_TOL)
         assert without.within(*outside) and not cell.within(*outside)
         # The cap's stationary point beyond the box no longer outranks the
         # clamp onto P_min, which is in the cell and so the optimum.
@@ -1526,7 +1536,7 @@ class TestSingleConstraintExit:
         target = (342.2144385113268, 6e-10, 1.0, 10.0)
         singles = list(optimizer._single_projections(cell, *target))
         assert [k for _, _, k in singles] == ["q_hi", 0]
-        assert all(cell.within(p, q, optimizer._SCREEN_TOL) for p, q, _ in singles)
+        assert all(cell.within(p, q, capability.SCREEN_TOL) for p, q, _ in singles)
         p, q, objective = optimizer._project_cell(cell, *target)
         assert p == 342.21443851123803 == cell.corners[2][0]
         assert objective == least_in_cell(cell, *target) == 3.608054093426276e-18
@@ -1542,8 +1552,8 @@ class TestSingleConstraintExit:
         cell = capability._scaled_cell(atoms, 1.0, True)
         target = (1657.5789155523807, 1801.7152286111673, 1.1706002384022218, 1.0)
         box = (cell.p_hi, cell.q_hi)
-        assert cell.within(*box, optimizer._SCREEN_TOL) and not cell.within(*box, 0.0)
-        assert optimizer._certified(cell, *box, "p_hi", "q_hi", -1.0, -1.0)
+        assert cell.within(*box, capability.SCREEN_TOL) and not cell.within(*box, 0.0)
+        assert certified(cell, *box, "p_hi", "q_hi", -1.0, -1.0)
         p, q, objective = optimizer._project_cell(cell, *target)
         assert (p, q, "q_hi", 0) == cell.corners[5]
         assert objective == least_in_cell(cell, *target) == 5502323.507044042
@@ -1555,7 +1565,7 @@ class TestSingleConstraintExit:
         cell = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0).upper_cell
         target = (-148.6, 842.2, 1.0, 1.0)
         expected = running_best_cell(cell, *target)
-        counts = count_calls(monkeypatch, (optimizer, "_crossings"), (capability, "_eigvals"))
+        counts = count_calls(monkeypatch, (capability, "_crossings"), (capability, "_eigvals"))
         p, q, objective = optimizer._project_cell(cell, *target)
         assert (p, q, objective) == expected
         assert counts == {"_crossings": 0, "_eigvals": 1}
@@ -1587,7 +1597,7 @@ class TestSingleConstraintExit:
         expected = running_best_cell(cell, *target)
         counts = count_calls(
             monkeypatch,
-            (optimizer, "_crossings"),
+            (capability, "_crossings"),
             (optimizer, "_circle_candidates"),
             (capability, "_eigvals"),
         )
@@ -1601,15 +1611,16 @@ class TestSingleConstraintExit:
         cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
         singles = list(optimizer._single_projections(cell, 2000.0, 300.0, 0.5, 0.5))
         assert singles
-        assert not any(cell.within(p, q, optimizer._SCREEN_TOL) for p, q, _ in singles)
-        monkeypatch.setattr(optimizer, "_crossings", lambda cell: iter(()))
+        assert not any(cell.within(p, q, capability.SCREEN_TOL) for p, q, _ in singles)
+        monkeypatch.setattr(capability, "_crossings", lambda cell: iter(()))
         with pytest.raises(RuntimeError, match=re.escape("target (2000.0, 300.0)")):
             optimizer._project_cell(cell, 2000.0, 300.0, 1.0, 1.0)
 
 
-def draw_spot_cell(data):
+def draw_spot_cell(data, narrow=True):
     """A cell of random_atoms or draw_capped_atoms, of either Q sign, scaled
-    and narrowed as project narrows it, and a target from draw_spot_target."""
+    and, unless narrow is False, narrowed as project narrows it, and a
+    target from draw_spot_target."""
     upper = data.draw(st.booleans())
     shrink = data.draw(st.sampled_from([1.0, 7.0 / 9.0, 0.3]))
     if data.draw(st.booleans()):
@@ -1620,7 +1631,8 @@ def draw_spot_cell(data):
         cell = capability._scaled_cell(atoms, shrink, upper)
     except ValueError:
         assume(False)  # a cap too flat beside the disk
-    cell = optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
+    if narrow:
+        cell = optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
     return cell, draw_spot_target(data, cell, [p * shrink for p in spots])
 
 
@@ -1713,7 +1725,7 @@ class TestKktCertificate:
     def test_a_multiplier_rounded_below_zero_still_certifies(self, monkeypatch):
         # The target lies on the ray through the Q ceiling's corner with the
         # disk, so the ceiling's multiplier there is 0, and it rounds to
-        # just below 0: only _MU_TOL keeps the corner from the fallback.
+        # just below 0: only MU_TOL keeps the corner from the fallback.
         atoms = [PMin(-1000.0), PMax(1000.0), Disk(700.0), QMax(300.0)]
         cell = capability._scaled_cell(atoms, 1.0, True)
         corner = cell.corners[2]
@@ -1722,7 +1734,7 @@ class TestKktCertificate:
         counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
         assert optimizer._project_cell(cell, *target) == (*corner[:2], 145008.64)
         assert counts == {"_least_objective": 0}
-        monkeypatch.setattr(optimizer, "_MU_TOL", 0.0)
+        monkeypatch.setattr(optimizer, "MU_TOL", 0.0)
         assert optimizer._project_cell(cell, *target) == (*corner[:2], 145008.64)
         assert counts == {"_least_objective": 1}
 
@@ -1735,7 +1747,7 @@ class TestKktCertificate:
         cell = capability._scaled_cell([PMin(-1e6), PMax(0.0), cap], 1.0, True)
         p, q, a, b = cell.corners[0]
         assert (p, q, a, b) == (-7.4966430760803e-287, 0.0, "q_lo", 0)
-        assert not optimizer._certified(cell, p, q, a, b, p + 1.0, q)
+        assert not certified(cell, p, q, a, b, p + 1.0, q)
         counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
         assert optimizer._project_cell(cell, -1.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0)
         assert counts == {"_least_objective": 1}
@@ -1846,6 +1858,158 @@ class TestKktCertificate:
         plain = wp * dp * sp + wq * dq * sq
         scaled = optimizer._tie_difference(*factors)
         assert (scaled > 0.0, scaled < 0.0) == (plain > 0.0, plain < 0.0)
+
+
+def bits(result):
+    """A result's repr, in which -0.0 and 0.0 differ."""
+    return repr(result)
+
+
+def owner(cell):
+    """A stand-in region whose own cells are cell, with their table."""
+    table = tuple(capability.screened_crossings(cell))
+    return SimpleNamespace(upper_cell=cell, lower_cell=cell, crossing_tables=(table, table))
+
+
+class TestCrossingTables:
+    """A region builds the screened crossings of each cell, with their
+    normals, once; a cell solve that scans them returns the bits of the
+    crossing stage that screens and certifies every crossing per call
+    (oracles.reference_project_cell), and so does project."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(data=st.data(), weights=UNEQUAL_WEIGHTS, narrow=st.booleans())
+    def test_table_scan_equals_the_reference(self, data, weights, narrow):
+        cell, (p0, q0) = draw_spot_cell(data, narrow)
+        expected = bits(outcome(reference_project_cell, cell, p0, q0, *weights))
+        assert bits(outcome(optimizer._project_cell, cell, p0, q0, *weights)) == expected
+        region = owner(cell)
+        assert bits(outcome(optimizer._project_cell, cell, p0, q0, *weights, region)) == expected
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        data=st.data(),
+        anchors=st.sampled_from(REGION_ANCHORS + ["dipping"]),
+        shrink=st.sampled_from([1.0, 7.0 / 9.0, 0.3]),
+        weights=weights_st,
+        p_min=p_min_st,
+        p_max=p_max_st,
+    )
+    def test_project_equals_the_reference(
+        self, curve_map, data, anchors, shrink, weights, p_min, p_max
+    ):
+        curves = [DIPPING] if anchors == "dipping" else [curve_map[a] for a in anchors]
+        region = build_region(curves, shrink)
+        cell = data.draw(st.sampled_from([region.upper_cell, region.lower_cell]))
+        if data.draw(st.booleans()):
+            target = near_boundary(data, cell)
+        else:
+            target = data.draw(FAR), data.draw(FAR)
+        prob = problem(region, target, weights, (p_min, p_max))
+
+        def reference_cell(cell, p0, q0, wp, wq, region=None):
+            return reference_project_cell(cell, p0, q0, wp, wq)
+
+        with mock.patch.object(optimizer, "_project_cell", reference_cell):
+            expected = bits(outcome(project, prob))
+        assert bits(outcome(project, prob)) == expected
+
+    @pytest.mark.parametrize("p_hi", [-0.0, 0.0])
+    def test_a_signed_zero_p_bound_keeps_its_sign(self, curve_map, p_hi):
+        # The two narrowed cells are equal under ==, but the corner of p_hi
+        # and the Q ceiling that both take carries p_hi's sign of zero, as
+        # records.csv would.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        cell = optimizer._narrowed(region.upper_cell, -700.0, p_hi)
+        assert cell == optimizer._narrowed(region.upper_cell, -700.0, -p_hi)
+        target = (50.0, 900.0, 1.0, 1.0)
+        expected = reference_project_cell(cell, *target)
+        assert bits(expected[0]) == bits(p_hi)
+        assert bits(optimizer._project_cell(cell, *target)) == bits(expected)
+        assert bits(optimizer._project_cell(cell, *target, owner(cell))) == bits(expected)
+        prob = problem(region, target[:2], bounds=(-700.0, p_hi))
+        assert bits(project(prob)) == bits(expected[:2])
+
+    def test_a_narrowed_cell_never_reads_the_table(self, curve_map, monkeypatch):
+        # Both solves end at a crossing of P_min: the narrowed cell's with
+        # the cap, evaluated as reached, and then the region's with the
+        # disk, which builds the table.
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        counts = count_calls(monkeypatch, (optimizer, "screened_crossings"))
+        assert project(problem(region, (-1500.0, 900.0), bounds=(-300.0, 300.0)))[0] == -300.0
+        assert counts == {"screened_crossings": 1}
+        assert "crossing_tables" not in vars(region)
+        assert project(problem(region, (-1500.0, 300.0)))[0] == region.upper_cell.p_lo
+        assert counts == {"screened_crossings": 1}
+        assert "crossing_tables" in vars(region)
+
+    def test_threads_sharing_a_fresh_region_find_the_serial_points(self, curve_map):
+        # Threads that project onto a region before its tables exist may
+        # each build them; every table they scan holds the same entries.
+        curves = [curve_map[a] for a in TWO_ENV]
+        rng = np.random.default_rng(31)
+        targets = [tuple(rng.uniform(-1500.0, 1500.0, 2).tolist()) for _ in range(300)]
+        serial_region, region = build_region(curves, 7.0 / 9.0), build_region(curves, 7.0 / 9.0)
+        serial = [project(problem(serial_region, t)) for t in targets]
+
+        def solve_all(_):
+            return [project(problem(region, t)) for t in targets]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the first solves
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(solve_all, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        assert all(bits(points) == bits(serial) for points in results)
+
+    def test_a_scenario4_run_builds_each_table_once(self, curve_map, bands, monkeypatch):
+        built, solved, regions = [], [], []
+        screened = capability.screened_crossings
+        project_cell, original_project = optimizer._project_cell, optimizer.project
+
+        def building(cell):
+            built.append(cell)
+            return screened(cell)
+
+        def solving(cell, p0, q0, wp, wq, region=None):
+            solved.append((cell, region))
+            return project_cell(cell, p0, q0, wp, wq, region)
+
+        def projecting(prob):
+            if all(region is not prob.region for region in regions):
+                regions.append(prob.region)
+            return original_project(prob)
+
+        monkeypatch.setattr(capability, "screened_crossings", building)
+        monkeypatch.setattr(optimizer, "_project_cell", solving)
+        monkeypatch.setattr(optimizer, "project", projecting)
+        scenario, cfg = load_run_config(builtin_scenario_path("scenario4"))
+        # Started 0.001 above soc_min, the one-step SOC drain bounds the
+        # discharge and cuts the P box of about a quarter of the steps' cells.
+        for soc_init in (scenario.soc_init, 0.101):
+            run_scenario(dataclasses.replace(scenario, soc_init=soc_init), cfg, curve_map, bands)
+
+        cells = [(r, c) for r in regions for c in (r.upper_cell, r.lower_cell)]
+        # Each table is built once, from its own cell.  A solve of a
+        # region's own cell is handed the region, and one of a narrowed
+        # copy is not, so it never reads the table.
+        assert any("crossing_tables" in vars(r) for r in regions)
+        assert len(built) == 2 * sum("crossing_tables" in vars(r) for r in regions)
+        assert all(sum(c is cell for c in built) <= 1 for _, cell in cells)
+        assert all(any(c is cell for _, c in cells) for cell in built)
+        own = narrowed = 0
+        for cell, region in solved:
+            owners = [r for r, c in cells if c is cell]
+            if owners:
+                assert [region] == owners
+                own += 1
+            else:
+                assert region is None
+                narrowed += 1
+        assert own > 0 and narrowed > 0, (own, narrowed)
 
 
 @st.composite
