@@ -56,6 +56,9 @@ screen costs more than the crossing with the missed constraint.
   of least q.  On the cap grad f + mu grad g_k = 0 gives
   mu = 2 lambda_q (q0 - q), so the optimum is the root with q <= q0, the
   others lying above q0.  A cap's cubic is solved only when reached.
+  With unequal weights the circle point lies in the disk: Newton's method
+  on 1/|x(mu)| - 1/r finds its multiplier from below (Moré and Sorensen,
+  "Computing a Trust Region Step", SIAM J. Sci. Stat. Comput. 4(3), 1983).
 - Otherwise two constraints bind at the optimum; in the plane two of them
   always carry the multipliers, even where three meet.  Each crossing is
   tagged with its pair, and the first whose two multipliers, solved by
@@ -117,7 +120,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from bessctl.battery import (
     BatteryConfig,
@@ -261,43 +264,47 @@ class ControlRecord(NamedTuple):
         return STATUS_UNCHANGED in self.status
 
 
-def _bisect(holds: Callable[[float], bool], inside: float, outside: float) -> tuple[float, float]:
-    """(inside, outside), halved at their midpoint until no float lies
-    strictly between them, however wide the first span.
-
-    holds(inside) must be True and holds(outside) False; each midpoint
-    replaces the end whose holds value it shares.
-    """
-    while True:
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            return inside, outside
-        if holds(mid):
-            inside = mid
-        else:
-            outside = mid
-
-
 def _circle_candidates(
     p0: float, q0: float, r: float, wp: float, wq: float
 ) -> list[tuple[float, float]]:
-    """Weighted projection of an exterior target onto the circle p^2 + q^2 = r^2."""
+    """Weighted projection of an exterior target onto the circle p^2 + q^2 = r^2.
+
+    With unequal weights, Newton's method on the concave, increasing
+    1/|x(mu)| - 1/r, x(mu) = (p0/(1+mu/wp), q0/(1+mu/wq)), climbs to the
+    root from below, with mu in units of the weight of the coordinate that
+    moves most: the lighter one, unless the heavier target coordinate is
+    outside the disk alone, and then from where it reaches the circle.  A
+    stalled step scales x onto the circle.  x counts if r(1 - 4 eps) <= |x|
+    <= r; each coordinate then moves a float toward its target in the disk.
+    """
     norm = math.hypot(p0, q0)
     if norm <= r:
         return []
     if wp == wq:
         s = r / norm
         return [(p0 * s, q0 * s)]
-
-    def inside(mu: float) -> bool:
-        return math.hypot(wp * p0 / (wp + mu), wq * q0 / (wq + mu)) <= r
-
-    hi = max(wp, wq)
-    while not inside(hi):
-        hi = math.ldexp(hi, 1)  # raises OverflowError where inside(inf) fails
-    hi, lo = _bisect(inside, hi, 0.0)
-    mu = 0.5 * (lo + hi)
-    return [(wp * p0 / (wp + mu), wq * q0 / (wq + mu))]
+    (th, wh), (tl, wl) = ((p0, wp), (q0, wq)) if wp > wq else ((q0, wq), (p0, wp))
+    # The weights in those units, one of them 1; ch may be inf and cl 0.
+    ch, cl, nu = (1.0, wl / wh, (abs(th) - r) / r) if abs(th) > r else (wh / wl, 1.0, 0.0)
+    while True:
+        xh, xl = th / (1.0 + nu / ch), tl * cl / (cl + nu)
+        if not (n := math.hypot(xh, xl)) > r:  # a NaN ends the loop too
+            break
+        # The Newton step, written over (cl + nu) so that no term overflows.
+        uh, ul = xh / n, xl / n
+        step = (n / r - 1.0) * (cl + nu) / (ul * ul + uh * uh * ((cl + nu) / (ch + nu)))
+        if nu + step == nu:
+            xh, xl = xh * (s := r / n), xl * s
+            n = math.hypot(xh, xl)
+            break
+        nu += step
+    if not r * (1.0 - 4.0 * sys.float_info.epsilon) <= n <= r:
+        return []
+    if math.hypot(nudged := math.nextafter(xh, th), xl) <= r:
+        xh = nudged
+    if math.hypot(xh, nudged := math.nextafter(xl, tl)) <= r:
+        xl = nudged
+    return [(xh, xl) if wp > wq else (xl, xh)]
 
 
 def _parabola_stationary(
@@ -371,19 +378,17 @@ def _clip_to_nonempty(interval_at, cell: Cell, x: float) -> tuple[float, float, 
 
     interval_at is _q_interval_at or _p_interval_at; the cell holds the
     origin, so its interval at 0 is nonempty.  An empty interval at x is
-    bisected (see _bisect) between 0 and x: the x returned has a nonempty
-    interval and the next float away from 0 an empty one.
+    bisected between 0 and x down to adjacent floats: the x returned has a
+    nonempty interval and the next float away from 0 an empty one.
     """
     lo, hi = interval_at(cell, x)
     if lo <= hi:
         return x, lo, hi
-
-    def nonempty(y: float) -> bool:
-        lo, hi = interval_at(cell, y)
-        return lo <= hi
-
-    x = _bisect(nonempty, 0.0, x)[0]
-    return (x, *interval_at(cell, x))
+    inside, outside = 0.0, x
+    while (mid := 0.5 * (inside + outside)) != inside and mid != outside:
+        lo, hi = interval_at(cell, mid)
+        inside, outside = (mid, outside) if lo <= hi else (inside, mid)
+    return (inside, *interval_at(cell, inside))
 
 
 def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
@@ -488,7 +493,7 @@ def _project_cell(
             if min(wp, wq) * scale >= sys.float_info.min:
                 sp, sq = wp * scale, wq * scale
         for p, q, k in _single_projections(cell, p0, q0, sp, sq):
-            # Only the circle point can miss its own constraint, by rounding.
+            # Only the equal-weight circle point can miss its own constraint.
             if meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
                 break
         else:

@@ -10,9 +10,9 @@ reaches its floor, the battery's SOC bound.  Its q_opt is the feasible q
 nearest q_target at p_opt, of either sign: a tie on p between the two
 Q-sign cells goes to the one nearer q_target, so a feasible negative q
 target is kept, not clipped to 0.  Three short runs cover the projection's
-bisections: unequal_weights_records.csv (lambda_q = 4 at 18.7 kV) bisects
-the disk multiplier and exits at a cap on every step, p_lex_records.csv
-(lambda_p = 0) bisects the feasible p slice, and
+iterations: unequal_weights_records.csv (lambda_q = 4 at 18.7 kV) solves
+the disk multiplier by Newton's method and exits at a cap on every step,
+p_lex_records.csv (lambda_p = 0) bisects the feasible p slice, and
 q_lex_undervoltage_records.csv (lambda_q = 0 at 18.7 kV) bisects the
 q slice of two-envelope cells.  All five data files come from
 write_golden_records.  A change that alters them must regenerate them and

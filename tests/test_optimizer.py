@@ -149,7 +149,7 @@ class TestProject:
         "weights", [(1.0, 1.0), (1.0, 9.0), (25.0, 1.0)], ids=["equal", "q-heavy", "p-heavy"]
     )
     def test_matches_coarse_grid_oracle(self, region_600, weights):
-        # Unequal weights take the weighted-disk bisection.
+        # Unequal weights take the circle point's Newton iteration.
         pf, qf = oracle_grid(ONE_ENV)
         wp, wq = weights
         rng = np.random.default_rng(17)
@@ -1773,7 +1773,7 @@ class TestKktCertificate:
 
     def test_weights_too_far_apart_to_scale_are_left_raw(self, curve_map):
         # Scaled by 2^-2, lambda_q = 5e-324 would round to 0, and the circle
-        # point's bisection would end dividing 0 by 0.
+        # point's Newton iteration, in units of that weight, would divide by 0.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
         cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
         p, q, _ = optimizer._project_cell(cell, 100.0, 800.0, 2.0, 5e-324)
@@ -2013,11 +2013,12 @@ class TestCrossingTables:
 
 
 @st.composite
-def exterior_targets(draw):
-    """(r, p0, q0): a radius and a target outside its circle, from just
-    past it to 1e150 r away."""
+def exterior_targets(draw, nearest=-15.0):
+    """(r, p0, q0): a radius and a target outside its circle, from
+    (1 + 10**nearest) r, just past it, to 1e150 r away."""
     r = draw(st.floats(1e-2, 1e3))
-    dist = draw(st.one_of(log_uniform(-15.0, 0.0).map(lambda e: 1.0 + e), log_uniform(0.0, 150.0)))
+    near = log_uniform(nearest, 0.0).map(lambda e: 1.0 + e)
+    dist = draw(st.one_of(near, log_uniform(0.0, 150.0)))
     angle = draw(st.floats(0.0, 2.0 * math.pi))
     p0, q0 = r * dist * math.cos(angle), r * dist * math.sin(angle)
     assume(math.hypot(p0, q0) > r)
@@ -2025,9 +2026,9 @@ def exterior_targets(draw):
 
 
 class TestBisection:
-    """_bisect ends at adjacent floats: the disk multiplier puts the circle
-    point on the circle however far the target, and a lexicographic solve
-    stops at the last float whose slice is nonempty."""
+    """The disk multiplier's Newton iteration puts the circle point on the
+    circle however far the target, and a lexicographic solve bisects down
+    to the last float whose slice is nonempty."""
 
     @settings(max_examples=2000, deadline=None)
     @example(circle=(700.0, 1e70, 1e70), wp=1.0, wq=2.0)
@@ -2038,9 +2039,9 @@ class TestBisection:
         assert abs(math.hypot(p, q) / r - 1.0) <= 1e-15
 
     def test_multiplier_overflow_raises_instead_of_looping(self, region_600):
-        # wp * p0 overflows, so no finite multiplier brings the point inside.
-        with pytest.raises(OverflowError):
-            optimizer._circle_candidates(1e308, 0.0, 700.0, 2.0, 1.0)
+        # wp * p0 overflows, but the iteration starts where p alone reaches
+        # the circle; project rejects the target, whose p0^2 overflows.
+        assert optimizer._circle_candidates(1e308, 0.0, 700.0, 2.0, 1.0) == [(700.0, 0.0)]
         with pytest.raises(ValueError, match="too far from the region"):
             project(problem(region_600, (1e308, 0.0), (2.0, 1.0)))
 
@@ -2065,6 +2066,80 @@ class TestBisection:
             assert abs(found) < abs(x) and found * x >= 0.0
             past_lo, past_hi = interval_at(cell, math.nextafter(found, x))
             assert past_lo > past_hi
+
+
+#: Ratios of the lighter weight to the heavier, from the least subnormal to 1.
+ANY_WEIGHT_RATIO = st.floats(-323.3, 0.0).map(lambda e: max(10.0**e, 5e-324))
+
+
+def ordered_weights(ratio, p_heavier):
+    return (1.0, ratio) if p_heavier else (ratio, 1.0)
+
+
+class TestCirclePoint:
+    """With unequal weights the circle point lies in the disk, on the circle
+    to within 4 eps, so the polish leaves it as the iteration found it."""
+
+    @settings(max_examples=1000, deadline=None)
+    @example(circle=(700.0, 1e70, 1e70), ratio=sys.float_info.min, p_heavier=False)
+    @given(
+        circle=exterior_targets(),
+        ratio=log_uniform(-307.6, 0.0).filter(lambda w: w < 1.0),
+        p_heavier=st.booleans(),
+    )
+    def test_point_lies_in_the_disk_on_the_circle(self, circle, ratio, p_heavier):
+        r, p0, q0 = circle
+        [(p, q)] = optimizer._circle_candidates(p0, q0, r, *ordered_weights(ratio, p_heavier))
+        assert r * (1.0 - 4.0 * sys.float_info.epsilon) <= math.hypot(p, q) <= r
+
+    @settings(max_examples=1000, deadline=None)
+    @example(circle=(700.0, 1e70, 1e70), ratio=5e-324, p_heavier=True)
+    @given(circle=exterior_targets(nearest=-12.0), ratio=ANY_WEIGHT_RATIO, p_heavier=st.booleans())
+    def test_iteration_is_bounded(self, circle, ratio, p_heavier):
+        # Each Newton step evaluates hypot once; a loop that runs away fails
+        # here at the 33rd call instead of hanging.
+        calls = 0
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            assert calls <= 32, "too many hypot calls"
+            return math.hypot(x, y)
+
+        r, p0, q0 = circle
+        with mock.patch.object(optimizer, "math", SimpleNamespace(**{**vars(math), "hypot": counting})):
+            optimizer._circle_candidates(p0, q0, r, *ordered_weights(ratio, p_heavier))
+
+    def test_the_heavier_coordinate_moves_a_float_toward_its_target(self):
+        # Newton stops with q a float short of the circle; the last step
+        # moves it as far toward q0 as the disk allows.
+        [(p, q)] = optimizer._circle_candidates(100.0, 789.0, 700.0, 1.0, 4.0)
+        assert math.hypot(p, q) <= 700.0 < math.hypot(p, math.nextafter(q, 789.0))
+
+    def test_a_negligible_q_weight_keeps_the_upper_cell(self, curve_map):
+        # The upper cell's circle point must keep p = 400 exactly: one ulp off
+        # it costs more than the whole of the lower cell's (400, 0).
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        points = {
+            project(problem(region, (400.0, 600.0), (1.0, 10.0**-k), (-500.0, 500.0)))
+            for k in range(20, 309)
+        }
+        [(p, q)] = points
+        assert p == 400.0 and q > 395.0
+
+    @pytest.mark.parametrize("p_heavier", [False, True], ids=["q-heavier", "p-heavier"])
+    def test_the_heavier_coordinate_reaches_the_axis_corner(self, p_heavier):
+        # The heavier target coordinate lies beyond the disk on its own: it
+        # ends at -r exactly, and the light one shrinks to a tiny value of
+        # its target's sign instead of 0.
+        atoms = (PMin(-800.0), PMax(800.0), Disk(194.85))
+        region = build_region([CapabilityCurve("disk", 600.0, 300.0, atoms)], 1.0)
+        light, heavy = 303.95589808032946, -477.5371237787871
+        target = (heavy, light) if p_heavier else (light, heavy)
+        weights = ordered_weights(2.9810355628374834e-175, p_heavier)
+        p, q = project(problem(region, target, weights, (-800.0, 800.0)))
+        x_heavy, x_light = (p, q) if p_heavier else (q, p)
+        assert x_heavy == -194.85 and x_light > 0.0
 
 
 #: The shipped 600/300 envelope without its disks, so that the region of
