@@ -27,9 +27,9 @@ rounded, hence monotone, float operations; so the ends of those intervals
 bound the voltages.  A range test that the bounds decide, the
 range missing or holding them, needs no projection and gives the probe's
 answer; so the records equal those of the loop that probes every range,
-including k in ``converged-after-k-switches(k)``.  Each AC range is decided
-once per step, as the vac bounds do not depend on the DC range; only a range
-whose edge the bounds straddle asks a probe.  On the shipped curves a
+including k in ``converged-after-k-switches(k)``.  The vac bounds do not
+depend on the DC range, so every DC range decides an AC range alike; only a
+range whose edge the bounds straddle asks a probe.  On the shipped curves a
 step solves one projection instead of three to nine.
 
 Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
@@ -112,6 +112,12 @@ through this module's globals, where a tracer can wrap them.  It evaluates
 the circuit once, in ``dc_power_bounds``: the drive E - sum(vc) that the
 voltage bounds and every probe share is written out with the same float
 operations, and needs no band check, as ``params_for_soc`` chose the band.
+The assumption loop decides each AC range inline from the vac bounds: a
+range they miss is passed, one they hold is taken, and one they straddle
+calls the step's one nested ``probe``.  That probe memoises its projections
+by range pair, so the fallback reuses the loop's, and reads the step's
+inputs from one captured tuple rather than a closure cell per name.  A
+step's switch flag comes from a table built at import.
 """
 
 from __future__ import annotations
@@ -171,6 +177,14 @@ STATUS_P_EXCEEDS = "p-exceeds-target"
 
 def _status_switches(k: int) -> str:
     return f"converged-after-k-switches({k})"
+
+
+#: The switch flag of a step that accepted its (k+1)-th range pair, none for
+#: the first, and the flag of a step that fell back.
+_SWITCHED: tuple[tuple[str, ...], ...] = ((),) + tuple(
+    (_status_switches(k),) for k in range(1, len(DC_SELECTION) * len(AC_SELECTION))
+)
+_FALLBACK = (STATUS_FALLBACK,)
 
 
 class _ProblemFields(NamedTuple):
@@ -729,37 +743,51 @@ class SetpointController:
         return (vdc_lo, vdc_hi), (predict_vac(sample, 0.0, 0.0, xf), vac_hi)
 
     def solve_step(self, sample: GridSample, state: TtcState) -> tuple[ControlRecord, TtcState]:
-        """One full control iteration: droop target, assumption loop, state advance."""
-        cfg = self.cfg
-        eta = cfg.battery.eta
-        wp, wq = cfg.droop.lambda_p, cfg.droop.lambda_q
-        p0, q0 = droop_targets(sample, cfg.droop)
-        dfreq = cfg.droop.f_ref - sample.freq
-        dvac = (cfg.droop.v_ref - sample.v_mv) * 1000.0
+        """One full control iteration: droop target, assumption loop, state advance.
+
+        The loop walks the selection tables in order and decides each AC
+        range inline from the step's vac bounds: a range that they miss is
+        passed, one that holds them settles the AC choice, and only one whose
+        edge they straddle asks the nested ``probe``.  ``probe`` solves each
+        (DC anchor, AC anchor) pair at most once per step, for the loop and
+        the fallback alike, and reads the step's inputs from one tuple.
+        """
+        droop = self.cfg.droop
+        battery = self.cfg.battery
+        eta = battery.eta
+        p0, q0 = droop_targets(sample, droop)
+        dfreq = droop.f_ref - sample.freq
+        dvac = (droop.v_ref - sample.v_mv) * 1000.0
         params = params_for_soc(state.soc, self.bands)
-        pdc_lo, pdc_hi = dc_power_bounds(state, params, cfg.battery)
+        pdc_lo, pdc_hi = dc_power_bounds(state, params, battery)
         # open_circuit_voltage(soc, params) - state.vc_sum, bit for bit.
         vc1, vc2, vc3, soc = state
         drive = params.a + params.b * soc - (vc1 + vc2 + vc3)
+        rs = params.rs
         pac_lo = ac_from_dc(pdc_lo, eta)
         pac_hi = ac_from_dc(pdc_hi, eta)
 
         # Memoize per-step so the fallback never re-runs a probed projection:
-        # at most one solve per distinct (DC anchor, AC anchor) pair.
+        # at most one solve per distinct (DC anchor, AC anchor) pair.  The
+        # probe unpacks its inputs from one captured tuple, so the step's own
+        # names stay plain locals rather than closure cells.
         memo: dict[tuple[Anchor, Anchor | None], Probe] = {}
+        wp, wq = droop.lambda_p, droop.lambda_q
+        inputs = (self, sample, p0, q0, wp, wq, pac_lo, pac_hi, eta, drive, rs)
 
         def probe(dc_anchor: Anchor, ac_anchor: Anchor | None) -> Probe:
             key = (dc_anchor, ac_anchor)
             found = memo.get(key)
             if found is None:
-                region = self._regions.get(key)
+                ctl, sample, p0, q0, wp, wq, pac_lo, pac_hi, eta, drive, rs = inputs
+                region = ctl._regions.get(key)
                 if region is None:
-                    v_dc, v_ac = dc_anchor if dc_anchor not in self.curves else ac_anchor
+                    v_dc, v_ac = dc_anchor if dc_anchor not in ctl.curves else ac_anchor
                     raise ValueError(f"no capability curve anchored at {v_dc:g}/{v_ac:g} V")
                 p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
                 p_dc = dc_from_ac(p, eta)
-                vdc = solve_vdc(p_dc, drive, params.rs)
-                vac = predict_vac(sample, p, q, cfg.transformer)
+                vdc = solve_vdc(p_dc, drive, rs)
+                vac = predict_vac(sample, p, q, ctl.cfg.transformer)
                 found = memo[key] = Probe(p, q, p_dc, vdc, vac, dc_anchor, ac_anchor)
             return found
 
@@ -770,22 +798,17 @@ class SetpointController:
         # voltage bounds miss or hold answers for every probe; only a range
         # that they straddle asks the probe.
         (vdc_lo, vdc_hi), (vac_lo, vac_hi) = self._voltage_bounds(
-            sample, drive, params.rs, pac_lo, pac_hi
+            sample, drive, rs, pac_lo, pac_hi
         )
-        ac_known = [
-            False
-            if vac_hi <= lo or hi < vac_lo
-            else (True if lo < vac_lo and vac_hi <= hi else None)
-            for lo, hi, _, _ in AC_SELECTION
-        ]
         probes = 0
-        fallback = False
         for dc_lo, dc_hi, dc_anchor in DC_SELECTION:
-            for (ac_lo, ac_hi, ac_anchor, clamped), agrees in zip(AC_SELECTION, ac_known):
+            for ac_lo, ac_hi, ac_anchor, clamped in AC_SELECTION:
                 probes += 1
-                if agrees is None:
-                    agrees = ac_lo < probe(dc_anchor, ac_anchor).vac <= ac_hi
-                if agrees:
+                if vac_hi <= ac_lo or ac_hi < vac_lo:
+                    continue
+                if ac_lo < vac_lo and vac_hi <= ac_hi:
+                    break
+                if ac_lo < probe(dc_anchor, ac_anchor).vac <= ac_hi:
                     break
             else:
                 continue
@@ -795,6 +818,7 @@ class SetpointController:
             # the bounds, so a DC range that holds them holds it too.
             probed = probe(dc_anchor, ac_anchor)
             if dc_lo < probed.vdc <= dc_hi:
+                switched = _SWITCHED[probes - 1]
                 break
         else:
             # No self-consistent range pair: fall back to the most conservative
@@ -805,20 +829,15 @@ class SetpointController:
                 choice = select_ac(probe(dc_anchor, ac_anchor).vac)
             ac_anchor, clamped = choice
             probed = probe(DC_SELECTION[0][2], ac_anchor)
-            fallback = True
+            switched = _FALLBACK
         p_opt, q_opt = probed.p, probed.q
 
         unchanged = abs(p_opt - p0) <= _POINT_TOL and abs(q_opt - q0) <= _POINT_TOL
-        flags: tuple[str, ...] = (STATUS_UNCHANGED if unchanged else STATUS_CLIPPED,)
-        if clamped:
-            flags += (STATUS_CLAMP,)
-        if fallback:
-            flags += (STATUS_FALLBACK,)
-        elif probes > 1:
-            flags += (_status_switches(probes - 1),)
-        if abs(p_opt) > abs(p0) + _POINT_TOL:
-            flags += (STATUS_P_EXCEEDS,)
-
+        flags = (
+            (STATUS_UNCHANGED if unchanged else STATUS_CLIPPED,)
+            + ((STATUS_CLAMP,) + switched if clamped else switched)
+            + ((STATUS_P_EXCEEDS,) if abs(p_opt) > abs(p0) + _POINT_TOL else ())
+        )
         alpha_star, beta_star = optimal_droops(p_opt, q_opt, dfreq, dvac)
         record = ControlRecord(
             sample,
@@ -836,5 +855,5 @@ class SetpointController:
             beta_star,
             flags,
         )
-        new_state = ttc_step(state, probed.p_dc, probed.vdc, params, cfg.battery)
+        new_state = ttc_step(state, probed.p_dc, probed.vdc, params, battery)
         return record, new_state

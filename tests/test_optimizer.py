@@ -397,6 +397,36 @@ class TestSolveStep:
         assert any(flag.endswith(status) for flag in record.status), record.status
         assert calls["n"] == 1
 
+    @pytest.mark.parametrize(
+        "sample, state, missing, falls_back",
+        [
+            (GridSample(0.0, 49.95, 18.5), TtcState(0.0, 0.0, 0.0, 0.5), (500.0, 270.0), False),
+            (
+                GridSample(0.0, 50.01, 21.192),
+                TtcState(200.0, 0.0, 0.0, 0.5),
+                (500.0, 300.0),
+                True,
+            ),
+        ],
+        ids=["loop", "fallback"],
+    )
+    def test_missing_curve_a_step_needs_raises_naming_its_anchor(
+        self, controller_cfg, curve_map, bands, sample, state, missing, falls_back
+    ):
+        # With every curve the step settles on a pair that holds the missing
+        # anchor, in the loop or through the fallback; without that curve the
+        # probe of that pair raises.
+        record, _ = self.make_controller(controller_cfg, curve_map, bands).solve_step(
+            sample, state
+        )
+        assert missing in (record.curve_dc, record.curve_ac)
+        assert (STATUS_FALLBACK in record.status) == falls_back
+        curves = {anchor: curve for anchor, curve in curve_map.items() if anchor != missing}
+        ctl = self.make_controller(controller_cfg, curves, bands)
+        message = "no capability curve anchored at {:g}/{:g} V".format(*missing)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ctl.solve_step(sample, state)
+
     def test_step_driven_to_soc_min_zero_lands_on_it(self, bands, curve_map):
         # Drained to the discharge bound, the SOC rounds to -8.1e-20, inside
         # the limit check's slack; the step lands it on the limit.
@@ -2248,6 +2278,26 @@ class TestPrunedAssumptionLoop:
         ref_record, ref_state, _ = reference_solve_step(ctl, sample, state)
         assert repr(record) == repr(ref_record)
         assert new_state == ref_state
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_projects_each_pair_at_most_once_in_reference_order(self, curve_map, bands, data):
+        ctl, sample, state = draw_step(data, curve_map, bands)
+        projected = []
+        original = optimizer.project
+
+        def counting_project(prob):
+            key = next(key for key, region in ctl._regions.items() if region is prob.region)
+            projected.append(key)
+            return original(prob)
+
+        with mock.patch.object(optimizer, "project", counting_project):
+            ctl.solve_step(sample, state)
+        _, _, probes = reference_solve_step(ctl, sample, state)
+        reference = iter([(probe.dc_anchor, probe.ac_anchor) for probe in probes])
+        assert len(set(projected)) == len(projected), projected
+        # A subsequence of the reference's probes: each pair found in order.
+        assert all(key in reference for key in projected), projected
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())

@@ -6,8 +6,8 @@ behind it), the line grammars stay in linefmt (no other module imports a
 tokenizer), the optimizer's set-point tolerance only sets the status
 flags, the per-step value types are NamedTuples rather than dataclasses,
 a step calls the layer functions through the optimizer's globals, the
-battery functions a step calls build no lists, and no module silences a
-lint rule with ``# noqa``."""
+battery functions a step calls and the step itself build no lists, and no
+module silences a lint rule with ``# noqa``."""
 
 import ast
 import dataclasses
@@ -212,6 +212,19 @@ def test_battery_step_functions_build_no_lists(name):
         if isinstance(n, (ast.List, ast.ListComp))
     ]
     assert lists == []
+
+
+def test_solve_step_builds_no_lists_or_comprehensions():
+    # The assumption loop decides each AC range inline; a per-step list of
+    # those answers, zipped against the table in every DC range, cost more
+    # than the comparisons it saved.  Walking solve_step covers probe too.
+    node = function_def(PACKAGE / "optimizer.py", "solve_step")
+    built = [
+        f"{type(n).__name__}:{n.lineno}"
+        for n in ast.walk(node)
+        if isinstance(n, (ast.List, ast.ListComp, ast.DictComp, ast.SetComp, ast.GeneratorExp))
+    ]
+    assert built == []
 
 
 def test_no_module_carries_a_noqa_marker():
