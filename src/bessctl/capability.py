@@ -14,22 +14,19 @@ each cell once into a shrink-scaled ``Cell`` (a P/Q box, at most one disk
 and the parabola caps that can bind on a finite P box), on which all
 downstream optimization works.  The cell also carries the crossings of
 those boundaries that do not involve its P lines, which are the same for
-every projection onto it.  When a projection first reaches them, a region
-also tabulates its cells' screened crossings with their constraint normals
-(``FeasibleRegion.crossing_tables``), which no target changes.
+every projection onto it, and the table of its screened crossings with
+their constraint normals (``Cell.crossings``), which no target changes.
 ``FeasibleRegion.contains`` deliberately stays on the unscaled atoms, so it
 remains an independent membership check of what the optimizer returns.
 
 Curves and regions are immutable after construction and therefore safe for
-unrestricted concurrent reads.  The crossing tables are the one value a
-region fills in later; threads that build them at once build equal tables.
+unrestricted concurrent reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -395,6 +392,9 @@ class Cell(NamedTuple):
     in paras or not, is at least _CAP_MARGIN at both of its ends, so that,
     being concave, it stays >= 0 over the whole box; the optimizer may skip
     an upper cell only then.
+    crossings is the tuple of the cell's ``screened_crossings``, which
+    ``build_region`` fills in, or None on a cell built without it, as a
+    narrowed copy, whose P-line crossings differ.
     """
 
     p_lo: float
@@ -405,6 +405,7 @@ class Cell(NamedTuple):
     paras: tuple[tuple[float, float, float], ...]
     corners: tuple[Corner, ...]
     caps_nonneg: bool
+    crossings: tuple[Crossing, ...] | None = None
 
     def within(self, p: float, q: float, tol: float) -> bool:
         """Every constraint term at (p, q) is at most tol, for finite p; False
@@ -498,8 +499,8 @@ def screened_crossings(cell: Cell) -> Iterator[Crossing]:
     exist, or it misses a constraint other than its two (see ``meets``).
     Otherwise it is (ap, aq, bp, bq, det, |a|, |b|), the normals of the
     pair, ap*bq - aq*bp and the square roots of ap*ap + aq*aq and
-    bp*bp + bq*bq.  None of this depends on the target, so a region keeps
-    the tuple of each of its cells (``FeasibleRegion.crossing_tables``).
+    bp*bp + bq*bq.  None of this depends on the target, so a region's cell
+    keeps their tuple (``Cell.crossings``); this function does not read it.
     """
     for p, q, a, b in _crossings(cell):
         if not cell.within(p, q, SCREEN_TOL):
@@ -629,7 +630,8 @@ def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) ->
         raise ValueError(f"the disk-cap quartic of {curved} is out of range: {exc}") from exc
     except ValueError as exc:  # the disk-cap quartic overflowed
         raise ValueError(f"shrink {shrink} scales the curves out of range: {exc}") from exc
-    return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)
+    cell = Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)
+    return cell._replace(crossings=tuple(screened_crossings(cell)))
 
 
 @dataclass(frozen=True)
@@ -655,19 +657,6 @@ class FeasibleRegion:
     def __post_init__(self) -> None:
         if not self.contains(0.0, 0.0):
             raise ValueError("region must contain the origin")
-
-    @cached_property
-    def crossing_tables(self) -> tuple[tuple[Crossing, ...], tuple[Crossing, ...]]:
-        """``screened_crossings`` of upper_cell and of lower_cell, as tuples.
-
-        Built on first use, when a projection first reaches the crossings
-        of one of the cells, and kept: the optimizer reads a cell's table
-        only when the battery bounds leave that cell itself, not a narrowed
-        copy, which has other crossings.  Building both at once costs a few
-        tens of microseconds, once per region.
-        """
-        upper, lower = self.upper_cell, self.lower_cell
-        return tuple(screened_crossings(upper)), tuple(screened_crossings(lower))
 
     def contains(self, p: float, q: float) -> bool:
         ps = p / self.shrink

@@ -77,17 +77,16 @@ the disk-parabola quartic, are the cell's corners, found by
 normals are not parallel, its multipliers are >= 0 and it meets the other
 constraints: a conjunction of pure float expressions, of which only the
 multipliers read the target.  ``capability.screened_crossings`` evaluates
-the rest, and a region keeps its result for each of its cells,
-``FeasibleRegion.crossing_tables``, built when a solve first reaches the
-crossings of one of them.  So a solve that scans the table takes the same
+the rest, and ``build_region`` keeps its result on each cell,
+``Cell.crossings``.  So a solve that scans the table takes the same
 crossing, or falls back on the same screened ones, bit for bit.  A cell
-that the battery bounds narrow has P-line crossings of its own, which the
-solve evaluates lazily, as it reaches them.  The table goes with the region's
-cell object, not with its value: cells equal under == may differ in the
-sign of a zero bound, which the point taken keeps.  Per call, only a
-violated cap's stationary-point cubic goes through numpy, in
-``capability.cubic_real_roots``, which stores its scalar coefficients
-straight into a 3x3 companion matrix for LAPACK.
+that the battery bounds narrow has P-line crossings of its own and no
+table, so the solve evaluates them lazily, as it reaches them.  So does a
+copy whose box equals the cell's: a bound may carry the other sign of
+zero, which the point taken keeps.  Per call, only a violated cap's
+stationary-point cubic goes through numpy, in ``capability.cubic_real_roots``,
+which stores its scalar coefficients straight into a 3x3 companion matrix
+for LAPACK.
 
 The better of the two cells is the projection.  With one weight zero the
 projection is lexicographic: lambda_q = 0 takes the best p, then the q
@@ -147,7 +146,6 @@ from bessctl.capability import (
     CapabilityCurve,
     Cell,
     CompanionOverflowError,
-    Crossing,
     FeasibleRegion,
     build_region,
     cubic_real_roots,
@@ -464,12 +462,7 @@ def _least_objective(
 
 
 def _project_cell(
-    cell: Cell,
-    p0: float,
-    q0: float,
-    wp: float,
-    wq: float,
-    region: FeasibleRegion | None = None,
+    cell: Cell, p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float, float]:
     """Exact weighted projection onto one cell; returns (p, q, objective).
 
@@ -479,9 +472,9 @@ def _project_cell(
     constraint but its own exactly (see capability.meets), comparing no
     objectives: a projection of _single_projections, then a screened
     crossing whose two multipliers are >= 0.  The crossings are the cell's
-    ``capability.screened_crossings``: region's table of them when region
-    is given, which must then be the region whose own cell this is, and
-    otherwise computed lazily, one at a time, up to the crossing taken.
+    ``capability.screened_crossings``: its table, ``cell.crossings``, when
+    it has one, and otherwise computed lazily, one at a time, up to the
+    crossing taken.
     Each carries its pair's normals, or None where it cannot certify, so
     only the multipliers, by Cramer's rule, are left per call.  The module
     docstring shows that such a point is the optimum.  Only when none
@@ -512,12 +505,8 @@ def _project_cell(
                 break
         else:
             screened: list[tuple[float, float]] = []
-            if region is None:
-                crossings: Iterable[Crossing] = screened_crossings(cell)
-            else:
-                upper, lower = region.crossing_tables
-                crossings = upper if cell is region.upper_cell else lower
-            for p, q, kkt in crossings:
+            crossings = cell.crossings
+            for p, q, kkt in screened_crossings(cell) if crossings is None else crossings:
                 if kkt is not None:
                     # Both multipliers by Cramer's rule; each mu_j |grad g_j|
                     # may round to -MU_TOL |grad f|.
@@ -539,12 +528,15 @@ def _project_cell(
 
 
 def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
-    """The cell with its P box cut to [p_min, p_max]; the cell itself when
-    both bounds lie strictly outside its box, where max and min would return
-    its own p_lo and p_hi."""
+    """The cell with its P box cut to [p_min, p_max]; the cell itself, with
+    its crossing table, when both bounds lie strictly outside its box, where
+    max and min would return its own p_lo and p_hi.  A cut copy has other
+    P-line crossings, so it has no table (crossings None), even where its
+    box is the cell's: a bound on a box edge may be a zero of the other
+    sign."""
     if p_min < cell.p_lo and cell.p_hi < p_max:
         return cell
-    return Cell(max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:])
+    return Cell(max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:-1])
 
 
 def _mantissa_product(w: float, d: float, s: float) -> tuple[float, int]:
@@ -634,9 +626,8 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     try:
         if math.isinf(p0 * p0 + q0 * q0):
             raise OverflowError("the squared target norm overflows")
-        # A cell that the bounds leave as it is scans the region's table.
-        cell = _narrowed(near, problem.p_min, problem.p_max)
-        first = _project_cell(cell, p0, q0, wp, wq, region if cell is near else None)
+        # A cell that the bounds leave as it is scans its own table.
+        first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
         if wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
             edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
@@ -647,8 +638,7 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
                 first[0] == edge and (q0 >= 0.0 or first[1] != 0.0)
             ):
                 return first[0], first[1]
-        cell = _narrowed(far, problem.p_min, problem.p_max)
-        second = _project_cell(cell, p0, q0, wp, wq, region if cell is far else None)
+        second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)
@@ -681,10 +671,11 @@ class SetpointController:
     """Sequential per-step solver; holds immutable configuration only.
 
     The region of every (DC anchor, AC anchor) pair of the selection tables
-    whose curves were supplied is built here, with the regions' power extent
-    (P_min, P_max, S_max): the P range and the largest |S| of their cells'
-    boxes and disks, S_max being inf when a cell has no disk.  A step that
-    probes a pair whose curve is missing raises ValueError naming its anchor.
+    whose curves were supplied is built here, each cell with its crossing
+    table, and so is the regions' power extent (P_min, P_max, S_max): the P
+    range and the largest |S| of their cells' boxes and disks, S_max being
+    inf when a cell has no disk.  A step that probes a pair whose curve is
+    missing raises ValueError naming its anchor.
     """
 
     def __init__(

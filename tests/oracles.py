@@ -8,7 +8,7 @@ far a point lies outside a cell.  ``certify`` measures how far a point is
 from satisfying a cell's KKT conditions (Boyd and Vandenberghe, *Convex
 Optimization*, 5.5.3), which with both weights positive make it the
 unique optimum.  ``reference_project_cell`` is ``optimizer._project_cell``
-with its crossing stage as it was before the regions' crossing tables:
+with its crossing stage as it was before the cells' crossing tables:
 each call screens every crossing and tests its multipliers (``certified``)
 and its exactness, the reference for the bits of the table scan.
 ``running_best_cell`` picks a cell optimum by a
@@ -198,7 +198,7 @@ def certified(cell, p, q, a, b, gp, gq):
 
 def reference_project_cell(cell, p0, q0, wp, wq):
     """``optimizer._project_cell`` with the crossing stage it had before the
-    crossing tables: it walks ``capability._crossings`` and, for each
+    cells' crossing tables: it walks ``capability._crossings`` and, for each
     crossing that passes the screen, tests ``certified`` and then
     ``capability.meets``.  The lexicographic branches and a target inside
     the cell are left to ``optimizer._project_cell`` as this module

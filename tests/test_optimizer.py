@@ -1040,7 +1040,7 @@ class TestProjectExactness:
         # the lower cell's q, 10 kvar from q0, beats the upper cell's 50.
         points = {0.0: (250.0, 0.0), -math.inf: (250.0, -40.0)}
 
-        def cell_solve(cell, p0, q0, wp, wq, region=None):
+        def cell_solve(cell, p0, q0, wp, wq):
             return (*points[cell.q_lo], wp * (250.0 - p0) ** 2)
 
         monkeypatch.setattr(optimizer, "_project_cell", cell_solve)
@@ -1370,7 +1370,9 @@ class TestBindingCaps:
             corners = capability._cell_corners(pruned.q_lo, pruned.q_hi, pruned.r, paras)
         except ValueError:
             assume(False)  # a cap too flat beside the disk
-        full = pruned._replace(paras=tuple(paras), corners=corners)
+        # The full cell with its own table, as _scaled_cell would build it.
+        full = pruned._replace(paras=tuple(paras), corners=corners, crossings=None)
+        full = full._replace(crossings=tuple(capability.screened_crossings(full)))
         p0, q0 = draw_spot_target(data, full, [p * shrink for p in spots])
         cells = [optimizer._narrowed(c, p_min, p_max) for c in (pruned, full)]
         assert outcome(optimizer._project_cell, cells[0], p0, q0, *weights) == outcome(
@@ -1622,7 +1624,9 @@ class TestSingleConstraintExit:
         self, curve_map, monkeypatch, target, crossings, cubics
     ):
         curves = [curve_map[(600.0, 300.0)], curve_map[(500.0, 270.0)]]
-        cell = build_region(curves, 7.0 / 9.0).upper_cell
+        # Without its table, so the solve reaches the crossings through
+        # _crossings, as a narrowed cell does.
+        cell = build_region(curves, 7.0 / 9.0).upper_cell._replace(crossings=None)
         assert cubics <= len(violated_caps(cell, *target[:2]))
         expected = running_best_cell(cell, *target)
         counts = count_calls(
@@ -1636,15 +1640,17 @@ class TestSingleConstraintExit:
 
     def test_cell_solve_without_a_screened_candidate_raises(self, curve_map, monkeypatch):
         # A cell holds the origin, so some crossing always passes the screen;
-        # with the crossings emptied, and no single projection in the cell
-        # for this target, none does.
+        # with the crossings emptied, both those computed as reached and the
+        # cell's table, and no single projection in the cell for this
+        # target, none does.
         cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
         singles = list(optimizer._single_projections(cell, 2000.0, 300.0, 0.5, 0.5))
         assert singles
         assert not any(cell.within(p, q, capability.SCREEN_TOL) for p, q, _ in singles)
         monkeypatch.setattr(capability, "_crossings", lambda cell: iter(()))
-        with pytest.raises(RuntimeError, match=re.escape("target (2000.0, 300.0)")):
-            optimizer._project_cell(cell, 2000.0, 300.0, 1.0, 1.0)
+        for emptied in (cell._replace(crossings=None), cell._replace(crossings=())):
+            with pytest.raises(RuntimeError, match=re.escape("target (2000.0, 300.0)")):
+                optimizer._project_cell(emptied, 2000.0, 300.0, 1.0, 1.0)
 
 
 def draw_spot_cell(data, narrow=True):
@@ -1895,26 +1901,64 @@ def bits(result):
     return repr(result)
 
 
-def owner(cell):
-    """A stand-in region whose own cells are cell, with their table."""
-    table = tuple(capability.screened_crossings(cell))
-    return SimpleNamespace(upper_cell=cell, lower_cell=cell, crossing_tables=(table, table))
+def with_table(cell):
+    """The cell with its own table of screened crossings, as a region's
+    cells carry it."""
+    return cell._replace(crossings=tuple(capability.screened_crossings(cell)))
 
 
 class TestCrossingTables:
-    """A region builds the screened crossings of each cell, with their
-    normals, once; a cell solve that scans them returns the bits of the
-    crossing stage that screens and certifies every crossing per call
-    (oracles.reference_project_cell), and so does project."""
+    """Each cell that build_region returns carries its screened crossings,
+    with their normals, built once with the cell; a cell solve that scans
+    them returns the bits of the crossing stage that screens and certifies
+    every crossing per call (oracles.reference_project_cell), and so does
+    project.  A narrowed copy has no table and computes its crossings as
+    it reaches them."""
+
+    @pytest.mark.parametrize("shrink", [1.0, 7.0 / 9.0, 0.3])
+    def test_every_region_cell_carries_its_screened_crossings(self, curve_map, shrink):
+        for anchors in REGION_ANCHORS + ["dipping"]:
+            curves = [DIPPING] if anchors == "dipping" else [curve_map[a] for a in anchors]
+            region = build_region(curves, shrink)
+            for cell in (region.upper_cell, region.lower_cell):
+                assert cell.crossings
+                assert bits(cell.crossings) == bits(tuple(capability.screened_crossings(cell)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_every_scaled_cell_carries_its_screened_crossings(self, data):
+        cell, _ = draw_spot_cell(data, narrow=False)
+        assert bits(cell.crossings) == bits(tuple(capability.screened_crossings(cell)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_narrowed_is_the_cell_itself_or_a_copy_without_a_table(self, data):
+        cell, _ = draw_spot_cell(data, narrow=False)
+        edges = st.sampled_from([cell.p_lo, cell.p_hi, 0.0, -0.0])
+        p_min = data.draw(st.one_of(p_min_st, edges))
+        p_max = data.draw(st.one_of(p_max_st, edges))
+        narrowed = optimizer._narrowed(cell, p_min, p_max)
+        assert (narrowed is cell) == (p_min < cell.p_lo and cell.p_hi < p_max)
+        assert narrowed is cell or narrowed.crossings is None
+
+    @pytest.mark.parametrize("bounds", [(-0.0, 500.0), (0.0, 500.0), (-1.0, 300.0), (0.0, 300.0)])
+    def test_a_bound_on_a_box_edge_gives_a_copy_without_a_table(self, bounds):
+        # The box is [0, 300]: each pair of bounds cuts it to a box equal to
+        # its own under ==, and -0.0 to one with the other sign of zero.
+        curve = CapabilityCurve("edge", 600.0, 300.0, (PMin(0.0), PMax(300.0), Disk(400.0)))
+        cell = build_region([curve], 1.0).upper_cell
+        narrowed = optimizer._narrowed(cell, *bounds)
+        assert narrowed is not cell and narrowed.crossings is None
+        assert narrowed[:-1] == cell[:-1]
+        assert bits(narrowed.p_lo) == bits(max(bounds[0], 0.0))
 
     @settings(max_examples=2000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS, narrow=st.booleans())
     def test_table_scan_equals_the_reference(self, data, weights, narrow):
         cell, (p0, q0) = draw_spot_cell(data, narrow)
         expected = bits(outcome(reference_project_cell, cell, p0, q0, *weights))
-        assert bits(outcome(optimizer._project_cell, cell, p0, q0, *weights)) == expected
-        region = owner(cell)
-        assert bits(outcome(optimizer._project_cell, cell, p0, q0, *weights, region)) == expected
+        for path in (with_table(cell), cell._replace(crossings=None)):
+            assert bits(outcome(optimizer._project_cell, path, p0, q0, *weights)) == expected
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -1936,11 +1980,7 @@ class TestCrossingTables:
         else:
             target = data.draw(FAR), data.draw(FAR)
         prob = problem(region, target, weights, (p_min, p_max))
-
-        def reference_cell(cell, p0, q0, wp, wq, region=None):
-            return reference_project_cell(cell, p0, q0, wp, wq)
-
-        with mock.patch.object(optimizer, "_project_cell", reference_cell):
+        with mock.patch.object(optimizer, "_project_cell", reference_project_cell):
             expected = bits(outcome(project, prob))
         assert bits(outcome(project, prob)) == expected
 
@@ -1955,27 +1995,37 @@ class TestCrossingTables:
         target = (50.0, 900.0, 1.0, 1.0)
         expected = reference_project_cell(cell, *target)
         assert bits(expected[0]) == bits(p_hi)
+        assert cell.crossings is None
         assert bits(optimizer._project_cell(cell, *target)) == bits(expected)
-        assert bits(optimizer._project_cell(cell, *target, owner(cell))) == bits(expected)
+        assert bits(optimizer._project_cell(with_table(cell), *target)) == bits(expected)
         prob = problem(region, target[:2], bounds=(-700.0, p_hi))
         assert bits(project(prob)) == bits(expected[:2])
 
     def test_a_narrowed_cell_never_reads_the_table(self, curve_map, monkeypatch):
         # Both solves end at a crossing of P_min: the narrowed cell's with
         # the cap, evaluated as reached, and then the region's with the
-        # disk, which builds the table.
+        # disk, which its own cell's table holds.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
         counts = count_calls(monkeypatch, (optimizer, "screened_crossings"))
         assert project(problem(region, (-1500.0, 900.0), bounds=(-300.0, 300.0)))[0] == -300.0
         assert counts == {"screened_crossings": 1}
-        assert "crossing_tables" not in vars(region)
+        counts["screened_crossings"] = 0
+        p, q = project(problem(region, (-1500.0, 300.0)))
+        assert counts == {"screened_crossings": 0}
+        assert p == region.upper_cell.p_lo
+        assert (p, q) in [c[:2] for c in region.upper_cell.crossings if c[2] is not None]
+
+    def test_a_crossing_stage_solve_leaves_the_region_as_built(self, curve_map):
+        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
+        before = dict(vars(region))
         assert project(problem(region, (-1500.0, 300.0)))[0] == region.upper_cell.p_lo
-        assert counts == {"screened_crossings": 1}
-        assert "crossing_tables" in vars(region)
+        assert vars(region).keys() == before.keys()
+        assert all(vars(region)[k] is v for k, v in before.items())
 
     def test_threads_sharing_a_fresh_region_find_the_serial_points(self, curve_map):
-        # Threads that project onto a region before its tables exist may
-        # each build them; every table they scan holds the same entries.
+        # The region and its cells' tables are complete when it is built, so
+        # threads that switch inside their first solves scan the same tables
+        # as a serial run.
         curves = [curve_map[a] for a in TWO_ENV]
         rng = np.random.default_rng(31)
         targets = [tuple(rng.uniform(-1500.0, 1500.0, 2).tolist()) for _ in range(300)]
@@ -1996,50 +2046,47 @@ class TestCrossingTables:
         assert all(bits(points) == bits(serial) for points in results)
 
     def test_a_scenario4_run_builds_each_table_once(self, curve_map, bands, monkeypatch):
-        built, solved, regions = [], [], []
+        built, scanned, solved, regions = [], [], [], []
         screened = capability.screened_crossings
-        project_cell, original_project = optimizer._project_cell, optimizer.project
+        make_region, project_cell = optimizer.build_region, optimizer._project_cell
 
         def building(cell):
             built.append(cell)
             return screened(cell)
 
-        def solving(cell, p0, q0, wp, wq, region=None):
-            solved.append((cell, region))
-            return project_cell(cell, p0, q0, wp, wq, region)
+        def scanning(cell):
+            scanned.append(cell)
+            return screened(cell)
 
-        def projecting(prob):
-            if all(region is not prob.region for region in regions):
-                regions.append(prob.region)
-            return original_project(prob)
+        def building_region(curves, shrink):
+            regions.append(make_region(curves, shrink))
+            return regions[-1]
 
+        def solving(cell, p0, q0, wp, wq):
+            solved.append(cell)
+            return project_cell(cell, p0, q0, wp, wq)
+
+        # _scaled_cell reads capability's name, _project_cell optimizer's.
         monkeypatch.setattr(capability, "screened_crossings", building)
+        monkeypatch.setattr(optimizer, "screened_crossings", scanning)
+        monkeypatch.setattr(optimizer, "build_region", building_region)
         monkeypatch.setattr(optimizer, "_project_cell", solving)
-        monkeypatch.setattr(optimizer, "project", projecting)
         scenario, cfg = load_run_config(builtin_scenario_path("scenario4"))
         # Started 0.001 above soc_min, the one-step SOC drain bounds the
         # discharge and cuts the P box of about a quarter of the steps' cells.
         for soc_init in (scenario.soc_init, 0.101):
             run_scenario(dataclasses.replace(scenario, soc_init=soc_init), cfg, curve_map, bands)
 
-        cells = [(r, c) for r in regions for c in (r.upper_cell, r.lower_cell)]
-        # Each table is built once, from its own cell.  A solve of a
-        # region's own cell is handed the region, and one of a narrowed
-        # copy is not, so it never reads the table.
-        assert any("crossing_tables" in vars(r) for r in regions)
-        assert len(built) == 2 * sum("crossing_tables" in vars(r) for r in regions)
-        assert all(sum(c is cell for c in built) <= 1 for _, cell in cells)
-        assert all(any(c is cell for _, c in cells) for cell in built)
-        own = narrowed = 0
-        for cell, region in solved:
-            owners = [r for r, c in cells if c is cell]
-            if owners:
-                assert [region] == owners
-                own += 1
-            else:
-                assert region is None
-                narrowed += 1
-        assert own > 0 and narrowed > 0, (own, narrowed)
+        # Each table is built once, with its region's cell.  Only narrowed
+        # copies, which have none, screen their crossings during a solve.
+        cells = [c for r in regions for c in (r.upper_cell, r.lower_cell)]
+        assert regions and len(built) == len(cells)
+        assert all(cell.crossings is not None for cell in cells)
+        assert scanned and all(cell.crossings is None for cell in scanned)
+        assert not any(c is cell for c in scanned for cell in cells)
+        own = sum(any(c is cell for cell in cells) for c in solved)
+        narrowed = sum(c.crossings is None for c in solved)
+        assert own + narrowed == len(solved) and own > 0 and narrowed > 0, (own, narrowed)
 
 
 @st.composite
