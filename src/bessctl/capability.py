@@ -371,7 +371,19 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     return out
 
 
-class Cell(NamedTuple):
+class _CellFields(NamedTuple):
+    p_lo: float
+    p_hi: float
+    q_lo: float
+    q_hi: float
+    r: float
+    paras: tuple[tuple[float, float, float], ...]
+    corners: tuple[Corner, ...]
+    caps_nonneg: bool
+    crossings: tuple[Crossing, ...] | None = None
+
+
+class Cell(_CellFields):
     """Convex Q >= 0 or Q <= 0 half of a scaled region, in normal form.
 
     Feasible points satisfy p_lo <= p <= p_hi, q_lo <= q <= q_hi,
@@ -394,18 +406,15 @@ class Cell(NamedTuple):
     an upper cell only then.
     crossings is the tuple of the cell's ``screened_crossings``, which
     ``build_region`` fills in, or None on a cell built without it, as a
-    narrowed copy, whose P-line crossings differ.
+    narrowed copy, whose P-line crossings differ, or a ``_replace`` copy
+    that is not passed crossings, as the old table may not match it.
     """
 
-    p_lo: float
-    p_hi: float
-    q_lo: float
-    q_hi: float
-    r: float
-    paras: tuple[tuple[float, float, float], ...]
-    corners: tuple[Corner, ...]
-    caps_nonneg: bool
-    crossings: tuple[Crossing, ...] | None = None
+    __slots__ = ()
+
+    def _replace(self, /, **fields: object) -> "Cell":
+        fields.setdefault("crossings", None)
+        return super()._replace(**fields)
 
     def within(self, p: float, q: float, tol: float) -> bool:
         """Every constraint term at (p, q) is at most tol, for finite p; False

@@ -81,12 +81,12 @@ the rest, and ``build_region`` keeps its result on each cell,
 ``Cell.crossings``.  So a solve that scans the table takes the same
 crossing, or falls back on the same screened ones, bit for bit.  A cell
 that the battery bounds narrow has P-line crossings of its own and no
-table, so the solve evaluates them lazily, as it reaches them.  So does a
-copy whose box equals the cell's: a bound may carry the other sign of
-zero, which the point taken keeps.  Per call, only a violated cap's
-stationary-point cubic goes through numpy, in ``capability.cubic_real_roots``,
-which stores its scalar coefficients straight into a 3x3 companion matrix
-for LAPACK.
+table, so a solve that reaches the crossing stage screens them all
+first, with no early exit.  So does a copy whose box equals the cell's:
+a bound may carry the other sign of zero, which the point taken keeps.
+Per call, only a violated cap's stationary-point cubic goes through numpy,
+in ``capability.cubic_real_roots``, which stores its scalar coefficients
+straight into a 3x3 companion matrix for LAPACK.
 
 The better of the two cells is the projection.  With one weight zero the
 projection is lexicographic: lambda_q = 0 takes the best p, then the q
@@ -455,10 +455,11 @@ def _single_projections(
 
 
 def _least_objective(
-    points: list[tuple[float, float]], p0: float, q0: float, wp: float, wq: float
+    points: Sequence[tuple[float, ...]], p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float]:
-    """The first of least objective among points, which must not be empty."""
-    return min(points, key=lambda x: wp * (x[0] - p0) ** 2 + wq * (x[1] - q0) ** 2)
+    """(p, q) of the first of least objective among points, which must not
+    be empty; a point may carry more fields after its p and q."""
+    return min(points, key=lambda x: wp * (x[0] - p0) ** 2 + wq * (x[1] - q0) ** 2)[:2]
 
 
 def _project_cell(
@@ -471,17 +472,16 @@ def _project_cell(
     active-set pass takes, polished, the first of these that meets every
     constraint but its own exactly (see capability.meets), comparing no
     objectives: a projection of _single_projections, then a screened
-    crossing whose two multipliers are >= 0.  The crossings are the cell's
-    ``capability.screened_crossings``: its table, ``cell.crossings``, when
-    it has one, and otherwise computed lazily, one at a time, up to the
-    crossing taken.
-    Each carries its pair's normals, or None where it cannot certify, so
-    only the multipliers, by Cramer's rule, are left per call.  The module
-    docstring shows that such a point is the optimum.  Only when none
-    qualifies, as where the cell has no interior at its optimum, the
-    crossing of least objective that passes the screen is taken.  The cell
-    holds the origin, so some crossing passes the screen; if none does,
-    RuntimeError names the target.
+    crossing whose two multipliers are >= 0.  The crossings are one tuple
+    of the cell's ``capability.screened_crossings``: its table,
+    ``cell.crossings``, when it has one, and otherwise all of them, screened
+    when the solve reaches this stage.  Each carries its pair's normals, or None
+    where it cannot certify, so only the multipliers, by Cramer's rule, are
+    left per call.  The module docstring shows that such a point is the
+    optimum.  Only when none qualifies, as where the cell has no interior
+    at its optimum, the crossing of least objective in that tuple is taken.
+    The cell holds the origin, so some crossing passes the screen; if none
+    does, RuntimeError names the target.
     """
 
     if wq == 0.0:
@@ -504,9 +504,10 @@ def _project_cell(
             if meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
                 break
         else:
-            screened: list[tuple[float, float]] = []
             crossings = cell.crossings
-            for p, q, kkt in screened_crossings(cell) if crossings is None else crossings:
+            if crossings is None:
+                crossings = tuple(screened_crossings(cell))
+            for p, q, kkt in crossings:
                 if kkt is not None:
                     # Both multipliers by Cramer's rule; each mu_j |grad g_j|
                     # may round to -MU_TOL |grad f|.
@@ -516,13 +517,12 @@ def _project_cell(
                     tol = -MU_TOL * math.hypot(gp, gq)
                     if mu_a * norm_a >= tol and mu_b * norm_b >= tol:
                         break
-                screened.append((p, q))
             else:
-                if not screened:
+                if not crossings:
                     raise RuntimeError(
                         f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
                     )
-                p, q = _least_objective(screened, p0, q0, sp, sq)
+                p, q = _least_objective(crossings, p0, q0, sp, sq)
         p, q = _polish(cell, p, q)
     return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
 
@@ -539,50 +539,18 @@ def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
     return Cell(max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:-1])
 
 
-def _mantissa_product(w: float, d: float, s: float) -> tuple[float, int]:
-    """(m, e) with w*d*s = m * 2**e as the float product rounds it, m formed
-    from the factors' mantissas in [0.5, 1), so it neither underflows nor
-    overflows."""
-    (mw, ew), (md, ed), (ms, es) = math.frexp(w), math.frexp(d), math.frexp(s)
-    return mw * md * ms, ew + ed + es
-
-
-def _tie_difference(
-    wp: float, dp: float, sp: float, wq: float, dq: float, sq: float
-) -> float:
-    """wp*dp*sp + wq*dq*sq times a positive power of two.
-
-    The two products are added at the larger one's exponent.  Scaling by
-    powers of two rounds nothing in the normal range, so where the plain
-    expression neither underflows nor overflows its sign is unchanged; a
-    product below the float range, as of two 1e-170 differences, keeps it.
-    """
-    x, ex = _mantissa_product(wp, dp, sp)
-    y, ey = _mantissa_product(wq, dq, sq)
-    if x == 0.0:
-        return y
-    if y == 0.0:
-        return x
-    top = max(ex, ey)
-    return math.ldexp(x, ex - top) + math.ldexp(y, ey - top)
-
-
 def project(problem: ProjectionProblem) -> tuple[float, float]:
     """Feasible set-point with least weighted distance to the target.
 
     The better of the two Q-sign cells wins.  When the two cells'
-    objectives round to the same float, as for targets about 1e19 away,
-    their exact difference wp*(pu-pl)*(pu+pl-2*p0) + wq*(qu-ql)*(qu+ql-2*q0)
-    decides instead; its products are scaled by powers of two (see
-    _tie_difference), so one that underflows, as for targets within about
-    1e-162 of both points, keeps its sign.  When that difference is 0 and
-    one weight is zero, the projection is lexicographic and the unweighted
-    coordinate decides: with lambda_q = 0 the cell whose q is nearer q0
-    wins, by the sign of (qu-ql)*(qu+ql-2*q0), and with lambda_p = 0 the
-    cell whose p is nearer p0.  A tie left after that goes to the upper
-    (Q >= 0) cell, for determinism.  The computed sign of each factor is
-    the exact one or 0, as a float sum or difference rounds monotonically
-    and 2*p0 and 2*q0 are exact.
+    objectives round to the same float, as for targets about 1e19 away, or
+    within about 1e-162 of both points, where the squares underflow, the
+    exact objectives of the two points, in rationals, decide instead.  When
+    those are equal too and one weight is zero, the projection is
+    lexicographic and the unweighted coordinate decides, again exactly: with
+    lambda_q = 0 the cell whose q is nearer q0 wins, and with lambda_p = 0
+    the cell whose p is nearer p0.  A tie left after that goes to the upper
+    (Q >= 0) cell, for determinism.
 
     The near cell, on the target's side of Q = 0, is solved first.  The far
     cell costs at least lambda_p * d^2 + lambda_q * q0^2, d the distance
@@ -597,20 +565,16 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     0 (see _clip_to_nonempty) and so lies strictly farther from p0.  So a
     near cell that costs less than lambda_p * (edge - p0)^2 wins.  One
     whose p is edge ties or beats the far cell on p: a far p elsewhere
-    loses the exact difference (its computed sign is 0 at worst, and only
-    where lambda_p * (p - p0)^2 underflows), and a far p at edge ties it
-    exactly, so q decides.  At p = edge the far cell's q interval is not
-    empty, so no cap is below 0 there: a cap of the atoms that were would
-    bound both cells there, or lie above one that does (see
-    capability._binding_caps).  So the near cell's q interval at edge
-    reaches 0 on its side, and its q lies between q0 and 0, nearer q0
-    than the far cell's, of the other sign, or tied with it at q = 0.  The
-    computed q sign agrees: with q0 >= 0 it favours the lower cell only if
-    the exact one does, and with q0 < 0, where qu >= 0 >= ql >= q0 and
-    qu+ql rounds to at least q0 > 2*q0, it is exact.  So the far cell is
-    not solved, for either sign of q0 and whatever the caps, unless the
-    near cell is the lower one at q = 0, as where edge lies on its disk:
-    a tie there goes to the upper cell.
+    loses on the exact objective, and a far p at edge ties it exactly, so
+    q decides.  At p = edge the far cell's q interval is not empty, so no
+    cap is below 0 there: a cap of the atoms that were would bound both
+    cells there, or lie above one that does (see capability._binding_caps).
+    So the near cell's q interval at edge reaches 0 on its side, and its q
+    lies between q0 and 0, nearer q0 than the far cell's, of the other
+    sign, or tied with it at q = 0.  So the far cell is not solved, for
+    either sign of q0 and whatever the caps, unless the near cell is the
+    lower one at q = 0, as where edge lies on its disk: a tie there goes to
+    the upper cell.
     _polish keeps lower-cell points at q <= 0, but upper-cell ones at
     q >= 0 only under caps_nonneg: a cap that crosses Q = 0 inside the P box
     can pull them just below.  A target whose p0^2 + q0^2 overflows (about
@@ -628,12 +592,11 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
             raise OverflowError("the squared target norm overflows")
         # A cell that the bounds leave as it is scans its own table.
         first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
+        edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
         if wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
-            edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
                 return first[0], first[1]
         elif wq == 0.0:
-            edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
             if first[2] < wp * (edge - p0) ** 2 or (
                 first[0] == edge and (q0 >= 0.0 or first[1] != 0.0)
             ):
@@ -643,13 +606,18 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)
     if fl == fu:
-        # Both objectives rounded to one float: fu - fl written as a product
-        # of differences, which keeps what the rounded squares lost, decides.
-        dp, sp, dq, sq = pu - pl, pu + pl - 2.0 * p0, qu - ql, qu + ql - 2.0 * q0
-        fl, fu = 0.0, _tie_difference(wp, dp, sp, wq, dq, sq)
-        if fu == 0.0 and (wp == 0.0 or wq == 0.0):
-            # Lexicographic: the weights swapped weigh the other coordinate.
-            fu = _tie_difference(wq, dp, sp, wp, dq, sq)
+        # Both objectives rounded to one float: compare them exactly.  Imported
+        # here, as fractions loads decimal, which start-up need not pay for.
+        from fractions import Fraction
+
+        # A loop, not a nested function, keeps p0, q0, wp and wq fast locals.
+        keys = []
+        for p, q in ((pl, ql), (pu, qu)):
+            dp, dq = (Fraction(p) - Fraction(p0)) ** 2, (Fraction(q) - Fraction(q0)) ** 2
+            # Lexicographic with one weight zero: the other coordinate next.
+            unweighted = dq if wq == 0.0 else dp if wp == 0.0 else 0
+            keys.append((Fraction(wp) * dp + Fraction(wq) * dq, unweighted))
+        fl, fu = keys
     return (pl, ql) if fl < fu else (pu, qu)
 
 

@@ -748,24 +748,27 @@ def fresh_corners(cell):
     return tuple(cands)
 
 
+def exact_key(point, prob):
+    """The point's objective in exact rationals, then, with one weight zero,
+    its squared distance from the target in the other coordinate, and 0
+    otherwise."""
+    dp = (Fraction(point[0]) - Fraction(prob.p_target)) ** 2
+    dq = (Fraction(point[1]) - Fraction(prob.q_target)) ** 2
+    unweighted = dq if prob.lambda_q == 0.0 else dp if prob.lambda_p == 0.0 else 0
+    return Fraction(prob.lambda_p) * dp + Fraction(prob.lambda_q) * dq, unweighted
+
+
 def reference_project(prob):
     """Both narrowed cells solved; the lower one wins only if strictly
-    better, or, when the objectives tie, if their difference, written as a
-    product of differences and evaluated in exact rationals, puts it ahead.
-    When that difference is 0 too and one weight is zero, the lower cell
-    wins only if its point is strictly nearer the target in the unweighted
-    coordinate, measured in exact rationals."""
-    p0, q0, wp, wq = prob.p_target, prob.q_target, prob.lambda_p, prob.lambda_q
+    better, or, when the objectives round to one float, if its exact_key is
+    less: its objective in exact rationals, then, with one weight zero, its
+    distance from the target in the unweighted coordinate."""
     (pu, qu, fu), (pl, ql, fl) = (
-        optimizer._project_cell(optimizer._narrowed(cell, prob.p_min, prob.p_max), p0, q0, wp, wq)
+        optimizer._project_cell(optimizer._narrowed(cell, prob.p_min, prob.p_max), *prob[:4])
         for cell in (prob.region.upper_cell, prob.region.lower_cell)
     )
     if fl == fu:
-        exact = [Fraction(x) for x in (pu - pl, pu + pl - 2.0 * p0, qu - ql, qu + ql - 2.0 * q0)]
-        fl, fu = 0, Fraction(wp) * exact[0] * exact[1] + Fraction(wq) * exact[2] * exact[3]
-        if fu == 0 and 0.0 in (wp, wq):
-            u, l, t = (pu, pl, p0) if wp == 0.0 else (qu, ql, q0)
-            fl, fu = (abs(Fraction(x) - Fraction(t)) for x in (l, u))
+        fl, fu = exact_key((pl, ql), prob), exact_key((pu, qu), prob)
     return (pl, ql) if fl < fu else (pu, qu)
 
 
@@ -869,10 +872,6 @@ def near_boundary(data, cell, deltas=BOUNDARY_DELTA):
         return p + delta, q + data.draw(deltas)
     return along, data.draw(st.floats(-1000.0, 1000.0))
 
-
-#: A weight and a difference of the cross-cell tie, with exact zeros.
-TIE_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
-TIE_FACTOR = st.floats(-1e3, 1e3)
 
 #: Unit roundoff times two: the spacing of floats just above 1.
 EPS = sys.float_info.epsilon
@@ -1419,6 +1418,14 @@ MARGIN_DELTA = signed(log_uniform(-8.0, -1.0))
 UNEQUAL_WEIGHTS = st.tuples(log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0))
 #: Target coordinates up to 1e6 away from the origin.
 FAR = signed(log_uniform(0.0, 6.0))
+#: A target coordinate out to about 1e19, where both cells' objectives
+#: round to one float, or near 0, where they underflow, with both zeros.
+TIE_COORDINATE = st.one_of(
+    signed(log_uniform(2.0, 19.3)),
+    signed(log_uniform(-320.0, -150.0)),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0]),
+)
 
 
 def p_crossings(cell):
@@ -1873,27 +1880,22 @@ class TestKktCertificate:
         assert project(prob) == (0.0, -1e-170) == reference_project(prob)
         assert project(problem(region, (0.0, -1e-160), weights, (-700.0, 700.0))) == (0.0, -1e-160)
 
-    def test_tie_difference_keeps_the_sign_of_underflowing_products(self):
-        tie = optimizer._tie_difference
-        assert tie(1.0, 0.0, 3.0, 2.0, 1e-170, -1e-170) < 0.0
-        assert tie(1.0, 1e-170, 1e-170, 1.0, -1e-300, 1e-300) > 0.0
-        assert tie(1.0, 1e-170, -1e-170, 2.0, 1e-171, 1e-170) < 0.0
-        assert tie(0.0, 1.0, 1.0, 1.0, 0.0, 1.0) == 0.0
-
-    @settings(max_examples=1000, deadline=None)
-    @given(factors=st.tuples(*(TIE_WEIGHT, TIE_FACTOR, TIE_FACTOR) * 2))
-    def test_tie_difference_has_the_plain_sign_in_range(self, factors):
-        wp, dp, sp, wq, dq, sq = factors
-
-        def in_range(w, d, s):
-            """A zero factor, or normal factors and partial products."""
-            normal = [sys.float_info.min <= abs(x) < math.inf for x in (w, d, s, w * d, w * d * s)]
-            return 0.0 in (w, d, s) or all(normal)
-
-        assume(in_range(wp, dp, sp) and in_range(wq, dq, sq))
-        plain = wp * dp * sp + wq * dq * sq
-        scaled = optimizer._tie_difference(*factors)
-        assert (scaled > 0.0, scaled < 0.0) == (plain > 0.0, plain < 0.0)
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        anchors=st.sampled_from([ONE_ENV, TWO_ENV]),
+        shrink=st.sampled_from([1.0, 7.0 / 9.0]),
+        weights=st.one_of(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (2.5, 1e-3)]), weights_st),
+        target=st.tuples(TIE_COORDINATE, TIE_COORDINATE),
+        bounds=st.tuples(p_min_st, p_max_st),
+    )
+    def test_a_float_tie_goes_to_the_exactly_better_cell(
+        self, curve_map, anchors, shrink, weights, target, bounds
+    ):
+        # Far targets round both cells' objectives to one float, and targets
+        # near Q = 0 underflow them; the exact rationals of exact_key decide.
+        region = build_region([curve_map[a] for a in anchors], shrink)
+        prob = problem(region, target, weights, bounds)
+        assert bits(project(prob)) == bits(reference_project(prob))
 
 
 def bits(result):
@@ -1912,8 +1914,8 @@ class TestCrossingTables:
     with their normals, built once with the cell; a cell solve that scans
     them returns the bits of the crossing stage that screens and certifies
     every crossing per call (oracles.reference_project_cell), and so does
-    project.  A narrowed copy has no table and computes its crossings as
-    it reaches them."""
+    project.  A narrowed copy, or one that _replace gives without a table,
+    screens all its crossings when a solve reaches the crossing stage."""
 
     @pytest.mark.parametrize("shrink", [1.0, 7.0 / 9.0, 0.3])
     def test_every_region_cell_carries_its_screened_crossings(self, curve_map, shrink):
@@ -1951,6 +1953,17 @@ class TestCrossingTables:
         assert narrowed is not cell and narrowed.crossings is None
         assert narrowed[:-1] == cell[:-1]
         assert bits(narrowed.p_lo) == bits(max(bounds[0], 0.0))
+
+    def test_replacing_a_field_drops_the_table(self, curve_map):
+        # The optimum from (300, 700) is the corner of the new P line and
+        # the cap; the old table's corners lie on the P line at 678.71.
+        cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
+        replaced = cell._replace(p_hi=200.0)
+        assert cell.crossings and replaced.crossings is None
+        assert replaced[:-1] == (cell.p_lo, 200.0, *cell[2:-1])
+        expected = reference_project_cell(replaced, 300.0, 700.0, 1.0, 1.0)
+        assert expected[:2] == (200.0, 651.03)
+        assert bits(optimizer._project_cell(replaced, 300.0, 700.0, 1.0, 1.0)) == bits(expected)
 
     @settings(max_examples=2000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS, narrow=st.booleans())
@@ -2339,12 +2352,48 @@ class TestPrunedAssumptionLoop:
             return original(prob)
 
         with mock.patch.object(optimizer, "project", counting_project):
-            ctl.solve_step(sample, state)
+            record, _ = ctl.solve_step(sample, state)
         _, _, probes = reference_solve_step(ctl, sample, state)
-        reference = iter([(probe.dc_anchor, probe.ac_anchor) for probe in probes])
+        reference = [(probe.dc_anchor, probe.ac_anchor) for probe in probes]
         assert len(set(projected)) == len(projected), projected
+        loop = projected
+        if STATUS_FALLBACK in record.status:
+            # The reference probes the fallback's pair first, in its loop;
+            # a loop whose bounds skip that DC range projects it last.
+            fallback = (DC_SELECTION[0][2], record.curve_ac)
+            assert fallback in reference
+            loop = [key for key in projected if key != fallback]
         # A subsequence of the reference's probes: each pair found in order.
-        assert all(key in reference for key in projected), projected
+        in_order = iter(reference)
+        assert all(key in in_order for key in loop), projected
+
+    def test_a_fallback_after_skipped_dc_ranges_projects_its_pair_last(self, bands):
+        # The vdc bounds, about 782 to 807 V, miss the 500 V and 550 V
+        # ranges; the 600 V probe's vdc lies above 800 V, so the step falls
+        # back to the 500/300 pair, which the reference probed first.
+        droop = DroopConfig(alpha0=9003.0, beta0=8.39, lambda_p=1.0, lambda_q=1.0)
+        cfg = ControllerConfig(droop, STEP_BATTERY, TransformerParams.from_nameplate(), 1.0)
+        ctl = SetpointController(cfg, ONE_DISK, bands)
+        state = TtcState(-30.0, -5.0, -5.0, 0.875)
+        p0, q0 = 650.0 * math.cos(2.0), 650.0 * math.sin(2.0)
+        sample = GridSample(0.0, droop.f_ref - p0 / droop.alpha0, droop.v_ref - q0 / 8390.0)
+        projected = []
+        original = optimizer.project
+
+        def counting_project(prob):
+            projected.append(next(k for k, r in ctl._regions.items() if r is prob.region))
+            return original(prob)
+
+        with mock.patch.object(optimizer, "project", counting_project):
+            record, _ = ctl.solve_step(sample, state)
+        ref_record, _, probes = reference_solve_step(ctl, sample, state)
+        assert STATUS_FALLBACK in record.status and repr(record) == repr(ref_record)
+        assert projected == [((600.0, 300.0), None), ((500.0, 300.0), None)]
+        assert [(p.dc_anchor, p.ac_anchor) for p in probes] == [
+            ((500.0, 300.0), None),
+            ((550.0, 300.0), None),
+            ((600.0, 300.0), None),
+        ]
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())

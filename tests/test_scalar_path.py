@@ -48,11 +48,12 @@ def test_per_step_module_does_not_import_numpy(module):
 
 def test_control_loop_imports_without_the_cli():
     # The package __init__ re-exports nothing, so these load neither the
-    # CLI's argparse nor simctl.
+    # CLI's argparse nor simctl; the projection imports fractions only to
+    # break a cross-cell tie.
     script = (
         "import sys\n"
         "import bessctl.optimizer, bessctl.capability, bessctl.battery, bessctl.grid\n"
-        "print(sorted({'argparse', 'bessctl.simctl'} & set(sys.modules)))\n"
+        "print(sorted({'argparse', 'bessctl.simctl', 'fractions'} & set(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
