@@ -605,15 +605,15 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)
-    if fl == fu:
-        # Both objectives rounded to one float: compare them exactly.  Imported
-        # here, as fractions loads decimal, which start-up need not pay for.
+    if fl == fu and (pl, ql) != (pu, qu):
+        # Distinct points, objectives rounded to one float: compare exactly.
+        # Imported here, as fractions loads decimal, which start-up need not pay for.
         from fractions import Fraction
 
-        # A loop, not a nested function, keeps p0, q0, wp and wq fast locals.
-        keys = []
+        # A loop, not a nested function, keeps x0, y0, wp and wq fast locals.
+        keys, x0, y0 = [], Fraction(p0), Fraction(q0)
         for p, q in ((pl, ql), (pu, qu)):
-            dp, dq = (Fraction(p) - Fraction(p0)) ** 2, (Fraction(q) - Fraction(q0)) ** 2
+            dp, dq = (Fraction(p) - x0) ** 2, (Fraction(q) - y0) ** 2
             # Lexicographic with one weight zero: the other coordinate next.
             unweighted = dq if wq == 0.0 else dp if wp == 0.0 else 0
             keys.append((Fraction(wp) * dp + Fraction(wq) * dq, unweighted))
