@@ -267,14 +267,21 @@ def _eigvals(companion: np.ndarray) -> np.ndarray:
 
 def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
     """Real roots of a0*x^3 + a1*x^2 + a2*x + a3: ``poly_real_roots([a0, a1,
-    a2, a3])``, the same list or the same error.
+    a2, a3])``, the same list or the same error, bar an overflowing row.
 
     The projection's scalar copy of that path.  With a0 finite and nonzero,
     a3 nonzero and the companion row (-a1/a0, -a2/a0, -a3/a0) finite, the
     companion matrix is filled by scalar stores and the two Newton steps of
     the polish are unrolled Horner in ``poly_real_roots``' operation order.
     Any other input falls back to ``poly_real_roots``, which never calls
-    this function.
+    this function.  Where that raises CompanionOverflowError, as under a
+    negligible weight or curvature, the roots are those y of the cubic in
+    x = 2**k * y, k the least integer with e_i - e_0 <= i*k for every
+    nonzero a_i (e_i its exponent), so that the scaled row is below 2 in
+    magnitude, scaled back and polished by two Newton steps on this cubic,
+    which recover what scaled coefficients below the float range lost;
+    powers of two round nothing else.  Only a root beyond the float range
+    raises OverflowError.
     """
     if a0 != 0.0 and a3 != 0.0 and math.isfinite(a0):
         r0 = -a1 / a0
@@ -302,7 +309,21 @@ def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
                         x -= (((a0 * x + a1) * x + a2) * x + a3) / d
                 out.append(x)
             return out
-    return poly_real_roots([a0, a1, a2, a3])
+    try:
+        return poly_real_roots([a0, a1, a2, a3])
+    except CompanionOverflowError:
+        pass
+    e0 = math.frexp(a0)[1]
+    k = max(-((e0 - math.frexp(c)[1]) // i) for i, c in ((1, a1), (2, a2), (3, a3)) if c != 0.0)
+    scaled = [math.ldexp(c, -i * k - e0) for i, c in enumerate((a0, a1, a2, a3))]
+    out = []
+    for y in cubic_real_roots(*scaled):
+        x = math.ldexp(y, k)
+        for _ in range(2):
+            if d := (3.0 * a0 * x + 2.0 * a1) * x + a2:
+                x -= (((a0 * x + a1) * x + a2) * x + a3) / d
+        out.append(x)
+    return out
 
 
 def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
@@ -318,7 +339,8 @@ def poly_real_roots(coeffs: Sequence[float]) -> list[float]:
     and finite, and keeps complex roots as ``.imag``.  ``_eigvals`` sets
     the wrapper's error state from an object built at import.  Cubics
     take this path too: ``cubic_real_roots`` is its scalar copy and falls
-    back to it, never the other way round.
+    back to it, never the other way round, and alone rescales a cubic whose
+    companion row overflows: a disk-cap quartic's overflow is reported.
     ``tests/test_capability.py::TestPolyRealRoots`` keeps the roots
     bit-equal to the public ``np.roots`` path on the numpy installed.  Real
     roots are polished with two Newton steps, evaluated by Horner's rule in

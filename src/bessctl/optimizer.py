@@ -86,7 +86,8 @@ first, with no early exit.  So does a copy whose box equals the cell's:
 a bound may carry the other sign of zero, which the point taken keeps.
 Per call, only a violated cap's stationary-point cubic goes through numpy,
 in ``capability.cubic_real_roots``, which stores its scalar coefficients
-straight into a 3x3 companion matrix for LAPACK.
+straight into a 3x3 companion matrix for LAPACK and alone decides how it
+is solved, rescaling a cubic whose companion row overflows.
 
 The better of the two cells is the projection.  With one weight zero the
 projection is lexicographic: lambda_q = 0 takes the best p, then the q
@@ -145,7 +146,6 @@ from bessctl.capability import (
     Anchor,
     CapabilityCurve,
     Cell,
-    CompanionOverflowError,
     FeasibleRegion,
     build_region,
     cubic_real_roots,
@@ -325,38 +325,13 @@ def _parabola_stationary(
     """Stationary points of the weighted objective on q = c0 + c1 p + c2 p^2."""
     c0, c1, c2 = para
     shift = c0 - q0
-    cubic = (
+    roots = cubic_real_roots(
         2.0 * wq * c2 * c2,
         3.0 * wq * c2 * c1,
         wq * (c1 * c1 + 2.0 * c2 * shift) + wp,
         wq * c1 * shift - wp * p0,
     )
-    try:
-        roots = cubic_real_roots(*cubic)
-    except CompanionOverflowError:
-        roots = _rescaled_cubic_roots(*cubic)
     return [(p, c0 + c1 * p + c2 * p * p) for p in roots]
-
-
-def _rescaled_cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
-    """Real roots of a0*x^3 + a1*x^2 + a2*x + a3 whose companion row
-    overflows, as under a negligible weight or curvature: the roots y of the
-    cubic in x = 2**k * y, k the least integer with e_i - e_0 <= i*k for
-    every nonzero a_i, e_i its exponent, so that the scaled row is below 2
-    in magnitude.  Each is scaled back and polished by two Newton steps on
-    this cubic, which recovers what scaled coefficients below the float
-    range lost; powers of two round nothing else."""
-    e0 = math.frexp(a0)[1]
-    k = max(-((e0 - math.frexp(c)[1]) // i) for i, c in ((1, a1), (2, a2), (3, a3)) if c != 0.0)
-    scaled = [math.ldexp(c, -i * k - e0) for i, c in enumerate((a0, a1, a2, a3))]
-    out: list[float] = []
-    for y in cubic_real_roots(*scaled):
-        x = math.ldexp(y, k)
-        for _ in range(2):
-            if d := (3.0 * a0 * x + 2.0 * a1) * x + a2:
-                x -= (((a0 * x + a1) * x + a2) * x + a3) / d
-        out.append(x)
-    return out
 
 
 def _polish(cell: Cell, p: float, q: float) -> tuple[float, float]:
@@ -667,7 +642,6 @@ class SetpointController:
                 p_min = min(p_min, max(cell.p_lo, -cell.r))
                 p_max = max(p_max, min(cell.p_hi, cell.r))
                 s_max = max(s_max, cell.r)
-        self._extent = (p_min, p_max, s_max)
         # Widened by a relative 1e-12; see _voltage_bounds.
         self._widened = (p_min + 1e-12 * p_min, p_max + 1e-12 * p_max, s_max + 1e-12 * s_max)
 

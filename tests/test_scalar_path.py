@@ -2,9 +2,10 @@
 battery, grid and optimizer imports numpy), the control-loop modules import
 without the CLI, no module finds roots through ``np.roots`` or eigenvalues
 through ``np.linalg.eigvals`` (capability alone calls the LAPACK gufunc
-behind it), the line grammars stay in linefmt (no other module imports a
-tokenizer), the optimizer's set-point tolerance only sets the status
-flags, the per-step value types are NamedTuples rather than dataclasses,
+behind it), the optimizer leaves the cap cubic's overflow to capability,
+the line grammars stay in linefmt (no other module imports a tokenizer),
+the optimizer's set-point tolerance only sets the status flags, the
+per-step value types are NamedTuples rather than dataclasses,
 a step calls the layer functions through the optimizer's globals, the
 battery functions a step calls and the step itself build no lists, and no
 module silences a lint rule with ``# noqa``."""
@@ -119,6 +120,13 @@ def test_no_module_reads_numpy_roots(module):
 def test_no_module_reads_numpy_eigvals(module):
     # poly_real_roots calls the gufunc behind np.linalg.eigvals directly.
     assert numpy_reads(PACKAGE / module, "numpy.linalg.eigvals") == []
+
+
+def test_optimizer_leaves_the_cap_cubic_to_capability():
+    # capability.cubic_real_roots alone decides how the cubic is solved, its
+    # overflow retry included; the optimizer only calls it.
+    names = [name.rsplit(".", 1)[-1] for name in imported_names(PACKAGE / "optimizer.py")]
+    assert {"CompanionOverflowError", "poly_real_roots"}.isdisjoint(names)
 
 
 def test_only_capability_imports_the_eigenvalue_gufunc():
