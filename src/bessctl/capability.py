@@ -280,8 +280,13 @@ def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
     nonzero a_i (e_i its exponent), so that the scaled row is below 2 in
     magnitude, scaled back and polished by two Newton steps on this cubic,
     which recover what scaled coefficients below the float range lost;
-    powers of two round nothing else.  Only a root beyond the float range
-    raises OverflowError.
+    powers of two round nothing else.  A step whose Horner terms overflow
+    is not taken.  Where the scaled cubic's s2 and s3 are below 1e-8 and
+    1e-16 of s1, two roots lie below 1e-8 of the largest and are lost in its
+    rounding, as in 1e-310 x^3 - 0.01 x^2 - 10 x + 1e-12: the largest
+    comes from Newton's method in y, and the other two from the quadratic
+    left by dividing it out.  Only a root beyond the float range raises
+    OverflowError; no root is nan.
     """
     if a0 != 0.0 and a3 != 0.0 and math.isfinite(a0):
         r0 = -a1 / a0
@@ -316,14 +321,32 @@ def cubic_real_roots(a0: float, a1: float, a2: float, a3: float) -> list[float]:
     e0 = math.frexp(a0)[1]
     k = max(-((e0 - math.frexp(c)[1]) // i) for i, c in ((1, a1), (2, a2), (3, a3)) if c != 0.0)
     scaled = [math.ldexp(c, -i * k - e0) for i, c in enumerate((a0, a1, a2, a3))]
-    out = []
-    for y in cubic_real_roots(*scaled):
-        x = math.ldexp(y, k)
+
+    def polish(x: float) -> float:
+        # Two Newton steps on the cubic, but none that overflows, as Horner's
+        # terms can for a root near the end of the float range.
         for _ in range(2):
             if d := (3.0 * a0 * x + 2.0 * a1) * x + a2:
-                x -= (((a0 * x + a1) * x + a2) * x + a3) / d
-        out.append(x)
-    return out
+                step = x - (((a0 * x + a1) * x + a2) * x + a3) / d
+                if not math.isfinite(step):
+                    break
+                x = step
+        return x
+
+    s0, s1, s2, s3 = scaled
+    if abs(s2) < 1e-8 * abs(s1) and abs(s3) < 1e-16 * abs(s1):
+        # Two roots below 1e-8 of the largest are lost in its rounding.  That
+        # one is near -s1/s0 in y, where Newton's method on the scaled cubic
+        # cannot overflow.  Backward deflation by it leaves the other two as
+        # the roots of big times the quotient, whose coefficients stay in range.
+        y = -s1 / s0
+        for _ in range(2):
+            y -= (((s0 * y + s1) * y + s2) * y + s3) / ((3.0 * s0 * y + 2.0 * s1) * y + s2)
+        big = polish(math.ldexp(y, k))
+        c2 = -a3 / big
+        c1 = (c2 - a2) / big
+        return [big] + [polish(x) for x in quad_roots(c1 - a1, c2 - a2, -a3)]
+    return [polish(math.ldexp(y, k)) for y in cubic_real_roots(*scaled)]
 
 
 def poly_real_roots(coeffs: Sequence[float]) -> list[float]:

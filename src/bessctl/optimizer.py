@@ -106,9 +106,14 @@ battery state is passed in and returned, so distinct instances can run
 scenario sweeps concurrently.  The values a step builds, the battery state
 it returns, its ``ProjectionProblem``, ``Cell`` and ``ControlRecord``, are
 immutable NamedTuples; the state and the problem validate their fields in
-``__new__``.  A step still calls ``project``, ``dc_power_bounds``,
-``solve_vdc``, ``predict_vac``, ``ttc_step`` and the other layer functions
-through this module's globals, where a tracer can wrap them.  It evaluates
+``__new__``.  A step builds each ``Probe`` and its ``ControlRecord`` with
+``tuple.__new__``, as neither checks its fields, which skips the Python
+frame of the generated constructor.  It calls ``project``,
+``params_for_soc``, ``dc_power_bounds``, ``solve_vdc``, ``predict_vac`` and
+``ttc_step`` through this module's globals, where a tracer can wrap them.
+The one-line layers ``droop_targets``, ``ac_from_dc``, ``dc_from_ac`` and
+``optimal_droops`` it writes out with their float expressions; ``eta`` needs
+no check, as ``BatteryConfig`` checked it.  It evaluates
 the circuit once, in ``dc_power_bounds``: the drive E - sum(vc) that the
 voltage bounds and every probe share is written out with the same float
 operations, and needs no band check, as ``params_for_soc`` chose the band.
@@ -128,6 +133,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+# perfbench/tracer.py wraps ac_from_dc, dc_from_ac, droop_targets and optimal_droops here.
 from bessctl.battery import (
     BatteryConfig,
     TtcParams,
@@ -155,6 +161,8 @@ from bessctl.capability import (
     select_ac,
 )
 from bessctl.grid import (
+    FREQ_DEADBAND_HZ,
+    VOLT_DEADBAND_V,
     DroopConfig,
     GridSample,
     TransformerParams,
@@ -252,8 +260,9 @@ class Probe(NamedTuple):
 class ControlRecord(NamedTuple):
     """Per-step audit trail of the controller.
 
-    An immutable NamedTuple, which solve_step builds positionally; unlike
-    the state and the problem, it makes no checks of its own.
+    An immutable NamedTuple; unlike the state and the problem, it makes no
+    checks of its own, so solve_step builds it with tuple.__new__, without
+    the generated constructor.
     """
 
     sample: GridSample
@@ -511,7 +520,7 @@ def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
     sign."""
     if p_min < cell.p_lo and cell.p_hi < p_max:
         return cell
-    return Cell(max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:-1])
+    return tuple.__new__(Cell, (max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:-1], None))
 
 
 def project(problem: ProjectionProblem) -> tuple[float, float]:
@@ -520,7 +529,7 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     The better of the two Q-sign cells wins.  When the two cells'
     objectives round to the same float, as for targets about 1e19 away, or
     within about 1e-162 of both points, where the squares underflow, the
-    exact objectives of the two points, in rationals, decide instead.  When
+    exact objectives of the two points, in integers, decide instead.  When
     those are equal too and one weight is zero, the projection is
     lexicographic and the unweighted coordinate decides, again exactly: with
     lambda_q = 0 the cell whose q is nearer q0 wins, and with lambda_p = 0
@@ -556,9 +565,7 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     1.3e154 from the origin) is too far to project: it raises ValueError
     before any cell is solved, as does a solve that overflows.
     """
-    region = problem.region
-    p0, q0 = problem.p_target, problem.q_target
-    wp, wq = problem.lambda_p, problem.lambda_q
+    p0, q0, wp, wq, region, p_min, p_max = problem
     near, far = region.upper_cell, region.lower_cell
     if q0 < 0.0:
         near, far = far, near
@@ -566,8 +573,8 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
         if math.isinf(p0 * p0 + q0 * q0):
             raise OverflowError("the squared target norm overflows")
         # A cell that the bounds leave as it is scans its own table.
-        first = _project_cell(_narrowed(near, problem.p_min, problem.p_max), p0, q0, wp, wq)
-        edge = min(max(p0, problem.p_min, far.p_lo), problem.p_max, far.p_hi)
+        first = _project_cell(_narrowed(near, p_min, p_max), p0, q0, wp, wq)
+        edge = min(max(p0, p_min, far.p_lo), p_max, far.p_hi)
         if wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
                 return first[0], first[1]
@@ -576,22 +583,23 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
                 first[0] == edge and (q0 >= 0.0 or first[1] != 0.0)
             ):
                 return first[0], first[1]
-        second = _project_cell(_narrowed(far, problem.p_min, problem.p_max), p0, q0, wp, wq)
+        second = _project_cell(_narrowed(far, p_min, p_max), p0, q0, wp, wq)
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)
     if fl == fu and (pl, ql) != (pu, qu):
         # Distinct points, objectives rounded to one float: compare exactly.
-        # Imported here, as fractions loads decimal, which start-up need not pay for.
-        from fractions import Fraction
-
-        # A loop, not a nested function, keeps x0, y0, wp and wq fast locals.
-        keys, x0, y0 = [], Fraction(p0), Fraction(q0)
-        for p, q in ((pl, ql), (pu, qu)):
-            dp, dq = (Fraction(p) - x0) ** 2, (Fraction(q) - y0) ** 2
+        # Each float is n / 2**e: times the largest 2**e, the coordinates and
+        # the weights are integers, and so are both keys, times its cube.
+        ratios = [x.as_integer_ratio() for x in (p0, q0, pl, ql, pu, qu, wp, wq)]
+        scale = max(d for _, d in ratios)
+        x0, y0, xl, yl, xu, yu, ip, iq = [n * (scale // d) for n, d in ratios]
+        keys = []
+        for x, y in ((xl, yl), (xu, yu)):
+            dp, dq = (x - x0) ** 2, (y - y0) ** 2
             # Lexicographic with one weight zero: the other coordinate next.
             unweighted = dq if wq == 0.0 else dp if wp == 0.0 else 0
-            keys.append((Fraction(wp) * dp + Fraction(wq) * dq, unweighted))
+            keys.append((ip * dp + iq * dq, unweighted))
         fl, fu = keys
     return (pl, ql) if fl < fu else (pu, qu)
 
@@ -688,17 +696,21 @@ class SetpointController:
         droop = self.cfg.droop
         battery = self.cfg.battery
         eta = battery.eta
-        p0, q0 = droop_targets(sample, droop)
-        dfreq = droop.f_ref - sample.freq
-        dvac = (droop.v_ref - sample.v_mv) * 1000.0
+        freq, v_mv = sample.freq, sample.v_mv
+        # droop_targets written out.
+        p0 = -droop.alpha0 * (freq - droop.f_ref)
+        q0 = -droop.beta0 * (v_mv - droop.v_ref) * 1000.0
+        dfreq = droop.f_ref - freq
+        dvac = (droop.v_ref - v_mv) * 1000.0
         params = params_for_soc(state.soc, self.bands)
         pdc_lo, pdc_hi = dc_power_bounds(state, params, battery)
         # open_circuit_voltage(soc, params) - state.vc_sum, bit for bit.
         vc1, vc2, vc3, soc = state
         drive = params.a + params.b * soc - (vc1 + vc2 + vc3)
         rs = params.rs
-        pac_lo = ac_from_dc(pdc_lo, eta)
-        pac_hi = ac_from_dc(pdc_hi, eta)
+        # ac_from_dc written out; BatteryConfig checked eta.
+        pac_lo = pdc_lo / eta if pdc_lo < 0 else eta * pdc_lo
+        pac_hi = pdc_hi / eta if pdc_hi < 0 else eta * pdc_hi
 
         # Memoize per-step so the fallback never re-runs a probed projection:
         # at most one solve per distinct (DC anchor, AC anchor) pair.  The
@@ -718,10 +730,12 @@ class SetpointController:
                     v_dc, v_ac = dc_anchor if dc_anchor not in ctl.curves else ac_anchor
                     raise ValueError(f"no capability curve anchored at {v_dc:g}/{v_ac:g} V")
                 p, q = project(ProjectionProblem(p0, q0, wp, wq, region, pac_lo, pac_hi))
-                p_dc = dc_from_ac(p, eta)
+                p_dc = eta * p if p < 0 else p / eta  # dc_from_ac written out
                 vdc = solve_vdc(p_dc, drive, rs)
                 vac = predict_vac(sample, p, q, ctl.cfg.transformer)
-                found = memo[key] = Probe(p, q, p_dc, vdc, vac, dc_anchor, ac_anchor)
+                found = memo[key] = tuple.__new__(
+                    Probe, (p, q, p_dc, vdc, vac, dc_anchor, ac_anchor)
+                )
             return found
 
         # Accept the first range pair, in table order, whose probe predicts
@@ -771,22 +785,27 @@ class SetpointController:
             + ((STATUS_CLAMP,) + switched if clamped else switched)
             + ((STATUS_P_EXCEEDS,) if abs(p_opt) > abs(p0) + _POINT_TOL else ())
         )
-        alpha_star, beta_star = optimal_droops(p_opt, q_opt, dfreq, dvac)
-        record = ControlRecord(
-            sample,
-            dfreq,
-            dvac,
-            p0,
-            q0,
-            p_opt,
-            q_opt,
-            probed.vdc,
-            probed.vac,
-            probed.dc_anchor,
-            probed.ac_anchor,
-            alpha_star,
-            beta_star,
-            flags,
+        # optimal_droops written out.
+        alpha_star = p_opt / dfreq if abs(dfreq) > FREQ_DEADBAND_HZ else None
+        beta_star = q_opt / dvac if abs(dvac) > VOLT_DEADBAND_V else None
+        record = tuple.__new__(
+            ControlRecord,
+            (
+                sample,
+                dfreq,
+                dvac,
+                p0,
+                q0,
+                p_opt,
+                q_opt,
+                probed.vdc,
+                probed.vac,
+                probed.dc_anchor,
+                probed.ac_anchor,
+                alpha_star,
+                beta_star,
+                flags,
+            ),
         )
         new_state = ttc_step(state, probed.p_dc, probed.vdc, params, battery)
         return record, new_state

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -632,9 +633,11 @@ class TestCubicRealRoots:
         outcome = exact_outcome(cubic_real_roots, *coeffs)
         reference = exact_outcome(poly_real_roots, list(coeffs))
         if isinstance(reference, tuple) and reference[0] == "CompanionOverflowError":
-            # Solved rescaled: a list, in which a root near the end of the
-            # float range may polish to nan, or an OverflowError.
-            assert isinstance(outcome, list) or outcome[0] == "OverflowError"
+            # Solved rescaled: a list of finite roots, or an OverflowError.
+            if isinstance(outcome, list):
+                assert all(math.isfinite(float.fromhex(x)) for x in outcome), outcome
+            else:
+                assert outcome[0] == "OverflowError"
             return
         assert outcome == reference
         assert root_outcome(lambda c: cubic_real_roots(*c), coeffs) == root_outcome(
@@ -660,6 +663,27 @@ class TestCubicRealRoots:
         monkeypatch.setattr(capability, "cubic_real_roots", recording)
         assert original(2e-320, -0.0, 1.0, -10.0) == [10.0]
         assert len(solved) == 1 and all(abs(c / solved[0][0]) < 2.0 for c in solved[0][1:])
+
+    def test_roots_that_span_the_float_range_are_split(self):
+        # Roots near 1e308, in (-1001, -999) and in (0, 2e-13): the lesser two
+        # round to 0 in the scaled variable, and Horner's terms overflow at
+        # the largest.  Each root returned has an exact sign change beside it.
+        coeffs = (1e-310, -0.01, -10.0, 1e-12)
+        with pytest.raises(CompanionOverflowError):
+            poly_real_roots(list(coeffs))
+        roots = cubic_real_roots(*coeffs)
+        assert [x.hex() for x in roots] == [
+            x.hex() for x in [1.000000000000003e308, -1000.0, 9.999999999999998e-14]
+        ]
+
+        def value(x):
+            a0, a1, a2, a3 = map(Fraction, coeffs)
+            return ((a0 * x + a1) * x + a2) * x + a3
+
+        for x in roots:
+            beside = [Fraction(math.nextafter(x, d)) for d in (-math.inf, math.inf)]
+            signs = {(v > 0) - (v < 0) for v in [value(Fraction(x)), *map(value, beside)]}
+            assert 0 in signs or signs == {-1, 1}, x
 
     def test_a_root_beyond_the_float_range_overflows(self):
         # 5e-324 x^3 + x^2 - 1 has a root near -2e323.

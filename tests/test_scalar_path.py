@@ -6,9 +6,10 @@ behind it), the optimizer leaves the cap cubic's overflow to capability,
 the line grammars stay in linefmt (no other module imports a tokenizer),
 the optimizer's set-point tolerance only sets the status flags, the
 per-step value types are NamedTuples rather than dataclasses,
-a step calls the layer functions through the optimizer's globals, the
-battery functions a step calls and the step itself build no lists, and no
-module silences a lint rule with ``# noqa``."""
+a step calls the layer functions through the optimizer's globals and
+builds its records without their constructors, the optimizer never
+imports fractions, the battery functions a step calls and the step itself
+build no lists, and no module silences a lint rule with ``# noqa``."""
 
 import ast
 import dataclasses
@@ -49,8 +50,8 @@ def test_per_step_module_does_not_import_numpy(module):
 
 def test_control_loop_imports_without_the_cli():
     # The package __init__ re-exports nothing, so these load neither the
-    # CLI's argparse nor simctl; the projection imports fractions only to
-    # break a cross-cell tie.
+    # CLI's argparse nor simctl, and the projection breaks a cross-cell tie
+    # in integers, without fractions.
     script = (
         "import sys\n"
         "import bessctl.optimizer, bessctl.capability, bessctl.battery, bessctl.grid\n"
@@ -221,6 +222,25 @@ def test_battery_step_functions_build_no_lists(name):
         if isinstance(n, (ast.List, ast.ListComp))
     ]
     assert lists == []
+
+
+def test_optimizer_never_imports_fractions():
+    # A tie imported fractions, and with it decimal, inside a control step.
+    names = imported_names(PACKAGE / "optimizer.py")
+    assert [name for name in names if name.split(".")[0] == "fractions"] == []
+
+
+@pytest.mark.parametrize("value_type", ["ControlRecord", "Probe"])
+def test_solve_step_does_not_call_the_record_constructors(value_type):
+    # Their generated __new__ is a Python frame per value; the step builds
+    # them with tuple.__new__, which NamedTuples do not check either.
+    node = function_def(PACKAGE / "optimizer.py", "solve_step")
+    calls = [
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == value_type
+    ]
+    assert calls == []
 
 
 def test_solve_step_builds_no_lists_or_comprehensions():
