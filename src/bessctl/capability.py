@@ -13,9 +13,9 @@ the union of two convex cells split at Q = 0.  ``build_region`` normalizes
 each cell once into a shrink-scaled ``Cell`` (a P/Q box, at most one disk
 and the parabola caps that can bind on a finite P box), on which all
 downstream optimization works.  The cell also carries the crossings of
-those boundaries that do not involve its P lines, which are the same for
-every projection onto it, and the table of its screened crossings with
-their constraint normals (``Cell.crossings``), which no target changes.
+those boundaries that do not involve its P lines, and the table of its
+screened crossings with their constraint normals (``Cell.crossings``),
+which it builds itself; a projection solves the cell as built.
 ``FeasibleRegion.contains`` deliberately stays on the unscaled atoms, so it
 remains an independent membership check of what the optimizer returns.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -425,7 +426,7 @@ class _CellFields(NamedTuple):
     paras: tuple[tuple[float, float, float], ...]
     corners: tuple[Corner, ...]
     caps_nonneg: bool
-    crossings: tuple[Crossing, ...] | None = None
+    crossings: tuple[Crossing, ...]
 
 
 class Cell(_CellFields):
@@ -442,24 +443,29 @@ class Cell(_CellFields):
     corners lists, in a fixed order, the pairwise crossings of the Q lines,
     the disk and the caps in paras (see ``_cell_corners``), each tagged
     with its two constraints so that the optimizer can read their normals;
-    they depend on neither the P box nor the target, so narrowing the P box
-    keeps them.
+    they depend on neither the P box nor the target.
     caps_nonneg is True when the atoms hold no parabola cap, whatever the
     P box, or when the P box is finite and every parabola cap of the atoms,
     in paras or not, is at least _CAP_MARGIN at both of its ends, so that,
     being concave, it stays >= 0 over the whole box; the optimizer may skip
     an upper cell only then.
-    crossings is the tuple of the cell's ``screened_crossings``, which
-    ``build_region`` fills in, or None on a cell built without it, as a
-    narrowed copy, whose P-line crossings differ, or a ``_replace`` copy
-    that is not passed crossings, as the old table may not match it.
+    crossings is the tuple of the cell's ``screened_crossings``: construction,
+    ``_replace`` and unpickling take the other fields alone and build it, so
+    no cell carries a table that its fields do not give.
     """
 
     __slots__ = ()
 
-    def _replace(self, /, **fields: object) -> "Cell":
-        fields.setdefault("crossings", None)
-        return super()._replace(**fields)
+    def __new__(cls, *fields: object, **named: object) -> "Cell":
+        cell = super().__new__(cls, *fields, **named, crossings=())
+        return tuple.__new__(cls, (*cell[:-1], tuple(screened_crossings(cell))))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "Cell":
+        return cls(*islice(iterable, len(cls._fields) - 1))
+
+    def __getnewargs__(self) -> tuple[object, ...]:
+        return self[:-1]
 
     def within(self, p: float, q: float, tol: float) -> bool:
         """Every constraint term at (p, q) is at most tol, for finite p; False
@@ -500,8 +506,7 @@ Crossing = tuple[float, float, Optional[Kkt]]
 def _crossings(cell: Cell) -> Iterator[Corner]:
     """Every pairwise crossing of the cell's constraints as (p, q, a, b), in
     a fixed order: those of each finite P line with the finite Q lines, the
-    disk and the caps, which move with the narrowed P box, then the stored
-    corners."""
+    disk and the caps, which move with the P box, then the stored corners."""
     for a, line in ((cell.p_lo, "p_lo"), (cell.p_hi, "p_hi")):
         if not math.isfinite(a):
             continue
@@ -553,7 +558,7 @@ def screened_crossings(cell: Cell) -> Iterator[Crossing]:
     exist, or it misses a constraint other than its two (see ``meets``).
     Otherwise it is (ap, aq, bp, bq, det, |a|, |b|), the normals of the
     pair, ap*bq - aq*bp and the square roots of ap*ap + aq*aq and
-    bp*bp + bq*bq.  None of this depends on the target, so a region's cell
+    bp*bp + bq*bq.  None of this depends on the target, so each ``Cell``
     keeps their tuple (``Cell.crossings``); this function does not read it.
     """
     for p, q, a, b in _crossings(cell):
@@ -684,8 +689,7 @@ def _scaled_cell(atoms: Sequence[ConstraintAtom], shrink: float, upper: bool) ->
         raise ValueError(f"the disk-cap quartic of {curved} is out of range: {exc}") from exc
     except ValueError as exc:  # the disk-cap quartic overflowed
         raise ValueError(f"shrink {shrink} scales the curves out of range: {exc}") from exc
-    cell = Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)
-    return cell._replace(crossings=tuple(screened_crossings(cell)))
+    return Cell(p_lo, p_hi, q_lo, q_hi, r, tuple(paras), corners, caps_nonneg)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ takes the lowest DC envelope with the AC envelope that the last probe's
 predicted voltage selects.
 
 Before it projects anything, a step bounds the voltages any probe can
-predict.  A projection lies in the region with its p in the narrowed P box
+predict.  A projection lies in the region with its p in the cut P box
 and its |S| within the disk radius, so every probe's p lies in the step's
 battery interval and in the P extent of the controller's regions, and its
 |S| is at most their largest disk radius, up to a relative 1e-12 for the
@@ -36,8 +36,8 @@ Each region cell (Q >= 0 or Q <= 0) is a convex set bounded by an active
 power interval, one origin-centred disk, the concave parabola caps that can
 bind on its P box (one or none on the shipped curves) and a flat Q
 ceiling.  ``build_region`` scales and normalizes the cells once; a
-projection only narrows a cell's P interval to the step's battery bounds.
-A target inside the cell is its own projection.
+projection cuts a cell's P interval to the step's battery bounds only in
+the box it passes with the cell.  A target inside is its own projection.
 
 With both weights positive the objective f is strictly convex, and so is
 every constraint g_j <= 0 of a cell: the lines and the disk plainly, a cap's
@@ -67,7 +67,7 @@ screen costs more than the crossing with the missed constraint.
 - The conditions are sufficient but not necessary.  Where the binding
   constraints have parallel gradients, as where the cell narrows to a point
   or two boundaries touch, no multipliers exist, and the screened crossing
-  of least objective, the first on a tie, is taken.
+  of least exact objective once polished is taken.
 
 The screen is ``Cell.within`` with SCREEN_TOL; the point taken is polished
 into the cell.  Weights above 1 are scaled below 1 by a power of two, which
@@ -77,13 +77,10 @@ the disk-parabola quartic, are the cell's corners, found by
 normals are not parallel, its multipliers are >= 0 and it meets the other
 constraints: a conjunction of pure float expressions, of which only the
 multipliers read the target.  ``capability.screened_crossings`` evaluates
-the rest, and ``build_region`` keeps its result on each cell,
-``Cell.crossings``.  So a solve that scans the table takes the same
-crossing, or falls back on the same screened ones, bit for bit.  A cell
-that the battery bounds narrow has P-line crossings of its own and no
-table, so a solve that reaches the crossing stage screens them all
-first, with no early exit.  So does a copy whose box equals the cell's:
-a bound may carry the other sign of zero, which the point taken keeps.
+the rest, and every ``Cell`` keeps its result, ``Cell.crossings``.  An
+optimum beyond the cut box gives way to the best point on the box's line,
+and beside a zero bound a zero p takes the sign that the cut cell's own
+solve gives it (``_project_cell``), which records.csv shows.
 Per call, only a violated cap's stationary-point cubic goes through numpy,
 in ``capability.cubic_real_roots``, which stores its scalar coefficients
 straight into a 3x3 companion matrix for LAPACK and alone decides how it
@@ -157,7 +154,6 @@ from bessctl.capability import (
     cubic_real_roots,
     meets,
     quad_roots,
-    screened_crossings,
     select_ac,
 )
 from bessctl.grid import (
@@ -369,31 +365,34 @@ def _q_interval_at(cell: Cell, p: float) -> tuple[float, float]:
     return max(lo, -s), min(hi, s)
 
 
-def _clip_to_nonempty(interval_at, cell: Cell, x: float) -> tuple[float, float, float]:
-    """(x, lo, hi), x pulled toward 0 until interval_at(cell, x) = (lo, hi) is nonempty.
+def _clip_to_nonempty(interval_at, of, x: float) -> tuple[float, float, float]:
+    """(x, lo, hi), x pulled toward 0 until interval_at(of, x) = (lo, hi) is nonempty.
 
-    interval_at is _q_interval_at or _p_interval_at; the cell holds the
-    origin, so its interval at 0 is nonempty.  An empty interval at x is
-    bisected between 0 and x down to adjacent floats: the x returned has a
-    nonempty interval and the next float away from 0 an empty one.
+    interval_at is _q_interval_at, of a cell, or _p_interval_at, of a cell
+    and its cut P box; both hold the origin, so the interval at 0 is
+    nonempty.  An empty interval at x is bisected between 0 and x down to
+    adjacent floats: the x returned has a nonempty interval and the next
+    float away from 0 an empty one.
     """
-    lo, hi = interval_at(cell, x)
+    lo, hi = interval_at(of, x)
     if lo <= hi:
         return x, lo, hi
     inside, outside = 0.0, x
     while (mid := 0.5 * (inside + outside)) != inside and mid != outside:
-        lo, hi = interval_at(cell, mid)
+        lo, hi = interval_at(of, mid)
         inside, outside = (mid, outside) if lo <= hi else (inside, mid)
-    return (inside, *interval_at(cell, inside))
+    return (inside, *interval_at(of, inside))
 
 
-def _p_interval_at(cell: Cell, q: float) -> tuple[float, float]:
-    """Feasible p interval of the cell at fixed q (may be empty: lo > hi)."""
+def _p_interval_at(cut: tuple[Cell, float, float], q: float) -> tuple[float, float]:
+    """Feasible p interval at fixed q of the cell cut to the P box, cut being
+    (cell, p_lo, p_hi) (may be empty: lo > hi)."""
+    cell, p_lo, p_hi = cut
     span = cell.r * cell.r - q * q
     if span < 0.0:
         return 1.0, -1.0
     s = math.sqrt(span)
-    lo, hi = max(cell.p_lo, -s), min(cell.p_hi, s)
+    lo, hi = max(p_lo, -s), min(p_hi, s)
     for c0, c1, c2 in cell.paras:
         # q <= c0 + c1 p + c2 p^2 with c2 <= 0: feasible p is between the roots.
         if c2 == 0.0:
@@ -441,42 +440,102 @@ def _single_projections(
 def _least_objective(
     points: Sequence[tuple[float, ...]], p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float]:
-    """(p, q) of the first of least objective among points, which must not
-    be empty; a point may carry more fields after its p and q."""
-    return min(points, key=lambda x: wp * (x[0] - p0) ** 2 + wq * (x[1] - q0) ** 2)[:2]
+    """(p, q) of the first of least exact objective among points, which must
+    not be empty; a point may carry more fields after its p and q."""
+    keys = _exact_keys(points, p0, q0, wp, wq)
+    return points[keys.index(min(keys))][:2]
+
+
+def _exact_keys(
+    points: Sequence[tuple[float, ...]], p0: float, q0: float, wp: float, wq: float
+) -> list[tuple[int, int]]:
+    """Per point, its objective and then, with one weight zero, its squared
+    distance in the other coordinate, exactly, times one positive integer.
+    Each float is n / 2**e: times the largest 2**e, the coordinates and the
+    weights are integers, and so are the keys, times its cube."""
+    ratios = [x.as_integer_ratio() for x in (p0, q0, wp, wq, *(c for x in points for c in x[:2]))]
+    scale = max(d for _, d in ratios)
+    x0, y0, ip, iq, *coords = [n * (scale // d) for n, d in ratios]
+    keys = []
+    for x, y in zip(coords[::2], coords[1::2]):
+        dp, dq = (x - x0) ** 2, (y - y0) ** 2
+        # Lexicographic with one weight zero: the other coordinate next.
+        keys.append((ip * dp + iq * dq, dq if wq == 0.0 else dp if wp == 0.0 else 0))
+    return keys
+
+
+def _signed_zero(
+    cell: Cell, p_lo: float, p_hi: float, p: float, q: float, found: str | int, *target: float
+) -> tuple[float, float]:
+    """(p, q) with the signs of zero that the solve of the cell cut to
+    [p_lo, p_hi] takes, where p is a zero and so is a bound; found is
+    "target", a tag of _single_projections, "crossing" or "fallback", and
+    target is (p0, q0, wp, wq), both weights positive.
+
+    That solve takes the target or its clamp onto a P line, where q is q0;
+    the same single projection onto another constraint; then the first
+    crossing that certifies: those of the p_lo line, of the p_hi line, and
+    the corners; and with none, the first of least objective, a P line's.
+    A P line's crossing with a constraint that binds at q certifies where
+    the line's multiplier passes -MU_TOL |grad f|.  That of p_hi is minus
+    that of p_lo, in which a binding cap's slope at p = 0, c1, enters and
+    a Q line or the disk, flat there, does not.
+    """
+    p0, q0, wp, wq = target
+    if q == q0 and (clamp := min(max(p0, p_lo), p_hi)) == 0.0:
+        return clamp, q0
+    if found == "fallback":
+        return (p_lo if p_lo == 0.0 else p_hi), q
+    if found == "crossing":
+        slopes = [c1 for c0, c1, _ in cell.paras if c0 == q < q0]
+        if q > q0 or q == cell.q_hi or q == math.sqrt(cell.r * cell.r) or not slopes:
+            slopes.append(0.0)
+        scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])  # leaves every sign alone
+        gp, gq = wp * scale * (p - p0), wq * scale * (q - q0)
+        mus, tol = [gp + s * gq for s in slopes], -MU_TOL * math.hypot(gp, gq)
+        if p_lo == 0.0 and max(mus) >= tol:
+            p = p_lo
+        elif p_hi == 0.0 and -min(mus) >= tol:
+            p = p_hi
+    return p, q
 
 
 def _project_cell(
-    cell: Cell, p0: float, q0: float, wp: float, wq: float
+    cell: Cell, p_lo: float, p_hi: float, p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float, float]:
-    """Exact weighted projection onto one cell; returns (p, q, objective).
+    """Exact weighted projection onto the cell cut to the P box [p_lo, p_hi],
+    which holds 0 and lies within its own; returns (p, q, objective).
 
-    A single weight takes the lexicographic branch.  With both weights
-    positive, a target inside the cell is returned as it is.  Otherwise one
-    active-set pass takes, polished, the first of these that meets every
-    constraint but its own exactly (see capability.meets), comparing no
-    objectives: a projection of _single_projections, then a screened
-    crossing whose two multipliers are >= 0.  The crossings are one tuple
-    of the cell's ``capability.screened_crossings``: its table,
-    ``cell.crossings``, when it has one, and otherwise all of them, screened
-    when the solve reaches this stage.  Each carries its pair's normals, or None
-    where it cannot certify, so only the multipliers, by Cramer's rule, are
-    left per call.  The module docstring shows that such a point is the
-    optimum.  Only when none qualifies, as where the cell has no interior
-    at its optimum, the crossing of least objective in that tuple is taken.
-    The cell holds the origin, so some crossing passes the screen; if none
-    does, RuntimeError names the target.
+    A single weight takes the lexicographic branch in the cut box.  With
+    both weights positive, a target inside the cell is the cell's optimum;
+    otherwise one active-set pass takes, polished, the first of these that
+    meets every constraint but its own exactly (see capability.meets),
+    comparing no objectives: a projection of _single_projections, then a
+    crossing of the cell's table, ``cell.crossings``, whose two multipliers,
+    by Cramer's rule from the normals it carries, are >= 0.  The module
+    docstring shows that such a point is the optimum.  Only when none
+    qualifies, as where the cell has no interior at its optimum, the
+    crossing of least exact objective once polished is taken; if the table
+    is empty, RuntimeError names the target.  A cell optimum beyond a line
+    of the cut box gives way to the cut cell's, on that line, as f is
+    strictly convex and the cell convex: at the q nearest q0 in the cell's
+    q interval there, which the segment from the origin to the cell's
+    optimum keeps nonempty.  A zero p beside a zero bound takes its sign
+    from _signed_zero.
     """
 
     if wq == 0.0:
         # Lexicographic: best p first, then closest feasible q at that p.
-        p, lo, hi = _clip_to_nonempty(_q_interval_at, cell, min(max(p0, cell.p_lo), cell.p_hi))
+        p, lo, hi = _clip_to_nonempty(_q_interval_at, cell, min(max(p0, p_lo), p_hi))
         q = min(max(q0, lo), hi)
     elif wp == 0.0:
-        q, lo, hi = _clip_to_nonempty(_p_interval_at, cell, min(max(q0, cell.q_lo), cell.q_hi))
+        q = min(max(q0, cell.q_lo), cell.q_hi)
+        q, lo, hi = _clip_to_nonempty(_p_interval_at, (cell, p_lo, p_hi), q)
         p = min(max(p0, lo), hi)
     elif cell.within(p0, q0, 0.0):
-        return p0, q0, 0.0
+        if p_lo <= p0 <= p_hi:
+            return p0, q0, 0.0
+        p, q, k = p0, q0, "target"
     else:
         sp, sq = wp, wq
         if wp > 1.0 or wq > 1.0:  # scaled into [0.5, 1), they round nothing while normal
@@ -488,10 +547,8 @@ def _project_cell(
             if meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
                 break
         else:
-            crossings = cell.crossings
-            if crossings is None:
-                crossings = tuple(screened_crossings(cell))
-            for p, q, kkt in crossings:
+            k = "crossing"
+            for p, q, kkt in cell.crossings:
                 if kkt is not None:
                     # Both multipliers by Cramer's rule; each mu_j |grad g_j|
                     # may round to -MU_TOL |grad f|.
@@ -502,25 +559,23 @@ def _project_cell(
                     if mu_a * norm_a >= tol and mu_b * norm_b >= tol:
                         break
             else:
-                if not crossings:
+                if not cell.crossings:
                     raise RuntimeError(
                         f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
                     )
-                p, q = _least_objective(crossings, p0, q0, sp, sq)
+                polished = [_polish(cell, p, q) for p, q, _ in cell.crossings]
+                p, q = _least_objective(polished, p0, q0, sp, sq)
+                k = "fallback"
         p, q = _polish(cell, p, q)
+    if not p_lo < p < p_hi:  # on an edge of the cut box or beyond it
+        if not p_lo <= p <= p_hi:  # only the cell's weighted optimum can leave
+            p = p_lo if p < p_lo else p_hi
+            lo, hi = _q_interval_at(cell, p)
+            p, q = _polish(cell, p, min(max(q0, lo), hi))
+            k = "crossing"
+        if p == 0.0 and wp and wq:  # a zero p on an edge: a bound is a zero
+            p, q = _signed_zero(cell, p_lo, p_hi, p, q, k, p0, q0, wp, wq)
     return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
-
-
-def _narrowed(cell: Cell, p_min: float, p_max: float) -> Cell:
-    """The cell with its P box cut to [p_min, p_max]; the cell itself, with
-    its crossing table, when both bounds lie strictly outside its box, where
-    max and min would return its own p_lo and p_hi.  A cut copy has other
-    P-line crossings, so it has no table (crossings None), even where its
-    box is the cell's: a bound on a box edge may be a zero of the other
-    sign."""
-    if p_min < cell.p_lo and cell.p_hi < p_max:
-        return cell
-    return tuple.__new__(Cell, (max(p_min, cell.p_lo), min(p_max, cell.p_hi), *cell[2:-1], None))
 
 
 def project(problem: ProjectionProblem) -> tuple[float, float]:
@@ -536,9 +591,10 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     the cell whose p is nearer p0.  A tie left after that goes to the upper
     (Q >= 0) cell, for determinism.
 
+    Each cell is solved as built, passed its P interval cut to the bounds.
     The near cell, on the target's side of Q = 0, is solved first.  The far
     cell costs at least lambda_p * d^2 + lambda_q * q0^2, d the distance
-    from p0 to edge, the clip of p0 into its narrowed P box, while its
+    from p0 to edge, the clip of p0 into its cut P box, while its
     projection keeps p in that box and the other sign of q.  The float
     objective is monotone in |p - p0| and |q - q0|, so the bound holds
     after rounding too; when lambda_q > 0 and the near cell does better
@@ -572,8 +628,11 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     try:
         if math.isinf(p0 * p0 + q0 * q0):
             raise OverflowError("the squared target norm overflows")
-        # A cell that the bounds leave as it is scans its own table.
-        first = _project_cell(_narrowed(near, p_min, p_max), p0, q0, wp, wq)
+        # Each cut box is max and min written out, cheaper than the builtins;
+        # a tie keeps the bound, and so a zero bound's sign.
+        lo, hi = near.p_lo, near.p_hi
+        lo, hi = (p_min if p_min >= lo else lo), (p_max if p_max <= hi else hi)
+        first = _project_cell(near, lo, hi, p0, q0, wp, wq)
         edge = min(max(p0, p_min, far.p_lo), p_max, far.p_hi)
         if wq > 0.0 and (q0 > 0.0 or region.upper_cell.caps_nonneg):
             if first[2] < (wq * q0**2 + wp * (edge - p0) ** 2) * (1.0 - 1e-12):
@@ -583,24 +642,15 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
                 first[0] == edge and (q0 >= 0.0 or first[1] != 0.0)
             ):
                 return first[0], first[1]
-        second = _project_cell(_narrowed(far, p_min, p_max), p0, q0, wp, wq)
+        lo, hi = far.p_lo, far.p_hi
+        lo, hi = (p_min if p_min >= lo else lo), (p_max if p_max <= hi else hi)
+        second = _project_cell(far, lo, hi, p0, q0, wp, wq)
     except OverflowError as exc:
         raise ValueError(f"target ({p0!r}, {q0!r}) is too far from the region to project") from exc
     (pu, qu, fu), (pl, ql, fl) = (second, first) if q0 < 0.0 else (first, second)
     if fl == fu and (pl, ql) != (pu, qu):
         # Distinct points, objectives rounded to one float: compare exactly.
-        # Each float is n / 2**e: times the largest 2**e, the coordinates and
-        # the weights are integers, and so are both keys, times its cube.
-        ratios = [x.as_integer_ratio() for x in (p0, q0, pl, ql, pu, qu, wp, wq)]
-        scale = max(d for _, d in ratios)
-        x0, y0, xl, yl, xu, yu, ip, iq = [n * (scale // d) for n, d in ratios]
-        keys = []
-        for x, y in ((xl, yl), (xu, yu)):
-            dp, dq = (x - x0) ** 2, (y - y0) ** 2
-            # Lexicographic with one weight zero: the other coordinate next.
-            unweighted = dq if wq == 0.0 else dp if wp == 0.0 else 0
-            keys.append((ip * dp + iq * dq, unweighted))
-        fl, fu = keys
+        fl, fu = _exact_keys(((pl, ql), (pu, qu)), p0, q0, wp, wq)
     return (pl, ql) if fl < fu else (pu, qu)
 
 
@@ -663,7 +713,7 @@ class SetpointController:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """Closed (vdc, vac) intervals that hold every probe's predictions.
 
-        A probe's point lies in its region with its p in the narrowed P box,
+        A probe's point lies in its region with its p in the cut P box,
         so in [pac_lo, pac_hi] and in the regions' P extent, and its |S| is
         at most S_max.  __init__ widens the extent by a relative 1e-12, which
         absorbs the ulp by which _polish's disk scaling can overshoot the

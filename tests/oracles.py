@@ -196,16 +196,20 @@ def certified(cell, p, q, a, b, gp, gq):
     return mu_a * math.sqrt(na) >= tol and mu_b * math.sqrt(nb) >= tol
 
 
-def reference_project_cell(cell, p0, q0, wp, wq):
-    """``optimizer._project_cell`` with the crossing stage it had before the
-    cells' crossing tables: it walks ``capability._crossings`` and, for each
-    crossing that passes the screen, tests ``certified`` and then
-    ``capability.meets``.  The lexicographic branches and a target inside
-    the cell are left to ``optimizer._project_cell`` as this module
-    imported it, so a test may patch the module's name with this function;
-    it reads no crossing there."""
+def reference_project_cell(cell, p_lo, p_hi, p0, q0, wp, wq):
+    """``optimizer._project_cell`` as it was before the cells' crossing
+    tables and the solve on the cut box's line: it solves the cell cut to
+    [p_lo, p_hi], built with that box, walking ``capability._crossings``
+    and, for each crossing that passes the screen, testing ``certified`` and
+    then ``capability.meets``; where none certifies, it ranks the screened
+    crossings, polished, as ``optimizer._project_cell`` does.  The
+    lexicographic branches and a target inside the cut cell are left to
+    ``optimizer._project_cell`` as this module imported it, so a test may
+    patch the module's name with this function; it reads no crossing
+    there."""
+    cell = cell._replace(p_lo=p_lo, p_hi=p_hi)
     if wp == 0.0 or wq == 0.0 or cell.within(p0, q0, 0.0):
-        return _PROJECT_CELL(cell, p0, q0, wp, wq)
+        return _PROJECT_CELL(cell, p_lo, p_hi, p0, q0, wp, wq)
     sp, sq = wp, wq
     if wp > 1.0 or wq > 1.0:
         scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])
@@ -227,7 +231,8 @@ def reference_project_cell(cell, p0, q0, wp, wq):
                 raise RuntimeError(
                     f"no candidate passes the cell's screen for target ({p0!r}, {q0!r})"
                 )
-            p, q = optimizer._least_objective(screened, p0, q0, sp, sq)
+            polished = [optimizer._polish(cell, p, q) for p, q in screened]
+            p, q = optimizer._least_objective(polished, p0, q0, sp, sq)
     p, q = optimizer._polish(cell, p, q)
     return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
 

@@ -257,7 +257,7 @@ class TestProject:
 
         monkeypatch.setattr(optimizer, "_q_interval_at", counting)
         cell = build_region([curve_map[a] for a in anchors], 1.0).upper_cell
-        p, q, _ = optimizer._project_cell(cell, p0, 700.0, 1.0, 0.0)
+        p, q, _ = optimizer._project_cell(cell, *cut_box(cell), p0, 700.0, 1.0, 0.0)
         assert (len(calls) > 1) is bisects
         assert calls[0] == p0
         assert q == original(cell, p)[1]
@@ -876,13 +876,28 @@ def exact_key(point, prob):
     return Fraction(prob.lambda_p) * dp + Fraction(prob.lambda_q) * dq, unweighted
 
 
+def cut_box(cell, p_min=-math.inf, p_max=math.inf):
+    """The P box that project cuts the cell to, the cell's own by default,
+    with project's argument order, so that a bound of either zero keeps its
+    sign."""
+    return max(p_min, cell.p_lo), min(p_max, cell.p_hi)
+
+
+def cut_cell(cell, p_min, p_max):
+    """The cell cut to project's box, built with that box and so with its
+    own crossing table: the cell that the line solve answers for."""
+    p_lo, p_hi = cut_box(cell, p_min, p_max)
+    return cell._replace(p_lo=p_lo, p_hi=p_hi)
+
+
 def reference_project(prob):
-    """Both narrowed cells solved; the lower one wins only if strictly
-    better, or, when the objectives round to one float, if its exact_key is
-    less: its objective in exact rationals, then, with one weight zero, its
-    distance from the target in the unweighted coordinate."""
+    """Both cells solved in their cut boxes; the lower one wins only if
+    strictly better, or, when the objectives round to one float, if its
+    exact_key is less: its objective in exact rationals, then, with one
+    weight zero, its distance from the target in the unweighted
+    coordinate."""
     (pu, qu, fu), (pl, ql, fl) = (
-        optimizer._project_cell(optimizer._narrowed(cell, prob.p_min, prob.p_max), *prob[:4])
+        optimizer._project_cell(cell, *cut_box(cell, prob.p_min, prob.p_max), *prob[:4])
         for cell in (prob.region.upper_cell, prob.region.lower_cell)
     )
     if fl == fu:
@@ -948,8 +963,9 @@ def random_atoms(data):
 
 
 def draw_cell(data, curve_map):
-    """A shrink-scaled cell of a shipped region, of DIPPING or of random
-    atoms, narrowed to random battery bounds as ``project`` narrows it."""
+    """(cell, p_lo, p_hi): a shrink-scaled cell of a shipped region, of
+    DIPPING or of random atoms, and the box that ``project`` cuts it to for
+    random battery bounds."""
     source = data.draw(st.sampled_from(REGION_ANCHORS + ["dipping", "random"]))
     upper = data.draw(st.booleans())
     shrink = data.draw(st.floats(1e-3, 1.0))
@@ -959,7 +975,7 @@ def draw_cell(data, curve_map):
         curves = [DIPPING] if source == "dipping" else [curve_map[a] for a in source]
         region = build_region(curves, shrink)
         cell = region.upper_cell if upper else region.lower_cell
-    return optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
+    return (cell, *cut_box(cell, data.draw(p_min_st), data.draw(p_max_st)))
 
 
 def near_boundary(data, cell, deltas=BOUNDARY_DELTA):
@@ -1019,18 +1035,20 @@ def costs_no_more(cell, got, p0, q0, wp, wq):
     return objective <= least + rounding
 
 
-def assert_agrees_with_running_best(cell, p0, q0, wp, wq):
-    """The cell solve returns what the running-best scan returns, or, where
-    the two part, a point that costs no more than any of the scan's
-    candidates in the cell (see costs_no_more) and that certifies, unless
-    it came through the fallback of a cell whose binding normals are
-    parallel.  They part where both reach one point by different roundings,
-    or where the scan ranks a screened candidate outside the cell below the
-    optimum.  Beyond about 1e154 from the target objectives overflow, and
-    both raise the same error."""
+def assert_agrees_with_running_best(cell, p_lo, p_hi, p0, q0, wp, wq):
+    """The solve of the cell in the box [p_lo, p_hi] returns what the
+    running-best scan of the cut cell returns, or, where the two part, a
+    point that costs no more than any of the scan's candidates in the cut
+    cell (see costs_no_more) and that certifies there, unless it came
+    through the fallback of a cell whose binding normals are parallel.  They
+    part where both reach one point by different roundings, or where the
+    scan ranks a screened candidate outside the cell below the optimum.
+    Beyond about 1e154 from the target objectives overflow, and both raise
+    the same error."""
     least = optimizer._least_objective
     with mock.patch.object(optimizer, "_least_objective", wraps=least) as fallback:
-        got = outcome(optimizer._project_cell, cell, p0, q0, wp, wq)
+        got = outcome(optimizer._project_cell, cell, p_lo, p_hi, p0, q0, wp, wq)
+    cell = cell._replace(p_lo=p_lo, p_hi=p_hi)
     expected = outcome(running_best_cell, cell, p0, q0, wp, wq)
     if got != expected:
         p, q, _ = got
@@ -1057,7 +1075,8 @@ class TestProjectExactness:
     def test_within_equals_violation_at_most_tol(self, curve_map, data, tol):
         # _project_cell only screens points inside the P box widened by tol,
         # so p is finite; q may be anything.
-        cell = draw_cell(data, curve_map)
+        cell, p_lo, p_hi = draw_cell(data, curve_map)
+        cell = cell._replace(p_lo=p_lo, p_hi=p_hi)
         p, q = near_boundary(data, cell, tol_deltas(tol))
         q = data.draw(st.sampled_from([q, q, q, math.inf, -math.inf, math.nan]))
         assert cell.within(p, q, tol) == (violation(cell, p, q) <= tol)
@@ -1157,7 +1176,7 @@ class TestProjectExactness:
         # the lower cell's q, 10 kvar from q0, beats the upper cell's 50.
         points = {0.0: (250.0, 0.0), -math.inf: (250.0, -40.0)}
 
-        def cell_solve(cell, p0, q0, wp, wq):
+        def cell_solve(cell, p_lo, p_hi, p0, q0, wp, wq):
             return (*points[cell.q_lo], wp * (250.0 - p0) ** 2)
 
         monkeypatch.setattr(optimizer, "_project_cell", cell_solve)
@@ -1196,9 +1215,9 @@ class TestProjectExactness:
         ),
     )
     def test_ranked_selection_equals_running_best(self, curve_map, data, weights):
-        cell = draw_cell(data, curve_map)
-        p0, q0 = near_boundary(data, cell)
-        assert_agrees_with_running_best(cell, p0, q0, *weights)
+        cell, p_lo, p_hi = draw_cell(data, curve_map)
+        p0, q0 = near_boundary(data, cell._replace(p_lo=p_lo, p_hi=p_hi))
+        assert_agrees_with_running_best(cell, p_lo, p_hi, p0, q0, *weights)
 
     @pytest.mark.parametrize("upper", [True, False])
     def test_caps_crossing_beyond_the_float_range_store_no_corner(self, upper):
@@ -1213,7 +1232,7 @@ class TestProjectExactness:
         assert [c[3] for c in cell.corners] == [0, 0, 1, 1]
         assert all(math.isfinite(p) and math.isfinite(q) for p, q, _, _ in cell.corners)
         for p, q, _, _ in cell.corners:
-            assert_agrees_with_running_best(cell, p, q, 1.0, 1.0)
+            assert_agrees_with_running_best(cell, *cut_box(cell), p, q, 1.0, 1.0)
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -1229,7 +1248,7 @@ class TestProjectExactness:
     ):
         curves = [DIPPING] if anchors == "dipping" else [curve_map[a] for a in anchors]
         region = build_region(curves, shrink)
-        cells = [optimizer._narrowed(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
+        cells = [cut_cell(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
         target = near_boundary(data, data.draw(st.sampled_from(cells)))
         p, q = project(problem(region, target, weights, (p_min, p_max)))
         assert min(violation(cell, p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
@@ -1283,10 +1302,11 @@ class TestProjectExactness:
         # lower cell's point, which costs less.
         region = build_region([CROSSING], 1.0)
         p0, q0 = -319.39004367700636, 0.5
-        p, q, objective = optimizer._project_cell(region.upper_cell, p0, q0, 1.0, 1.0)
+        upper, lower = region.upper_cell, region.lower_cell
+        p, q, objective = optimizer._project_cell(upper, *cut_box(upper), p0, q0, 1.0, 1.0)
         assert (p, q) == (-316.22776601683796, -1.4210854715202004e-14)
-        assert violation(region.lower_cell, p, q) <= 0.0
-        lower = optimizer._project_cell(region.lower_cell, p0, q0, 1.0, 1.0)
+        assert violation(lower, p, q) <= 0.0
+        lower = optimizer._project_cell(lower, *cut_box(lower), p0, q0, 1.0, 1.0)
         assert lower[2] < objective
         assert project(problem(region, (p0, q0))) == lower[:2]
 
@@ -1309,7 +1329,7 @@ class TestProjectExactness:
         region = build_region([CROSSING], 1.0)
         target = (CROSSING_CORNER[0] + dp, CROSSING_CORNER[1] + dq)
         p, q = project(problem(region, target, weights, (p_min, p_max)))
-        cells = [optimizer._narrowed(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
+        cells = [cut_cell(c, p_min, p_max) for c in (region.upper_cell, region.lower_cell)]
         assert region.contains(p, q)
         assert min(violation(cell, p, q) for cell in cells) <= 1e-12 * max(1.0, abs(p), abs(q))
         assert max(p_min, -500.0) <= p <= min(p_max, 500.0)
@@ -1487,13 +1507,12 @@ class TestBindingCaps:
             corners = capability._cell_corners(pruned.q_lo, pruned.q_hi, pruned.r, paras)
         except ValueError:
             assume(False)  # a cap too flat beside the disk
-        # The full cell with its own table, as _scaled_cell would build it.
-        full = pruned._replace(paras=tuple(paras), corners=corners, crossings=None)
-        full = full._replace(crossings=tuple(capability.screened_crossings(full)))
+        # The full cell, with its own table, as _scaled_cell would build it.
+        full = pruned._replace(paras=tuple(paras), corners=corners)
         p0, q0 = draw_spot_target(data, full, [p * shrink for p in spots])
-        cells = [optimizer._narrowed(c, p_min, p_max) for c in (pruned, full)]
-        assert outcome(optimizer._project_cell, cells[0], p0, q0, *weights) == outcome(
-            optimizer._project_cell, cells[1], p0, q0, *weights
+        box = cut_box(pruned, p_min, p_max)
+        assert outcome(optimizer._project_cell, pruned, *box, p0, q0, *weights) == outcome(
+            optimizer._project_cell, full, *box, p0, q0, *weights
         )
 
     def test_steep_cap_clearing_the_ceiling_at_a_box_end_is_kept(self):
@@ -1510,7 +1529,7 @@ class TestBindingCaps:
         # The cap's stationary point beyond the box no longer outranks the
         # clamp onto P_min, which is in the cell and so the optimum.
         target = (-1.01, 0.0, 1.0, 1.0)
-        assert optimizer._project_cell(cell, *target)[:2] == (-1.0, 0.0)
+        assert optimizer._project_cell(cell, *cut_box(cell), *target)[:2] == (-1.0, 0.0)
 
     def test_scenario4_controller_solves_six_quartics(self, curve_map, bands, monkeypatch):
         degrees = []
@@ -1614,18 +1633,18 @@ class TestSingleConstraintExit:
     @settings(max_examples=3000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
     def test_exit_equals_running_best(self, curve_map, data, weights):
-        cell = draw_cell(data, curve_map)
-        p0, q0 = margin_target(data, cell)
-        assert_agrees_with_running_best(cell, p0, q0, *weights)
+        cell, p_lo, p_hi = draw_cell(data, curve_map)
+        p0, q0 = margin_target(data, cell._replace(p_lo=p_lo, p_hi=p_hi))
+        assert_agrees_with_running_best(cell, p_lo, p_hi, p0, q0, *weights)
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
     def test_a_cell_solve_solves_each_root_once(self, curve_map, data, weights):
-        cell = draw_cell(data, curve_map)
+        cell, p_lo, p_hi = draw_cell(data, curve_map)
         if data.draw(st.booleans()):
             p0, q0 = data.draw(FAR), data.draw(FAR)
         else:  # outside any number of constraints
-            p0, q0 = near_boundary(data, cell, MARGIN_DELTA)
+            p0, q0 = near_boundary(data, cell._replace(p_lo=p_lo, p_hi=p_hi), MARGIN_DELTA)
         cubics, circles = [], []
         stationary, circle = optimizer._parabola_stationary, optimizer._circle_candidates
 
@@ -1639,7 +1658,7 @@ class TestSingleConstraintExit:
 
         with mock.patch.object(optimizer, "_parabola_stationary", count_cubic):
             with mock.patch.object(optimizer, "_circle_candidates", count_circle):
-                outcome(optimizer._project_cell, cell, p0, q0, *weights)
+                outcome(optimizer._project_cell, cell, p_lo, p_hi, p0, q0, *weights)
         assert len(circles) <= 1
         above = violated_caps(cell, p0, q0)
         assert all(cubics.count(para) <= above.count(para) for para in cubics)
@@ -1648,13 +1667,15 @@ class TestSingleConstraintExit:
         # The target lies above DIPPING's cap, which has three stationary
         # points for it.  Only the one below the target is its projection
         # onto the cap, and it lies beyond the P box, so a crossing is taken.
-        cell = optimizer._narrowed(build_region([DIPPING], 0.5).upper_cell, -1e6, 0.0)
+        cell = build_region([DIPPING], 0.5).upper_cell
+        box = cut_box(cell, -1e6, 0.0)
         target = (172.0, 0.0, 1.0, 20.0)
         points = optimizer._parabola_stationary(172.0, 0.0, cell.paras[0], 1.0, 20.0)
         assert len(points) == 3
         assert [p for p, q in points if q < 0.0] == [points[0][0]]
-        assert points[0][0] > cell.p_hi
-        assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
+        assert points[0][0] > box[1]
+        expected = running_best_cell(cut_cell(cell, -1e6, 0.0), *target)
+        assert optimizer._project_cell(cell, *box, *target) == expected
 
     def test_cap_projection_is_the_root_below_the_target(self):
         # Of the cap's three stationary points for this target the first is
@@ -1667,8 +1688,8 @@ class TestSingleConstraintExit:
         points = optimizer._parabola_stationary(-1365.0, -935.0, cell.paras[0], 0.005, 11.4)
         assert [q > -935.0 for _, q in points] == [True, False, True]
         assert cell.within(*points[0], 0.0)
-        assert optimizer._project_cell(cell, *target) == (*points[1], 7472.781412262812)
-        assert optimizer._project_cell(cell, *target) == running_best_cell(cell, *target)
+        got = optimizer._project_cell(cell, *cut_box(cell), *target)
+        assert got == (*points[1], 7472.781412262812) == running_best_cell(cell, *target)
 
     def test_cap_projection_rounded_above_the_target_is_kept(self):
         # With lambda_q 4e5 times lambda_p the projection onto the cap moves
@@ -1680,7 +1701,7 @@ class TestSingleConstraintExit:
         target = (184.46939508228442, 6e-10, 0.001, 416.0745913268247)
         points = optimizer._parabola_stationary(*target[:2], cell.paras[0], *target[2:])
         assert min(q for _, q in points) == 6.00010707785259e-10
-        p, q, objective = optimizer._project_cell(cell, *target)
+        p, q, objective = optimizer._project_cell(cell, *cut_box(cell), *target)
         assert (p, q) == (184.46939508072776, 6.00010707785259e-10)
         assert objective == least_in_cell(cell, *target) == 2.4232288007736523e-21
 
@@ -1694,7 +1715,7 @@ class TestSingleConstraintExit:
         singles = list(optimizer._single_projections(cell, *target))
         assert [k for _, _, k in singles] == ["q_hi", 0]
         assert all(cell.within(p, q, capability.SCREEN_TOL) for p, q, _ in singles)
-        p, q, objective = optimizer._project_cell(cell, *target)
+        p, q, objective = optimizer._project_cell(cell, *cut_box(cell), *target)
         assert p == 342.21443851123803 == cell.corners[2][0]
         assert objective == least_in_cell(cell, *target) == 3.608054093426276e-18
         assert running_best_cell(cell, *target)[2] == 4.2866829644598274e-18
@@ -1711,7 +1732,7 @@ class TestSingleConstraintExit:
         box = (cell.p_hi, cell.q_hi)
         assert cell.within(*box, capability.SCREEN_TOL) and not cell.within(*box, 0.0)
         assert certified(cell, *box, "p_hi", "q_hi", -1.0, -1.0)
-        p, q, objective = optimizer._project_cell(cell, *target)
+        p, q, objective = optimizer._project_cell(cell, *cut_box(cell), *target)
         assert (p, q, "q_hi", 0) == cell.corners[5]
         assert objective == least_in_cell(cell, *target) == 5502323.507044042
         assert running_best_cell(cell, *target)[2] == 5502323.507165149
@@ -1723,35 +1744,33 @@ class TestSingleConstraintExit:
         target = (-148.6, 842.2, 1.0, 1.0)
         expected = running_best_cell(cell, *target)
         counts = count_calls(monkeypatch, (capability, "_crossings"), (capability, "_eigvals"))
-        p, q, objective = optimizer._project_cell(cell, *target)
+        p, q, objective = optimizer._project_cell(cell, *cut_box(cell), *target)
         assert (p, q, objective) == expected
         assert counts == {"_crossings": 0, "_eigvals": 1}
         (c0, c1, c2), = cell.paras
         assert q == c0 + c1 * p + c2 * p * p < cell.q_hi
 
     @pytest.mark.parametrize(
-        "target, crossings, cubics",
+        "target, cubics",
         [
             # Outside the disk alone, 1e-3 above Q = 0: the circle point is
             # in the cell, and the cap, far above the target, needs no cubic.
-            ((505.1666666666667 + 0.5, 0.001, 20.0, 1.0), 0, 0),
+            ((505.1666666666667 + 0.5, 0.001, 20.0, 1.0), 0),
             # Beyond the P box, the disk and the cap, by where the cap meets
             # Q = 0: the circle point is in the cell, so the cap's cubic,
             # last in the pass, is not solved.
-            ((1026.6554378595035 + 0.001, 0.001, 1.0, 20.0), 0, 0),
+            ((1026.6554378595035 + 0.001, 0.001, 1.0, 20.0), 0),
             # Above the cap and beyond the P box and the disk: no single
             # projection is in the cell, so the cap's cubic is solved once
-            # and the crossings are searched, to the disk-cap corner.
-            ((600.0, 400.0, 1.0, 1.0), 1, 1),
+            # and the table is scanned, to the disk-cap corner.
+            ((600.0, 400.0, 1.0, 1.0), 1),
         ],
     )
-    def test_near_corner_miss_solves_each_root_once(
-        self, curve_map, monkeypatch, target, crossings, cubics
-    ):
+    def test_near_corner_miss_solves_each_root_once(self, curve_map, monkeypatch, target, cubics):
+        # A solve reads the crossings from the cell's table and enumerates
+        # none of them.
         curves = [curve_map[(600.0, 300.0)], curve_map[(500.0, 270.0)]]
-        # Without its table, so the solve reaches the crossings through
-        # _crossings, as a narrowed cell does.
-        cell = build_region(curves, 7.0 / 9.0).upper_cell._replace(crossings=None)
+        cell = build_region(curves, 7.0 / 9.0).upper_cell
         assert cubics <= len(violated_caps(cell, *target[:2]))
         expected = running_best_cell(cell, *target)
         counts = count_calls(
@@ -1760,28 +1779,29 @@ class TestSingleConstraintExit:
             (optimizer, "_circle_candidates"),
             (capability, "_eigvals"),
         )
-        assert optimizer._project_cell(cell, *target) == expected
-        assert counts == {"_crossings": crossings, "_circle_candidates": 1, "_eigvals": cubics}
+        assert optimizer._project_cell(cell, *cut_box(cell), *target) == expected
+        assert counts == {"_crossings": 0, "_circle_candidates": 1, "_eigvals": cubics}
 
     def test_cell_solve_without_a_screened_candidate_raises(self, curve_map, monkeypatch):
         # A cell holds the origin, so some crossing always passes the screen;
-        # with the crossings emptied, both those computed as reached and the
-        # cell's table, and no single projection in the cell for this
-        # target, none does.
+        # with the crossings emptied as the cell's table is built, and no
+        # single projection in the cell for this target, none does.
         cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
         singles = list(optimizer._single_projections(cell, 2000.0, 300.0, 0.5, 0.5))
         assert singles
         assert not any(cell.within(p, q, capability.SCREEN_TOL) for p, q, _ in singles)
         monkeypatch.setattr(capability, "_crossings", lambda cell: iter(()))
-        for emptied in (cell._replace(crossings=None), cell._replace(crossings=())):
-            with pytest.raises(RuntimeError, match=re.escape("target (2000.0, 300.0)")):
-                optimizer._project_cell(emptied, 2000.0, 300.0, 1.0, 1.0)
+        emptied = cell._replace()
+        assert emptied.crossings == ()
+        with pytest.raises(RuntimeError, match=re.escape("target (2000.0, 300.0)")):
+            optimizer._project_cell(emptied, *cut_box(cell), 2000.0, 300.0, 1.0, 1.0)
 
 
 def draw_spot_cell(data, narrow=True):
-    """A cell of random_atoms or draw_capped_atoms, of either Q sign, scaled
-    and, unless narrow is False, narrowed as project narrows it, and a
-    target from draw_spot_target."""
+    """(cell, (p_lo, p_hi), target): a cell of random_atoms or
+    draw_capped_atoms, of either Q sign, scaled; the box that project cuts
+    it to for random battery bounds, or its own box when narrow is False;
+    and a target from draw_spot_target."""
     upper = data.draw(st.booleans())
     shrink = data.draw(st.sampled_from([1.0, 7.0 / 9.0, 0.3]))
     if data.draw(st.booleans()):
@@ -1792,16 +1812,33 @@ def draw_spot_cell(data, narrow=True):
         cell = capability._scaled_cell(atoms, shrink, upper)
     except ValueError:
         assume(False)  # a cap too flat beside the disk
-    if narrow:
-        cell = optimizer._narrowed(cell, data.draw(p_min_st), data.draw(p_max_st))
-    return cell, draw_spot_target(data, cell, [p * shrink for p in spots])
+    box = cut_box(cell, data.draw(p_min_st), data.draw(p_max_st)) if narrow else cut_box(cell)
+    return cell, box, draw_spot_target(data, cell, [p * shrink for p in spots])
+
+
+@st.composite
+def spot_cells(draw):
+    """draw_spot_cell as a strategy, so that a test can give examples."""
+    return draw_spot_cell(SimpleNamespace(draw=draw))
+
+
+#: The cell q <= -1e-7 p^2, q >= 0, p in [-107, 0]: the origin alone.
+ORIGIN_ONLY = capability._scaled_cell(
+    [PMin(-107.0), PMax(0.0), ParabolaCap(0.0, -0.0, -1e-7)], 1.0, True
+)
+
+
+def exact_objective(point, p0, q0, wp, wq):
+    """The objective of a point in exact rationals."""
+    dp, dq = Fraction(point[0]) - Fraction(p0), Fraction(point[1]) - Fraction(q0)
+    return Fraction(wp) * dp * dp + Fraction(wq) * dq * dq
 
 
 def slsqp_objective(cell, p0, q0, wp, wq):
-    """The least objective scipy's SLSQP finds from the origin, and whether
-    it converged.  The objective is divided by max(wp, wq) times the larger
-    of 1 and the target's squared largest coordinate, and converges to 1e-16
-    of that."""
+    """The least objective scipy's SLSQP finds from the origin, the point
+    where it finds it, and whether it converged.  The objective is divided
+    by max(wp, wq) times the larger of 1 and the target's squared largest
+    coordinate, and converges to 1e-16 of that."""
     scale = max(wp, wq) * max(1.0, abs(p0), abs(q0)) ** 2
 
     def objective(x):
@@ -1838,7 +1875,7 @@ def slsqp_objective(cell, p0, q0, wp, wq):
         constraints=constraints,
         options={"ftol": 1e-16, "maxiter": 500},
     )
-    return result.fun * scale, result.success
+    return result.fun * scale, (float(result.x[0]), float(result.x[1])), result.success
 
 
 class TestKktCertificate:
@@ -1851,31 +1888,49 @@ class TestKktCertificate:
     @settings(max_examples=1500, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
     def test_every_result_certifies_or_falls_back(self, data, weights):
-        cell, (p0, q0) = draw_spot_cell(data)
+        # Certified in the cut cell: a point of the cell's own solve or of
+        # the line solve.
+        cell, box, (p0, q0) = draw_spot_cell(data)
         least = optimizer._least_objective
         with mock.patch.object(optimizer, "_least_objective", wraps=least) as fallback:
-            got = optimizer._project_cell(cell, p0, q0, *weights)
+            got = optimizer._project_cell(cell, *box, p0, q0, *weights)
+        cell = cell._replace(p_lo=box[0], p_hi=box[1])
         if fallback.called:
             assert costs_no_more(cell, got, p0, q0, *weights)
         else:
             assert certifies(cell, *got[:2], p0, q0, *weights)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(data=st.data(), weights=UNEQUAL_WEIGHTS)
-    def test_objective_equals_slsqp(self, data, weights):
-        cell, (p0, q0) = draw_spot_cell(data)
-        p, q, objective = optimizer._project_cell(cell, p0, q0, *weights)
-        expected, converged = slsqp_objective(cell, p0, q0, *weights)
+    @given(spot=spot_cells(), weights=UNEQUAL_WEIGHTS)
+    # The cell q <= -1e-7 p^2, q >= 0 is the origin alone; SLSQP converges
+    # outside it, at 11663.998, below the 11664 of (0, 0).
+    @example(spot=(ORIGIN_ONLY, cut_box(ORIGIN_ONLY), (-108.0, 0.0)), weights=(1.0, 1.0))
+    def test_objective_equals_slsqp(self, spot, weights):
+        cell, box, (p0, q0) = spot
+        least = optimizer._least_objective
+        with mock.patch.object(optimizer, "_least_objective", wraps=least) as fallback:
+            got = optimizer._project_cell(cell, *box, p0, q0, *weights)
+        p, q, objective = got
+        cell = cell._replace(p_lo=box[0], p_hi=box[1])
+        expected, point, converged = slsqp_objective(cell, p0, q0, *weights)
         assume(converged)
         # Within 1e-9 of SLSQP's objective, or of its convergence tolerance.
-        floor = 1e-15 * max(weights) * max(1.0, abs(p0), abs(q0)) ** 2
-        if objective < expected - 1e-9 * expected - floor:
+        bound = 1e-9 * expected + 1e-15 * max(weights) * max(1.0, abs(p0), abs(q0)) ** 2
+        if objective < expected - bound:
             # SLSQP can report convergence short of the optimum, as from
             # (-1e-3, -1e-5) on the P box [0, 0] under weights (1000, 0.1),
             # where it stops at q = 0; the lower objective must then certify.
             assert certifies(cell, p, q, p0, q0, *weights)
-        else:
-            assert objective - expected <= 1e-9 * expected + floor
+        elif objective > expected + bound:
+            # SLSQP can also converge outside the cell, below every point
+            # of it; the higher objective must then certify, or, where no
+            # multipliers exist, as at a cell of one point, come from the
+            # fallback and cost no more than any candidate in the cell.
+            assert violation(cell, *point) > 0.0, point
+            if fallback.called:
+                assert costs_no_more(cell, got, p0, q0, *weights)
+            else:
+                assert certifies(cell, p, q, p0, q0, *weights)
 
     @pytest.mark.parametrize("p_min", [0.0, -1e-4])
     def test_a_point_cell_falls_back_to_its_least_crossing(self, monkeypatch, p_min):
@@ -1883,11 +1938,33 @@ class TestKktCertificate:
         # normals of the cap and Q = 0 are parallel: no crossing certifies,
         # and the fallback takes the origin.  From P_min = -1e-4 the screen
         # also admits the P line's crossings, which come first but cost more.
-        atoms = [PMin(-1.0), PMax(1.0), ParabolaCap(0.0, 0.0, -0.01)]
-        cell = optimizer._narrowed(capability._scaled_cell(atoms, 1.0, True), p_min, 1.0)
+        atoms = [PMin(p_min), PMax(1.0), ParabolaCap(0.0, 0.0, -0.01)]
+        cell = capability._scaled_cell(atoms, 1.0, True)
         counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
-        assert optimizer._project_cell(cell, 1.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0)
+        assert optimizer._project_cell(cell, *cut_box(cell), 1.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0)
         assert counts == {"_least_objective": 1}
+
+    def test_the_fallback_ranks_the_crossings_as_polished(self):
+        # The cell q >= 0, q <= -1e-8 p^2 is the origin alone.  Its crossing
+        # (2, 0) ties the origin's objective, 0.1, but the polish moves it to
+        # (2, -4e-8), which costs 0.1 + 1.6e-15; cut to P >= 0 or not, the
+        # fallback takes the origin.
+        atoms = [PMin(-1.0), PMax(2.0), ParabolaCap(0.0, -0.0, -1e-8)]
+        cell = capability._scaled_cell(atoms, 1.0, True)
+        for box in (cut_box(cell), cut_box(cell, 0.0)):
+            assert optimizer._project_cell(cell, *box, 1.0, 0.0, 0.1, 1.0) == (0.0, 0.0, 0.1)
+
+    def test_a_float_tie_in_the_fallback_goes_to_the_exact_objective(self):
+        # The cell |p| <= 4.7e-154, 0 <= q <= 2.2e-309 - 0.01 p^2 has two
+        # crossings, whose objectives from (1, 0) both round to 1.0; the one
+        # nearer the target costs less.  Cut to P <= -0.0, the line takes it.
+        cap = ParabolaCap(2.225073858507203e-309, -0.0, -0.01)
+        cell = capability._scaled_cell([PMin(-1.0), PMax(1.0), cap], 1.0, True)
+        assert [kkt for _, _, kkt in cell.crossings] == [None, None]
+        got = optimizer._project_cell(cell, *cut_box(cell), 1.0, 0.0, 1.0, 1.0)
+        assert got == (cell.crossings[1][0], 0.0, 1.0) and got[0] > 0.0
+        got = optimizer._project_cell(cell, *cut_box(cell, -1.0, -0.0), 1.0, 0.0, 1.0, 1.0)
+        assert bits(got) == bits((-0.0, 0.0, 1.0))
 
     def test_a_multiplier_rounded_below_zero_still_certifies(self, monkeypatch):
         # The target lies on the ray through the Q ceiling's corner with the
@@ -1899,25 +1976,39 @@ class TestKktCertificate:
         assert corner == (632.4555320336759, 300.0, "q_hi", "disk")
         target = (976.5113414599956, 463.2, 1.0, 1.0)
         counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
-        assert optimizer._project_cell(cell, *target) == (*corner[:2], 145008.64)
+        assert optimizer._project_cell(cell, *cut_box(cell), *target) == (*corner[:2], 145008.64)
         assert counts == {"_least_objective": 0}
         monkeypatch.setattr(optimizer, "MU_TOL", 0.0)
-        assert optimizer._project_cell(cell, *target) == (*corner[:2], 145008.64)
+        assert optimizer._project_cell(cell, *cut_box(cell), *target) == (*corner[:2], 145008.64)
         assert counts == {"_least_objective": 1}
 
     def test_nearly_parallel_normals_certify_nothing(self, monkeypatch):
         # The cap q <= -1.1e-293 p - 1.5e-7 p^2 clears Q = 0 only on
         # [-7.5e-287, 0]; at its crossing with Q = 0, the root -7.5e-287,
         # the cap's normal is (0, 1) up to 1e-293, and Cramer's rule would
-        # certify it with multipliers of 1e293.
+        # certify it with multipliers of 1e293.  The fallback takes it: its
+        # objective ties the origin's in floats, and it lies nearer (-1, 0).
         cap = ParabolaCap(0.0, -1.1490036370512318e-293, -1.5326908662857144e-07)
         cell = capability._scaled_cell([PMin(-1e6), PMax(0.0), cap], 1.0, True)
         p, q, a, b = cell.corners[0]
         assert (p, q, a, b) == (-7.4966430760803e-287, 0.0, "q_lo", 0)
         assert not certified(cell, p, q, a, b, p + 1.0, q)
         counts = count_calls(monkeypatch, (optimizer, "_least_objective"))
-        assert optimizer._project_cell(cell, -1.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0)
+        assert optimizer._project_cell(cell, *cut_box(cell), -1.0, 0.0, 1.0, 1.0) == (p, q, 1.0)
         assert counts == {"_least_objective": 1}
+
+    def test_a_far_crossing_loses_the_fallback_without_overflowing(self):
+        # The cap q <= 1.7e-308 + 3.3e-229 p meets the Q ceiling at p = 1e231,
+        # whose squared distance overflows to inf; the cell has no interior
+        # at the origin, and the fallback takes the cap's root on Q = 0.
+        cap = ParabolaCap(1.7306130010611564e-308, 3.309204994388451e-229, -0.0)
+        cell = capability._scaled_cell([QMax(372.75508919941194), cap], 1.0, True)
+        assert cell.corners[1][:2] == (1.1264188523573106e231, 372.75508919941194)
+        target = (-1.0, 1000.0, 1.0, 0.20777624794392902)
+        got = optimizer._project_cell(cell, *cut_box(cell), *target)
+        assert got == (-5.229694153114796e-80, 0.0, 207777.24794392902)
+        cut = optimizer._project_cell(cell, *cut_box(cell, 0.0, 217.72250770030516), *target)
+        assert cut == (0.0, 1.7306130010611564e-308, 207777.24794392902)
 
     @pytest.mark.parametrize("target", [(1e5, 3e4), (1e10, 3e9)])
     def test_overflowing_weights_project_as_unit_weights(self, curve_map, target):
@@ -1933,17 +2024,17 @@ class TestKktCertificate:
         # lambda * (q - q0) overflows at 1e300 * 1e10: the multipliers are
         # solved with the weights scaled by a power of two.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
-        cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
+        cell = region.upper_cell
         for weight in (1.0, 1e300):
-            p, q, _ = optimizer._project_cell(cell, 1e5, -1e10, weight, weight)
+            p, q, _ = optimizer._project_cell(cell, *cut_box(cell), 1e5, -1e10, weight, weight)
             assert (p, q) == (527.8855555555556, 0.0)
 
     def test_weights_too_far_apart_to_scale_are_left_raw(self, curve_map):
         # Scaled by 2^-2, lambda_q = 5e-324 would round to 0, and the circle
         # point's Newton iteration, in units of that weight, would divide by 0.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
-        cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
-        p, q, _ = optimizer._project_cell(cell, 100.0, 800.0, 2.0, 5e-324)
+        cell = region.upper_cell
+        p, q, _ = optimizer._project_cell(cell, *cut_box(cell), 100.0, 800.0, 2.0, 5e-324)
         assert (p, q) == (100.0, 510.29952380952375)
 
     @pytest.mark.parametrize("lambda_q", [1e-300, 1e-305, 1e-310])
@@ -1956,7 +2047,7 @@ class TestKktCertificate:
         expected = (200.0, 501.96809523809515)
         for weights in ((1.0, lambda_q), (1.0, 0.0)):
             assert project(problem(region, (200.0, 600.0), weights, (-500.0, 500.0))) == expected
-        cell = optimizer._narrowed(region.upper_cell, -500.0, 500.0)
+        cell = cut_cell(region.upper_cell, -500.0, 500.0)
         assert certifies(cell, *expected, 200.0, 600.0, 1.0, lambda_q)
 
     def test_a_negligible_curvature_solves_the_cap_cubic_rescaled(self):
@@ -1964,8 +2055,7 @@ class TestKktCertificate:
         atoms = (PMin(-500.0), PMax(500.0), ParabolaCap(100.0, 0.0, -1e-160))
         region = build_region([CapabilityCurve("flat", 600.0, 300.0, atoms)], 1.0)
         assert project(problem(region, (10.0, 300.0))) == (10.0, 100.0)
-        cell = optimizer._narrowed(region.upper_cell, *WIDE)
-        assert certifies(cell, 10.0, 100.0, 10.0, 300.0, 1.0, 1.0)
+        assert certifies(region.upper_cell, 10.0, 100.0, 10.0, 300.0, 1.0, 1.0)
 
     def test_the_rescaled_roots_are_polished_on_the_original_cubic(self):
         # At p0 = 0 the cubic's constant term, -lambda_q * c1 * 100 = -5e-304,
@@ -1977,8 +2067,8 @@ class TestKktCertificate:
     def test_far_target_takes_the_certified_corner(self, curve_map):
         # 1e19 away, the candidates' objectives differ by less than an ulp.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
-        cell = optimizer._narrowed(region.upper_cell, -700.0, 700.0)
-        p, q, _ = optimizer._project_cell(cell, 1e19, -1e19, 1.0, 1.0)
+        cell = region.upper_cell
+        p, q, _ = optimizer._project_cell(cell, *cut_box(cell), 1e19, -1e19, 1.0, 1.0)
         assert (p, q) == (527.8855555555556, 0.0)
         assert certifies(cell, p, q, 1e19, -1e19, 1.0, 1.0)
 
@@ -1987,7 +2077,7 @@ class TestKktCertificate:
         # difference, 5.3e21 in the lower cell's favour, decides.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
         upper, lower = (
-            optimizer._project_cell(optimizer._narrowed(c, -700.0, 700.0), 1e19, -1e19, 1.0, 1.0)
+            optimizer._project_cell(c, *cut_box(c, -700.0, 700.0), 1e19, -1e19, 1.0, 1.0)
             for c in (region.upper_cell, region.lower_cell)
         )
         assert lower[:2] == (395.5343201923191, -395.5343201923191)
@@ -2027,19 +2117,14 @@ def bits(result):
     return repr(result)
 
 
-def with_table(cell):
-    """The cell with its own table of screened crossings, as a region's
-    cells carry it."""
-    return cell._replace(crossings=tuple(capability.screened_crossings(cell)))
-
-
 class TestCrossingTables:
-    """Each cell that build_region returns carries its screened crossings,
-    with their normals, built once with the cell; a cell solve that scans
-    them returns the bits of the crossing stage that screens and certifies
-    every crossing per call (oracles.reference_project_cell), and so does
-    project.  A narrowed copy, or one that _replace gives without a table,
-    screens all its crossings when a solve reaches the crossing stage."""
+    """Each cell carries its screened crossings, with their normals, built
+    with the cell from its other fields; a cell solve that scans them
+    returns the bits of the crossing stage that screens and certifies every
+    crossing per call (oracles.reference_project_cell), and so does project.
+    Where the cut box moves the optimum onto one of its lines, the solve on
+    that line answers for the cut cell's own solve, and may only do
+    better."""
 
     @pytest.mark.parametrize("shrink", [1.0, 7.0 / 9.0, 0.3])
     def test_every_region_cell_carries_its_screened_crossings(self, curve_map, shrink):
@@ -2053,49 +2138,82 @@ class TestCrossingTables:
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def test_every_scaled_cell_carries_its_screened_crossings(self, data):
-        cell, _ = draw_spot_cell(data, narrow=False)
+        cell, _, _ = draw_spot_cell(data, narrow=False)
         assert bits(cell.crossings) == bits(tuple(capability.screened_crossings(cell)))
 
-    @settings(max_examples=500, deadline=None)
-    @given(data=st.data())
-    def test_narrowed_is_the_cell_itself_or_a_copy_without_a_table(self, data):
-        cell, _ = draw_spot_cell(data, narrow=False)
-        edges = st.sampled_from([cell.p_lo, cell.p_hi, 0.0, -0.0])
-        p_min = data.draw(st.one_of(p_min_st, edges))
-        p_max = data.draw(st.one_of(p_max_st, edges))
-        narrowed = optimizer._narrowed(cell, p_min, p_max)
-        assert (narrowed is cell) == (p_min < cell.p_lo and cell.p_hi < p_max)
-        assert narrowed is cell or narrowed.crossings is None
-
-    @pytest.mark.parametrize("bounds", [(-0.0, 500.0), (0.0, 500.0), (-1.0, 300.0), (0.0, 300.0)])
-    def test_a_bound_on_a_box_edge_gives_a_copy_without_a_table(self, bounds):
-        # The box is [0, 300]: each pair of bounds cuts it to a box equal to
-        # its own under ==, and -0.0 to one with the other sign of zero.
-        curve = CapabilityCurve("edge", 600.0, 300.0, (PMin(0.0), PMax(300.0), Disk(400.0)))
-        cell = build_region([curve], 1.0).upper_cell
-        narrowed = optimizer._narrowed(cell, *bounds)
-        assert narrowed is not cell and narrowed.crossings is None
-        assert narrowed[:-1] == cell[:-1]
-        assert bits(narrowed.p_lo) == bits(max(bounds[0], 0.0))
-
-    def test_replacing_a_field_drops_the_table(self, curve_map):
+    def test_replacing_a_field_rebuilds_the_table(self, curve_map):
         # The optimum from (300, 700) is the corner of the new P line and
         # the cap; the old table's corners lie on the P line at 678.71.
         cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
         replaced = cell._replace(p_hi=200.0)
-        assert cell.crossings and replaced.crossings is None
         assert replaced[:-1] == (cell.p_lo, 200.0, *cell[2:-1])
-        expected = reference_project_cell(replaced, 300.0, 700.0, 1.0, 1.0)
+        assert bits(replaced.crossings) == bits(tuple(capability.screened_crossings(replaced)))
+        assert bits(replaced.crossings) != bits(cell.crossings)
+        expected = reference_project_cell(replaced, *cut_box(replaced), 300.0, 700.0, 1.0, 1.0)
         assert expected[:2] == (200.0, 651.03)
-        assert bits(optimizer._project_cell(replaced, 300.0, 700.0, 1.0, 1.0)) == bits(expected)
+        solved = optimizer._project_cell(replaced, *cut_box(replaced), 300.0, 700.0, 1.0, 1.0)
+        assert bits(solved) == bits(expected)
+
+    def test_a_cell_takes_no_table_of_its_own(self, curve_map):
+        cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
+        # namedtuple's _replace raises ValueError before Python 3.13, TypeError since.
+        with pytest.raises((TypeError, ValueError), match="crossings"):
+            cell._replace(crossings=())
+        with pytest.raises(TypeError, match="crossings"):
+            capability.Cell(*cell)
+
+    def test_a_cell_pickles_with_its_table(self, curve_map):
+        # Unpickling passes the eight fields, and the table is built again.
+        cell = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0).lower_cell
+        restored = pickle.loads(pickle.dumps(cell))
+        assert type(restored) is capability.Cell and bits(restored) == bits(cell)
+
+    def test_a_target_inside_the_cell_beyond_the_box_takes_the_box_edge(self, curve_map):
+        # The cell's optimum is the target itself, beyond p_hi = 100; the
+        # cut cell's is the point of its line nearest the target.
+        cell = build_region([curve_map[(600.0, 300.0)]], 1.0).upper_cell
+        assert cell.within(200.0, 50.0, 0.0)
+        got = optimizer._project_cell(cell, *cut_box(cell, -100.0, 100.0), 200.0, 50.0, 2.0, 1.0)
+        assert got == (100.0, 50.0, 20000.0)
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0), (0.0, 1.0)], ids=["lambda_q=0", "lambda_p=0"])
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), w=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    def test_a_lexicographic_solve_in_the_cut_box_is_the_cut_cell_solve(self, data, axis, w):
+        # The lexicographic branches read the P box only from the box passed.
+        cell, box, (p0, q0) = draw_spot_cell(data)
+        cut = cell._replace(p_lo=box[0], p_hi=box[1])
+        weights = (w * axis[0], w * axis[1])
+        got = optimizer._project_cell(cell, *box, p0, q0, *weights)
+        assert bits(got) == bits(optimizer._project_cell(cut, *box, p0, q0, *weights))
 
     @settings(max_examples=2000, deadline=None)
     @given(data=st.data(), weights=UNEQUAL_WEIGHTS, narrow=st.booleans())
     def test_table_scan_equals_the_reference(self, data, weights, narrow):
-        cell, (p0, q0) = draw_spot_cell(data, narrow)
-        expected = bits(outcome(reference_project_cell, cell, p0, q0, *weights))
-        for path in (with_table(cell), cell._replace(crossings=None)):
-            assert bits(outcome(optimizer._project_cell, path, p0, q0, *weights)) == expected
+        # Where the solve in the cut box parts from the cut cell's own solve,
+        # its point lies in the cut cell and costs strictly less, exactly.
+        # Two cases on cells whose extent at the optimum is below float
+        # resolution are rounding: the cut cell's point lies outside the cut
+        # cell, within the screen, and the solve's in it (the cell
+        # 0 <= q <= -2.9e-138 p - 1.3e-8 p^2 is |p| <= 2.2e-130, and the cut
+        # cell's polish leaves (-0.99, -1.3e-8)); or the two points differ in
+        # value, not only in the sign of a zero, under equal float objectives
+        # (the cap q <= -1.7e-5 p^2 evaluates to 0 at p = -1e-222, so a P line
+        # there crosses Q = 0 inside the cell).
+        cell, box, (p0, q0) = draw_spot_cell(data, narrow)
+        expected = outcome(reference_project_cell, cell, *box, p0, q0, *weights)
+        got = outcome(optimizer._project_cell, cell, *box, p0, q0, *weights)
+        if bits(got) != bits(expected):
+            p, q, objective = got
+            cut = cell._replace(p_lo=box[0], p_hi=box[1])
+            assert violation(cut, p, q) <= 1e-12 * max(1.0, abs(p), abs(q))
+            if violation(cut, p, q) <= 0.0 < violation(cut, *expected[:2]):
+                return
+            if objective == expected[2] and (p, q) != expected[:2]:
+                return
+            assert exact_objective(got, p0, q0, *weights) < exact_objective(
+                expected, p0, q0, *weights
+            )
 
     @settings(max_examples=1500, deadline=None)
     @given(
@@ -2118,39 +2236,69 @@ class TestCrossingTables:
             target = data.draw(FAR), data.draw(FAR)
         prob = problem(region, target, weights, (p_min, p_max))
         with mock.patch.object(optimizer, "_project_cell", reference_project_cell):
-            expected = bits(outcome(project, prob))
-        assert bits(outcome(project, prob)) == expected
+            expected = outcome(project, prob)
+        got = outcome(project, prob)
+        if bits(got) != bits(expected):
+            # The line solve parts from the cut cells' own solves only to do
+            # better.
+            assert region.contains(*got) and p_min <= got[0] <= p_max
+            assert exact_key(got, prob) < exact_key(expected, prob)
+
+    def test_a_heavy_p_weight_takes_the_nearest_q_on_the_cut_line(self, curve_map):
+        # The cell's own optimum lies beyond the battery bound at 90.39, so
+        # the cut cell's lies on that line, at the q nearest q0 there: the
+        # cap's.  The cut cell solved on its own certified (p_hi, 0), where
+        # the q multiplier, -4.5e-10, passed -MU_TOL |grad f|.
+        region = build_region([curve_map[(500.0, 300.0)], curve_map[(500.0, 330.0)]], 0.3)
+        target = (574.2207850406653, 28.64792902483987)
+        weights = (61394.9161803949, 1.0342834697599171e-06)
+        bounds = (0.0, 90.39098073124032)
+        got = project(problem(region, target, weights, bounds))
+        assert bits(got) == bits((90.39098073124032, 11.540999999999999))
+        assert region.contains(*got)
+        cell = region.upper_cell
+        expected = reference_project_cell(cell, *cut_box(cell, *bounds), *target, *weights)
+        assert expected[:2] == (90.39098073124032, 0.0)
+        assert exact_objective(got, *target, *weights) < exact_objective(
+            expected, *target, *weights
+        )
 
     @pytest.mark.parametrize("p_hi", [-0.0, 0.0])
     def test_a_signed_zero_p_bound_keeps_its_sign(self, curve_map, p_hi):
-        # The two narrowed cells are equal under ==, but the corner of p_hi
-        # and the Q ceiling that both take carries p_hi's sign of zero, as
-        # records.csv would.
+        # The two cut boxes are equal under ==, but the corner of p_hi and
+        # the Q ceiling that both solves take carries p_hi's sign of zero,
+        # as records.csv would.
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
-        cell = optimizer._narrowed(region.upper_cell, -700.0, p_hi)
-        assert cell == optimizer._narrowed(region.upper_cell, -700.0, -p_hi)
+        cell = region.upper_cell
+        box = cut_box(cell, -700.0, p_hi)
+        assert box == cut_box(cell, -700.0, -p_hi) and bits(box[1]) == bits(p_hi)
         target = (50.0, 900.0, 1.0, 1.0)
-        expected = reference_project_cell(cell, *target)
+        expected = reference_project_cell(cell, *box, *target)
         assert bits(expected[0]) == bits(p_hi)
-        assert cell.crossings is None
-        assert bits(optimizer._project_cell(cell, *target)) == bits(expected)
-        assert bits(optimizer._project_cell(with_table(cell), *target)) == bits(expected)
+        assert bits(optimizer._project_cell(cell, *box, *target)) == bits(expected)
         prob = problem(region, target[:2], bounds=(-700.0, p_hi))
         assert bits(project(prob)) == bits(expected[:2])
 
-    def test_a_narrowed_cell_never_reads_the_table(self, curve_map, monkeypatch):
-        # Both solves end at a crossing of P_min: the narrowed cell's with
-        # the cap, evaluated as reached, and then the region's with the
-        # disk, which its own cell's table holds.
-        region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
-        counts = count_calls(monkeypatch, (optimizer, "screened_crossings"))
-        assert project(problem(region, (-1500.0, 900.0), bounds=(-300.0, 300.0)))[0] == -300.0
-        assert counts == {"screened_crossings": 1}
-        counts["screened_crossings"] = 0
-        p, q = project(problem(region, (-1500.0, 300.0)))
-        assert counts == {"screened_crossings": 0}
-        assert p == region.upper_cell.p_lo
-        assert (p, q) in [c[:2] for c in region.upper_cell.crossings if c[2] is not None]
+    @pytest.mark.parametrize(
+        "bounds, p0, zero",
+        [
+            # 1.3e-9 beside the box, both P lines' multipliers at the Q floor
+            # pass -MU_TOL |grad f|, and the cut cell's scan reaches p_lo's
+            # crossings first; 5 beside it, only the line on its side does.
+            ((-0.0, 0.0), 1.2544500219795758e-09, -0.0),
+            ((0.0, -0.0), 1.2544500219795758e-09, 0.0),
+            ((-0.0, 0.0), 5.0, 0.0),
+            ((0.0, -0.0), 5.0, -0.0),
+            ((0.0, -0.0), -5.0, 0.0),
+        ],
+    )
+    def test_a_box_of_two_zeros_takes_the_zero_of_the_first_line_that_certifies(
+        self, curve_map, bounds, p0, zero
+    ):
+        region = build_region([curve_map[(500.0, 300.0)], curve_map[(500.0, 270.0)]], 0.3)
+        weights = (0.4442693790579932, 418.74187423797747)
+        got = project(problem(region, (p0, -334.69062273527015), weights, bounds))
+        assert bits(got) == bits((zero, -194.85))
 
     def test_a_crossing_stage_solve_leaves_the_region_as_built(self, curve_map):
         region = build_region([curve_map[(600.0, 300.0)]], 7.0 / 9.0)
@@ -2183,7 +2331,7 @@ class TestCrossingTables:
         assert all(bits(points) == bits(serial) for points in results)
 
     def test_a_scenario4_run_builds_each_table_once(self, curve_map, bands, monkeypatch):
-        built, scanned, solved, regions = [], [], [], []
+        built, solved, regions = [], [], []
         screened = capability.screened_crossings
         make_region, project_cell = optimizer.build_region, optimizer._project_cell
 
@@ -2191,21 +2339,15 @@ class TestCrossingTables:
             built.append(cell)
             return screened(cell)
 
-        def scanning(cell):
-            scanned.append(cell)
-            return screened(cell)
-
         def building_region(curves, shrink):
             regions.append(make_region(curves, shrink))
             return regions[-1]
 
-        def solving(cell, p0, q0, wp, wq):
-            solved.append(cell)
-            return project_cell(cell, p0, q0, wp, wq)
+        def solving(cell, p_lo, p_hi, *args):
+            solved.append((cell, p_lo, p_hi))
+            return project_cell(cell, p_lo, p_hi, *args)
 
-        # _scaled_cell reads capability's name, _project_cell optimizer's.
         monkeypatch.setattr(capability, "screened_crossings", building)
-        monkeypatch.setattr(optimizer, "screened_crossings", scanning)
         monkeypatch.setattr(optimizer, "build_region", building_region)
         monkeypatch.setattr(optimizer, "_project_cell", solving)
         scenario, cfg = load_run_config(builtin_scenario_path("scenario4"))
@@ -2214,16 +2356,13 @@ class TestCrossingTables:
         for soc_init in (scenario.soc_init, 0.101):
             run_scenario(dataclasses.replace(scenario, soc_init=soc_init), cfg, curve_map, bands)
 
-        # Each table is built once, with its region's cell.  Only narrowed
-        # copies, which have none, screen their crossings during a solve.
+        # Each table is built once, with its region's cell, and every solve,
+        # cut or not, is passed that cell as it was built.
         cells = [c for r in regions for c in (r.upper_cell, r.lower_cell)]
         assert regions and len(built) == len(cells)
-        assert all(cell.crossings is not None for cell in cells)
-        assert scanned and all(cell.crossings is None for cell in scanned)
-        assert not any(c is cell for c in scanned for cell in cells)
-        own = sum(any(c is cell for cell in cells) for c in solved)
-        narrowed = sum(c.crossings is None for c in solved)
-        assert own + narrowed == len(solved) and own > 0 and narrowed > 0, (own, narrowed)
+        assert all(any(c is cell for cell in cells) for c, _, _ in solved)
+        cut = sum((p_lo, p_hi) != (c.p_lo, c.p_hi) for c, p_lo, p_hi in solved)
+        assert 0 < cut < len(solved), (cut, len(solved))
 
 
 @st.composite
@@ -2266,19 +2405,20 @@ class TestBisection:
         x=st.one_of(st.floats(-2000.0, 2000.0), signed(log_uniform(2.0, 6.0))),
     )
     def test_lexicographic_clip_stops_at_the_float_edge(self, curve_map, data, axis, x):
-        cell = draw_cell(data, curve_map)
+        cell, p_lo, p_hi = draw_cell(data, curve_map)
         if axis == "p":  # lambda_q = 0: p is fixed first, q is sought at it
-            interval_at, x = optimizer._q_interval_at, min(max(x, cell.p_lo), cell.p_hi)
-        else:
+            interval_at, x, of = optimizer._q_interval_at, min(max(x, p_lo), p_hi), cell
+        else:  # lambda_p = 0: q is fixed first, p is sought in the cut box
             interval_at, x = optimizer._p_interval_at, min(max(x, cell.q_lo), cell.q_hi)
-        lo, hi = interval_at(cell, x)
-        found, f_lo, f_hi = optimizer._clip_to_nonempty(interval_at, cell, x)
-        assert (f_lo, f_hi) == interval_at(cell, found) and f_lo <= f_hi
+            of = (cell, p_lo, p_hi)
+        lo, hi = interval_at(of, x)
+        found, f_lo, f_hi = optimizer._clip_to_nonempty(interval_at, of, x)
+        assert (f_lo, f_hi) == interval_at(of, found) and f_lo <= f_hi
         if lo <= hi:
             assert found == x
         else:
             assert abs(found) < abs(x) and found * x >= 0.0
-            past_lo, past_hi = interval_at(cell, math.nextafter(found, x))
+            past_lo, past_hi = interval_at(of, math.nextafter(found, x))
             assert past_lo > past_hi
 
 

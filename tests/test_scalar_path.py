@@ -2,7 +2,8 @@
 battery, grid and optimizer imports numpy), the control-loop modules import
 without the CLI, no module finds roots through ``np.roots`` or eigenvalues
 through ``np.linalg.eigvals`` (capability alone calls the LAPACK gufunc
-behind it), the optimizer leaves the cap cubic's overflow to capability,
+behind it), the optimizer leaves the cap cubic's overflow to capability and neither
+screens crossings nor builds a cell,
 the line grammars stay in linefmt (no other module imports a tokenizer),
 the optimizer's set-point tolerance only sets the status flags, the
 per-step value types are NamedTuples rather than dataclasses,
@@ -128,6 +129,27 @@ def test_optimizer_leaves_the_cap_cubic_to_capability():
     # overflow retry included; the optimizer only calls it.
     names = [name.rsplit(".", 1)[-1] for name in imported_names(PACKAGE / "optimizer.py")]
     assert {"CompanionOverflowError", "poly_real_roots"}.isdisjoint(names)
+
+
+def test_optimizer_neither_screens_nor_builds_a_cell():
+    # A projection solves each region cell as built, passed its cut P box,
+    # so a step never copies a cell or screens its crossings again: the
+    # optimizer names Cell only in annotations and copies no NamedTuple.
+    path = PACKAGE / "optimizer.py"
+    names = [name.rsplit(".", 1)[-1] for name in imported_names(path)]
+    assert "screened_crossings" not in names
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    nodes = list(ast.walk(tree))
+    annotations = [n.annotation for n in nodes if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in nodes if isinstance(n, ast.FunctionDef)]
+    typed = {id(n) for a in annotations if a is not None for n in ast.walk(a)}
+    reads = [
+        n.lineno
+        for n in nodes
+        if isinstance(n, ast.Name) and n.id == "Cell" and id(n) not in typed
+    ]
+    copies = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr == "_replace"]
+    assert reads == [] and copies == []
 
 
 def test_only_capability_imports_the_eigenvalue_gufunc():
