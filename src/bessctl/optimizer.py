@@ -62,8 +62,8 @@ screen costs more than the crossing with the missed constraint.
 - Otherwise two constraints bind at the optimum; in the plane two of them
   always carry the multipliers, even where three meet.  Each crossing is
   tagged with its pair, and the first whose two multipliers, solved by
-  Cramer's rule from the pair's gradients, are >= 0 (up to rounding,
-  MU_TOL) is the optimum.
+  Cramer's rule from the pair's gradients, are >= 0 (up to rounding:
+  MU_TOL of |grad f| and of the terms of each numerator) is the optimum.
 - The conditions are sufficient but not necessary.  Where the binding
   constraints have parallel gradients, as where the cell narrows to a point
   or two boundaries touch, no multipliers exist, and the screened crossing
@@ -77,10 +77,11 @@ the disk-parabola quartic, are the cell's corners, found by
 normals are not parallel, its multipliers are >= 0 and it meets the other
 constraints: a conjunction of pure float expressions, of which only the
 multipliers read the target.  ``capability.screened_crossings`` evaluates
-the rest, and every ``Cell`` keeps its result, ``Cell.crossings``.  An
-optimum beyond the cut box gives way to the best point on the box's line,
-and beside a zero bound a zero p takes the sign that the cut cell's own
-solve gives it (``_project_cell``), which records.csv shows.
+the rest, and every ``Cell`` keeps its result, ``Cell.crossings``.  The
+cut box clips the cell's optimum as ``min(max(p, p_lo), p_hi)`` does: a p
+inside the box, ends included under ==, keeps its own bits, zero signs
+too, and a p beyond it takes those of the bound it crossed, with the best
+q on that line.
 Per call, only a violated cap's stationary-point cubic goes through numpy,
 in ``capability.cubic_real_roots``, which stores its scalar coefficients
 straight into a 3x3 companion matrix for LAPACK and alone decides how it
@@ -464,42 +465,6 @@ def _exact_keys(
     return keys
 
 
-def _signed_zero(
-    cell: Cell, p_lo: float, p_hi: float, p: float, q: float, found: str | int, *target: float
-) -> tuple[float, float]:
-    """(p, q) with the signs of zero that the solve of the cell cut to
-    [p_lo, p_hi] takes, where p is a zero and so is a bound; found is
-    "target", a tag of _single_projections, "crossing" or "fallback", and
-    target is (p0, q0, wp, wq), both weights positive.
-
-    That solve takes the target or its clamp onto a P line, where q is q0;
-    the same single projection onto another constraint; then the first
-    crossing that certifies: those of the p_lo line, of the p_hi line, and
-    the corners; and with none, the first of least objective, a P line's.
-    A P line's crossing with a constraint that binds at q certifies where
-    the line's multiplier passes -MU_TOL |grad f|.  That of p_hi is minus
-    that of p_lo, in which a binding cap's slope at p = 0, c1, enters and
-    a Q line or the disk, flat there, does not.
-    """
-    p0, q0, wp, wq = target
-    if q == q0 and (clamp := min(max(p0, p_lo), p_hi)) == 0.0:
-        return clamp, q0
-    if found == "fallback":
-        return (p_lo if p_lo == 0.0 else p_hi), q
-    if found == "crossing":
-        slopes = [c1 for c0, c1, _ in cell.paras if c0 == q < q0]
-        if q > q0 or q == cell.q_hi or q == math.sqrt(cell.r * cell.r) or not slopes:
-            slopes.append(0.0)
-        scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])  # leaves every sign alone
-        gp, gq = wp * scale * (p - p0), wq * scale * (q - q0)
-        mus, tol = [gp + s * gq for s in slopes], -MU_TOL * math.hypot(gp, gq)
-        if p_lo == 0.0 and max(mus) >= tol:
-            p = p_lo
-        elif p_hi == 0.0 and -min(mus) >= tol:
-            p = p_hi
-    return p, q
-
-
 def _project_cell(
     cell: Cell, p_lo: float, p_hi: float, p0: float, q0: float, wp: float, wq: float
 ) -> tuple[float, float, float]:
@@ -516,12 +481,13 @@ def _project_cell(
     docstring shows that such a point is the optimum.  Only when none
     qualifies, as where the cell has no interior at its optimum, the
     crossing of least exact objective once polished is taken; if the table
-    is empty, RuntimeError names the target.  A cell optimum beyond a line
-    of the cut box gives way to the cut cell's, on that line, as f is
-    strictly convex and the cell convex: at the q nearest q0 in the cell's
-    q interval there, which the segment from the origin to the cell's
-    optimum keeps nonempty.  A zero p beside a zero bound takes its sign
-    from _signed_zero.
+    is empty, RuntimeError names the target.  The cut box then clips the
+    cell's optimum as ``min(max(p, p_lo), p_hi)`` does: a p inside the box,
+    ends included under ==, keeps its own bits, zero signs too; a p beyond
+    it takes the bits of the bound it crossed, and the cut cell's optimum
+    lies on that line, as f is strictly convex and the cell convex: at the
+    q nearest q0 in the cell's q interval there, which the segment from the
+    origin to the cell's optimum keeps nonempty.
     """
 
     if wq == 0.0:
@@ -535,7 +501,7 @@ def _project_cell(
     elif cell.within(p0, q0, 0.0):
         if p_lo <= p0 <= p_hi:
             return p0, q0, 0.0
-        p, q, k = p0, q0, "target"
+        p, q = p0, q0
     else:
         sp, sq = wp, wq
         if wp > 1.0 or wq > 1.0:  # scaled into [0.5, 1), they round nothing while normal
@@ -547,16 +513,21 @@ def _project_cell(
             if meets(cell, p, q, (k,)) if k == "disk" else cell.within(p, q, 0.0):
                 break
         else:
-            k = "crossing"
             for p, q, kkt in cell.crossings:
                 if kkt is not None:
                     # Both multipliers by Cramer's rule; each mu_j |grad g_j|
-                    # may round to -MU_TOL |grad f|.
+                    # may round to -MU_TOL |grad f|, and each mu_j |det| to
+                    # -MU_TOL times the sum of its numerator's terms.
                     ap, aq, bp, bq, det, norm_a, norm_b = kkt
                     gp, gq = sp * (p - p0), sq * (q - q0)
                     mu_a, mu_b = (bp * gq - bq * gp) / det, (aq * gp - ap * gq) / det
                     tol = -MU_TOL * math.hypot(gp, gq)
-                    if mu_a * norm_a >= tol and mu_b * norm_b >= tol:
+                    if (
+                        mu_a * norm_a >= tol
+                        and mu_b * norm_b >= tol
+                        and mu_a * abs(det) >= -MU_TOL * (abs(bp * gq) + abs(bq * gp))
+                        and mu_b * abs(det) >= -MU_TOL * (abs(aq * gp) + abs(ap * gq))
+                    ):
                         break
             else:
                 if not cell.crossings:
@@ -565,16 +536,11 @@ def _project_cell(
                     )
                 polished = [_polish(cell, p, q) for p, q, _ in cell.crossings]
                 p, q = _least_objective(polished, p0, q0, sp, sq)
-                k = "fallback"
         p, q = _polish(cell, p, q)
-    if not p_lo < p < p_hi:  # on an edge of the cut box or beyond it
-        if not p_lo <= p <= p_hi:  # only the cell's weighted optimum can leave
-            p = p_lo if p < p_lo else p_hi
-            lo, hi = _q_interval_at(cell, p)
-            p, q = _polish(cell, p, min(max(q0, lo), hi))
-            k = "crossing"
-        if p == 0.0 and wp and wq:  # a zero p on an edge: a bound is a zero
-            p, q = _signed_zero(cell, p_lo, p_hi, p, q, k, p0, q0, wp, wq)
+    if not p_lo <= p <= p_hi:  # only the cell's weighted optimum can leave
+        p = p_lo if p < p_lo else p_hi
+        lo, hi = _q_interval_at(cell, p)
+        p, q = _polish(cell, p, min(max(q0, lo), hi))
     return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
 
 
@@ -591,14 +557,15 @@ def project(problem: ProjectionProblem) -> tuple[float, float]:
     the cell whose p is nearer p0.  A tie left after that goes to the upper
     (Q >= 0) cell, for determinism.
 
-    Each cell is solved as built, passed its P interval cut to the bounds.
-    The near cell, on the target's side of Q = 0, is solved first.  The far
-    cell costs at least lambda_p * d^2 + lambda_q * q0^2, d the distance
-    from p0 to edge, the clip of p0 into its cut P box, while its
-    projection keeps p in that box and the other sign of q.  The float
-    objective is monotone in |p - p0| and |q - q0|, so the bound holds
-    after rounding too; when lambda_q > 0 and the near cell does better
-    than it (by a relative 1e-12) the far cell is not solved.
+    Each cell is solved as built, passed its P interval cut to the bounds,
+    which clip its optimum (see _project_cell).  The near cell, on the
+    target's side of Q = 0, is solved first.  The far cell costs at least
+    lambda_p * d^2 + lambda_q * q0^2, d the distance from p0 to edge, the
+    clip of p0 into its cut P box, while its projection keeps p in that
+    box and the other sign of q.  The float objective is monotone in
+    |p - p0| and |q - q0|, so the bound holds after rounding too; when
+    lambda_q > 0 and the near cell does better than it (by a relative
+    1e-12) the far cell is not solved.
 
     With lambda_q = 0 both objectives are lambda_p * (p - p0)^2 plus an
     exact zero.  The far cell's p is edge, or was pulled from edge toward

@@ -10,7 +10,8 @@ Optimization*, 5.5.3), which with both weights positive make it the
 unique optimum.  ``reference_project_cell`` is ``optimizer._project_cell``
 with its crossing stage as it was before the cells' crossing tables:
 each call screens every crossing and tests its multipliers (``certified``)
-and its exactness, the reference for the bits of the table scan.
+and its exactness, the reference for the bits of the table scan.  It
+gives a zero p at a zero bound the sign of the cut box's clip.
 ``running_best_cell`` picks a cell optimum by a
 running-best scan over every screened stationary point and crossing, and
 ``least_in_cell`` bounds the cell optimum by those of them that lie in the
@@ -199,17 +200,34 @@ def certified(cell, p, q, a, b, gp, gq):
 def reference_project_cell(cell, p_lo, p_hi, p0, q0, wp, wq):
     """``optimizer._project_cell`` as it was before the cells' crossing
     tables and the solve on the cut box's line: it solves the cell cut to
-    [p_lo, p_hi], built with that box, walking ``capability._crossings``
-    and, for each crossing that passes the screen, testing ``certified`` and
-    then ``capability.meets``; where none certifies, it ranks the screened
-    crossings, polished, as ``optimizer._project_cell`` does.  The
+    [p_lo, p_hi], built with that box (``reference_solve_cell``).  The
     lexicographic branches and a target inside the cut cell are left to
     ``optimizer._project_cell`` as this module imported it, so a test may
     patch the module's name with this function; it reads no crossing
-    there."""
-    cell = cell._replace(p_lo=p_lo, p_hi=p_hi)
-    if wp == 0.0 or wq == 0.0 or cell.within(p0, q0, 0.0):
-        return _PROJECT_CELL(cell, p_lo, p_hi, p0, q0, wp, wq)
+    there.  A zero p equal to a zero bound takes the sign that the cut box
+    gives the uncut cell's own solve when it clips it as
+    ``min(max(p, p_lo), p_hi)`` does: its p inside the box, ends included
+    under ==, or the bound it crossed."""
+    cut = cell._replace(p_lo=p_lo, p_hi=p_hi)
+    if wp == 0.0 or wq == 0.0 or cut.within(p0, q0, 0.0):
+        return _PROJECT_CELL(cut, p_lo, p_hi, p0, q0, wp, wq)
+    p, q = reference_solve_cell(cut, p0, q0, wp, wq)
+    if p == 0.0 and 0.0 in (p_lo, p_hi):
+        clipped = min(max(reference_solve_cell(cell, p0, q0, wp, wq)[0], p_lo), p_hi)
+        if clipped == 0.0:
+            p = clipped
+    return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
+
+
+def reference_solve_cell(cell, p0, q0, wp, wq):
+    """The weighted projection onto the cell, both weights positive, as
+    ``optimizer._project_cell`` found it before the cells' crossing tables:
+    the target if it is inside; else the first single projection that
+    meets its cell, or the first crossing, walking ``capability._crossings``,
+    that passes the screen, ``certified`` and ``capability.meets``; where
+    none certifies, the screened crossing of least objective, polished."""
+    if cell.within(p0, q0, 0.0):
+        return p0, q0
     sp, sq = wp, wq
     if wp > 1.0 or wq > 1.0:
         scale = math.ldexp(1.0, -math.frexp(max(wp, wq))[1])
@@ -233,8 +251,7 @@ def reference_project_cell(cell, p_lo, p_hi, p0, q0, wp, wq):
                 )
             polished = [optimizer._polish(cell, p, q) for p, q in screened]
             p, q = optimizer._least_objective(polished, p0, q0, sp, sq)
-    p, q = optimizer._polish(cell, p, q)
-    return p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2
+    return optimizer._polish(cell, p, q)
 
 
 def all_candidates(cell, p0, q0, wp, wq):

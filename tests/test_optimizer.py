@@ -913,8 +913,8 @@ target_st = st.tuples(
     st.floats(-2000.0, 2000.0),
     st.one_of(st.floats(-2000.0, 2000.0), st.floats(-1e-9, 1e-9)),
 )
-p_min_st = st.one_of(st.just(0.0), st.just(-1e6), st.floats(-1000.0, 0.0))
-p_max_st = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.0, 1000.0))
+p_min_st = st.one_of(st.just(0.0), st.just(-0.0), st.just(-1e6), st.floats(-1000.0, 0.0))
+p_max_st = st.one_of(st.just(0.0), st.just(-0.0), st.just(1e6), st.floats(0.0, 1000.0))
 #: A target coordinate that is often on or within _POINT_TOL of its axis.
 AXIS_COORDINATE = st.one_of(
     st.floats(-2000.0, 2000.0), st.floats(-1e-9, 1e-9), st.sampled_from([0.0, -0.0])
@@ -1553,6 +1553,9 @@ MARGIN_DELTA = signed(log_uniform(-8.0, -1.0))
 #: Positive weights up to six decades apart, which tilt the single-constraint
 #: projections and the multipliers of the crossings.
 UNEQUAL_WEIGHTS = st.tuples(log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0))
+#: Positive weights up to twelve decades apart, where a multiplier of the
+#: light coordinate is below MU_TOL of the heavy one's gradient.
+WIDE_WEIGHTS = st.tuples(log_uniform(-6.0, 6.0), log_uniform(-6.0, 6.0))
 #: Target coordinates up to 1e6 away from the origin.
 FAR = signed(log_uniform(0.0, 6.0))
 #: A target coordinate out to about 1e19, where both cells' objectives
@@ -1982,6 +1985,50 @@ class TestKktCertificate:
         assert optimizer._project_cell(cell, *cut_box(cell), *target) == (*corner[:2], 145008.64)
         assert counts == {"_least_objective": 1}
 
+    def test_a_multiplier_below_its_numerators_rounding_does_not_certify(self, curve_map):
+        # Under weights 2e16 apart, the corner of P = 681.06 and Q = 0 has a
+        # Q multiplier of about -lambda_q q0, -3.2e-14 once scaled, which
+        # passes -MU_TOL |grad f|, set by the heavy P term, but not -MU_TOL
+        # times the terms of its own Cramer numerator; the corner with the
+        # Q ceiling certifies instead, and costs less.
+        region = build_region([curve_map[(500.0, 300.0)], curve_map[(500.0, 330.0)]], 1.0)
+        target = (1420.248121381412, 697.2682493412722)
+        weights = (2084777420.7329721, 9.898364940272219e-08)
+        got = project(problem(region, target, weights, (-1e4, 1e4)))
+        assert got == (681.06, 38.47) and region.contains(*got)
+        assert certifies(region.upper_cell, *got, *target, *weights)
+        assert exact_objective(got, *target, *weights) < exact_objective(
+            (681.06, 0.0), *target, *weights
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        anchors=st.sampled_from(REGION_ANCHORS),
+        shrink=st.sampled_from([1.0, 7.0 / 9.0, 0.5, 0.3]),
+        target=st.tuples(FAR, FAR),
+        weights=WIDE_WEIGHTS,
+        bounds=st.tuples(p_min_st, p_max_st),
+    )
+    # Weights 3.4e11 apart: the lower cell's corner of P = 203.6 and Q = 0
+    # passed on -MU_TOL |grad f| alone, and tied the upper cell's optimum;
+    # its corner with the disk costs less.
+    @example(
+        anchors=((600.0, 300.0), (500.0, 330.0)),
+        shrink=0.3,
+        target=(1851.0958663453948, -467.31266063025487),
+        weights=(765446.1933718971, 2.2550703235737363e-06),
+        bounds=(-1e4, 1e4),
+    )
+    def test_project_costs_no_more_than_either_cell_under_weights_far_apart(
+        self, curve_map, anchors, shrink, target, weights, bounds
+    ):
+        region = build_region([curve_map[a] for a in anchors], shrink)
+        p, q = project(problem(region, target, weights, bounds))
+        (p0, q0), (wp, wq) = target, weights
+        got = (p, q, wp * (p - p0) ** 2 + wq * (q - q0) ** 2)
+        for cell in (region.upper_cell, region.lower_cell):
+            assert costs_no_more(cut_cell(cell, *bounds), got, *target, *weights)
+
     def test_nearly_parallel_normals_certify_nothing(self, monkeypatch):
         # The cap q <= -1.1e-293 p - 1.5e-7 p^2 clears Q = 0 only on
         # [-7.5e-287, 0]; at its crossing with Q = 0, the root -7.5e-287,
@@ -2124,7 +2171,8 @@ class TestCrossingTables:
     crossing per call (oracles.reference_project_cell), and so does project.
     Where the cut box moves the optimum onto one of its lines, the solve on
     that line answers for the cut cell's own solve, and may only do
-    better."""
+    better; so may a solve that a multiplier's own Cramer rounding bound
+    sends past the reference's crossing."""
 
     @pytest.mark.parametrize("shrink", [1.0, 7.0 / 9.0, 0.3])
     def test_every_region_cell_carries_its_screened_crossings(self, curve_map, shrink):
@@ -2282,17 +2330,17 @@ class TestCrossingTables:
     @pytest.mark.parametrize(
         "bounds, p0, zero",
         [
-            # 1.3e-9 beside the box, both P lines' multipliers at the Q floor
-            # pass -MU_TOL |grad f|, and the cut cell's scan reaches p_lo's
-            # crossings first; 5 beside it, only the line on its side does.
-            ((-0.0, 0.0), 1.2544500219795758e-09, -0.0),
-            ((0.0, -0.0), 1.2544500219795758e-09, 0.0),
+            # The cell's optimum, p = 1.9e-12 from 1.3e-9 and p = +-0.0074
+            # from +-5, lies beyond the box on the target's side, and takes
+            # the zero of the bound it crosses.
+            ((-0.0, 0.0), 1.2544500219795758e-09, 0.0),
+            ((0.0, -0.0), 1.2544500219795758e-09, -0.0),
             ((-0.0, 0.0), 5.0, 0.0),
             ((0.0, -0.0), 5.0, -0.0),
             ((0.0, -0.0), -5.0, 0.0),
         ],
     )
-    def test_a_box_of_two_zeros_takes_the_zero_of_the_first_line_that_certifies(
+    def test_a_box_of_two_zeros_takes_the_zero_of_the_bound_it_crosses(
         self, curve_map, bounds, p0, zero
     ):
         region = build_region([curve_map[(500.0, 300.0)], curve_map[(500.0, 270.0)]], 0.3)
